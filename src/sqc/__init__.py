@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .control import ControlConfig, ScenarioResult, control_input, run_closed_loop, run_scenario
-from .ekf import ObservationModel, ObservationStream, ekf_step, marginal_likelihood, run_filter
+from .control import ControlConfig, ScenarioResult, run_closed_loop, run_scenario
+from .ekf import ObservationModel, ObservationStream, ekf_step, filter_with_likelihood, marginal_likelihood
 from .engine import (
     GaussianBelief,
     NormalizationDiagnostic,
@@ -13,7 +13,6 @@ from .engine import (
     sample_posterior,
     step,
     update,
-    update_precision_form,
 )
 from .errors import (
     DomainViolation,
@@ -59,11 +58,11 @@ __all__ = [
     "StatePath",
     "TrajectoryRecord",
     "ValidationError",
-    "control_input",
     "ekf_step",
     "eval_double_well",
     "eval_log_barrier",
     "eval_quadratic_penalty",
+    "filter_with_likelihood",
     "load_bundled",
     "make_drift",
     "marginal_likelihood",
@@ -71,7 +70,6 @@ __all__ = [
     "parse_scenario",
     "predict",
     "run_closed_loop",
-    "run_filter",
     "run_scenario",
     "sample_posterior",
     "scenario_from_dict",
@@ -79,7 +77,6 @@ __all__ = [
     "step",
     "tanh_target",
     "update",
-    "update_precision_form",
     "verify_derivatives",
     "write_scenario",
 ]

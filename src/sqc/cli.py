@@ -12,7 +12,6 @@ import numpy as np
 
 from . import __version__, control, ekf, engine, oracle
 from .errors import ParseError, SqcError, ValidationError
-from .process import ItoProcessModel, make_drift
 from .scenario import parse_scenario
 
 EXIT_OK = 0
@@ -115,10 +114,18 @@ def cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
     obs_model = scenario.build_observation_model()
     stream = ekf.read_observations(args.obs)
-    if len(stream) and int(stream.steps.max()) > scenario.horizon:
-        raise ValidationError(
-            f"observation at step {int(stream.steps.max())} is beyond horizon {scenario.horizon}"
-        )
+    if len(stream):
+        k = obs_model.sigma_nu.shape[0]
+        if stream.values.shape[1] != k:
+            raise ValidationError(
+                f"observation file has {stream.values.shape[1]} value columns; the scenario observes {k}"
+            )
+        if int(stream.steps.min()) < 0:
+            raise ValidationError(f"observation at step {int(stream.steps.min())} is before step 0")
+        if int(stream.steps.max()) > scenario.horizon:
+            raise ValidationError(
+                f"observation at step {int(stream.steps.max())} is beyond horizon {scenario.horizon}"
+            )
     model = scenario.build_model()
     initial = engine.GaussianBelief(
         mean=scenario.mean0, cov=scenario.cov0, step=0, tag="predicted"
@@ -148,103 +155,13 @@ def cmd_filter(args) -> int:
     return EXIT_OK
 
 
-def _quadrature_checks() -> dict:
-    """Engine moments against the quadrature oracle on fixed instances."""
-    from .potential import eval_log_barrier, eval_quadratic_penalty
-
-    checks = {}
-
-    belief = engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=0, tag="predicted")
-    pot = eval_quadratic_penalty(belief.mean, np.array([1.0]), np.array([[1.0]]))
-    upd = engine.update(belief, pot, 1.0)
-    mean, cov, log_norm = oracle.weighted_gaussian_moments(
-        belief.mean, belief.cov, lambda x: eval_quadratic_penalty(x, np.array([1.0]), np.array([[1.0]])), 1.0
-    )
-    diag = engine.normalization(belief, pot, 1.0)
-    checks["quadratic_1d"] = {
-        "mean_err": float(np.max(np.abs(upd.mean - mean))),
-        "cov_err": float(np.max(np.abs(upd.cov - cov))),
-        "log_norm_err": abs(diag.log_n + log_norm),
-        "tol": 1e-8,
-    }
-
-    mean0 = np.array([0.3, -0.2])
-    cov0 = np.array([[1.0, 0.3], [0.3, 0.7]])
-    d = np.array([1.0, 0.0])
-    s_inv = np.array([[2.0, 0.0], [0.0, 0.5]])
-    dt = 0.5
-    belief2 = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
-    pot2 = eval_quadratic_penalty(mean0, d, s_inv)
-    upd2 = engine.update(belief2, pot2, dt)
-    mean2, cov2, log_norm2 = oracle.weighted_gaussian_moments(
-        mean0, cov0, lambda x: eval_quadratic_penalty(x, d, s_inv), dt
-    )
-    diag2 = engine.normalization(belief2, pot2, dt)
-    checks["quadratic_2d"] = {
-        "mean_err": float(np.max(np.abs(upd2.mean - mean2))),
-        "cov_err": float(np.max(np.abs(upd2.cov - cov2))),
-        "log_norm_err": abs(diag2.log_n + log_norm2),
-        "tol": 1e-8,
-    }
-
-    a = np.array([10.0, 10.0])
-    mean_b = np.array([1.0, 1.0])
-    cov_b = 0.01 * np.eye(2)
-    belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
-    upd_b = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
-    mean_q, _, _ = oracle.weighted_gaussian_moments(
-        mean_b, cov_b, lambda x: eval_log_barrier(x, a), 1.0
-    )
-    checks["barrier_expansion"] = {
-        "mean_rel_err": float(np.max(np.abs(upd_b.mean - mean_q) / np.abs(mean_q))),
-        "tol": 0.05,
-    }
-
-    for entry in checks.values():
-        entry["passed"] = all(
-            v <= entry["tol"] for k, v in entry.items() if k.endswith("err")
-        )
-    return checks
-
-
-def _fp_convergence() -> dict:
-    """Residual halving study for the three canonical 1-D cases."""
-    grid = oracle.Grid1D(-9.0, 9.0, 2048)
-    x = grid.points()
-    density = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
-    dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
-
-    def model_with(kind, params):
-        drift, jac = make_drift(kind, params, 1)
-        return ItoProcessModel(dim=1, drift=drift, drift_jacobian=jac, g_inv=[[1.0]], dt=1.0)
-
-    cases = {
-        "free_diffusion": (model_with("zero", None), None),
-        "linear_drift": (model_with("linear", {"A": [[-1.0]]}), None),
-        "constant_potential": (model_with("zero", None), lambda x: 0.5),
-    }
-    out = {}
-    for name, (model, potential) in cases.items():
-        residuals = [
-            oracle.fokker_planck_residual(model, potential, grid, density, dt) for dt in dts
-        ]
-        ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-        out[name] = {
-            "dts": dts,
-            "residuals": residuals,
-            "ratios": ratios,
-            "passed": all(1.5 <= r <= 3.0 for r in ratios),
-        }
-    return out
-
-
 def cmd_validate(args) -> int:
     report: dict = {"level": args.level}
     ident = oracle.identity_suite(seed=0, trials=500)
     report["identity"] = ident.to_dict()
-    report["quadrature"] = _quadrature_checks()
+    report["quadrature"] = oracle.quadrature_checks()
     if args.level == "full":
-        report["fokker_planck"] = _fp_convergence()
+        report["fokker_planck"] = oracle.fp_convergence()
 
     passed = ident.passed and all(c["passed"] for c in report["quadrature"].values())
     if args.level == "full":

@@ -21,15 +21,13 @@ from scipy.linalg import cho_solve
 from . import engine
 from .engine import GaussianBelief, TrajectoryRecord
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
-from .linalg import spd_inverse, spd_solve, symmetrize
-from .potential import PotentialEvaluation
+from .linalg import spd_solve, symmetrize
 from .process import ItoProcessModel
 
 __all__ = [
     "ControlConfig",
     "TrajectoryRecord",
     "ScenarioResult",
-    "control_input",
     "run_closed_loop",
     "run_scenario",
 ]
@@ -76,19 +74,6 @@ class ScenarioResult:
     completed: bool
     failure: Optional[str] = None
     failed_step: Optional[int] = None
-
-
-def control_input(belief: GaussianBelief, pot: PotentialEvaluation, cfg: ControlConfig, dt: float) -> np.ndarray:
-    """Control input reproducing the update's mean shift through B.
-
-    ``belief`` must be the predicted belief the potential was
-    evaluated at.
-    """
-    sigma_nu = spd_inverse(pot.curvature)
-    h = pot.H
-    s = symmetrize(sigma_nu / dt + h @ belief.cov @ h.T)
-    shift = belief.cov @ h.T @ spd_solve(s, sigma_nu @ pot.grad_l)
-    return cfg.input_for_shift(shift)
 
 
 def run_closed_loop(

@@ -8,10 +8,17 @@ innovation form.
 
 Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
+
+filter_with_likelihood runs every observation through the engine's
+update kernel with unit time weight. Its log normalization gives the
+marginal likelihood: log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
+ekf_step and marginal_likelihood are the textbook innovation-form EKF,
+kept as the independent reference the tests compare the filter with.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,7 +35,6 @@ __all__ = [
     "ObservationStream",
     "observation_potential",
     "ekf_step",
-    "run_filter",
     "filter_with_likelihood",
     "marginal_likelihood",
     "read_observations",
@@ -46,6 +52,9 @@ class ObservationModel:
     def __post_init__(self):
         self.sigma_nu = symmetrize(np.atleast_2d(np.asarray(self.sigma_nu, dtype=float)))
         self.sigma_nu_inv = spd_inverse(self.sigma_nu)
+        # log p(y) = log_density_offset - log_n for one absorbed observation.
+        k = self.sigma_nu.shape[0]
+        self.log_density_offset = -0.5 * (spd_logdet(self.sigma_nu) + k * math.log(2 * math.pi))
 
 
 @dataclass
@@ -137,23 +146,6 @@ def marginal_likelihood(belief: engine.GaussianBelief, obs_model: ObservationMod
     return log_marginal, log_at_mean - log_marginal
 
 
-def run_filter(
-    model: ItoProcessModel,
-    obs_model: ObservationModel,
-    stream: ObservationStream,
-    initial_belief: engine.GaussianBelief,
-    horizon: Optional[int] = None,
-) -> list[engine.GaussianBelief]:
-    """Filter a stream of observations starting from a predicted belief.
-
-    Returns one belief per step from the initial step through the
-    horizon (default: the last observed step): updated where an
-    observation exists, the bare prediction elsewhere.
-    """
-    beliefs, _ = filter_with_likelihood(model, obs_model, stream, initial_belief, horizon)
-    return beliefs
-
-
 def filter_with_likelihood(
     model: ItoProcessModel,
     obs_model: ObservationModel,
@@ -161,9 +153,13 @@ def filter_with_likelihood(
     initial_belief: engine.GaussianBelief,
     horizon: Optional[int] = None,
 ) -> tuple[list[engine.GaussianBelief], list[float]]:
-    """run_filter plus the per-step log marginal likelihood.
+    """Filter a stream of observations starting from a predicted belief.
 
-    The likelihood entry is nan at steps without an observation.
+    Returns one belief per step from the initial step through the
+    horizon (default: the last observed step), updated where an
+    observation exists and the bare prediction elsewhere, and the
+    per-step log marginal likelihood, nan at steps without an
+    observation.
     """
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
@@ -179,9 +175,10 @@ def filter_with_likelihood(
         else:
             pred = engine.predict(belief, model)
         if s in by_step:
-            y = by_step[s]
-            logliks.append(marginal_likelihood(pred, obs_model, y, s)[0])
-            belief = ekf_step(pred, model, obs_model, y, s)
+            pot = observation_potential(obs_model, by_step[s], pred.mean, s)
+            mean, cov, _, log_n, _ = engine._step_core(pred.mean, pred.cov, pot, 1.0)
+            logliks.append(obs_model.log_density_offset - log_n)
+            belief = engine.GaussianBelief(mean=mean, cov=cov, step=s, tag="updated")
         else:
             logliks.append(np.nan)
             belief = pred
@@ -203,7 +200,15 @@ def read_observations(path) -> ObservationStream:
         raise ValidationError(
             f"observation header must be step,y1,...,yk; got {','.join(header)}"
         )
-    data = [r for r in rows[1:] if r]
-    steps = np.array([int(float(r[0])) for r in data], dtype=int)
-    values = np.array([[float(v) for v in r[1:]] for r in data]) if data else np.empty((0, k))
-    return ObservationStream(steps=steps, values=values)
+    steps, values = [], []
+    for line, r in enumerate(rows[1:], start=2):
+        if not r:
+            continue
+        if len(r) != k + 1:
+            raise ValidationError(f"line {line}: {len(r)} fields where the header has {k + 1}")
+        try:
+            steps.append(int(float(r[0])))
+            values.append([float(v) for v in r[1:]])
+        except ValueError as exc:
+            raise ValidationError(f"line {line}: {exc}") from None
+    return ObservationStream(steps=np.array(steps, dtype=int), values=np.array(values).reshape(-1, k))

@@ -8,21 +8,18 @@ Prediction propagates the first two moments through the drift:
 
 The update multiplies the predicted Gaussian by the weight
 exp(-V(x) dt), expands V to second order around the predicted mean and
-renormalizes. Two algebraically equivalent forms are implemented.
-
-Gain form, with S = curvature^-1 / dt + H cov H^T:
+renormalizes. It is computed in gain form, with
+S = curvature^-1 / dt + H cov H^T:
 
     mean' = mean + cov H^T S^-1 curvature^-1 grad_l
     cov'  = cov - cov H^T S^-1 H cov
 
-Precision form, with P = cov^-1 + H^T curvature H dt:
-
-    mean' = mean + P^-1 H^T grad_l dt
-    cov'  = P^-1
-
-Their agreement is a standing invariant (matrix inversion lemma) and is
-exercised by the validation suite. The gain form is the default because
-its inner solve lives in the usually smaller constraint dimension.
+The inner solve lives in the usually smaller constraint dimension.
+_step_core is the only implementation: update(), normalization(), the
+closed loop and the observation filter all run through it. The
+algebraically equivalent precision form, with
+P = cov^-1 + H^T curvature H dt, is kept in the oracle as the
+independent reference the validation suite checks this one against.
 """
 
 from __future__ import annotations
@@ -35,16 +32,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonFinite
-from .linalg import (
-    _eye,
-    _ones,
-    spd_cholesky,
-    spd_inverse,
-    spd_logdet,
-    spd_solve,
-    symmetrize,
-    woodbury_inverse,
-)
+from .linalg import _eye, _ones, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
 from .process import ItoProcessModel, transition_matrix
 
@@ -54,7 +42,6 @@ __all__ = [
     "TrajectoryRecord",
     "predict",
     "update",
-    "update_precision_form",
     "normalization",
     "sample_posterior",
     "step",
@@ -147,25 +134,8 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> Gauss
     covariance never exceeds the prior one: the subtracted term is
     positive semidefinite.
     """
-    sigma_nu = spd_inverse(pot.curvature)
-    h = pot.H
-    s = symmetrize(sigma_nu / dt + h @ belief.cov @ h.T)
-    shift = belief.cov @ h.T @ spd_solve(s, sigma_nu @ pot.grad_l)
-    cov = woodbury_inverse(belief.cov, h.T, sigma_nu / dt, h)
-    return GaussianBelief(mean=belief.mean + shift, cov=cov, step=belief.step, tag="updated")
-
-
-def update_precision_form(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> GaussianBelief:
-    """Same update through the precision matrix; used for cross-checks.
-
-    The mean moves along the preconditioned force direction:
-    mean' = mean - P^-1 (dV/dx) dt with dV/dx = -H^T grad_l.
-    """
-    h = pot.H
-    precision = symmetrize(spd_inverse(belief.cov) + h.T @ pot.curvature @ h * dt)
-    cov = spd_inverse(precision)
-    shift = cov @ (h.T @ pot.grad_l) * dt
-    return GaussianBelief(mean=belief.mean + shift, cov=cov, step=belief.step, tag="updated")
+    mean, cov, _, _, _ = _step_core(belief.mean, belief.cov, pot, dt)
+    return GaussianBelief(mean=mean, cov=cov, step=belief.step, tag="updated")
 
 
 def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> NormalizationDiagnostic:
@@ -180,19 +150,7 @@ def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -
     exp(-V dt) under the predicted Gaussian exactly; the quadrature
     oracle checks this.
     """
-    h = pot.H
-    k = h.shape[0]
-    sigma_nu = spd_inverse(pot.curvature)
-    s = symmetrize(sigma_nu / dt + h @ belief.cov @ h.T)
-    precision = symmetrize(spd_inverse(belief.cov) + h.T @ pot.curvature @ h * dt)
-    force = h.T @ pot.grad_l
-    script_n = pot.value - 0.5 * dt * float(force @ spd_solve(precision, force))
-    log_n = (
-        0.5 * spd_logdet(s)
-        - 0.5 * spd_logdet(sigma_nu)
-        + 0.5 * k * np.log(dt)
-        + script_n * dt
-    )
+    _, _, _, log_n, script_n = _step_core(belief.mean, belief.cov, pot, dt)
     return NormalizationDiagnostic(log_n=float(log_n), script_n=float(script_n))
 
 
@@ -269,10 +227,10 @@ def _step_core(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """Update moments, mean shift and normalization in one pass.
 
-    Algebraically identical to update() followed by normalization(),
-    but S is factored once and solved once, and the script_n quadratic
-    form reuses the shift, which equals P^-1 force dt by the matrix
-    inversion lemma: force^T P^-1 force dt = force^T shift. Returns
+    The one implementation of the update: S is factored once and
+    solved once, and the script_n quadratic form reuses the shift,
+    which equals P^-1 force dt by the matrix inversion lemma:
+    force^T P^-1 force dt = force^T shift. Returns
     (posterior mean, posterior cov, shift, log_n, script_n).
     """
     h = pot.H
@@ -360,6 +318,8 @@ def step(
         raise ValueError(f"unknown mode {mode!r}")
     if t is not None and t != belief.step:
         raise ValueError(f"t={t} does not match belief step {belief.step}")
+    if mode == "sampled" and rng is None:
+        raise ValueError("sampled mode needs a random generator")
     record = _advance(
         belief.mean, belief.cov, belief.step, belief.tag == "predicted",
         model, potential_fn, rng, mode,

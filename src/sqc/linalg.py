@@ -1,18 +1,8 @@
-"""Dense symmetric linear algebra with the two classic identities as
-first-class operations.
+"""Dense symmetric positive definite linear algebra.
 
 All SPD inversions go through a Cholesky factorization (never explicit
 inverse entries) because the downstream recursions are sensitive to
 symmetry loss; results are re-symmetrized as (M + M^T)/2.
-
-The two identities:
-
-    matrix inversion lemma
-        (A + B D^-1 C)^-1 = A^-1 - A^-1 B (D + C A^-1 B)^-1 C A^-1
-
-    block determinant product rules
-        |[[A, B], [C, D]]| = |A - B D^-1 C| |D| = |A| |D - C A^-1 B|
-
 Determinants are handled as log-determinants throughout to avoid
 overflow on long products.
 """
@@ -24,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import NotPositiveDefinite, Singular
+from .errors import NotPositiveDefinite
 
 __all__ = [
     "symmetrize",
@@ -32,8 +22,6 @@ __all__ = [
     "spd_solve",
     "spd_inverse",
     "spd_logdet",
-    "woodbury_inverse",
-    "det_product_identity_check",
 ]
 
 #: Relative diagonal jitter used in the single factorization retry.
@@ -102,70 +90,3 @@ def spd_logdet(a: np.ndarray) -> float:
     """log det A for SPD A, computed from the Cholesky diagonal."""
     low = spd_cholesky(a)
     return 2.0 * float(np.sum(np.log(np.diag(low))))
-
-
-def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(A + B D^-1 C)^-1 from A^-1, by the matrix inversion lemma.
-
-    Returns A^-1 - A^-1 B (D + C A^-1 B)^-1 C A^-1. The inner solve is
-    done in the (usually smaller) dimension of D. Raises Singular when
-    the inner matrix cannot be inverted.
-    """
-    a_inv = np.asarray(a_inv, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
-    inner = d + c @ a_inv @ b
-    try:
-        x = np.linalg.solve(inner, c @ a_inv)
-    except np.linalg.LinAlgError as exc:
-        raise Singular("inner matrix D + C A^-1 B is singular") from exc
-    out = a_inv - a_inv @ b @ x
-    if np.allclose(out, out.T, rtol=1e-8, atol=1e-12):
-        out = symmetrize(out)
-    return out
-
-
-def _slogdet_or_singular(m: np.ndarray, label: str) -> tuple[float, float]:
-    sign, logabs = np.linalg.slogdet(m)
-    if sign == 0.0:
-        raise Singular(f"{label} is singular")
-    return float(sign), float(logabs)
-
-
-def det_product_identity_check(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
-    """Max relative discrepancy among the three block determinant forms.
-
-    Compares |[[A,B],[C,D]]|, |A - B D^-1 C| |D| and |A| |D - C A^-1 B|
-    on the log scale and returns the worst pairwise relative error
-    (np.inf if the signs disagree). A and D must be invertible.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-
-    sign_a, logdet_a = _slogdet_or_singular(a, "A")
-    sign_d, logdet_d = _slogdet_or_singular(d, "D")
-    try:
-        schur_of_d = a - b @ np.linalg.solve(d, c)
-        schur_of_a = d - c @ np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise Singular("A or D is singular") from exc
-
-    block = np.block([[a, b], [c, d]])
-    signs = np.empty(3)
-    logs = np.empty(3)
-    signs[0], logs[0] = np.linalg.slogdet(block)
-    s1, l1 = np.linalg.slogdet(schur_of_d)
-    signs[1], logs[1] = s1 * sign_d, l1 + logdet_d
-    s2, l2 = np.linalg.slogdet(schur_of_a)
-    signs[2], logs[2] = s2 * sign_a, l2 + logdet_a
-
-    if not (signs[0] == signs[1] == signs[2]):
-        return np.inf
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            worst = max(worst, abs(np.expm1(logs[i] - logs[j])))
-    return float(worst)

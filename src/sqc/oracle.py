@@ -1,7 +1,8 @@
 """Independent verification machinery.
 
 Three oracles gate the main recursion, each computing the same
-quantities by a route that shares no code with the engine:
+quantities by a route that shares no code with the engine's update
+kernel:
 
 * weighted_gaussian_moments integrates x and x x^T against
   exp(-V(x) dt) N(x; mean, cov) with Gauss-Hermite quadrature. For a
@@ -10,13 +11,16 @@ quantities by a route that shares no code with the engine:
   explicit transition kernel and measures how far the finite-time
   increment is from the continuous-limit drift-diffusion-sink operator.
   The residual must shrink linearly with dt.
-* identity_suite brute-force checks the update-form equivalences, the
-  determinant identity and gauge invariance on randomized instances.
+* identity_suite brute-force checks the engine's update and
+  normalization against their precision form (kept here as the
+  reference, with the inversion lemma and the block determinant
+  identity) and gauge invariance on randomized instances.
 
 The oracles ship with the library (not the test tree) so any scenario
 configuration can be audited: the second-order expansion behind the
-update has uncharacterized error for non-quadratic potentials, and the
-quadrature oracle quantifies it per run.
+update has uncharacterized error for non-quadratic potentials. No run
+calls the quadrature oracle; `sqc validate` audits fixed instances
+with it (quadrature_checks), one of them a barrier point.
 """
 
 from __future__ import annotations
@@ -28,16 +32,22 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from . import engine, linalg
-from .errors import DomainViolation, MassLoss, QuadratureDomain, ValidationError
-from .potential import PotentialEvaluation
-from .process import ItoProcessModel
+from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
+from .potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
+from .process import ItoProcessModel, make_drift
 
 __all__ = [
     "Grid1D",
     "weighted_gaussian_moments",
     "fokker_planck_residual",
+    "update_precision_form",
+    "normalization_precision_form",
+    "woodbury_inverse",
+    "det_product_identity_check",
     "identity_suite",
     "IdentityReport",
+    "quadrature_checks",
+    "fp_convergence",
 ]
 
 
@@ -262,6 +272,111 @@ def fokker_planck_residual(
 
 
 # ---------------------------------------------------------------------------
+# Reference algebra: the update in precision form and the two identities.
+
+def _precision(belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float) -> np.ndarray:
+    """P = cov^-1 + H^T curvature H dt."""
+    h = pot.H
+    return linalg.symmetrize(linalg.spd_inverse(belief.cov) + h.T @ pot.curvature @ h * dt)
+
+
+def update_precision_form(belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float) -> engine.GaussianBelief:
+    """engine.update through the precision matrix; the reference form.
+
+    The mean moves along the preconditioned force direction:
+    mean' = mean - P^-1 (dV/dx) dt with dV/dx = -H^T grad_l.
+    """
+    cov = linalg.spd_inverse(_precision(belief, pot, dt))
+    shift = cov @ (pot.H.T @ pot.grad_l) * dt
+    return engine.GaussianBelief(mean=belief.mean + shift, cov=cov, step=belief.step, tag="updated")
+
+
+def normalization_precision_form(
+    belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float
+) -> engine.NormalizationDiagnostic:
+    """engine.normalization through the precision matrix; the reference form.
+
+    By the determinant identity log|S| - log|sigma_nu / dt| = log|cov| + log|P|,
+    with P = cov^-1 + H^T curvature H dt, so
+
+        log_n = (log|cov| + log|P|) / 2 + script_n dt
+        script_n = V - (H^T grad_l)^T P^-1 (H^T grad_l) dt / 2.
+    """
+    precision = _precision(belief, pot, dt)
+    force = pot.H.T @ pot.grad_l
+    script_n = pot.value - 0.5 * dt * float(force @ linalg.spd_solve(precision, force))
+    log_n = 0.5 * (linalg.spd_logdet(belief.cov) + linalg.spd_logdet(precision)) + script_n * dt
+    return engine.NormalizationDiagnostic(log_n=float(log_n), script_n=float(script_n))
+
+
+def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(A + B D^-1 C)^-1 from A^-1, by the matrix inversion lemma.
+
+    Returns A^-1 - A^-1 B (D + C A^-1 B)^-1 C A^-1. The inner solve is
+    done in the (usually smaller) dimension of D. Raises Singular when
+    the inner matrix cannot be inverted.
+    """
+    a_inv = np.asarray(a_inv, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.asarray(c, dtype=float)
+    d = np.asarray(d, dtype=float)
+    inner = d + c @ a_inv @ b
+    try:
+        x = np.linalg.solve(inner, c @ a_inv)
+    except np.linalg.LinAlgError as exc:
+        raise Singular("inner matrix D + C A^-1 B is singular") from exc
+    out = a_inv - a_inv @ b @ x
+    if np.allclose(out, out.T, rtol=1e-8, atol=1e-12):
+        out = linalg.symmetrize(out)
+    return out
+
+
+def _slogdet_or_singular(m: np.ndarray, label: str) -> tuple[float, float]:
+    sign, logabs = np.linalg.slogdet(m)
+    if sign == 0.0:
+        raise Singular(f"{label} is singular")
+    return float(sign), float(logabs)
+
+
+def det_product_identity_check(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
+    """Max relative discrepancy among the three block determinant forms.
+
+    Compares |[[A,B],[C,D]]|, |A - B D^-1 C| |D| and |A| |D - C A^-1 B|
+    on the log scale and returns the worst pairwise relative error
+    (np.inf if the signs disagree). A and D must be invertible.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    c = np.atleast_2d(np.asarray(c, dtype=float))
+    d = np.atleast_2d(np.asarray(d, dtype=float))
+
+    sign_a, logdet_a = _slogdet_or_singular(a, "A")
+    sign_d, logdet_d = _slogdet_or_singular(d, "D")
+    try:
+        schur_of_d = a - b @ np.linalg.solve(d, c)
+        schur_of_a = d - c @ np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
+        raise Singular("A or D is singular") from exc
+
+    block = np.block([[a, b], [c, d]])
+    signs = np.empty(3)
+    logs = np.empty(3)
+    signs[0], logs[0] = np.linalg.slogdet(block)
+    s1, l1 = np.linalg.slogdet(schur_of_d)
+    signs[1], logs[1] = s1 * sign_d, l1 + logdet_d
+    s2, l2 = np.linalg.slogdet(schur_of_a)
+    signs[2], logs[2] = s2 * sign_a, l2 + logdet_a
+
+    if not (signs[0] == signs[1] == signs[2]):
+        return np.inf
+    worst = 0.0
+    for i in range(3):
+        for j in range(i + 1, 3):
+            worst = max(worst, abs(np.expm1(logs[i] - logs[j])))
+    return float(worst)
+
+
+# ---------------------------------------------------------------------------
 # Randomized identity suite.
 
 @dataclass
@@ -314,11 +429,12 @@ def identity_suite(
 
     Per trial (random dims 1..6, well-conditioned SPD inputs) checks:
 
-      a. gain-form and precision-form updates agree,
+      a. engine.update (gain form) and the precision-form update agree,
       b. the two covariance expressions agree (inversion lemma),
-      c. the determinant identity
-         log|S| - log|sigma_nu / dt| - log|cov| = log|P|
-         with S = sigma_nu/dt + H cov H^T and P = cov^-1 + H^T curv H dt,
+      c. the determinant identity, through the normalization:
+         engine.normalization takes log|S| with S = sigma_nu/dt + H cov H^T,
+         the precision form log|cov| + log|P| with P = cov^-1 + H^T curv H dt,
+         and the two log_n agree,
       d. adding a constant to V leaves mean and covariance unchanged
          and shifts log_n by exactly that constant times dt.
 
@@ -329,7 +445,7 @@ def identity_suite(
     """
     rng = np.random.default_rng(seed)
     upd = update_fn or engine.update
-    upd_prec = precision_update_fn or engine.update_precision_form
+    upd_prec = precision_update_fn or update_precision_form
     report = IdentityReport(trials=trials, checked=0, skipped=0)
     worst = {"forms_mean": 0.0, "forms_cov": 0.0, "cov_two_forms": 0.0, "determinant": 0.0, "gauge": 0.0}
 
@@ -360,22 +476,19 @@ def identity_suite(
         e_mean = _rel(ga.mean, pr.mean)
         e_cov = _rel(ga.cov, pr.cov)
 
-        sigma_nu = linalg.spd_inverse(curvature)
-        direct = linalg.spd_inverse(linalg.symmetrize(linalg.spd_inverse(cov) + h.T @ curvature @ h * dt))
-        wood = linalg.woodbury_inverse(cov, h.T, sigma_nu / dt, h)
+        direct = linalg.spd_inverse(_precision(belief, pot, dt))
+        wood = woodbury_inverse(cov, h.T, linalg.spd_inverse(curvature) / dt, h)
         e_two = _rel(direct, wood)
 
-        s = linalg.symmetrize(sigma_nu / dt + h @ cov @ h.T)
-        p = linalg.symmetrize(linalg.spd_inverse(cov) + h.T @ curvature @ h * dt)
-        lhs = linalg.spd_logdet(s) - linalg.spd_logdet(sigma_nu / dt) - linalg.spd_logdet(cov)
-        e_det = abs(np.expm1(lhs - linalg.spd_logdet(p)))
+        n0 = engine.normalization(belief, pot, dt)
+        ref = normalization_precision_form(belief, pot, dt)
+        e_det = abs(n0.log_n - ref.log_n) / max(1.0, abs(ref.log_n))
 
         shifted = PotentialEvaluation(
             l=pot.l, value=value + 7.25, grad_l=grad_l, H=h,
             curvature=curvature, counter_curvature=np.zeros((m, m)),
         )
         gb = upd(belief, shifted, dt)
-        n0 = engine.normalization(belief, pot, dt)
         n1 = engine.normalization(belief, shifted, dt)
         e_gauge = max(
             _rel(ga.mean, gb.mean),
@@ -396,3 +509,94 @@ def identity_suite(
                 report.failures.append({"trial": trial, "check": name, "error": err, "dims": (m, k)})
     report.worst = worst
     return report
+
+
+# ---------------------------------------------------------------------------
+# Report sections of `sqc validate`.
+
+def quadrature_checks() -> dict:
+    """Engine moments against the quadrature oracle on fixed instances."""
+    checks = {}
+
+    belief = engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=0, tag="predicted")
+    pot = eval_quadratic_penalty(belief.mean, np.array([1.0]), np.array([[1.0]]))
+    upd = engine.update(belief, pot, 1.0)
+    mean, cov, log_norm = weighted_gaussian_moments(
+        belief.mean, belief.cov, lambda x: eval_quadratic_penalty(x, np.array([1.0]), np.array([[1.0]])), 1.0
+    )
+    diag = engine.normalization(belief, pot, 1.0)
+    checks["quadratic_1d"] = {
+        "mean_err": float(np.max(np.abs(upd.mean - mean))),
+        "cov_err": float(np.max(np.abs(upd.cov - cov))),
+        "log_norm_err": abs(diag.log_n + log_norm),
+        "tol": 1e-8,
+    }
+
+    mean0 = np.array([0.3, -0.2])
+    cov0 = np.array([[1.0, 0.3], [0.3, 0.7]])
+    d = np.array([1.0, 0.0])
+    s_inv = np.array([[2.0, 0.0], [0.0, 0.5]])
+    dt = 0.5
+    belief2 = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
+    pot2 = eval_quadratic_penalty(mean0, d, s_inv)
+    upd2 = engine.update(belief2, pot2, dt)
+    mean2, cov2, log_norm2 = weighted_gaussian_moments(
+        mean0, cov0, lambda x: eval_quadratic_penalty(x, d, s_inv), dt
+    )
+    diag2 = engine.normalization(belief2, pot2, dt)
+    checks["quadratic_2d"] = {
+        "mean_err": float(np.max(np.abs(upd2.mean - mean2))),
+        "cov_err": float(np.max(np.abs(upd2.cov - cov2))),
+        "log_norm_err": abs(diag2.log_n + log_norm2),
+        "tol": 1e-8,
+    }
+
+    a = np.array([10.0, 10.0])
+    mean_b = np.array([1.0, 1.0])
+    cov_b = 0.01 * np.eye(2)
+    belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
+    upd_b = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
+    mean_q, _, _ = weighted_gaussian_moments(
+        mean_b, cov_b, lambda x: eval_log_barrier(x, a), 1.0
+    )
+    checks["barrier_expansion"] = {
+        "mean_rel_err": float(np.max(np.abs(upd_b.mean - mean_q) / np.abs(mean_q))),
+        "tol": 0.05,
+    }
+
+    for entry in checks.values():
+        entry["passed"] = all(
+            v <= entry["tol"] for k, v in entry.items() if k.endswith("err")
+        )
+    return checks
+
+
+def fp_convergence() -> dict:
+    """Residual halving study for the three canonical 1-D cases."""
+    grid = Grid1D(-9.0, 9.0, 2048)
+    x = grid.points()
+    density = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+    dts = [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+    def model_with(kind, params):
+        drift, jac = make_drift(kind, params, 1)
+        return ItoProcessModel(dim=1, drift=drift, drift_jacobian=jac, g_inv=[[1.0]], dt=1.0)
+
+    cases = {
+        "free_diffusion": (model_with("zero", None), None),
+        "linear_drift": (model_with("linear", {"A": [[-1.0]]}), None),
+        "constant_potential": (model_with("zero", None), lambda x: 0.5),
+    }
+    out = {}
+    for name, (model, potential) in cases.items():
+        residuals = [
+            fokker_planck_residual(model, potential, grid, density, dt) for dt in dts
+        ]
+        ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
+        out[name] = {
+            "dts": dts,
+            "residuals": residuals,
+            "ratios": ratios,
+            "passed": all(1.5 <= r <= 3.0 for r in ratios),
+        }
+    return out

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from conftest import random_spd, rel_err
-from sqc import cli, control, ekf, engine, oracle, process
+from sqc import control, ekf, engine, oracle, process
 from sqc.potential import PotentialEvaluation
 
 
@@ -73,7 +73,7 @@ def test_2_filter_reduction_and_textbook_fixture(capfd):
     obs = ekf.ObservationModel(h=lambda x, t: c @ x, h_jacobian=lambda x, t: c, sigma_nu=r)
     stream = ekf.ObservationStream(steps=np.arange(60), values=np.array(ys))
     initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
-    beliefs = ekf.run_filter(model, obs, stream, initial)
+    beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, initial)
 
     f = np.eye(2) + a_mat
     mean, cov = np.zeros(2), np.eye(2)
@@ -98,7 +98,7 @@ def test_2_filter_reduction_and_textbook_fixture(capfd):
 
 def test_3_quadrature_exactness_and_expansion_error(capfd):
     t0 = time.perf_counter()
-    checks = cli._quadrature_checks()
+    checks = oracle.quadrature_checks()
     elapsed = time.perf_counter() - t0
     q1, q2 = checks["quadratic_1d"], checks["quadratic_2d"]
     worst_quadratic = max(
@@ -117,7 +117,7 @@ def test_3_quadrature_exactness_and_expansion_error(capfd):
 
 def test_4_kernel_residual_halving(capfd):
     t0 = time.perf_counter()
-    cases = cli._fp_convergence()
+    cases = oracle.fp_convergence()
     elapsed = time.perf_counter() - t0
     ok = all(case["passed"] for case in cases.values()) and elapsed < 120.0
     detail = "; ".join(

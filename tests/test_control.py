@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, rel_err
-from sqc import engine, process
-from sqc.control import ControlConfig, control_input, run_closed_loop, run_scenario
+from sqc import engine, oracle, process
+from sqc.control import ControlConfig, run_closed_loop, run_scenario
 from sqc.errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
 from sqc.potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
 from sqc.scenario import load_bundled
@@ -26,8 +26,8 @@ def test_identity_config_reproduces_update_shift():
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         pot = eval_quadratic_penalty(belief.mean, rng.standard_normal(m), random_spd(rng, m))
         dt = float(rng.uniform(0.2, 1.5))
-        u = control_input(belief, pot, cfg, dt)
         shift = engine.update(belief, pot, dt).mean - belief.mean
+        u = cfg.input_for_shift(shift)
         assert rel_err(u, shift) < 1e-10
 
 
@@ -37,8 +37,8 @@ def test_wide_input_matrix_takes_least_effort_solution():
     cfg = ControlConfig(B=np.array([[1.0, 0.0]]), R=np.eye(2))
     belief = engine.GaussianBelief(mean=[0.7], cov=[[0.5]])
     pot = eval_quadratic_penalty(belief.mean, [0.0], [[4.0]])
-    u = control_input(belief, pot, cfg, 1.0)
     shift = engine.update(belief, pot, 1.0).mean - belief.mean
+    u = cfg.input_for_shift(shift)
     assert u.shape == (2,)
     assert u[0] == pytest.approx(shift[0], rel=1e-12)
     assert u[1] == pytest.approx(0.0, abs=1e-15)
@@ -50,8 +50,8 @@ def test_nonuniform_effort_weight_still_reproduces_shift():
     cfg = ControlConfig(B=b, R=np.diag([2.0, 0.5]))
     belief = engine.GaussianBelief(mean=rng.standard_normal(2), cov=random_spd(rng, 2))
     pot = eval_quadratic_penalty(belief.mean, [0.1, -0.3], random_spd(rng, 2))
-    u = control_input(belief, pot, cfg, 1.0)
     shift = engine.update(belief, pot, 1.0).mean - belief.mean
+    u = cfg.input_for_shift(shift)
     assert rel_err(b @ u, shift) < 1e-10
 
 
@@ -177,7 +177,7 @@ def test_run_scenario_rejects_unknown_name():
 
 
 def reference_loop(model, potential_fn, initial, cfg, horizon, rng, mode):
-    """The closed loop rebuilt from the public reference functions.
+    """The closed loop rebuilt around the oracle's precision-form update.
 
     Same contract as run_closed_loop: one record per step, one
     standard_normal(m) draw per step in sampled mode, and the step at
@@ -188,9 +188,9 @@ def reference_loop(model, potential_fn, initial, cfg, horizon, rng, mode):
         try:
             pred = belief if belief.tag == "predicted" else engine.predict(belief, model)
             pot = potential_fn(pred.mean, pred.step)
-            post = engine.update(pred, pot, model.dt)
-            log_n = engine.normalization(pred, pot, model.dt).log_n
-            u = control_input(pred, pot, cfg, model.dt)
+            post = oracle.update_precision_form(pred, pot, model.dt)
+            log_n = oracle.normalization_precision_form(pred, pot, model.dt).log_n
+            u = cfg.input_for_shift(post.mean - pred.mean)
         except (DomainViolation, NonFinite):
             return rows, s
         if mode == "sampled":
@@ -220,7 +220,7 @@ def assert_loops_agree(result, rows, failed_step):
 @pytest.mark.parametrize("seed", [0, 4])
 def test_closed_loop_matches_reference_functions(name, mode, seed):
     # Pins the fused step (cached curvature factor, single solve of S,
-    # precomputed input map) to the functions it stands in for. In
+    # precomputed input map) to the precision-form reference. In
     # sampled mode barrier seed 4 leaves the domain at step 141, so the
     # failure path is compared as well.
     horizon = 300

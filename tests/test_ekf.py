@@ -98,7 +98,7 @@ def test_run_filter_matches_textbook_kalman():
     stream = ekf.ObservationStream(steps=np.arange(len(ys)), values=ys)
     initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
 
-    beliefs = ekf.run_filter(model, obs, stream, initial)
+    beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, initial)
     means, covs = naive_kalman(np.eye(2) + a, g_inv, c, sigma_nu, np.zeros(2), np.eye(2), ys)
 
     assert len(beliefs) == len(ys)
@@ -140,12 +140,43 @@ def test_filter_with_likelihood_sparse_observations():
             assert belief.tag == "predicted" and np.isnan(loglik)
 
 
+def test_filter_loglik_matches_marginal_likelihood():
+    # The filter takes each step's log marginal likelihood from the
+    # update kernel's normalization; the textbook marginal_likelihood
+    # and ekf_step at the same predicted belief must agree with it.
+    rng = np.random.default_rng(29)
+    c = rng.standard_normal((2, 3))
+    obs = ekf.ObservationModel(
+        h=lambda x, t: np.tanh(c @ x),
+        h_jacobian=lambda x, t: (1.0 - np.tanh(c @ x) ** 2)[:, None] * c,
+        sigma_nu=random_spd(rng, 2),
+    )
+    model = linear_model(0.1 * rng.standard_normal((3, 3)), 3, 0.05 * random_spd(rng, 3))
+    steps = np.array([0, 1, 4, 5, 9, 15, 16])
+    stream = ekf.ObservationStream(steps=steps, values=rng.standard_normal((len(steps), 2)))
+    initial = engine.GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3), step=0, tag="predicted")
+
+    beliefs, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert len(beliefs) == 17
+    by_step = stream.as_dict()
+    for i, (belief, loglik) in enumerate(zip(beliefs, logliks)):
+        if belief.step not in by_step:
+            assert np.isnan(loglik)
+            continue
+        pred = initial if i == 0 else engine.predict(beliefs[i - 1], model)
+        y = by_step[belief.step]
+        assert loglik == pytest.approx(ekf.marginal_likelihood(pred, obs, y)[0], abs=1e-10)
+        ref = ekf.ekf_step(pred, model, obs, y, belief.step)
+        assert rel_err(belief.mean, ref.mean) < 1e-10
+        assert rel_err(belief.cov, ref.cov) < 1e-10
+
+
 def test_filter_requires_predicted_initial():
     a, g_inv, c, sigma_nu, ys = filter_fixture(T=3)
     stream = ekf.ObservationStream(steps=np.arange(3), values=ys)
     bad = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), tag="updated")
     with pytest.raises(ValidationError):
-        ekf.run_filter(linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu), stream, bad)
+        ekf.filter_with_likelihood(linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu), stream, bad)
 
 
 def test_observation_stream_must_increase():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, rel_err
-from sqc import engine, process
+from sqc import control, ekf, engine, oracle, process
 from sqc.errors import NonFinite
 from sqc.potential import PotentialEvaluation, eval_quadratic_penalty
 
@@ -70,22 +70,22 @@ def test_update_forms_agree():
         pot = random_potential(rng, m, k)
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         gain = engine.update(belief, pot, dt)
-        prec = engine.update_precision_form(belief, pot, dt)
+        prec = oracle.update_precision_form(belief, pot, dt)
         assert rel_err(gain.mean, prec.mean) < 1e-10
         assert rel_err(gain.cov, prec.cov) < 1e-10
 
 
 def test_step_core_matches_reference_pair():
-    # The combined fast path must stay pinned to the two reference
-    # functions it replaces in the loops.
+    # The update kernel must stay pinned to the oracle's precision-form
+    # update and normalization, which share no code with it.
     rng = np.random.default_rng(12)
     for _ in range(30):
         m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         pot = random_potential(rng, m, k, h_zero=rng.random() < 0.1)
         dt = float(rng.choice([0.25, 1.0]))
-        ref = engine.update(belief, pot, dt)
-        ref_diag = engine.normalization(belief, pot, dt)
+        ref = oracle.update_precision_form(belief, pot, dt)
+        ref_diag = oracle.normalization_precision_form(belief, pot, dt)
         mean, cov, shift, log_n, script_n = engine._step_core(belief.mean, belief.cov, pot, dt)
         assert rel_err(mean, ref.mean) < 1e-11
         assert rel_err(cov, ref.cov) < 1e-11
@@ -182,6 +182,8 @@ def test_step_guards():
         engine.step(belief, model, pot_fn, t=4, mode="belief")
     with pytest.raises(ValueError, match="mode"):
         engine.step(belief, model, pot_fn, mode="mean_field")
+    with pytest.raises(ValueError, match="generator"):
+        engine.step(belief, model, pot_fn)
 
 
 def test_step_sampled_mode_reproducible():
@@ -199,3 +201,34 @@ def test_step_sampled_mode_reproducible():
 
     np.testing.assert_array_equal(run(0), run(0))
     assert not np.array_equal(run(0), run(1))
+
+
+def test_update_paths_run_through_step_core(monkeypatch):
+    # One update kernel: the public update and normalization, the
+    # closed loop and the observation filter each call _step_core once
+    # per update, so no second implementation can take over a path.
+    calls = []
+    kernel = engine._step_core
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_step_core", counted)
+    model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
+    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
+    belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")
+    pot = pot_fn(belief.mean, 0)
+
+    engine.update(belief, pot, 1.0)
+    engine.normalization(belief, pot, 1.0)
+    assert len(calls) == 2
+
+    cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
+    control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
+    assert len(calls) == 2 + 7
+
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
+    stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
+    ekf.filter_with_likelihood(model, obs, stream, belief)
+    assert len(calls) == 2 + 7 + 3

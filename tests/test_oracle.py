@@ -80,7 +80,7 @@ def test_identity_suite_catches_corrupted_gain_update():
 
 def test_identity_suite_catches_corrupted_precision_update():
     def corrupted(belief, pot, dt):
-        out = engine.update_precision_form(belief, pot, dt)
+        out = oracle.update_precision_form(belief, pot, dt)
         return engine.GaussianBelief(
             mean=out.mean, cov=out.cov * (1 + 1e-4), step=out.step, tag=out.tag
         )

@@ -318,6 +318,33 @@ def test_filter_rejects_observations_beyond_horizon(tmp_path, capsys):
     assert "beyond horizon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "csv_text, message",
+    [
+        ("step,y1\n0,0.1\n1,0.2\n", "1 value columns; the scenario observes 2"),
+        ("step,y1,y2,y3\n0,0.1,0.2,0.3\n", "3 value columns; the scenario observes 2"),
+        ("step,y1,y2\n0,0.5\n1,0.1,0.2\n", "line 2: 2 fields where the header has 3"),
+        ("step,y1,y2\n-3,0.1,0.2\n0,0.1,0.2\n", "step -3 is before step 0"),
+        ("step,y1,y2\n0,0.1,0.2\n1,0.1,abc\n", "line 3: could not convert"),
+    ],
+    ids=["one_column", "three_columns", "short_row", "negative_step", "not_a_number"],
+)
+def test_filter_rejects_observations_that_do_not_fit(tmp_path, capsys, csv_text, message):
+    # The 2-D identity-observed scenario: a file with the wrong number of
+    # values, a short row, a step before the start or a value that is not
+    # a number is refused before anything is filtered or written.
+    doc = observation_doc()
+    doc["potential"]["params"] = {"sigma_nu": [[0.05, 0.0], [0.0, 0.05]], "map": {"kind": "identity"}}
+    scenario_path = write_doc(tmp_path, doc)
+    obs = tmp_path / "obs.csv"
+    obs.write_text(csv_text)
+    out = tmp_path / "x"
+    assert cli.main(["filter", "--scenario", scenario_path, "--obs", str(obs), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_filter_rejects_state_scenarios(tmp_path, capsys):
     scenario_path = write_doc(tmp_path, penalty_doc())
     obs = obs_csv(tmp_path, [0], [0.1])
