@@ -19,8 +19,18 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+def _write_csv(path: Path, cols: list[str], steps: list[int], table: np.ndarray) -> None:
+    """Write the `# sqc <version>` line, the header and one row per step.
+
+    Each row is one % operation on a template built once per file; it
+    renders the same text as formatting each value with f"{v:.17g}",
+    nan, inf and -0 included. Rows are streamed to the file, so no
+    list of all rows or of all their values is held at once.
+    """
+    template = "%d," + ",".join(["%.17g"] * (len(cols) - 1)) + "\n"
+    with path.open("w") as fh:
+        fh.write(f"# sqc {__version__}\n{','.join(cols)}\n")
+        fh.writelines(template % (step, *row.tolist()) for step, row in zip(steps, table))
 
 
 def _write_trajectory_csv(path: Path, records, m: int, ldim: int) -> None:
@@ -32,16 +42,31 @@ def _write_trajectory_csv(path: Path, records, m: int, ldim: int) -> None:
         + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
         + ["V", "logN"]
     )
-    lines = [f"# sqc {__version__}", ",".join(cols)]
-    for rec in records:
-        row = [str(rec.step)]
-        row += [_fmt(v) for v in rec.x]
-        row += [_fmt(v) for v in rec.u]
-        row += [_fmt(v) for v in rec.mean]
-        row += [_fmt(v) for v in rec.cov.ravel()]
-        row += [_fmt(rec.value), _fmt(rec.log_n)]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    n = len(records)
+    table = np.hstack([
+        np.reshape([r.x for r in records], (n, m)),
+        np.reshape([r.u for r in records], (n, ldim)),
+        np.reshape([r.mean for r in records], (n, m)),
+        np.reshape([r.cov for r in records], (n, m * m)),
+        np.reshape([(r.value, r.log_n) for r in records], (n, 2)),
+    ])
+    _write_csv(path, cols, [r.step for r in records], table)
+
+
+def _write_beliefs_csv(path: Path, beliefs, logliks, m: int) -> None:
+    cols = (
+        ["step"]
+        + [f"mean{i}" for i in range(1, m + 1)]
+        + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
+        + ["loglik"]
+    )
+    n = len(beliefs)
+    table = np.hstack([
+        np.reshape([b.mean for b in beliefs], (n, m)),
+        np.reshape([b.cov for b in beliefs], (n, m * m)),
+        np.reshape(logliks, (n, 1)),
+    ])
+    _write_csv(path, cols, [b.step for b in beliefs], table)
 
 
 def _run_one_simulation(scenario, out_dir: Path) -> int:
@@ -135,21 +160,7 @@ def cmd_filter(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    m = scenario.dim
-    cols = (
-        ["step"]
-        + [f"mean{i}" for i in range(1, m + 1)]
-        + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
-        + ["loglik"]
-    )
-    lines = [f"# sqc {__version__}", ",".join(cols)]
-    for belief, loglik in zip(beliefs, logliks):
-        row = [str(belief.step)]
-        row += [_fmt(v) for v in belief.mean]
-        row += [_fmt(v) for v in belief.cov.ravel()]
-        row.append(_fmt(loglik))
-        lines.append(",".join(row))
-    (out_dir / "beliefs.csv").write_text("\n".join(lines) + "\n")
+    _write_beliefs_csv(out_dir / "beliefs.csv", beliefs, logliks, scenario.dim)
     total = float(np.nansum(logliks))
     print(f"cumulative log-likelihood: {total:.12g} over {len(stream)} observations")
     return EXIT_OK

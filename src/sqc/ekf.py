@@ -10,8 +10,10 @@ Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
 
 filter_with_likelihood runs every observation through the engine's
-update kernel with unit time weight. Its log normalization gives the
-marginal likelihood: log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
+update kernel with unit time weight, on raw moments as the closed loop
+does, factoring the constant curvature sigma_nu_inv once per call. Its
+log normalization gives the marginal likelihood:
+log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
 """
@@ -25,9 +27,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine
-from .errors import ValidationError
+from .errors import NonFinite, ValidationError
 from .linalg import spd_inverse, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation
+from .potential import PotentialEvaluation, _vector, _zero_matrix
 from .process import ItoProcessModel
 
 __all__ = [
@@ -51,7 +53,9 @@ class ObservationModel:
 
     def __post_init__(self):
         self.sigma_nu = symmetrize(np.atleast_2d(np.asarray(self.sigma_nu, dtype=float)))
+        # Read-only, so the step core factors it once per filter run.
         self.sigma_nu_inv = spd_inverse(self.sigma_nu)
+        self.sigma_nu_inv.setflags(write=False)
         # log p(y) = log_density_offset - log_n for one absorbed observation.
         k = self.sigma_nu.shape[0]
         self.log_density_offset = -0.5 * (spd_logdet(self.sigma_nu) + k * math.log(2 * math.pi))
@@ -81,19 +85,15 @@ class ObservationStream:
 
 def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.ndarray, t: int) -> PotentialEvaluation:
     """Quadratic potential in the innovation l = y - h(x)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    l = y - np.atleast_1d(obs_model.h(x_hat, t))
-    grad_l = obs_model.sigma_nu_inv @ l
-    jac = np.atleast_2d(obs_model.h_jacobian(x_hat, t))
-    m = len(x_hat)
-    return PotentialEvaluation(
-        l=l,
-        value=0.5 * float(l @ grad_l),
-        grad_l=grad_l,
-        H=jac,  # H = -(dl/dx) = +dh/dx
-        curvature=obs_model.sigma_nu_inv,
-        counter_curvature=np.zeros((m, m)),
+    x_hat = _vector(x_hat)
+    l = _vector(y) - _vector(obs_model.h(x_hat, t))
+    grad_l = obs_model.sigma_nu_inv.dot(l)
+    jac = np.atleast_2d(np.asarray(obs_model.h_jacobian(x_hat, t), dtype=float))
+    # H = -(dl/dx) = +dh/dx. A non-finite l makes the value non-finite,
+    # which _trusted refuses; a non-finite Jacobian shows in the
+    # updated moments, which the filter checks.
+    return PotentialEvaluation._trusted(
+        l, 0.5 * float(l.dot(grad_l)), grad_l, jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
     )
 
 
@@ -164,25 +164,27 @@ def filter_with_likelihood(
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
     by_step = stream.as_dict()
+    start = initial_belief.step
     if horizon is None:
-        horizon = max(by_step) if by_step else initial_belief.step
+        horizon = max(by_step) if by_step else start
     beliefs: list[engine.GaussianBelief] = []
     logliks: list[float] = []
-    belief = initial_belief
-    for s in range(initial_belief.step, horizon + 1):
-        if belief.tag == "predicted" and belief.step == s:
-            pred = belief
-        else:
-            pred = engine.predict(belief, model)
-        if s in by_step:
-            pot = observation_potential(obs_model, by_step[s], pred.mean, s)
-            mean, cov, _, log_n, _ = engine._step_core(pred.mean, pred.cov, pot, 1.0)
-            logliks.append(obs_model.log_density_offset - log_n)
-            belief = engine.GaussianBelief(mean=mean, cov=cov, step=s, tag="updated")
-        else:
+    cache = engine._CurvatureCache()
+    mean, cov = initial_belief.mean, initial_belief.cov
+    for s in range(start, horizon + 1):
+        if s > start:
+            mean, cov = engine._predict_moments(mean, cov, s - 1, model)
+        y = by_step.get(s)
+        if y is None:
             logliks.append(np.nan)
-            belief = pred
-        beliefs.append(belief)
+            beliefs.append(engine.GaussianBelief._trusted(mean, cov, s, "predicted"))
+            continue
+        pot = observation_potential(obs_model, y, mean, s)
+        mean, cov, _, log_n, _ = engine._step_core(mean, cov, pot, 1.0, cache)
+        if not engine._all_finite(mean, cov):
+            raise NonFinite(f"update at step {s} produced non-finite moments")
+        logliks.append(obs_model.log_density_offset - log_n)
+        beliefs.append(engine.GaussianBelief._trusted(mean, cov, s, "updated"))
     return beliefs, logliks
 
 
@@ -207,8 +209,15 @@ def read_observations(path) -> ObservationStream:
         if len(r) != k + 1:
             raise ValidationError(f"line {line}: {len(r)} fields where the header has {k + 1}")
         try:
-            steps.append(int(float(r[0])))
-            values.append([float(v) for v in r[1:]])
+            step = float(r[0])
+            row = [float(v) for v in r[1:]]
         except ValueError as exc:
             raise ValidationError(f"line {line}: {exc}") from None
+        if not step.is_integer():
+            raise ValidationError(f"line {line}: step {r[0].strip()} is not a whole number")
+        for v in row:
+            if not math.isfinite(v):
+                raise ValidationError(f"line {line}: observation value {v} is not finite")
+        steps.append(int(step))
+        values.append(row)
     return ObservationStream(steps=np.array(steps, dtype=int), values=np.array(values).reshape(-1, k))

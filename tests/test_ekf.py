@@ -171,6 +171,33 @@ def test_filter_loglik_matches_marginal_likelihood():
         assert rel_err(belief.cov, ref.cov) < 1e-10
 
 
+def test_filter_factors_curvature_once_per_call(monkeypatch):
+    # sigma_nu_inv is the curvature of every observation potential; it is
+    # read-only, so one filter call factors it once however many
+    # observations it absorbs.
+    calls = []
+    invert = engine._invert_curvature
+
+    def counted(curvature):
+        calls.append(1)
+        return invert(curvature)
+
+    monkeypatch.setattr(engine, "_invert_curvature", counted)
+    a, g_inv, c, sigma_nu, ys = filter_fixture(T=80)
+    obs = linear_obs_model(c, sigma_nu)
+    steps = np.array([s for s in range(80) if s % 7 not in (3, 4)])
+    assert len(steps) >= 50 and steps[-1] == 79
+    stream = ekf.ObservationStream(steps=steps, values=ys[steps])
+    initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
+    for _ in range(2):
+        calls.clear()
+        beliefs, _ = ekf.filter_with_likelihood(linear_model(a, 2, g_inv), obs, stream, initial)
+        assert len(beliefs) == 80 and len(calls) == 1
+
+    with pytest.raises(ValueError):
+        obs.sigma_nu_inv[0, 0] = 1.0
+
+
 def test_filter_requires_predicted_initial():
     a, g_inv, c, sigma_nu, ys = filter_fixture(T=3)
     stream = ekf.ObservationStream(steps=np.arange(3), values=ys)
@@ -188,11 +215,11 @@ def test_observation_stream_must_increase():
 
 def test_read_observations_roundtrip(tmp_path):
     path = tmp_path / "obs.csv"
-    path.write_text("step,y1,y2\n0,1.5,-2.0\n3,0.25,0.125\n")
+    path.write_text("step,y1,y2\n0,1.5,-2.0\n3,0.25,0.125\n4.0,1e-3,-0\n")
     stream = ekf.read_observations(path)
-    assert len(stream) == 2
-    np.testing.assert_array_equal(stream.steps, [0, 3])
-    np.testing.assert_allclose(stream.values, [[1.5, -2.0], [0.25, 0.125]])
+    assert len(stream) == 3
+    np.testing.assert_array_equal(stream.steps, [0, 3, 4])
+    np.testing.assert_allclose(stream.values, [[1.5, -2.0], [0.25, 0.125], [1e-3, 0.0]])
 
 
 def test_read_observations_rejects_bad_header(tmp_path):

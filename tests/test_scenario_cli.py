@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sqc import cli, ekf, engine
+from sqc import __version__, cli, ekf, engine
 from sqc.errors import ParseError, ValidationError
 from sqc.scenario import (
     BUNDLED_SCENARIOS,
@@ -254,6 +254,58 @@ def test_simulate_domain_violation_exit_code(tmp_path):
     assert len(table.shape) == 0 or len(table) == summary["rows"]
 
 
+def test_simulate_stopped_at_step_zero_writes_header_only(tmp_path):
+    doc = dying_barrier_doc()
+    doc["initial"]["mean"] = [-0.1]  # outside the barrier's domain from the start
+    out = tmp_path / "crash"
+    assert cli.main(["simulate", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 2
+    assert json.loads((out / "run.json").read_text())["failed_step"] == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines == [f"# sqc {__version__}", "step,x1,u1,mean1,cov11,V,logN"]
+
+
+def rendered_per_value(step, values):
+    return ",".join([str(step)] + [f"{v:.17g}" for v in values])
+
+
+def test_csv_writers_render_each_value_with_17_digits(tmp_path):
+    # Both writers must give exactly the text of formatting every value
+    # with f"{v:.17g}": signed zero, the smallest subnormal, values near
+    # the overflow limit, whole numbers and a nan loglik included.
+    odd = [-0.0, 5e-324, 1e308, 0.0, 3.0, -2.0, 1 / 3, -1e-300]
+    rng = np.random.default_rng(5)
+    records = []
+    for step in range(6):
+        v = rng.permutation(odd + list(rng.standard_normal(5)))
+        records.append(engine.TrajectoryRecord(
+            step=step, x=v[0:2], mean=v[2:4], cov=v[4:8].reshape(2, 2), value=float(v[8]),
+            log_n=float(v[9]), u=v[10:13],
+        ))
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory_csv(path, records, 2, 3)
+    rows = path.read_text().splitlines()[2:]
+    assert rows == [
+        rendered_per_value(r.step, [*r.x, *r.u, *r.mean, *r.cov.ravel(), r.value, r.log_n])
+        for r in records
+    ]
+
+    beliefs = [
+        engine.GaussianBelief._trusted(
+            np.array(odd[i:i + 2]), np.array(odd[i + 2:i + 6]).reshape(2, 2), i, "updated"
+        )
+        for i in range(3)
+    ]
+    logliks = [-0.0, float("nan"), 12.0]
+    path = tmp_path / "beliefs.csv"
+    cli._write_beliefs_csv(path, beliefs, logliks, 2)
+    rows = path.read_text().splitlines()
+    assert rows[:2] == [f"# sqc {__version__}", "step,mean1,mean2,cov11,cov12,cov21,cov22,loglik"]
+    assert rows[2:] == [
+        rendered_per_value(b.step, [*b.mean, *b.cov.ravel(), ll]) for b, ll in zip(beliefs, logliks)
+    ]
+    assert rows[3].endswith(",nan") and rows[2].startswith("0,-0,4.9406564584124654e-324,")
+
+
 def test_simulate_missing_scenario_file(tmp_path, capsys):
     assert cli.main(["simulate", "--scenario", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -326,13 +378,18 @@ def test_filter_rejects_observations_beyond_horizon(tmp_path, capsys):
         ("step,y1,y2\n0,0.5\n1,0.1,0.2\n", "line 2: 2 fields where the header has 3"),
         ("step,y1,y2\n-3,0.1,0.2\n0,0.1,0.2\n", "step -3 is before step 0"),
         ("step,y1,y2\n0,0.1,0.2\n1,0.1,abc\n", "line 3: could not convert"),
+        ("step,y1,y2\n0,0.1,0.2\n1.7,0.1,0.2\n", "line 3: step 1.7 is not a whole number"),
+        ("step,y1,y2\n0,0.1,0.2\n1,nan,0.2\n", "line 3: observation value nan is not finite"),
+        ("step,y1,y2\n0,0.1,0.2\n1,0.1,inf\n", "line 3: observation value inf is not finite"),
     ],
-    ids=["one_column", "three_columns", "short_row", "negative_step", "not_a_number"],
+    ids=["one_column", "three_columns", "short_row", "negative_step", "not_a_number",
+         "fractional_step", "nan_value", "inf_value"],
 )
 def test_filter_rejects_observations_that_do_not_fit(tmp_path, capsys, csv_text, message):
     # The 2-D identity-observed scenario: a file with the wrong number of
-    # values, a short row, a step before the start or a value that is not
-    # a number is refused before anything is filtered or written.
+    # values, a short row, a step before the start or not a whole number,
+    # or a value that is not a finite number is refused before anything
+    # is filtered or written.
     doc = observation_doc()
     doc["potential"]["params"] = {"sigma_nu": [[0.05, 0.0], [0.0, 0.05]], "map": {"kind": "identity"}}
     scenario_path = write_doc(tmp_path, doc)
