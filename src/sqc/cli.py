@@ -12,7 +12,7 @@ import numpy as np
 
 from . import __version__, control, ekf, engine, oracle
 from .errors import ParseError, SqcError, ValidationError
-from .scenario import parse_scenario
+from .scenario import check_seed, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,6 +102,10 @@ def _sweep_worker(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed is not None:
+        check_seed(args.seed, "--seed")
+    for seed in args.seeds or ():
+        check_seed(seed, "--seeds")
     scenario = parse_scenario(args.scenario)
     if scenario.potential_kind == "observation":
         raise ValidationError("observation scenarios are driven by `sqc filter`")

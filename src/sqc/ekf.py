@@ -188,6 +188,10 @@ def filter_with_likelihood(
     return beliefs, logliks
 
 
+# Steps are stored as numpy's default integer, a C long.
+_STEP_RANGE = np.iinfo(int)
+
+
 def read_observations(path) -> ObservationStream:
     """Load an observation CSV with header step,y1,...,yk."""
     import csv
@@ -215,6 +219,8 @@ def read_observations(path) -> ObservationStream:
             raise ValidationError(f"line {line}: {exc}") from None
         if not step.is_integer():
             raise ValidationError(f"line {line}: step {r[0].strip()} is not a whole number")
+        if not _STEP_RANGE.min <= step <= _STEP_RANGE.max:
+            raise ValidationError(f"line {line}: step {r[0].strip()} is out of range")
         for v in row:
             if not math.isfinite(v):
                 raise ValidationError(f"line {line}: observation value {v} is not finite")

@@ -10,7 +10,10 @@ kernel:
 * fokker_planck_residual evolves a 1-D density one step through the
   explicit transition kernel and measures how far the finite-time
   increment is from the continuous-limit drift-diffusion-sink operator.
-  The residual must shrink linearly with dt.
+  The residual must shrink linearly with dt. The kernel is never built
+  as an n x n matrix: it is evaluated in blocks of target rows, each
+  over the band of source columns whose entries do not underflow to
+  0.0, so memory grows as O(256 n) rather than O(n^2).
 * identity_suite brute-force checks the engine's update and
   normalization against their precision form (kept here as the
   reference, with the inversion lemma and the block determinant
@@ -203,6 +206,12 @@ def _derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     return out
 
 
+# Rows of the target grid per kernel block, and an exponent argument a
+# at which np.exp(-a) is already exactly 0.0 in double precision.
+_BLOCK_ROWS = 256
+_UNDERFLOW_ARG = 746.0
+
+
 def fokker_planck_residual(
     model: ItoProcessModel,
     potential,
@@ -218,6 +227,14 @@ def fokker_planck_residual(
     the finite increment (P' - P)/dt is compared with
 
         -(f P)' + (g_inv P)'' / 2 - U P.
+
+    The kernel step walks the target grid in blocks of _BLOCK_ROWS rows.
+    A block keeps only the source columns whose centers x + f(x) dt lie
+    within cut = sqrt(2 var _UNDERFLOW_ARG) of its rows, var = g_inv dt;
+    every entry left out has exp of an argument below -_UNDERFLOW_ARG,
+    which is exactly 0.0, so the step equals the full n x n kernel's
+    mat-vec up to summation order. It holds O(_BLOCK_ROWS n) floats
+    at a time.
 
     ``potential`` maps a grid point to the scalar U (or a
     PotentialEvaluation); pass None for U = 0. Raises MassLoss when the
@@ -249,8 +266,17 @@ def fokker_planck_residual(
 
     var = g_inv * dt
     centers = x + drift * dt
-    kernel = np.exp(-((x[:, None] - centers[None, :]) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
-    diffused = kernel @ (quad_w * density)
+    weighted = quad_w * density
+    # The band is a mask, not a search: a drift may fold the centers.
+    # A nan center fails both comparisons and is kept, so a nan drift
+    # still reaches the result.
+    cut = np.sqrt(2 * var * _UNDERFLOW_ARG)
+    diffused = np.empty(grid.n)
+    for start in range(0, grid.n, _BLOCK_ROWS):
+        rows = x[start:start + _BLOCK_ROWS]
+        cols = np.flatnonzero(~((centers < rows[0] - cut) | (centers > rows[-1] + cut)))
+        kernel = np.exp(-((rows[:, None] - centers[None, cols]) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+        diffused[start:start + len(rows)] = kernel @ weighted[cols]
 
     mass_in = float(quad_w @ density)
     mass_out = float(quad_w @ diffused)

@@ -14,6 +14,7 @@ seed 0, mode "sampled", B = R = identity.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -40,6 +41,14 @@ BUNDLED_SCENARIOS = ("penalty", "barrier", "doublewell")
 POTENTIAL_KINDS = ("quadratic_penalty", "log_barrier", "double_well", "observation")
 TARGET_KINDS = ("constant", "tanh_ramp")
 MODES = ("sampled", "belief")
+
+
+def check_seed(raw, label: str = "seed") -> int:
+    """A seed as an int; it must be a non-negative whole number (3.0 reads as 3)."""
+    whole = isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or raw < 0:
+        raise ValidationError(f"{label} must be a non-negative whole number; got {raw!r}")
+    return int(raw)
 
 
 def _take(mapping: dict, allowed: dict, context: str) -> dict:
@@ -319,7 +328,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         B=b,
         R=r,
         horizon=horizon,
-        seed=int(top["seed"]),
+        seed=check_seed(top["seed"]),
         mode=mode,
     )
 
@@ -358,5 +367,5 @@ def load_bundled(name: str, overrides: Optional[dict] = None, seed: Optional[int
     for key, value in (overrides or {}).items():
         raw[key] = value
     if seed is not None:
-        raw["seed"] = int(seed)
+        raw["seed"] = seed
     return scenario_from_dict(raw, context=f"bundled scenario {name}")

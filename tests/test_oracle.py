@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,82 @@ def test_kernel_residual_guards():
         oracle.fokker_planck_residual(
             model, None, narrow, standard_gaussian(narrow), 1e-2
         )
+
+
+def dense_kernel_residual(model, potential, grid, density, dt, t=0):
+    """fokker_planck_residual with the kernel built as one n x n matrix.
+
+    The reference for the oracle's banded evaluation: the same formula
+    over every (row, column) pair, underflowing entries included.
+    """
+    x = grid.points()
+    h = grid.spacing
+    g_inv = float(model.g_inv[0, 0])
+    drift = np.array([model.drift(np.array([xi]), t)[0] for xi in x])
+    u = np.zeros_like(x) if potential is None else np.array([float(potential(np.array([xi]))) for xi in x])
+    quad_w = np.full(grid.n, h)
+    quad_w[0] = quad_w[-1] = h / 2.0
+    var = g_inv * dt
+    centers = x + drift * dt
+    kernel = np.exp(-((x[:, None] - centers[None, :]) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+    evolved = np.exp(-u * dt) * (kernel @ (quad_w * density))
+    rhs = (
+        -oracle._derivative(drift * density, h, 1)
+        + 0.5 * oracle._derivative(g_inv * density, h, 2)
+        - u * density
+    )
+    residual = (evolved - density) / dt - rhs
+    return float(np.sqrt(quad_w @ residual**2))
+
+
+def model_with_drift(drift, g_inv=1.0):
+    return process.ItoProcessModel(
+        dim=1, drift=drift, drift_jacobian=lambda x, t: np.zeros((1, 1)), g_inv=[[g_inv]]
+    )
+
+
+def linear_drift_model():
+    drift, jac = process.make_drift("linear", {"A": [[-1.0]]}, 1)
+    return process.ItoProcessModel(dim=1, drift=drift, drift_jacobian=jac, g_inv=[[1.0]])
+
+
+KERNEL_CASES = {
+    "free_diffusion": (free_diffusion_model, None, (-9.0, 9.0)),
+    "linear_drift": (linear_drift_model, None, (-9.0, 9.0)),
+    "constant_potential": (free_diffusion_model, lambda x: 0.5, (-9.0, 9.0)),
+    # x - 3 sin x is not monotone, so the kernel centers are unsorted.
+    "folded_centers": (lambda: model_with_drift(lambda x, t: -300.0 * np.sin(x)), None, (-9.0, 9.0)),
+    # x - 2 x = -x: the centers run backwards over the whole grid.
+    "reversed_centers": (lambda: model_with_drift(lambda x, t: -200.0 * x), None, (-9.0, 9.0)),
+    # The cut sqrt(2 * 4 * 746) = 77 nearly spans the whole grid.
+    "kernel_wider_than_grid": (lambda: model_with_drift(lambda x, t: np.zeros(1), 400.0), None, (-40.0, 40.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_banded_kernel_matches_dense_kernel(case):
+    make_model, potential, (lower, upper) = KERNEL_CASES[case]
+    grid = oracle.Grid1D(lower, upper, 2048)
+    density = standard_gaussian(grid)
+    model = make_model()
+    if case == "folded_centers":
+        centers = grid.points() - 300.0 * np.sin(grid.points()) * 1e-2
+        assert np.any(np.diff(centers) < 0)
+    banded = oracle.fokker_planck_residual(model, potential, grid, density, 1e-2)
+    dense = dense_kernel_residual(model, potential, grid, density, 1e-2)
+    assert abs(banded - dense) <= 1e-13 * abs(dense)
+
+
+def test_kernel_residual_memory_stays_banded():
+    # numpy reports its buffers to tracemalloc. A dense 2048 x 2048
+    # kernel and its temporaries peak at about 64 MiB.
+    grid = oracle.Grid1D(-9.0, 9.0, 2048)
+    density = standard_gaussian(grid)
+    model = free_diffusion_model()
+    tracemalloc.start()
+    try:
+        oracle.fokker_planck_residual(model, None, grid, density, 1e-2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -318,6 +318,35 @@ def test_bad_seed_range_is_a_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 1.7, "3", True])
+def test_scenario_seed_must_be_a_non_negative_whole_number(seed):
+    with pytest.raises(ValidationError, match="seed must be a non-negative whole number"):
+        scenario_from_dict(penalty_doc(seed=seed))
+
+
+def test_scenario_seed_accepts_whole_floats():
+    assert scenario_from_dict(penalty_doc(seed=3.0)).seed == 3
+    assert load_bundled("penalty", seed=np.int64(7)).seed == 7
+
+
+@pytest.mark.parametrize(
+    "doc_seed, flags, message",
+    [
+        (-1, [], "seed must be a non-negative whole number; got -1"),
+        (0, ["--seed", "-1"], "--seed must be a non-negative whole number; got -1"),
+        (0, ["--seeds=-2..-1"], "--seeds must be a non-negative whole number; got -2"),
+    ],
+    ids=["scenario_file", "seed_flag", "seeds_flag"],
+)
+def test_simulate_refuses_negative_seeds_before_running(tmp_path, capsys, doc_seed, flags, message):
+    scenario = write_doc(tmp_path, penalty_doc(seed=doc_seed))
+    out = tmp_path / "x"
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
@@ -381,15 +410,16 @@ def test_filter_rejects_observations_beyond_horizon(tmp_path, capsys):
         ("step,y1,y2\n0,0.1,0.2\n1.7,0.1,0.2\n", "line 3: step 1.7 is not a whole number"),
         ("step,y1,y2\n0,0.1,0.2\n1,nan,0.2\n", "line 3: observation value nan is not finite"),
         ("step,y1,y2\n0,0.1,0.2\n1,0.1,inf\n", "line 3: observation value inf is not finite"),
+        ("step,y1,y2\n0,0.1,0.2\n1e20,0.1,0.2\n", "line 3: step 1e20 is out of range"),
     ],
     ids=["one_column", "three_columns", "short_row", "negative_step", "not_a_number",
-         "fractional_step", "nan_value", "inf_value"],
+         "fractional_step", "nan_value", "inf_value", "huge_step"],
 )
 def test_filter_rejects_observations_that_do_not_fit(tmp_path, capsys, csv_text, message):
     # The 2-D identity-observed scenario: a file with the wrong number of
-    # values, a short row, a step before the start or not a whole number,
-    # or a value that is not a finite number is refused before anything
-    # is filtered or written.
+    # values, a short row, a step before the start, not a whole number or
+    # too large for a C long, or a value that is not a finite number is
+    # refused before anything is filtered or written.
     doc = observation_doc()
     doc["potential"]["params"] = {"sigma_nu": [[0.05, 0.0], [0.0, 0.05]], "map": {"kind": "identity"}}
     scenario_path = write_doc(tmp_path, doc)
