@@ -84,6 +84,7 @@ def _run_one_simulation(scenario, out_dir: Path) -> int:
         "completed": result.completed,
         "failure": result.failure,
         "failed_step": result.failed_step,
+        "jitter_retries": result.jitter_retries,
         "exit_code": code,
     }
     (out_dir / "run.json").write_text(json.dumps(summary, indent=2) + "\n")

@@ -68,12 +68,17 @@ class ControlConfig:
 
 @dataclass
 class ScenarioResult:
-    """Trajectory records plus how the run ended."""
+    """Trajectory records plus how the run ended.
+
+    ``jitter_retries`` counts the Cholesky factorizations of the run
+    that needed linalg.spd_cholesky's jittered retry.
+    """
 
     records: list
     completed: bool
     failure: Optional[str] = None
     failed_step: Optional[int] = None
+    jitter_retries: int = 0
 
 
 def run_closed_loop(
@@ -90,7 +95,8 @@ def run_closed_loop(
     The initial belief must be tagged predicted at step 0; the result
     then holds horizon + 1 records. A DomainViolation (a barrier
     evaluated outside its domain) or a non-finite state stops the run
-    and returns the partial trajectory with the failure noted.
+    and returns the partial trajectory with the failure noted. In
+    sampled mode all horizon + 1 draws are taken from ``rng`` up front.
     """
     if initial.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
@@ -100,23 +106,25 @@ def run_closed_loop(
         raise ValidationError(f"unknown mode {mode!r}; expected 'sampled' or 'belief'")
     if mode == "sampled" and rng is None:
         raise ValidationError("sampled mode needs a random generator")
-    records = []
-    cache = engine._CurvatureCache()
-    x, cov, t, predicted = initial.mean, initial.cov, initial.step, True
-    for s in range(initial.step, initial.step + horizon + 1):
-        try:
-            record = engine._advance(
-                x, cov, t, predicted, model, potential_fn, rng, mode, cfg.shift_map, cache
-            )
-        except (DomainViolation, NonFinite) as exc:
-            return ScenarioResult(
-                records=records, completed=False, failure=str(exc), failed_step=s
-            )
-        records.append(record)
-        # In belief mode record.x equals the posterior mean, so (x, cov)
-        # is the next recursion state in both modes.
-        x, cov, t, predicted = record.x, record.cov, record.step, False
-    return ScenarioResult(records=records, completed=True)
+    m, n = initial.dim, horizon + 1
+    # One block of draws: standard_normal((n, m)) gives the same numbers
+    # as n calls of standard_normal(m).
+    draws = rng.standard_normal((n, m)).tolist() if mode == "sampled" else [None] * n
+    rows, retries = engine._new_rows(), [0]
+    failure = failed_step = None
+    try:
+        engine._run(
+            model, potential_fn, initial.mean, initial.cov, initial.step, True, draws, rows, retries
+        )
+    except (DomainViolation, NonFinite) as exc:
+        failure, failed_step = str(exc), initial.step + len(rows[0])
+    return ScenarioResult(
+        records=engine._records(rows, initial.step, m, cfg.shift_map),
+        completed=failure is None,
+        failure=failure,
+        failed_step=failed_step,
+        jitter_retries=retries[0],
+    )
 
 
 def run_scenario(name: str, overrides: Optional[dict] = None, seed: Optional[int] = None) -> ScenarioResult:

@@ -9,10 +9,13 @@ innovation form.
 Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
 
-filter_with_likelihood runs every observation through the engine's
-update kernel with unit time weight, on raw moments as the closed loop
-does, factoring the constant curvature sigma_nu_inv once per call. Its
-log normalization gives the marginal likelihood:
+filter_with_likelihood runs every step through the engine's step
+kernel, predicting and absorbing each observation with unit time
+weight on Python floats as the closed loop does, and factors the
+constant curvature sigma_nu_inv once per call. h and its Jacobian enter
+through their float forms when they carry one (the scenario's linear
+and identity maps do) and through .tolist() otherwise. Its log
+normalization gives the marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
@@ -27,9 +30,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine
-from .errors import NonFinite, ValidationError
+from .errors import ValidationError
 from .linalg import spd_inverse, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation, _vector, _zero_matrix
+from .potential import PotentialEvaluation, _quadratic, _vector, _zero_matrix
 from .process import ItoProcessModel
 
 __all__ = [
@@ -53,7 +56,8 @@ class ObservationModel:
 
     def __post_init__(self):
         self.sigma_nu = symmetrize(np.atleast_2d(np.asarray(self.sigma_nu, dtype=float)))
-        # Read-only, so the step core factors it once per filter run.
+        # Read-only: it is the constant curvature of every observation
+        # potential, matched to log_density_offset below.
         self.sigma_nu_inv = spd_inverse(self.sigma_nu)
         self.sigma_nu_inv.setflags(write=False)
         # log p(y) = log_density_offset - log_n for one absorbed observation.
@@ -87,13 +91,13 @@ def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.
     """Quadratic potential in the innovation l = y - h(x)."""
     x_hat = _vector(x_hat)
     l = _vector(y) - _vector(obs_model.h(x_hat, t))
-    grad_l = obs_model.sigma_nu_inv.dot(l)
+    value, grad_l = _quadratic(l.tolist(), obs_model.sigma_nu_inv.tolist())
     jac = np.atleast_2d(np.asarray(obs_model.h_jacobian(x_hat, t), dtype=float))
     # H = -(dl/dx) = +dh/dx. A non-finite l makes the value non-finite,
     # which _trusted refuses; a non-finite Jacobian shows in the
-    # updated moments, which the filter checks.
+    # updated moments, which the update checks.
     return PotentialEvaluation._trusted(
-        l, 0.5 * float(l.dot(grad_l)), grad_l, jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
+        l, value, np.array(grad_l), jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
     )
 
 
@@ -167,24 +171,38 @@ def filter_with_likelihood(
     start = initial_belief.step
     if horizon is None:
         horizon = max(by_step) if by_step else start
-    beliefs: list[engine.GaussianBelief] = []
-    logliks: list[float] = []
-    cache = engine._CurvatureCache()
-    mean, cov = initial_belief.mean, initial_belief.cov
+    m, k = initial_belief.dim, obs_model.sigma_nu.shape[0]
+    kernel = engine._kernel(m, k)
+    retries = [0]
+    sig, hld = kernel.factor(obs_model.sigma_nu_inv.ravel().tolist(), retries)
+    weights = obs_model.sigma_nu_inv.tolist()
+    drift, jacobian = engine._floats(model.drift), engine._floats(model.drift_jacobian)
+    h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
+    noise, dt = model.noise_cov.ravel().tolist(), model.dt
+    x, p = initial_belief.mean.tolist(), initial_belief.cov.ravel().tolist()
+    means, covs, tags, logliks = [], [], [], []
     for s in range(start, horizon + 1):
         if s > start:
-            mean, cov = engine._predict_moments(mean, cov, s - 1, model)
+            x, p = kernel.predict(x, p, drift(x, s - 1), jacobian(x, s - 1), noise, dt, s - 1)
         y = by_step.get(s)
         if y is None:
-            logliks.append(np.nan)
-            beliefs.append(engine.GaussianBelief._trusted(mean, cov, s, "predicted"))
-            continue
-        pot = observation_potential(obs_model, y, mean, s)
-        mean, cov, _, log_n, _ = engine._step_core(mean, cov, pot, 1.0, cache)
-        if not engine._all_finite(mean, cov):
-            raise NonFinite(f"update at step {s} produced non-finite moments")
-        logliks.append(obs_model.log_density_offset - log_n)
-        beliefs.append(engine.GaussianBelief._trusted(mean, cov, s, "updated"))
+            tags.append("predicted")
+            logliks.append(math.nan)
+        else:
+            l = [yi - hi for yi, hi in zip(y.tolist(), h(x, s))]
+            value, grad = _quadratic(l, weights)
+            # Unit time weight: dt = 1, so the (k/2) log dt term is 0.
+            x, p, _, log_n, _ = kernel.update(
+                x, p, value, grad, h_jacobian(x, s), sig, hld, 0.0, 1.0, s, retries
+            )
+            tags.append("updated")
+            logliks.append(obs_model.log_density_offset - log_n)
+        means.append(x)
+        covs.append(p)
+    n = len(means)
+    mean_table = np.array(means).reshape(n, m)
+    cov_table = np.array(covs).reshape(n, m, m)
+    beliefs = list(map(engine.GaussianBelief._trusted, mean_table, cov_table, range(start, start + n), tags))
     return beliefs, logliks
 
 

@@ -15,25 +15,54 @@ S = curvature^-1 / dt + H cov H^T:
     cov'  = cov - cov H^T S^-1 H cov
 
 The inner solve lives in the usually smaller constraint dimension.
-_step_core is the only implementation: update(), normalization(), the
-closed loop and the observation filter all run through it. The
-algebraically equivalent precision form, with
-P = cov^-1 + H^T curvature H dt, is kept in the oracle as the
-independent reference the validation suite checks this one against.
+
+The step kernel. For each state dimension m and constraint dimension k
+one template writes out the source of four functions, every matrix
+entry a Python float and every operation spelled out, with no loops
+and no numpy calls: predict, factor (the curvature's Cholesky factor,
+its inverse sigma_nu and log|curvature|/2), update (S, its Cholesky
+factor, the gain by substitution, the shift, the posterior moments,
+script_n and log_n) and sample (mean + chol(cov) z). Each function's
+source is compiled on first use for the dimensions it depends on and
+cached, as collections.namedtuple does; nothing is compiled at import
+or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
+potential, kernel and record) costs about 15 us, where the call
+overhead of about 40 numpy and LAPACK calls on 2 x 2 arrays used to
+cost about 57 us.
+
+A Cholesky pivot that is not > 0 hands the whole matrix to
+linalg.spd_cholesky, whose jittered retry keeps a run alive through
+transient conditioning trouble (and still raises NotPositiveDefinite
+for an indefinite matrix); a run counts those retries. Logarithms are
+math.log on each entry.
+
+The kernel is the only update: update(), normalization(), step(), the
+closed loop and the observation filter all run through it. Drifts and
+potentials enter as float forms: the bundled ones carry theirs as the
+``floats`` attribute of their callables, and any other callable
+(including one that wraps a bundled one) is called with an array and
+its result unpacked with .tolist(). A constant curvature is factored
+once per run; one that comes back with every evaluation is factored
+every step. predict() and sample_posterior() stay in numpy as the
+independent references for the kernel's predict and sample stages,
+and the oracle keeps the precision form of the update as the
+reference for its update.
 """
 
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import NonFinite
-from .linalg import _eye, _ones, spd_cholesky, symmetrize
-from .potential import PotentialEvaluation
+from .linalg import _jittered_cholesky, spd_cholesky, symmetrize
+from .potential import PotentialEvaluation, PotentialFloats
 from .process import ItoProcessModel, transition_matrix
 
 __all__ = [
@@ -73,8 +102,8 @@ class GaussianBelief:
 
     @classmethod
     def _trusted(cls, mean: np.ndarray, cov: np.ndarray, step: int, tag: str) -> "GaussianBelief":
-        # Construction bypass for the step loop, where the arrays are
-        # produced internally and the finite check has already run.
+        # Construction bypass for moments the kernel produced and
+        # already checked.
         self = object.__new__(cls)
         self.mean = mean
         self.cov = cov
@@ -104,27 +133,379 @@ class TrajectoryRecord:
     u: Optional[np.ndarray] = None
 
 
+# ---------------------------------------------------------------------------
+# The generated step kernel.
+
+def _sum(terms: list) -> str:
+    return " + ".join(terms)
+
+
+def _minus(first: str, terms: list) -> str:
+    return first + "".join(f" - {t}" for t in terms)
+
+
+def _unpack(names: list, value: str) -> str:
+    return f"    {', '.join(names)}, = {value}"
+
+
+def _finite_check(names: list, message: str) -> list:
+    test = " and ".join(f"isfinite({n})" for n in names)
+    return [f"    if not ({test}):", f"        raise NonFinite({message})"]
+
+
+def _cholesky_lines(n: int, a: Callable, low: Callable) -> list:
+    # Lower Cholesky factor of the symmetric n x n matrix whose lower
+    # entries are named a(i, j), into the names low(i, j). Each column
+    # nests inside the test of its pivot; if a pivot is not > 0 the
+    # whole factor comes from _cholesky instead.
+    lines = [f"    pivot = {a(0, 0)}"]
+    pad = "    "
+    for j in range(n):
+        lines.append(f"{pad}if pivot > 0.0:")
+        pad += "    "
+        lines.append(f"{pad}{low(j, j)} = sqrt(pivot)")
+        for i in range(j + 1, n):
+            dots = [f"{low(i, p)} * {low(j, p)}" for p in range(j)]
+            lines.append(f"{pad}{low(i, j)} = ({_minus(a(i, j), dots)}) / {low(j, j)}")
+        if j + 1 < n:
+            dots = [f"{low(j + 1, p)} * {low(j + 1, p)}" for p in range(j + 1)]
+            lines.append(f"{pad}pivot = {_minus(a(j + 1, j + 1), dots)}")
+    names = [low(i, j) for i in range(n) for j in range(i + 1)]
+    rows = ", ".join("(" + ", ".join(a(i, j) for j in range(i + 1)) + ",)" for i in range(n))
+    lines.append("    if not pivot > 0.0:")
+    lines.append(f"        {', '.join(names)}, = _cholesky(({rows},), retries)")
+    return lines
+
+
+def _half_logdet(n: int, low: Callable) -> str:
+    return _sum([f"log({low(i, i)})" for i in range(n)])
+
+
+def _predict_source(m: int) -> list:
+    rm = range(m)
+    lines = [
+        "def predict(x, p, f, jac, q, dt, t):",
+        _unpack([f"x{i}" for i in rm], "x"),
+        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
+        _unpack([f"f{i}" for i in rm], "f"),
+        _unpack([f"j{i}_{j}" for i in rm for j in rm], "jac"),
+        _unpack([f"q{i}_{j}" for i in rm for j in rm], "q"),
+        "    # F = I + jac dt",
+    ]
+    lines += [
+        f"    a{i}_{j} = " + (f"1.0 + j{i}_{j} * dt" if i == j else f"j{i}_{j} * dt")
+        for i in rm for j in rm
+    ]
+    lines.append("    # B = F P, then C = B F^T + q, symmetrized")
+    lines += [f"    b{i}_{j} = {_sum([f'a{i}_{l} * p{l}_{j}' for l in rm])}" for i in rm for j in rm]
+    lines += [
+        f"    c{i}_{j} = ({_sum([f'b{i}_{l} * a{j}_{l}' for l in rm])}) + q{i}_{j}"
+        for i in rm for j in rm
+    ]
+    lines += [f"    c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
+    lines += [f"    m{i} = x{i} + f{i} * dt" for i in rm]
+    lower = [f"c{i}_{j}" for i in rm for j in range(i + 1)]
+    lines += _finite_check(
+        [f"m{i}" for i in rm] + lower, 'f"prediction to step {t + 1} has non-finite entries"'
+    )
+    cov = ", ".join(f"c{max(i, j)}_{min(i, j)}" for i in rm for j in rm)
+    lines.append(f"    return ({', '.join(f'm{i}' for i in rm)},), ({cov},)")
+    return lines
+
+
+def _factor_source(k: int) -> list:
+    rk = range(k)
+    lines = [
+        "def factor(c, retries):",
+        _unpack([f"c{i}_{j}" for i in rk for j in rk], "c"),
+    ]
+    lines += _cholesky_lines(k, lambda i, j: f"c{i}_{j}", lambda i, j: f"l{i}_{j}")
+    lines.append("    # sigma_nu = c^-1: L L^T V = I, one identity column at a time")
+    for col in rk:
+        for i in range(col, k):
+            if i == col:
+                lines.append(f"    w{i}_{col} = 1.0 / l{i}_{i}")
+            else:
+                terms = [f"l{i}_{p} * w{p}_{col}" for p in range(col, i)]
+                lines.append(f"    w{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
+        for i in reversed(rk):
+            terms = [f"l{p}_{i} * v{p}_{col}" for p in range(i + 1, k)]
+            if i >= col:
+                lines.append(f"    v{i}_{col} = ({_minus(f'w{i}_{col}', terms)}) / l{i}_{i}")
+            else:
+                lines.append(f"    v{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
+    inverse = ", ".join(f"v{i}_{j}" for i in rk for j in rk)
+    lines.append(f"    return ({inverse},), {_half_logdet(k, lambda i, j: f'l{i}_{j}')}")
+    return lines
+
+
+def _update_source(m: int, k: int) -> list:
+    rm, rk = range(m), range(k)
+    lines = [
+        "def update(mean, p, value, grad, h, sig, hld, ldt, dt, t, retries):",
+        "    if not isfinite(value):",
+        '        raise NonFinite("potential evaluation produced non-finite entries")',
+        _unpack([f"m{i}" for i in rm], "mean"),
+        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
+        _unpack([f"g{i}" for i in rk], "grad"),
+        _unpack([f"h{i}_{j}" for i in rk for j in rm], "h"),
+        _unpack([f"n{i}_{j}" for i in rk for j in rk], "sig"),
+        "    # A = H P, then the lower triangle of S = sigma_nu / dt + A H^T",
+    ]
+    lines += [f"    a{i}_{j} = {_sum([f'h{i}_{l} * p{l}_{j}' for l in rm])}" for i in rk for j in rm]
+    lines += [
+        f"    s{i}_{j} = n{i}_{j} / dt + ({_sum([f'a{i}_{l} * h{j}_{l}' for l in rm])})"
+        for i in rk for j in range(i + 1)
+    ]
+    lines += _cholesky_lines(k, lambda i, j: f"s{i}_{j}", lambda i, j: f"l{i}_{j}")
+    lines.append("    # gain G = S^-1 A: L W = A, then L^T G = W")
+    for c in rm:
+        for i in rk:
+            terms = [f"l{i}_{p} * w{p}_{c}" for p in range(i)]
+            lines.append(f"    w{i}_{c} = ({_minus(f'a{i}_{c}', terms)}) / l{i}_{i}")
+        for i in reversed(rk):
+            terms = [f"l{p}_{i} * k{p}_{c}" for p in range(i + 1, k)]
+            lines.append(f"    k{i}_{c} = ({_minus(f'w{i}_{c}', terms)}) / l{i}_{i}")
+    lines.append("    # shift = G^T sigma_nu grad, cov' = P - A^T G symmetrized")
+    lines += [f"    e{i} = {_sum([f'n{i}_{j} * g{j}' for j in rk])}" for i in rk]
+    lines += [f"    d{c} = {_sum([f'k{i}_{c} * e{i}' for i in rk])}" for c in rm]
+    lines += [
+        f"    c{i}_{j} = p{i}_{j} - ({_sum([f'a{q}_{i} * k{q}_{j}' for q in rk])})"
+        for i in rm for j in rm
+    ]
+    lines += [f"    c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
+    lines.append("    # script_n = V - grad^T H shift / 2; log_n from the two half log-determinants")
+    lines += [f"    r{i} = {_sum([f'h{i}_{j} * d{j}' for j in rm])}" for i in rk]
+    lines.append(f"    script = value - 0.5 * ({_sum([f'g{i} * r{i}' for i in rk])})")
+    lines.append(
+        f"    log_n = {_half_logdet(k, lambda i, j: f'l{i}_{j}')} + hld + ldt + script * dt"
+    )
+    lines += [f"    u{i} = m{i} + d{i}" for i in rm]
+    lower = [f"c{i}_{j}" for i in rm for j in range(i + 1)]
+    lines += _finite_check(
+        [f"u{i}" for i in rm] + lower, 'f"update at step {t} produced non-finite moments"'
+    )
+    cov = ", ".join(f"c{max(i, j)}_{min(i, j)}" for i in rm for j in rm)
+    lines.append(
+        f"    return ({', '.join(f'u{i}' for i in rm)},), ({cov},), "
+        f"({', '.join(f'd{i}' for i in rm)},), log_n, script"
+    )
+    return lines
+
+
+def _sample_source(m: int) -> list:
+    rm = range(m)
+    lines = [
+        "def sample(mean, p, z, retries):",
+        _unpack([f"m{i}" for i in rm], "mean"),
+        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
+        _unpack([f"z{i}" for i in rm], "z"),
+    ]
+    lines += _cholesky_lines(m, lambda i, j: f"p{i}_{j}", lambda i, j: f"l{i}_{j}")
+    draws = [f"m{i} + ({_sum([f'l{i}_{j} * z{j}' for j in range(i + 1)])})" for i in rm]
+    lines.append(f"    return ({', '.join(draws)},)")
+    return lines
+
+
+def _cholesky(rows, retries) -> list:
+    # The kernel's fallback for a pivot that is not > 0: spd_cholesky's
+    # jittered retry on the symmetric matrix with these lower rows.
+    n = len(rows)
+    a = np.zeros((n, n))
+    for i, row in enumerate(rows):
+        a[i, : i + 1] = row
+        a[: i + 1, i] = row
+    low, jittered = _jittered_cholesky(a)
+    retries[0] += jittered
+    return [v for i, row in enumerate(low.tolist()) for v in row[: i + 1]]
+
+
+_STAGES = {
+    "predict": _predict_source,
+    "factor": _factor_source,
+    "update": _update_source,
+    "sample": _sample_source,
+}
+
+
+@lru_cache(maxsize=None)
+def _compiled(stage: str, *dims: int) -> Callable:
+    # One stage of the kernel, compiled from its source on first use for
+    # the dimensions it depends on: predict and sample on m, factor on k,
+    # update on (m, k).
+    namespace = {
+        "sqrt": math.sqrt,
+        "log": math.log,
+        "isfinite": math.isfinite,
+        "NonFinite": NonFinite,
+        "_cholesky": _cholesky,
+    }
+    source = "\n".join(_STAGES[stage](*dims)) + "\n"
+    exec(compile(source, f"<sqc step kernel {stage}{dims}>", "exec"), namespace)
+    return namespace[stage]
+
+
+@lru_cache(maxsize=None)
+def _kernel(m: int, k: int) -> types.SimpleNamespace:
+    """The step kernel for state dimension m and constraint dimension k.
+
+    Arguments and results are float sequences, matrices flat in
+    row-major order: predict(x, p, f, jac, q, dt, t) -> (mean, cov);
+    factor(c, retries) -> (c^-1, log|c|/2); update(mean, p, value,
+    grad, h, sig, hld, ldt, dt, t, retries) -> (mean, cov, shift,
+    log_n, script_n), where sig = curvature^-1, hld its factor's
+    log|curvature|/2 and ldt = (k/2) log dt; sample(mean, p, z,
+    retries) -> x. ``retries`` is a one-entry list that counts the
+    jittered Cholesky retries.
+    """
+    return types.SimpleNamespace(
+        predict=_compiled("predict", m),
+        factor=_compiled("factor", k),
+        update=_compiled("update", m, k),
+        sample=_compiled("sample", m),
+    )
+
+
+def _floats(fn: Callable) -> Callable:
+    """fn's float form, or fn called on an array with its result unpacked by .tolist()."""
+    form = getattr(fn, "floats", None)
+    if form is not None:
+        return form
+
+    def adapter(x, t):
+        return np.asarray(fn(np.array(x), t), dtype=float).ravel().tolist()
+
+    return adapter
+
+
+def _potential_floats(potential_fn: PotentialFn) -> PotentialFloats:
+    """potential_fn's float form, or an adapter that reads its PotentialEvaluation.
+
+    The adapter returns the curvature with every evaluation, so it is
+    factored every step, and its k is learned from the first one.
+    """
+    form = getattr(potential_fn, "floats", None)
+    if form is not None:
+        return form
+
+    def evaluate(x, t):
+        pot = potential_fn(np.array(x), t)
+        return (
+            float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(),
+            pot.curvature.ravel().tolist(),
+        )
+
+    return PotentialFloats(evaluate, None, None)
+
+
+def _update_once(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple:
+    m, k = belief.dim, len(pot.grad_l)
+    kernel = _kernel(m, k)
+    retries = [0]
+    sig, hld = kernel.factor(pot.curvature.ravel().tolist(), retries)
+    return kernel.update(
+        belief.mean.tolist(), belief.cov.ravel().tolist(), float(pot.value), pot.grad_l.tolist(),
+        pot.H.ravel().tolist(), sig, hld, 0.5 * k * math.log(dt), dt, belief.step, retries,
+    )
+
+
+def _new_rows() -> tuple:
+    # The per-step columns _run appends to: x, mean, cov, V, log_n, shift.
+    return [], [], [], [], [], []
+
+
+def _run(
+    model: ItoProcessModel,
+    potential_fn: PotentialFn,
+    mean: np.ndarray,
+    cov: np.ndarray,
+    t: int,
+    predicted: bool,
+    draws: list,
+    rows: tuple,
+    retries: list,
+) -> None:
+    """The recursion loop, shared by step() and the closed loop.
+
+    Runs one step per entry of ``draws`` from the moments (mean, cov)
+    at step t: predicts (except on the first step when the moments are
+    already predicted), evaluates the potential at the predicted mean,
+    updates, and takes the next state from the posterior with the
+    step's standard normal draw, or the posterior mean where the draw
+    is None. Each step appends to the columns of ``rows``; a step that
+    raises appends nothing, so len(rows[0]) counts the completed ones.
+    """
+    m, dt = len(mean), model.dt
+    drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
+    evaluate, curvature, k = _potential_floats(potential_fn)
+    # predict and sample do not depend on k; an adapter's k is learned
+    # from its first evaluation.
+    kernel = _kernel(m, k or m)
+    predict, factor, update, sample = kernel.predict, kernel.factor, kernel.update, kernel.sample
+    if curvature is not None:
+        sig, hld = factor(curvature, retries)
+    ldt = 0.5 * (k or 0) * math.log(dt)
+    noise = model.noise_cov.ravel().tolist()
+    x, p = mean.tolist(), cov.ravel().tolist()
+    xs, means, covs, values, log_ns, shifts = rows
+    for z in draws:
+        if predicted:
+            predicted = False
+            mn = x
+        else:
+            mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
+            t += 1
+        value, grad, h, curv = evaluate(mn, t)
+        if curv is not None:
+            if len(grad) != k:
+                k = len(grad)
+                kernel = _kernel(m, k)
+                factor, update = kernel.factor, kernel.update
+                ldt = 0.5 * k * math.log(dt)
+            sig, hld = factor(curv, retries)
+        mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, dt, t, retries)
+        x = mn if z is None else sample(mn, p, z, retries)
+        xs.append(x)
+        means.append(mn)
+        covs.append(p)
+        values.append(value)
+        log_ns.append(log_n)
+        shifts.append(shift)
+
+
+def _table(column: list, size: int) -> np.ndarray:
+    # One flat array from a list of float sequences.
+    return np.fromiter(chain.from_iterable(column), float, size)
+
+
+def _records(rows: tuple, first_step: int, m: int, input_map: Optional[np.ndarray]) -> list:
+    """TrajectoryRecords from _run's columns, built once per run.
+
+    The arrays of the records are views of one table per column; with
+    an ``input_map`` every record carries u = input_map @ shift.
+    """
+    xs, means, covs, values, log_ns, shifts = rows
+    n = len(xs)
+    x, mean, shift = (_table(column, n * m).reshape(n, m) for column in (xs, means, shifts))
+    cov = _table(covs, n * m * m).reshape(n, m, m)
+    u = [None] * n if input_map is None else shift @ input_map.T
+    return list(map(TrajectoryRecord, range(first_step, first_step + n), x, mean, cov, values, log_ns, u))
+
+
 def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
     """Propagate the belief one step through the process model.
 
     The drift and its Jacobian are evaluated at the current step index,
-    producing the predicted belief at step + 1.
+    producing the predicted belief at step + 1. This is the array form
+    of the kernel's predict stage, kept as its reference.
     """
-    mean, cov = _predict_moments(belief.mean, belief.cov, belief.step, model)
+    f = model.drift(belief.mean, belief.step)
+    trans = transition_matrix(model, belief.mean, belief.step)
+    mean = belief.mean + f * model.dt
+    cov = symmetrize(trans @ belief.cov @ trans.T + model.noise_cov)
+    if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        raise NonFinite(f"prediction to step {belief.step + 1} has non-finite entries")
     return GaussianBelief._trusted(mean, cov, belief.step + 1, "predicted")
-
-
-def _predict_moments(
-    mean: np.ndarray, cov: np.ndarray, t: int, model: ItoProcessModel
-) -> tuple[np.ndarray, np.ndarray]:
-    f = model.drift(mean, t)
-    trans = transition_matrix(model, mean, t)
-    mean = mean + f * model.dt
-    cov = trans.dot(cov).dot(trans.T) + model.noise_cov
-    cov = 0.5 * (cov + cov.T)
-    if not _all_finite(mean, cov):
-        raise NonFinite(f"prediction to step {t + 1} has non-finite entries")
-    return mean, cov
 
 
 def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> GaussianBelief:
@@ -134,8 +515,10 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> Gauss
     covariance never exceeds the prior one: the subtracted term is
     positive semidefinite.
     """
-    mean, cov, _, _, _ = _step_core(belief.mean, belief.cov, pot, dt)
-    return GaussianBelief(mean=mean, cov=cov, step=belief.step, tag="updated")
+    mean, cov, _, _, _ = _update_once(belief, pot, dt)
+    return GaussianBelief._trusted(
+        np.array(mean), np.reshape(cov, (belief.dim, belief.dim)), belief.step, "updated"
+    )
 
 
 def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> NormalizationDiagnostic:
@@ -148,150 +531,17 @@ def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -
 
     For a quadratic potential, log_n equals minus the log mass of
     exp(-V dt) under the predicted Gaussian exactly; the quadrature
-    oracle checks this.
+    oracle checks this. The kernel computes script_n from the shift,
+    which equals P^-1 H^T grad_l dt by the matrix inversion lemma.
     """
-    _, _, _, log_n, script_n = _step_core(belief.mean, belief.cov, pot, dt)
-    return NormalizationDiagnostic(log_n=float(log_n), script_n=float(script_n))
+    _, _, _, log_n, script_n = _update_once(belief, pot, dt)
+    return NormalizationDiagnostic(log_n=log_n, script_n=script_n)
 
 
 def sample_posterior(belief: GaussianBelief, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state from the belief."""
+    """Draw one state from the belief (the array form of the kernel's sample stage)."""
     low = spd_cholesky(belief.cov)
     return belief.mean + low @ rng.standard_normal(belief.dim)
-
-
-def _all_finite(mean: np.ndarray, cov: np.ndarray) -> bool:
-    # A sum is finite only if every term is (inf and nan propagate), so
-    # one dot product with ones per array settles the common case; only
-    # a sum that overflowed from finite entries needs the entrywise test.
-    total = float(mean.dot(_ones(mean.size))) + float(cov.ravel().dot(_ones(cov.size)))
-    if math.isfinite(total):
-        return True
-    return bool(np.isfinite(mean).all() and np.isfinite(cov).all())
-
-
-def _half_logdet(low: np.ndarray) -> float:
-    # log|A|/2 from the Cholesky factor of A; Python floats beat numpy
-    # calls on the few diagonal entries of the hot loop.
-    return sum(map(math.log, low.diagonal().tolist()))
-
-
-def _chol_lower(a: np.ndarray) -> np.ndarray:
-    # Hot-loop factorization: straight LAPACK first (reads the lower
-    # triangle only, as np.linalg.cholesky does), the jittered reference
-    # path only on failure.
-    low, info = dpotrf(a, lower=1)
-    if info != 0:
-        return spd_cholesky(a)
-    return low
-
-
-def _invert_curvature(curvature: np.ndarray) -> tuple[np.ndarray, float]:
-    # sigma_nu = curvature^-1 and log|curvature|/2 from one factorization.
-    low = _chol_lower(curvature)
-    return dpotrs(low, _eye(low.shape[0]), lower=1)[0], _half_logdet(low)
-
-
-class _CurvatureCache:
-    """Keeps _invert_curvature's result while the same curvature comes back.
-
-    One instance serves one run. Only a read-only array that owns its
-    data is kept, since nothing writes to it unless it is first made
-    writeable again, and a hit requires it to still be read-only. The
-    penalty and double-well potentials built from a scenario return one
-    such weight matrix every step. A curvature that is new each step
-    (the barrier's), or writeable, is factored afresh every time.
-    """
-
-    __slots__ = ("_curvature", "_inverse")
-
-    def __init__(self):
-        self._curvature = None
-        self._inverse = None
-
-    def inverse(self, curvature: np.ndarray) -> tuple[np.ndarray, float]:
-        if curvature is self._curvature and not curvature.flags.writeable:
-            return self._inverse
-        inverse = _invert_curvature(curvature)
-        if not curvature.flags.writeable and curvature.flags.owndata:
-            self._curvature, self._inverse = curvature, inverse
-        return inverse
-
-
-def _step_core(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    pot: PotentialEvaluation,
-    dt: float,
-    cache: Optional[_CurvatureCache] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
-    """Update moments, mean shift and normalization in one pass.
-
-    The one implementation of the update: S is factored once and
-    solved once, and the script_n quadratic form reuses the shift,
-    which equals P^-1 force dt by the matrix inversion lemma:
-    force^T P^-1 force dt = force^T shift. Returns
-    (posterior mean, posterior cov, shift, log_n, script_n).
-    """
-    h = pot.H
-    if cache is None:
-        sigma_nu, half_logdet_c = _invert_curvature(pot.curvature)
-    else:
-        sigma_nu, half_logdet_c = cache.inverse(pot.curvature)
-    hs = h.dot(cov)
-    # S is symmetric up to rounding, and the factorization reads only
-    # its lower triangle.
-    chol_s = _chol_lower(sigma_nu / dt + hs.dot(h.T))
-    gain = dpotrs(chol_s, hs, lower=1)[0]
-    shift = gain.T.dot(sigma_nu.dot(pot.grad_l))
-    cov_post = cov - hs.T.dot(gain)
-    cov_post = 0.5 * (cov_post + cov_post.T)
-
-    script_n = pot.value - 0.5 * float(pot.grad_l.dot(h.dot(shift)))
-    log_n = (
-        _half_logdet(chol_s)
-        + half_logdet_c
-        + 0.5 * h.shape[0] * math.log(dt)
-        + script_n * dt
-    )
-    return mean + shift, cov_post, shift, log_n, script_n
-
-
-def _advance(
-    mean: np.ndarray,
-    cov: np.ndarray,
-    t: int,
-    predicted: bool,
-    model: ItoProcessModel,
-    potential_fn: PotentialFn,
-    rng: Optional[np.random.Generator],
-    mode: str,
-    input_map: Optional[np.ndarray] = None,
-    cache: Optional[_CurvatureCache] = None,
-) -> TrajectoryRecord:
-    """The recursion step on raw moments, shared by step() and the closed loop.
-
-    Predicts (unless the incoming moments at step t are already
-    predicted), evaluates the potential at the predicted mean, updates,
-    and in sampled mode draws the next state with one
-    standard_normal(m) call. The returned record carries the next
-    recursion state as (x, cov) at record.step; with an ``input_map``
-    it also carries the control input u = input_map @ shift. A loop
-    passes one ``cache`` for all its steps.
-    """
-    if not predicted:
-        mean, cov = _predict_moments(mean, cov, t, model)
-        t += 1
-    pot = potential_fn(mean, t)
-    mean, cov, shift, log_n, _ = _step_core(mean, cov, pot, model.dt, cache)
-    if not _all_finite(mean, cov):
-        raise NonFinite(f"update at step {t} produced non-finite moments")
-    if mode == "sampled":
-        x = mean + _chol_lower(cov).dot(rng.standard_normal(len(mean)))
-    else:
-        x = mean.copy()
-    u = None if input_map is None else input_map.dot(shift)
-    return TrajectoryRecord(t, x, mean, cov, pot.value, log_n, u)
 
 
 def step(
@@ -320,9 +570,10 @@ def step(
         raise ValueError(f"t={t} does not match belief step {belief.step}")
     if mode == "sampled" and rng is None:
         raise ValueError("sampled mode needs a random generator")
-    record = _advance(
-        belief.mean, belief.cov, belief.step, belief.tag == "predicted",
-        model, potential_fn, rng, mode,
-    )
+    predicted = belief.tag == "predicted"
+    draws = rng.standard_normal((1, belief.dim)).tolist() if mode == "sampled" else [None]
+    rows = _new_rows()
+    _run(model, potential_fn, belief.mean, belief.cov, belief.step, predicted, draws, rows, [0])
+    record = _records(rows, belief.step + (not predicted), belief.dim, None)[0]
     mean = record.x if mode == "sampled" else record.mean
     return GaussianBelief._trusted(mean, record.cov, record.step, "updated"), record

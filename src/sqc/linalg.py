@@ -10,6 +10,7 @@ overflow on long products.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -42,14 +43,6 @@ def _eye(m: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _ones(n: int) -> np.ndarray:
-    # Shared read-only summing vector for the hot loops.
-    out = np.ones(n)
-    out.setflags(write=False)
-    return out
-
-
 def spd_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix.
 
@@ -58,19 +51,30 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     through transient conditioning trouble; a genuinely indefinite
     matrix still raises NotPositiveDefinite.
     """
+    return _jittered_cholesky(a)[0]
+
+
+def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    # spd_cholesky's factor, and whether it took the jittered retry.
     a = symmetrize(a)
     try:
-        return np.linalg.cholesky(a)
+        return np.linalg.cholesky(a), False
     except np.linalg.LinAlgError:
         pass
     bump = JITTER * np.trace(a) / a.shape[0]
     try:
-        return np.linalg.cholesky(a + bump * np.eye(a.shape[0]))
+        return np.linalg.cholesky(a + bump * np.eye(a.shape[0])), True
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(
             f"matrix of shape {a.shape} is not positive definite "
             f"(Cholesky failed even with diagonal jitter {bump:g})"
         ) from exc
+
+
+def _dot(a, b) -> float:
+    # Dot product of two float sequences; the float forms of the drifts
+    # and potentials use it.
+    return sum(map(mul, a, b))
 
 
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

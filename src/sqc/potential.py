@@ -15,6 +15,10 @@ update needs, so the caller cannot accidentally mix evaluation points:
 The counter term exactly cancels the counter_curvature contribution in
 the second-order expansion, so the update omits it; it is carried only
 as a diagnostic.
+
+The bundled potentials are also written on Python floats (their float
+forms), which the step kernel evaluates without building arrays; the
+eval_* functions build their arrays from the same float functions.
 """
 
 from __future__ import annotations
@@ -22,10 +26,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainViolation, NonFinite
+from .linalg import _dot
 
 __all__ = [
     "PotentialEvaluation",
@@ -74,6 +81,21 @@ class PotentialEvaluation:
         return self
 
 
+class PotentialFloats(NamedTuple):
+    """The float form of a potential callable, kept as its ``floats`` attribute.
+
+    ``evaluate(x, t)`` takes the point as a sequence of floats and
+    returns (value, grad_l, H, curvature), with H (k x m) and the
+    curvature (k x k) as flat row-major sequences. A constant curvature
+    is given here once, flat, and evaluate then returns None in its
+    place; ``k`` is the inner dimension.
+    """
+
+    evaluate: Callable
+    curvature: Optional[tuple]
+    k: int
+
+
 @lru_cache(maxsize=None)
 def _neg_eye(m: int) -> np.ndarray:
     out = -np.eye(m)
@@ -89,30 +111,82 @@ def _zero_matrix(m: int) -> np.ndarray:
 
 
 def _vector(x) -> np.ndarray:
-    # np.atleast_1d(np.asarray(x, dtype=float)) minus the call overhead
-    # that matters once per step.
+    # np.atleast_1d(np.asarray(x, dtype=float)) minus the call overhead.
     x = np.asarray(x, dtype=float)
     return x if x.ndim else x.reshape(1)
 
 
-def _diag(v: np.ndarray) -> np.ndarray:
-    # np.diag for a vector, without its generic dispatch.
-    m = len(v)
-    out = np.zeros((m, m))
-    out.ravel()[:: m + 1] = v
+def _entries(v, m: int) -> list:
+    # v as a list of m floats; a single value stands for all m, as it
+    # would under numpy broadcasting.
+    v = _vector(v).tolist()
+    if len(v) == 1:
+        return v * m
+    if len(v) != m:
+        raise ValueError(f"got {len(v)} entries where {m} are needed")
+    return v
+
+
+def _weights(sigma_nu_inv, k: int) -> np.ndarray:
+    w = np.atleast_2d(np.asarray(sigma_nu_inv, dtype=float))
+    if w.shape != (k, k):
+        raise ValueError(f"weight matrix has shape {w.shape}, expected {(k, k)}")
+    return w
+
+
+def _diag(v) -> list:
+    # Flat row-major diagonal matrix with the floats v on its diagonal.
+    n = len(v)
+    out = [0.0] * (n * n)
+    out[:: n + 1] = v
     return out
+
+
+# Float forms: each formula is written once, on sequences of Python
+# floats. The eval_* functions build their arrays from these, and the
+# scenario's potential callables carry them for the step kernel.
+
+def _quadratic(l, w) -> tuple[float, list]:
+    """V = l^T w l / 2 and dV/dl = w l, for a float vector l and rows w."""
+    grad = [_dot(row, l) for row in w]
+    return 0.5 * _dot(l, grad), grad
+
+
+def _penalty_floats(x, d, w) -> tuple[list, float, list, list]:
+    l = list(map(sub, x, d))
+    value, grad = _quadratic(l, w)
+    return l, value, grad, _diag([-1.0] * len(l))
+
+
+def _double_well_floats(x, d, w) -> tuple[list, float, list, list]:
+    l = [xi * xi - di * di for xi, di in zip(x, d)]
+    value, grad = _quadratic(l, w)
+    return l, value, grad, _diag([-2.0 * xi for xi in x])
+
+
+def _barrier_floats(x, a) -> tuple[float, list, list]:
+    if any(xi <= 0.0 for xi in x):
+        point = np.array(x)
+        raise DomainViolation(f"barrier evaluated at non-positive point {point}", point=point)
+    value = -_dot(a, [math.log(xi) for xi in x])
+    grad = [-ai / xi for ai, xi in zip(a, x)]
+    # a / x / x, not a / (x * x): x * x underflows to 0 for x below
+    # 1e-162, and a Python float division by 0 raises.
+    return value, grad, _diag([ai / xi / xi for ai, xi in zip(a, x)])
+
+
+def _tanh_level(t: float, amplitude: float, rate: float, center: float) -> float:
+    return amplitude * (1.0 + math.tanh(rate * (t - center)))
 
 
 def eval_quadratic_penalty(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
     """Quadratic penalty V = l^T sigma_nu_inv l / 2 with l = x - d."""
     x_hat = _vector(x_hat)
-    d = _vector(d)
-    sigma_nu_inv = np.atleast_2d(np.asarray(sigma_nu_inv, dtype=float))
-    l = x_hat - d
-    grad_l = sigma_nu_inv.dot(l)
     m = len(x_hat)
+    w = _weights(sigma_nu_inv, m)
+    l, value, grad, _ = _penalty_floats(x_hat.tolist(), _entries(d, m), w.tolist())
     return PotentialEvaluation._trusted(
-        l, 0.5 * float(l.dot(grad_l)), grad_l, _neg_eye(m), sigma_nu_inv, _zero_matrix(m)
+        np.array(l), value, np.array(grad), _neg_eye(m), w, _zero_matrix(m)
     )
 
 
@@ -123,21 +197,13 @@ def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
     diag(x_i^2 / a_i), so the barrier stiffens as the boundary nears.
     """
     x_hat = _vector(x_hat)
-    a = _vector(a)
-    if (a <= 0).any():
-        raise DomainViolation("barrier weights a must be positive", point=a)
-    if (x_hat <= 0).any():
-        raise DomainViolation(
-            f"barrier evaluated at non-positive point {x_hat}", point=x_hat
-        )
     m = len(x_hat)
+    a = _entries(a, m)
+    if any(ai <= 0.0 for ai in a):
+        raise DomainViolation("barrier weights a must be positive", point=np.array(a))
+    value, grad, curvature = _barrier_floats(x_hat.tolist(), a)
     return PotentialEvaluation._trusted(
-        x_hat.copy(),
-        -float(a.dot(np.log(x_hat))),
-        -a / x_hat,
-        _neg_eye(m),
-        _diag(a / (x_hat * x_hat)),
-        _zero_matrix(m),
+        x_hat.copy(), value, np.array(grad), _neg_eye(m), np.reshape(curvature, (m, m)), _zero_matrix(m)
     )
 
 
@@ -149,18 +215,45 @@ def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray)
     d^2 l^i / dx_i^2 = 2 gives diagonal entries 2 (sigma_nu_inv l)_i.
     """
     x_hat = _vector(x_hat)
-    d = _vector(d)
-    sigma_nu_inv = np.atleast_2d(np.asarray(sigma_nu_inv, dtype=float))
-    l = x_hat * x_hat - d * d
-    grad_l = sigma_nu_inv.dot(l)
+    m = len(x_hat)
+    w = _weights(sigma_nu_inv, m)
+    l, value, grad, h = _double_well_floats(x_hat.tolist(), _entries(d, m), w.tolist())
     return PotentialEvaluation._trusted(
-        l,
-        0.5 * float(l.dot(grad_l)),
-        grad_l,
-        _diag(-2.0 * x_hat),
-        sigma_nu_inv,
-        _diag(2.0 * grad_l),
+        np.array(l),
+        value,
+        np.array(grad),
+        np.reshape(h, (m, m)),
+        w,
+        np.reshape(_diag([2.0 * g for g in grad]), (m, m)),
     )
+
+
+def _quadratic_floats(inner: Callable, target: Callable, w) -> PotentialFloats:
+    """Float form of a quadratic penalty or double well with a target schedule.
+
+    ``inner`` is _penalty_floats or _double_well_floats, ``target`` maps
+    a step to the target as a float sequence and ``w`` is the constant
+    weight matrix, the curvature (its rows as float sequences).
+    """
+    w = [list(row) for row in w]
+
+    def evaluate(x, t):
+        _, value, grad, h = inner(x, target(t), w)
+        return value, grad, h, None
+
+    return PotentialFloats(evaluate, tuple(v for row in w for v in row), len(w))
+
+
+def _log_barrier_floats(a) -> PotentialFloats:
+    """Float form of x, t -> eval_log_barrier(x, a); its curvature moves with x."""
+    a = list(a)
+    h = _diag([-1.0] * len(a))
+
+    def evaluate(x, t):
+        value, grad, curvature = _barrier_floats(x, a)
+        return value, grad, h, curvature
+
+    return PotentialFloats(evaluate, None, len(a))
 
 
 def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.01, center: float = 2500.0) -> np.ndarray:
@@ -169,7 +262,7 @@ def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.
     Every component is equal; the defaults ramp each component from 0
     to 2 * amplitude = 0.4 around step 2500.
     """
-    return np.full(dim, amplitude * (1.0 + math.tanh(rate * (t - center))))
+    return np.full(dim, _tanh_level(t, amplitude, rate, center))
 
 
 def verify_derivatives(potential, x_hat: np.ndarray, step_size: float = 1e-6) -> dict:

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, ValidationError
-from .linalg import _eye, spd_cholesky, symmetrize
+from .linalg import _dot, _eye, spd_cholesky, symmetrize
 
 __all__ = [
     "ItoProcessModel",
@@ -102,28 +102,36 @@ def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: 
 
 
 # ---------------------------------------------------------------------------
-# Named drift builtins, selected by scenario files.
+# Named drift builtins, selected by scenario files. Each is written once
+# on Python floats (its float form, x a float sequence, the result a
+# flat row-major sequence); the array callables are built from it and
+# carry it as their ``floats`` attribute for the step kernel.
+
+def _from_floats(floats, shape) -> DriftFn:
+    # The array callable (x, t) -> ndarray of ``shape`` over a float form.
+    def fn(x, t):
+        return np.array(floats(np.asarray(x, dtype=float).tolist(), t)).reshape(shape)
+
+    fn.floats = floats
+    return fn
+
 
 def _zero_drift(dim: int) -> tuple[DriftFn, DriftFn]:
-    def drift(x, t):
-        return np.zeros(dim)
-
-    def jacobian(x, t):
-        return np.zeros((dim, dim))
-
-    return drift, jacobian
+    zeros, zero_jac = (0.0,) * dim, (0.0,) * (dim * dim)
+    return (
+        _from_floats(lambda x, t: zeros, (dim,)),
+        _from_floats(lambda x, t: zero_jac, (dim, dim)),
+    )
 
 
-def _linear_drift(a: np.ndarray) -> tuple[DriftFn, DriftFn]:
-    a = np.asarray(a, dtype=float)
-
-    def drift(x, t):
-        return a @ x
-
-    def jacobian(x, t):
-        return a
-
-    return drift, jacobian
+def _linear_map(a: np.ndarray) -> tuple[DriftFn, DriftFn]:
+    """x, t -> a x and its constant Jacobian a: the linear drift and observation map."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    rows, flat = a.tolist(), tuple(a.ravel().tolist())
+    return (
+        _from_floats(lambda x, t: [_dot(row, x) for row in rows], (a.shape[0],)),
+        _from_floats(lambda x, t: flat, a.shape),
+    )
 
 
 def _vanderpol_forced_drift(scale: float, forcing: float, omega: float) -> tuple[DriftFn, DriftFn]:
@@ -133,25 +141,22 @@ def _vanderpol_forced_drift(scale: float, forcing: float, omega: float) -> tuple
     f2 = scale * ((1 - x1^2 - x2^2) x2 - x1 + forcing * x2 * sin(omega t))
     """
 
-    # Scalar arithmetic on Python floats: this runs once per step, and
-    # numpy scalars cost several times more per operation.
     def drift(x, t):
-        x1, x2 = x.tolist()
+        x1, x2 = x
         f1 = scale * x2
         f2 = scale * ((1.0 - x1 * x1 - x2 * x2) * x2 - x1 + forcing * x2 * math.sin(omega * t))
-        return np.array([f1, f2])
+        return f1, f2
 
     def jacobian(x, t):
-        x1, x2 = x.tolist()
-        return np.array([
-            [0.0, scale],
-            [
-                scale * (-2.0 * x1 * x2 - 1.0),
-                scale * (-2.0 * x2 * x2 + (1.0 - x1 * x1 - x2 * x2) + forcing * math.sin(omega * t)),
-            ],
-        ])
+        x1, x2 = x
+        return (
+            0.0,
+            scale,
+            scale * (-2.0 * x1 * x2 - 1.0),
+            scale * (-2.0 * x2 * x2 + (1.0 - x1 * x1 - x2 * x2) + forcing * math.sin(omega * t)),
+        )
 
-    return drift, jacobian
+    return _from_floats(drift, (2,)), _from_floats(jacobian, (2, 2))
 
 
 DRIFT_KINDS = ("zero", "linear", "vanderpol_forced")
@@ -178,7 +183,7 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
             raise ValidationError(f"unknown linear drift parameters {sorted(params)}")
         if a.shape != (dim, dim):
             raise ValidationError(f"drift matrix A has shape {a.shape}, expected {(dim, dim)}")
-        return _linear_drift(a)
+        return _linear_map(a)
     if kind == "vanderpol_forced":
         if dim != 2:
             raise ValidationError("vanderpol_forced drift is two dimensional")

@@ -14,6 +14,7 @@ seed 0, mode "sampled", B = R = identity.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
@@ -24,8 +25,17 @@ import numpy as np
 
 from .errors import NotPositiveDefinite, ParseError, ValidationError
 from .linalg import spd_cholesky, spd_inverse
-from .potential import eval_double_well, eval_log_barrier, eval_quadratic_penalty, tanh_target
-from .process import ItoProcessModel, make_drift
+from .potential import (
+    _double_well_floats,
+    _log_barrier_floats,
+    _penalty_floats,
+    _quadratic_floats,
+    _tanh_level,
+    eval_double_well,
+    eval_log_barrier,
+    eval_quadratic_penalty,
+)
+from .process import ItoProcessModel, _linear_map, make_drift
 
 __all__ = [
     "Scenario",
@@ -43,12 +53,26 @@ TARGET_KINDS = ("constant", "tanh_ramp")
 MODES = ("sampled", "belief")
 
 
+def _whole(raw, label: str, minimum: int, wanted: str) -> int:
+    # raw as an int: an int, or a float such as 3.0 that is whole; not a
+    # bool or a string.
+    whole = isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or raw < minimum:
+        raise ValidationError(f"{label} must be {wanted}; got {raw!r}")
+    return int(raw)
+
+
 def check_seed(raw, label: str = "seed") -> int:
     """A seed as an int; it must be a non-negative whole number (3.0 reads as 3)."""
-    whole = isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not whole or raw < 0:
-        raise ValidationError(f"{label} must be a non-negative whole number; got {raw!r}")
-    return int(raw)
+    return _whole(raw, label, 0, "a non-negative whole number")
+
+
+def _check_dt(raw) -> float:
+    # A finite real number > 0; not a bool or a string.
+    real = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+    if not (real and math.isfinite(raw) and raw > 0):
+        raise ValidationError(f"dt must be positive, finite and a number; got {raw!r}")
+    return float(raw)
 
 
 def _take(mapping: dict, allowed: dict, context: str) -> dict:
@@ -119,31 +143,44 @@ class Scenario:
 
     def build_target(self):
         """Target schedule as a function of the step index."""
+        floats = self._target_floats()
+        if floats is None:
+            return None
+        return lambda t: np.array(floats(t))
+
+    def _target_floats(self):
+        # The target schedule on Python floats: step -> list of m floats.
         if self.target_kind is None:
             return None
         if self.target_kind == "constant":
-            value = np.asarray(self.target_params["value"], dtype=float)
+            value = np.asarray(self.target_params["value"], dtype=float).tolist()
             return lambda t: value
         amplitude = self.target_params["amplitude"]
         rate = self.target_params["rate"]
         center = self.target_params["center"]
         dim = self.dim
-        return lambda t: tanh_target(t, dim=dim, amplitude=amplitude, rate=rate, center=center)
+        return lambda t: [_tanh_level(t, amplitude, rate, center)] * dim
 
     def build_potential(self):
-        """Closure (x, step) -> PotentialEvaluation."""
+        """Closure (x, step) -> PotentialEvaluation, carrying its float form."""
         kind = self.potential_kind
         if kind in ("quadratic_penalty", "double_well"):
-            # Read-only, so the step core may reuse its factorization for
-            # as long as this same array comes back as the curvature.
+            # Read-only: the float form holds a copy of its values.
             inv = spd_inverse(self.potential_params["sigma_nu"])
             inv.setflags(write=False)
             target = self.build_target()
-            evaluate = eval_quadratic_penalty if kind == "quadratic_penalty" else eval_double_well
-            return lambda x, t: evaluate(x, target(t), inv)
+            if kind == "quadratic_penalty":
+                evaluate, inner = eval_quadratic_penalty, _penalty_floats
+            else:
+                evaluate, inner = eval_double_well, _double_well_floats
+            fn = lambda x, t: evaluate(x, target(t), inv)  # noqa: E731
+            fn.floats = _quadratic_floats(inner, self._target_floats(), inv.tolist())
+            return fn
         if kind == "log_barrier":
             a = np.asarray(self.potential_params["a"], dtype=float)
-            return lambda x, t: eval_log_barrier(x, a)
+            fn = lambda x, t: eval_log_barrier(x, a)  # noqa: E731
+            fn.floats = _log_barrier_floats(a.tolist())
+            return fn
         raise ValidationError(
             f"potential kind {kind!r} has no state potential (observation "
             "scenarios are for the filter command)"
@@ -159,15 +196,9 @@ class Scenario:
             )
         sigma_nu = self.potential_params["sigma_nu"]
         omap = self.potential_params["map"]
-        if omap["kind"] == "identity":
-            c = np.eye(self.dim)
-        else:
-            c = np.asarray(omap["C"], dtype=float)
-        return ObservationModel(
-            h=lambda x, t: c @ x,
-            h_jacobian=lambda x, t: c,
-            sigma_nu=sigma_nu,
-        )
+        c = np.eye(self.dim) if omap["kind"] == "identity" else omap["C"]
+        h, h_jacobian = _linear_map(c)
+        return ObservationModel(h=h, h_jacobian=h_jacobian, sigma_nu=sigma_nu)
 
     def to_dict(self) -> dict:
         """Canonical JSON-ready form; parsing it back reproduces the scenario."""
@@ -218,6 +249,8 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
 
     initial = _take(top["initial"], {"mean": ..., "cov": ...}, "initial")
     mean0 = np.atleast_1d(np.asarray(initial["mean"], dtype=float))
+    if not np.isfinite(mean0).all():
+        raise ValidationError(f"initial mean must be finite; got {mean0.tolist()}")
     cov0 = _spd_matrix(initial["cov"], "initial cov")
     dim = len(mean0)
     if cov0.shape != (dim, dim):
@@ -228,9 +261,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     g_inv = _spd_matrix(proc["g_inv"], "g_inv")
     if g_inv.shape != (dim, dim):
         raise ValidationError(f"g_inv shape {g_inv.shape} does not match state dim {dim}")
-    dt = float(proc["dt"])
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
+    dt = _check_dt(proc["dt"])
     # Build the drift once right here so a bad kind or parameter set
     # fails at parse time, not mid-sweep in a worker process.
     make_drift(drift["kind"], dict(drift["params"] or {}), dim)
@@ -306,9 +337,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         if r.shape[0] != b.shape[1]:
             raise ValidationError("R dim does not match B columns")
 
-    horizon = int(top["horizon"])
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    horizon = _whole(top["horizon"], "horizon", 1, "a whole number >= 1")
     mode = top["mode"]
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")

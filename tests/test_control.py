@@ -263,3 +263,73 @@ def test_closed_loop_refactors_changing_curvature(mode):
     )
     assert result.completed
     assert_loops_agree(result, rows, failed_step)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "belief"])
+def test_closed_loop_adapter_path_matches_reference(mode):
+    # m = 3, k = 2 through the adapter: a bundled linear drift wrapped
+    # by a user callable (so its float form is not seen), a user
+    # Jacobian and a user potential l = tanh(C x) - d(t) that returns a
+    # PotentialEvaluation. The reference loop is built from
+    # engine.predict, the oracle's precision form and sample_posterior.
+    rng = np.random.default_rng(41)
+    a = 0.05 * rng.standard_normal((3, 3)) - 0.02 * np.eye(3)
+    drift, jacobian = process.make_drift("linear", {"A": a}, 3)
+    calls = []
+
+    def wrapped_drift(x, t):
+        calls.append(t)
+        return drift(x, t)
+
+    model = process.ItoProcessModel(
+        dim=3, drift=wrapped_drift, drift_jacobian=lambda x, t: a, g_inv=0.01 * random_spd(rng, 3)
+    )
+    c = rng.standard_normal((2, 3))
+    w = 20.0 * random_spd(rng, 2)
+
+    def potential_fn(x_hat, t):
+        inner = np.tanh(c @ x_hat)
+        l = inner - np.array([0.3, -0.2]) * np.sin(0.05 * t)
+        grad = w @ l
+        return PotentialEvaluation(
+            l=l, value=0.5 * float(l @ grad), grad_l=grad, H=-(1.0 - inner**2)[:, None] * c,
+            curvature=w, counter_curvature=np.zeros((3, 3)),
+        )
+
+    cfg = ControlConfig(
+        B=np.array([[1.0, 0.0, 0.0, 0.5], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.2]]),
+        R=np.diag([1.0, 2.0, 1.0, 0.5]),
+    )
+    initial = engine.GaussianBelief(mean=[0.4, -0.3, 0.2], cov=0.5 * np.eye(3), step=0, tag="predicted")
+    horizon = 200
+    result = run_closed_loop(model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode)
+    assert result.completed and result.jitter_retries == 0
+    assert calls == list(range(horizon))
+    rows, failed_step = reference_loop(
+        model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode
+    )
+    assert_loops_agree(result, rows, failed_step)
+
+
+def test_jitter_retries_are_counted():
+    # Two constraints on x1 with a huge curvature: sigma_nu = 1e-20 I
+    # vanishes next to H cov H^T, so S is exactly cov11 * ones, whose
+    # second pivot is 0. Every step takes the jittered retry, and the
+    # run reports it; the bundled scenarios never need one.
+    h = np.array([[1.0, 0.0], [1.0, 0.0]])
+
+    def potential_fn(x_hat, t):
+        l = h @ x_hat
+        curvature = 1e20 * np.eye(2)
+        return PotentialEvaluation(
+            l=l, value=0.0, grad_l=np.zeros(2), H=-h, curvature=curvature,
+            counter_curvature=np.zeros((2, 2)),
+        )
+
+    initial = engine.GaussianBelief(mean=[0.5, 0.5], cov=np.eye(2), step=0, tag="predicted")
+    cfg = ControlConfig(B=np.eye(2), R=np.eye(2))
+    result = run_closed_loop(zero_model(2), potential_fn, initial, cfg, 3, None, mode="belief")
+    assert result.completed
+    assert result.jitter_retries >= 1
+    for name in ("penalty", "doublewell", "barrier"):
+        assert run_scenario(name, overrides={"horizon": 50}, seed=2).jitter_retries == 0

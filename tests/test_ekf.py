@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import random_spd, rel_err
+from conftest import counting_kernels, random_spd, rel_err
 from sqc import ekf, engine, process
 from sqc.errors import ValidationError
 from sqc.potential import eval_quadratic_penalty
@@ -173,16 +173,9 @@ def test_filter_loglik_matches_marginal_likelihood():
 
 def test_filter_factors_curvature_once_per_call(monkeypatch):
     # sigma_nu_inv is the curvature of every observation potential; it is
-    # read-only, so one filter call factors it once however many
-    # observations it absorbs.
-    calls = []
-    invert = engine._invert_curvature
-
-    def counted(curvature):
-        calls.append(1)
-        return invert(curvature)
-
-    monkeypatch.setattr(engine, "_invert_curvature", counted)
+    # constant, so one filter call has the generated kernel factor it
+    # once however many observations it absorbs.
+    calls = counting_kernels(monkeypatch, "factor")
     a, g_inv, c, sigma_nu, ys = filter_fixture(T=80)
     obs = linear_obs_model(c, sigma_nu)
     steps = np.array([s for s in range(80) if s % 7 not in (3, 4)])

@@ -1,11 +1,17 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd, rel_err
-from sqc import control, ekf, engine, oracle, process
-from sqc.errors import NonFinite
+from conftest import counting_kernels, random_spd, rel_err
+from sqc import control, ekf, engine, linalg, oracle, process
+from sqc.errors import NonFinite, NotPositiveDefinite
 from sqc.potential import PotentialEvaluation, eval_quadratic_penalty
 
 
@@ -75,9 +81,27 @@ def test_update_forms_agree():
         assert rel_err(gain.cov, prec.cov) < 1e-10
 
 
+def kernel_update(belief, pot, dt):
+    """The generated kernel's factor and update stages on one belief.
+
+    Returns (posterior mean, posterior cov, shift, log_n, script_n) as
+    arrays and floats.
+    """
+    m, k = belief.dim, len(pot.grad_l)
+    kernel = engine._kernel(m, k)
+    retries = [0]
+    sig, hld = kernel.factor(pot.curvature.ravel().tolist(), retries)
+    mean, cov, shift, log_n, script_n = kernel.update(
+        belief.mean.tolist(), belief.cov.ravel().tolist(), pot.value, pot.grad_l.tolist(),
+        pot.H.ravel().tolist(), sig, hld, 0.5 * k * math.log(dt), dt, belief.step, retries,
+    )
+    assert retries == [0]
+    return np.array(mean), np.reshape(cov, (m, m)), np.array(shift), log_n, script_n
+
+
 def test_step_core_matches_reference_pair():
-    # The update kernel must stay pinned to the oracle's precision-form
-    # update and normalization, which share no code with it.
+    # The generated update kernel must stay pinned to the oracle's
+    # precision-form update and normalization, which share no code with it.
     rng = np.random.default_rng(12)
     for _ in range(30):
         m, k = int(rng.integers(1, 6)), int(rng.integers(1, 6))
@@ -86,12 +110,89 @@ def test_step_core_matches_reference_pair():
         dt = float(rng.choice([0.25, 1.0]))
         ref = oracle.update_precision_form(belief, pot, dt)
         ref_diag = oracle.normalization_precision_form(belief, pot, dt)
-        mean, cov, shift, log_n, script_n = engine._step_core(belief.mean, belief.cov, pot, dt)
+        mean, cov, shift, log_n, script_n = kernel_update(belief, pot, dt)
         assert rel_err(mean, ref.mean) < 1e-11
         assert rel_err(cov, ref.cov) < 1e-11
         np.testing.assert_allclose(shift, mean - belief.mean, atol=1e-12)
         assert log_n == pytest.approx(ref_diag.log_n, rel=1e-9, abs=1e-10)
         assert script_n == pytest.approx(ref_diag.script_n, rel=1e-9, abs=1e-10)
+
+
+@pytest.mark.parametrize("h_zero", [False, True], ids=["dense_h", "zero_h"])
+def test_kernel_matches_precision_form_for_every_shape(h_zero):
+    # Every generated (m, k) kernel with m, k <= 6 against the oracle's
+    # precision form, with the bounds of the reference-pair test above.
+    rng = np.random.default_rng(15)
+    for m in range(1, 7):
+        for k in range(1, 7):
+            belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
+            pot = random_potential(rng, m, k, h_zero=h_zero)
+            dt = float(rng.choice([0.25, 1.0]))
+            ref = oracle.update_precision_form(belief, pot, dt)
+            ref_diag = oracle.normalization_precision_form(belief, pot, dt)
+            mean, cov, shift, log_n, script_n = kernel_update(belief, pot, dt)
+            assert rel_err(mean, ref.mean) < 1e-11, (m, k)
+            assert rel_err(cov, ref.cov) < 1e-11, (m, k)
+            np.testing.assert_allclose(shift, mean - belief.mean, atol=1e-12)
+            assert log_n == pytest.approx(ref_diag.log_n, rel=1e-9, abs=1e-10), (m, k)
+            assert script_n == pytest.approx(ref_diag.script_n, rel=1e-9, abs=1e-10), (m, k)
+
+
+def test_kernel_cholesky_falls_back_to_jittered_factor():
+    # With H = 0 the kernel factors S = sigma_nu / dt itself. An S of all
+    # ones has second pivot 1 - 1 * 1 = 0, so the factor must be
+    # spd_cholesky's jittered one, seen through log_n = log|S|/2 + ...,
+    # and the run's count must show the retry. The sample stage takes
+    # the same fallback for a covariance of all ones.
+    kernel = engine._kernel(2, 2)
+    ones = np.ones((2, 2))
+    low = linalg.spd_cholesky(ones)
+    assert low[1, 1] > 0.0
+    retries = [0]
+    mean, cov, shift, log_n, _ = kernel.update(
+        [0.5, -0.5], [1.0, 0.2, 0.2, 2.0], 0.3, [1.0, 2.0], [0.0] * 4, ones.ravel().tolist(),
+        0.0, 0.0, 1.0, 0, retries,
+    )
+    assert retries == [1]
+    assert log_n == pytest.approx(float(np.log(np.diag(low)).sum()) + 0.3, rel=1e-14)
+    assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
+
+    z = [0.7, -1.1]
+    x = kernel.sample([0.1, 0.2], ones.ravel().tolist(), z, retries)
+    assert retries == [2]
+    np.testing.assert_allclose(x, np.array([0.1, 0.2]) + low @ z, rtol=1e-14, atol=1e-14)
+
+
+def test_kernel_indefinite_matrix_raises():
+    kernel = engine._kernel(2, 2)
+    indefinite = [1.0, 2.0, 2.0, 1.0]
+    retries = [0]
+    with pytest.raises(NotPositiveDefinite):
+        kernel.update([0.0, 0.0], [1.0, 0.0, 0.0, 1.0], 0.0, [1.0, 1.0], [0.0] * 4, indefinite,
+                      0.0, 0.0, 1.0, 0, retries)
+    with pytest.raises(NotPositiveDefinite):
+        kernel.factor(indefinite, retries)
+    with pytest.raises(NotPositiveDefinite):
+        kernel.sample([0.0, 0.0], indefinite, [0.1, 0.2], retries)
+    assert retries == [0]
+
+
+def test_import_and_scenario_load_compile_no_kernel():
+    # Kernels compile on first use, so importing the package and loading
+    # a scenario (what the benchmark's set-up time measures) compiles none.
+    code = (
+        "import sqc, sqc.cli\n"
+        "for name in sqc.scenario.BUNDLED_SCENARIOS:\n"
+        "    sc = sqc.load_bundled(name)\n"
+        "    sc.build_model(); sc.build_potential()\n"
+        "print(sqc.engine._kernel.cache_info().currsize, sqc.engine._compiled.cache_info().currsize)\n"
+    )
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.split() == ["0", "0"]
 
 
 def test_gauge_invariance():
@@ -205,16 +306,10 @@ def test_step_sampled_mode_reproducible():
 
 def test_update_paths_run_through_step_core(monkeypatch):
     # One update kernel: the public update and normalization, the
-    # closed loop and the observation filter each call _step_core once
-    # per update, so no second implementation can take over a path.
-    calls = []
-    kernel = engine._step_core
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "_step_core", counted)
+    # closed loop and the observation filter each call the generated
+    # kernel's update once per update, so no second implementation can
+    # take over a path.
+    calls = counting_kernels(monkeypatch, "update")
     model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
     pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
     belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")

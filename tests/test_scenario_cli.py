@@ -198,6 +198,7 @@ def test_simulate_writes_trajectory_and_summary(tmp_path, capsys):
     summary = json.loads((out / "run.json").read_text())
     assert summary["completed"] is True and summary["exit_code"] == 0
     assert summary["rows"] == 41 and summary["failure"] is None
+    assert summary["jitter_retries"] == 0
     assert "completed" in capsys.readouterr().out
 
 
@@ -327,6 +328,42 @@ def test_scenario_seed_must_be_a_non_negative_whole_number(seed):
 def test_scenario_seed_accepts_whole_floats():
     assert scenario_from_dict(penalty_doc(seed=3.0)).seed == 3
     assert load_bundled("penalty", seed=np.int64(7)).seed == 7
+    assert scenario_from_dict(penalty_doc(horizon=3.0)).horizon == 3
+
+
+def _set_dt(doc, dt):
+    doc["process"]["dt"] = dt
+
+
+def _set_mean(doc, mean):
+    doc["initial"]["mean"] = mean
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(horizon=2.5), "horizon must be a whole number >= 1; got 2.5"),
+        (lambda d: d.update(horizon=True), "horizon must be a whole number >= 1; got True"),
+        (lambda d: d.update(horizon="3"), "horizon must be a whole number >= 1; got '3'"),
+        (lambda d: _set_dt(d, float("nan")), "dt must be positive, finite and a number; got nan"),
+        (lambda d: _set_dt(d, float("inf")), "dt must be positive, finite and a number; got inf"),
+        (lambda d: _set_dt(d, "0.5"), "dt must be positive, finite and a number; got '0.5'"),
+        (lambda d: _set_dt(d, True), "dt must be positive, finite and a number; got True"),
+        (lambda d: _set_mean(d, [float("nan"), 0.0]), "initial mean must be finite; got [nan, 0.0]"),
+    ],
+    ids=["horizon_fraction", "horizon_true", "horizon_string", "dt_nan", "dt_infinity",
+         "dt_string", "dt_true", "mean_nan"],
+)
+def test_simulate_refuses_bad_scenario_numbers(tmp_path, capsys, edit, message):
+    # json.dumps writes nan and inf as NaN and Infinity, which the
+    # scenario reader parses back to floats.
+    doc = penalty_doc()
+    edit(doc)
+    out = tmp_path / "x"
+    assert cli.main(["simulate", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
