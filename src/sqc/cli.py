@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -91,19 +92,10 @@ def _run_one_simulation(scenario, out_dir: Path) -> int:
     return code
 
 
-def _sweep_worker(args) -> int:
-    scenario_path, seed, steps, mode, out_dir = args
-    scenario = parse_scenario(scenario_path)
-    scenario.seed = seed
-    if steps is not None:
-        scenario.horizon = steps
-    if mode is not None:
-        scenario.mode = mode
-    return _run_one_simulation(scenario, Path(out_dir) / f"seed_{seed}")
-
-
 def cmd_simulate(args) -> int:
     if args.seed is not None:
+        if args.seeds is not None:
+            raise ValidationError("--seed and --seeds cannot be combined")
         check_seed(args.seed, "--seed")
     for seed in args.seeds or ():
         check_seed(seed, "--seeds")
@@ -120,16 +112,14 @@ def cmd_simulate(args) -> int:
 
     if args.seeds is not None:
         first, last = args.seeds
-        tasks = [
-            (args.scenario, seed, args.steps, args.mode, str(out_dir))
-            for seed in range(first, last + 1)
-        ]
-        if len(tasks) == 1:
-            codes = [_sweep_worker(tasks[0])]
-        else:
-            with ProcessPoolExecutor() as pool:
-                codes = list(pool.map(_sweep_worker, tasks))
-        print(f"{len(tasks)} runs under {out_dir}, {sum(c == EXIT_OK for c in codes)} completed")
+        seeds = range(first, last + 1)
+        with ProcessPoolExecutor() as pool:
+            codes = list(pool.map(
+                _run_one_simulation,
+                [dataclasses.replace(scenario, seed=seed) for seed in seeds],
+                [out_dir / f"seed_{seed}" for seed in seeds],
+            ))
+        print(f"{len(seeds)} runs under {out_dir}, {sum(c == EXIT_OK for c in codes)} completed")
         return max(codes)
 
     if args.seed is not None:

@@ -9,13 +9,14 @@ innovation form.
 Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
 
-filter_with_likelihood runs every step through the engine's step
-kernel, predicting and absorbing each observation with unit time
-weight on Python floats as the closed loop does, and factors the
-constant curvature sigma_nu_inv once per call. h and its Jacobian enter
-through their float forms when they carry one (the scenario's linear
-and identity maps do) and through .tolist() otherwise. Its log
-normalization gives the marginal likelihood:
+filter_with_likelihood has no step loop of its own: it hands the
+engine's loop the observation potential as a float form, with the
+constant curvature sigma_nu_inv (factored once per call), unit time
+weight, and no evaluation at unobserved steps, which keep the bare
+prediction. h and its Jacobian enter through their float forms when
+they carry one (the scenario's linear and identity maps do) and
+through .tolist() otherwise. The log normalization gives the marginal
+likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
@@ -32,7 +33,7 @@ import numpy as np
 from . import engine
 from .errors import ValidationError
 from .linalg import spd_inverse, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation, _quadratic, _vector, _zero_matrix
+from .potential import PotentialEvaluation, PotentialFloats, _quadratic, _vector, _zero_matrix
 from .process import ItoProcessModel
 
 __all__ = [
@@ -167,43 +168,38 @@ def filter_with_likelihood(
     """
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
-    by_step = stream.as_dict()
+    by_step = {s: y.tolist() for s, y in stream.as_dict().items()}
     start = initial_belief.step
     if horizon is None:
         horizon = max(by_step) if by_step else start
-    m, k = initial_belief.dim, obs_model.sigma_nu.shape[0]
-    kernel = engine._kernel(m, k)
-    retries = [0]
-    sig, hld = kernel.factor(obs_model.sigma_nu_inv.ravel().tolist(), retries)
     weights = obs_model.sigma_nu_inv.tolist()
-    drift, jacobian = engine._floats(model.drift), engine._floats(model.drift_jacobian)
     h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
-    noise, dt = model.noise_cov.ravel().tolist(), model.dt
-    x, p = initial_belief.mean.tolist(), initial_belief.cov.ravel().tolist()
-    means, covs, tags, logliks = [], [], [], []
-    for s in range(start, horizon + 1):
-        if s > start:
-            x, p = kernel.predict(x, p, drift(x, s - 1), jacobian(x, s - 1), noise, dt, s - 1)
-        y = by_step.get(s)
+
+    def evaluate(x, t):
+        # The observation potential at step t, or None where nothing is observed.
+        y = by_step.get(t)
         if y is None:
-            tags.append("predicted")
-            logliks.append(math.nan)
-        else:
-            l = [yi - hi for yi, hi in zip(y.tolist(), h(x, s))]
-            value, grad = _quadratic(l, weights)
-            # Unit time weight: dt = 1, so the (k/2) log dt term is 0.
-            x, p, _, log_n, _ = kernel.update(
-                x, p, value, grad, h_jacobian(x, s), sig, hld, 0.0, 1.0, s, retries
-            )
-            tags.append("updated")
-            logliks.append(obs_model.log_density_offset - log_n)
-        means.append(x)
-        covs.append(p)
-    n = len(means)
-    mean_table = np.array(means).reshape(n, m)
-    cov_table = np.array(covs).reshape(n, m, m)
-    beliefs = list(map(engine.GaussianBelief._trusted, mean_table, cov_table, range(start, start + n), tags))
-    return beliefs, logliks
+            return None
+        value, grad = _quadratic([yi - hi for yi, hi in zip(y, h(x, t))], weights)
+        return value, grad, h_jacobian(x, t), None
+
+    potential = PotentialFloats(evaluate, tuple(obs_model.sigma_nu_inv.ravel().tolist()), len(weights))
+    rows = engine._new_rows()
+    draws = [None] * (horizon + 1 - start)
+    engine._run(
+        model, potential, initial_belief.mean, initial_belief.cov, start, True, draws, rows, [0], weight=1.0
+    )
+    _, means, covs, _, log_ns, _ = rows
+    m, n = initial_belief.dim, len(means)
+    steps = range(start, start + n)
+    beliefs = list(map(
+        engine.GaussianBelief._trusted,
+        engine._table(means, n * m).reshape(n, m),
+        engine._table(covs, n * m * m).reshape(n, m, m),
+        steps,
+        ["updated" if s in by_step else "predicted" for s in steps],
+    ))
+    return beliefs, [obs_model.log_density_offset - log_n for log_n in log_ns]
 
 
 # Steps are stored as numpy's default integer, a C long.

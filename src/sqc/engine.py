@@ -36,15 +36,16 @@ transient conditioning trouble (and still raises NotPositiveDefinite
 for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
-The kernel is the only update: update(), normalization(), step(), the
-closed loop and the observation filter all run through it. Drifts and
-potentials enter as float forms: the bundled ones carry theirs as the
-``floats`` attribute of their callables, and any other callable
-(including one that wraps a bundled one) is called with an array and
-its result unpacked with .tolist(). A constant curvature is factored
-once per run; one that comes back with every evaluation is factored
-every step. predict() and sample_posterior() stay in numpy as the
-independent references for the kernel's predict and sample stages,
+The kernel is the only update and _run the only step loop: step(),
+the closed loop and the observation filter each hand _run all their
+steps, and update() and normalization() call the kernel's update.
+Drifts and potentials enter as float forms: the bundled ones carry
+theirs as the ``floats`` attribute of their callables, the filter
+builds its own, and any other callable (including one that wraps a
+bundled one) is called with an array and its result unpacked with
+.tolist(). A constant curvature is factored once per run; one that
+comes back with every evaluation is factored every step. predict()
+and sample_posterior() stay in numpy as the independent references for the kernel's predict and sample stages,
 and the oracle keeps the precision form of the update as the
 reference for its update.
 """
@@ -378,12 +379,15 @@ def _floats(fn: Callable) -> Callable:
     return adapter
 
 
-def _potential_floats(potential_fn: PotentialFn) -> PotentialFloats:
-    """potential_fn's float form, or an adapter that reads its PotentialEvaluation.
+def _potential_floats(potential_fn) -> PotentialFloats:
+    """potential_fn if it is a float form, else its float form or an adapter.
 
-    The adapter returns the curvature with every evaluation, so it is
-    factored every step, and its k is learned from the first one.
+    The adapter reads the PotentialEvaluation and returns the curvature
+    with every evaluation, so it is factored every step, and its k is
+    learned from the first one.
     """
+    if isinstance(potential_fn, PotentialFloats):
+        return potential_fn
     form = getattr(potential_fn, "floats", None)
     if form is not None:
         return form
@@ -416,7 +420,7 @@ def _new_rows() -> tuple:
 
 def _run(
     model: ItoProcessModel,
-    potential_fn: PotentialFn,
+    potential_fn: PotentialFn | PotentialFloats,
     mean: np.ndarray,
     cov: np.ndarray,
     t: int,
@@ -424,18 +428,23 @@ def _run(
     draws: list,
     rows: tuple,
     retries: list,
+    weight: Optional[float] = None,
 ) -> None:
-    """The recursion loop, shared by step() and the closed loop.
+    """The recursion loop of step(), the closed loop and the filter.
 
     Runs one step per entry of ``draws`` from the moments (mean, cov)
     at step t: predicts (except on the first step when the moments are
     already predicted), evaluates the potential at the predicted mean,
-    updates, and takes the next state from the posterior with the
-    step's standard normal draw, or the posterior mean where the draw
-    is None. Each step appends to the columns of ``rows``; a step that
-    raises appends nothing, so len(rows[0]) counts the completed ones.
+    updates with time weight ``weight`` (default model.dt), and takes
+    the next state from the posterior with the step's standard normal
+    draw, or the posterior mean where the draw is None. Where a float
+    form's evaluate returns None the step keeps the bare prediction,
+    with V and log_n nan and a zero shift. Each step appends to the
+    columns of ``rows``; a step that raises appends nothing, so
+    len(rows[0]) counts the completed ones.
     """
     m, dt = len(mean), model.dt
+    weight = dt if weight is None else weight
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
     evaluate, curvature, k = _potential_floats(potential_fn)
     # predict and sample do not depend on k; an adapter's k is learned
@@ -444,7 +453,7 @@ def _run(
     predict, factor, update, sample = kernel.predict, kernel.factor, kernel.update, kernel.sample
     if curvature is not None:
         sig, hld = factor(curvature, retries)
-    ldt = 0.5 * (k or 0) * math.log(dt)
+    ldt = 0.5 * (k or 0) * math.log(weight)
     noise = model.noise_cov.ravel().tolist()
     x, p = mean.tolist(), cov.ravel().tolist()
     xs, means, covs, values, log_ns, shifts = rows
@@ -455,15 +464,20 @@ def _run(
         else:
             mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
             t += 1
-        value, grad, h, curv = evaluate(mn, t)
-        if curv is not None:
-            if len(grad) != k:
-                k = len(grad)
-                kernel = _kernel(m, k)
-                factor, update = kernel.factor, kernel.update
-                ldt = 0.5 * k * math.log(dt)
-            sig, hld = factor(curv, retries)
-        mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, dt, t, retries)
+        pot = evaluate(mn, t)
+        if pot is None:
+            value = log_n = math.nan
+            shift = (0.0,) * m
+        else:
+            value, grad, h, curv = pot
+            if curv is not None:
+                if len(grad) != k:
+                    k = len(grad)
+                    kernel = _kernel(m, k)
+                    factor, update = kernel.factor, kernel.update
+                    ldt = 0.5 * k * math.log(weight)
+                sig, hld = factor(curv, retries)
+            mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
         x = mn if z is None else sample(mn, p, z, retries)
         xs.append(x)
         means.append(mn)

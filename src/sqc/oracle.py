@@ -29,7 +29,6 @@ with it (quadrature_checks), one of them a barrier point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -103,6 +102,20 @@ def _potential_values(potential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return vals, outside
 
 
+def _weighted_moments(xs: np.ndarray, ws: np.ndarray, log_w: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Mean, covariance and log mass of the nodes xs under the weights ws e^log_w.
+
+    The largest log weight is factored out before exponentiating.
+    """
+    shift = log_w.max()
+    w = ws * np.exp(log_w - shift)
+    mass = w.sum()
+    mean = (w[:, None] * xs).sum(axis=0) / mass
+    diff = xs - mean[None, :]
+    cov = (w[:, None, None] * (diff[:, :, None] * diff[:, None, :])).sum(axis=0) / mass
+    return mean, linalg.symmetrize(cov), float(np.log(mass) + shift)
+
+
 def weighted_gaussian_moments(
     x_hat: np.ndarray,
     sigma: np.ndarray,
@@ -134,14 +147,7 @@ def weighted_gaussian_moments(
             f"potential domain truncates {lost:.3g} of the Gaussian mass"
         )
     keep = ~outside
-    log_w = -vals[keep] * dt
-    shiftv = log_w.max()
-    w_eff = ws[keep] * np.exp(log_w - shiftv)
-    mass = w_eff.sum()
-    mean1 = (w_eff[:, None] * xs[keep]).sum(axis=0) / mass
-    diff = xs[keep] - mean1[None, :]
-    cov1 = (w_eff[:, None, None] * (diff[:, :, None] * diff[:, None, :])).sum(axis=0) / mass
-    cov1 = linalg.symmetrize(cov1)
+    mean1, cov1, _ = _weighted_moments(xs[keep], ws[keep], -vals[keep] * dt)
 
     # Second pass: importance quadrature centered on the first estimate.
     ref_cov = linalg.symmetrize(1.5 * cov1)
@@ -153,14 +159,7 @@ def weighted_gaussian_moments(
         + _log_gauss(ys[keep2], x_hat, sigma)
         - _log_gauss(ys[keep2], mean1, ref_cov)
     )
-    shift2 = log_int.max()
-    w2 = wy[keep2] * np.exp(log_int - shift2)
-    mass2 = w2.sum()
-    mean = (w2[:, None] * ys[keep2]).sum(axis=0) / mass2
-    diff2 = ys[keep2] - mean[None, :]
-    cov = (w2[:, None, None] * (diff2[:, :, None] * diff2[:, None, :])).sum(axis=0) / mass2
-    log_norm = float(np.log(mass2) + shift2)
-    return mean, linalg.symmetrize(cov), log_norm
+    return _weighted_moments(ys[keep2], wy[keep2], log_int)
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +447,6 @@ def identity_suite(
     trials: int = 500,
     tol: float = 1e-8,
     cond_limit: float = 1e7,
-    update_fn: Optional[Callable] = None,
-    precision_update_fn: Optional[Callable] = None,
 ) -> IdentityReport:
     """Randomized verification of the update algebra.
 
@@ -466,12 +463,9 @@ def identity_suite(
 
     Instances whose prior covariance is ill-conditioned beyond
     cond_limit are skipped, not failed. Failures are reported, never
-    raised. Alternative update implementations can be injected for
-    mutation testing.
+    raised.
     """
     rng = np.random.default_rng(seed)
-    upd = update_fn or engine.update
-    upd_prec = precision_update_fn or update_precision_form
     report = IdentityReport(trials=trials, checked=0, skipped=0)
     worst = {"forms_mean": 0.0, "forms_cov": 0.0, "cov_two_forms": 0.0, "determinant": 0.0, "gauge": 0.0}
 
@@ -497,8 +491,8 @@ def identity_suite(
         belief = engine.GaussianBelief(mean=mean, cov=cov, step=0, tag="predicted")
         report.checked += 1
 
-        ga = upd(belief, pot, dt)
-        pr = upd_prec(belief, pot, dt)
+        ga = engine.update(belief, pot, dt)
+        pr = update_precision_form(belief, pot, dt)
         e_mean = _rel(ga.mean, pr.mean)
         e_cov = _rel(ga.cov, pr.cov)
 
@@ -514,7 +508,7 @@ def identity_suite(
             l=pot.l, value=value + 7.25, grad_l=grad_l, H=h,
             curvature=curvature, counter_curvature=np.zeros((m, m)),
         )
-        gb = upd(belief, shifted, dt)
+        gb = engine.update(belief, shifted, dt)
         n1 = engine.normalization(belief, shifted, dt)
         e_gauge = max(
             _rel(ga.mean, gb.mean),
@@ -544,38 +538,26 @@ def quadrature_checks() -> dict:
     """Engine moments against the quadrature oracle on fixed instances."""
     checks = {}
 
-    belief = engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=0, tag="predicted")
-    pot = eval_quadratic_penalty(belief.mean, np.array([1.0]), np.array([[1.0]]))
-    upd = engine.update(belief, pot, 1.0)
-    mean, cov, log_norm = weighted_gaussian_moments(
-        belief.mean, belief.cov, lambda x: eval_quadratic_penalty(x, np.array([1.0]), np.array([[1.0]])), 1.0
-    )
-    diag = engine.normalization(belief, pot, 1.0)
-    checks["quadratic_1d"] = {
-        "mean_err": float(np.max(np.abs(upd.mean - mean))),
-        "cov_err": float(np.max(np.abs(upd.cov - cov))),
-        "log_norm_err": abs(diag.log_n + log_norm),
-        "tol": 1e-8,
+    # name: (prior mean, prior cov, target d, weights sigma_nu_inv, dt)
+    quadratic = {
+        "quadratic_1d": ([0.0], [[1.0]], [1.0], [[1.0]], 1.0),
+        "quadratic_2d": ([0.3, -0.2], [[1.0, 0.3], [0.3, 0.7]], [1.0, 0.0], [[2.0, 0.0], [0.0, 0.5]], 0.5),
     }
-
-    mean0 = np.array([0.3, -0.2])
-    cov0 = np.array([[1.0, 0.3], [0.3, 0.7]])
-    d = np.array([1.0, 0.0])
-    s_inv = np.array([[2.0, 0.0], [0.0, 0.5]])
-    dt = 0.5
-    belief2 = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
-    pot2 = eval_quadratic_penalty(mean0, d, s_inv)
-    upd2 = engine.update(belief2, pot2, dt)
-    mean2, cov2, log_norm2 = weighted_gaussian_moments(
-        mean0, cov0, lambda x: eval_quadratic_penalty(x, d, s_inv), dt
-    )
-    diag2 = engine.normalization(belief2, pot2, dt)
-    checks["quadratic_2d"] = {
-        "mean_err": float(np.max(np.abs(upd2.mean - mean2))),
-        "cov_err": float(np.max(np.abs(upd2.cov - cov2))),
-        "log_norm_err": abs(diag2.log_n + log_norm2),
-        "tol": 1e-8,
-    }
+    for name, (mean0, cov0, d, s_inv, dt) in quadratic.items():
+        d, s_inv = np.array(d), np.array(s_inv)
+        belief = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
+        pot = eval_quadratic_penalty(belief.mean, d, s_inv)
+        upd = engine.update(belief, pot, dt)
+        mean, cov, log_norm = weighted_gaussian_moments(
+            belief.mean, belief.cov, lambda x: eval_quadratic_penalty(x, d, s_inv), dt
+        )
+        diag = engine.normalization(belief, pot, dt)
+        checks[name] = {
+            "mean_err": float(np.max(np.abs(upd.mean - mean))),
+            "cov_err": float(np.max(np.abs(upd.cov - cov))),
+            "log_norm_err": abs(diag.log_n + log_norm),
+            "tol": 1e-8,
+        }
 
     a = np.array([10.0, 10.0])
     mean_b = np.array([1.0, 1.0])

@@ -183,6 +183,8 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
             raise ValidationError(f"unknown linear drift parameters {sorted(params)}")
         if a.shape != (dim, dim):
             raise ValidationError(f"drift matrix A has shape {a.shape}, expected {(dim, dim)}")
+        if not np.isfinite(a).all():
+            raise ValidationError(f"drift matrix A must be finite; got {a.tolist()}")
         return _linear_map(a)
     if kind == "vanderpol_forced":
         if dim != 2:
@@ -192,5 +194,10 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
         omega = float(params.pop("omega", 0.005))
         if params:
             raise ValidationError(f"unknown vanderpol_forced parameters {sorted(params)}")
+        if not all(map(math.isfinite, (scale, forcing, omega))):
+            raise ValidationError(
+                f"vanderpol_forced parameters must be finite; got scale={scale}, "
+                f"forcing={forcing}, omega={omega}"
+            )
         return _vanderpol_forced_drift(scale, forcing, omega)
     raise ValidationError(f"unknown drift kind {kind!r}; expected one of {DRIFT_KINDS}")

@@ -97,8 +97,16 @@ def _take(mapping: dict, allowed: dict, context: str) -> dict:
     return out
 
 
+def _finite(raw, label: str) -> np.ndarray:
+    # raw as a float array whose entries are all finite.
+    values = np.asarray(raw, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{label} must be finite; got {values.tolist()}")
+    return values
+
+
 def _spd_matrix(raw, label: str) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(raw, dtype=float))
+    mat = np.atleast_2d(_finite(raw, label))
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{label} must be square, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
@@ -248,9 +256,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     )
 
     initial = _take(top["initial"], {"mean": ..., "cov": ...}, "initial")
-    mean0 = np.atleast_1d(np.asarray(initial["mean"], dtype=float))
-    if not np.isfinite(mean0).all():
-        raise ValidationError(f"initial mean must be finite; got {mean0.tolist()}")
+    mean0 = np.atleast_1d(_finite(initial["mean"], "initial mean"))
     cov0 = _spd_matrix(initial["cov"], "initial cov")
     dim = len(mean0)
     if cov0.shape != (dim, dim):
@@ -281,7 +287,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         target_kind = tgt["kind"]
         if target_kind == "constant":
             tp = _take(tgt["params"], {"value": ...}, "target.params")
-            value = np.atleast_1d(np.asarray(tp["value"], dtype=float))
+            value = np.atleast_1d(_finite(tp["value"], "target value"))
             if len(value) != dim:
                 raise ValidationError(f"target value dim {len(value)} does not match state dim {dim}")
             target_params = {"value": value}
@@ -289,12 +295,12 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             tp = _take(
                 tgt["params"], {"amplitude": 0.2, "rate": 0.01, "center": 2500.0}, "target.params"
             )
-            target_params = {k: float(v) for k, v in tp.items()}
+            target_params = {k: float(_finite(v, f"target {k}")) for k, v in tp.items()}
         else:
             raise ValidationError(f"unknown target kind {target_kind!r}; expected one of {TARGET_KINDS}")
     elif kind == "log_barrier":
         params = _take(pot["params"], {"a": ...}, "potential.params")
-        a = np.atleast_1d(np.asarray(params["a"], dtype=float))
+        a = np.atleast_1d(_finite(params["a"], "barrier weights a"))
         if len(a) != dim:
             raise ValidationError(f"barrier weight dim {len(a)} does not match state dim {dim}")
         if np.any(a <= 0):
@@ -313,7 +319,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         elif omap["kind"] == "linear":
             if omap["C"] is None:
                 raise ValidationError('linear observation map requires "C"')
-            c = np.atleast_2d(np.asarray(omap["C"], dtype=float))
+            c = np.atleast_2d(_finite(omap["C"], "observation map C"))
             if c.shape[1] != dim:
                 raise ValidationError(f"observation map C has {c.shape[1]} columns, state dim is {dim}")
             if params["sigma_nu"].shape[0] != c.shape[0]:
@@ -330,7 +336,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         r = np.eye(dim)
     else:
         ctl = _take(control, {"B": ..., "R": ...}, "control")
-        b = np.atleast_2d(np.asarray(ctl["B"], dtype=float))
+        b = np.atleast_2d(_finite(ctl["B"], "B"))
         r = _spd_matrix(ctl["R"], "R")
         if b.shape[0] != dim:
             raise ValidationError(f"B has {b.shape[0]} rows, state dim is {dim}")

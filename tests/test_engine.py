@@ -327,3 +327,31 @@ def test_update_paths_run_through_step_core(monkeypatch):
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     ekf.filter_with_likelihood(model, obs, stream, belief)
     assert len(calls) == 2 + 7 + 3
+
+
+def test_step_loops_run_through_engine_run(monkeypatch):
+    # One step loop: engine.step, the closed loop and the observation
+    # filter each hand all of their steps to a single engine._run call.
+    calls = []
+    run = engine._run
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[6]))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_run", counted)
+    model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
+    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
+    belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")
+
+    engine.step(belief, model, pot_fn, mode="belief")
+    assert calls == [1]
+
+    cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
+    control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
+    assert calls == [1, 7]
+
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
+    stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
+    beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, belief)
+    assert calls == [1, 7, 4] and len(beliefs) == 4

@@ -67,27 +67,33 @@ def test_identity_suite_clean_run():
     assert d["passed"] and d["trials"] == 120
 
 
-def test_identity_suite_catches_corrupted_gain_update():
+def test_identity_suite_catches_corrupted_gain_update(monkeypatch):
+    update = engine.update
+
     def corrupted(belief, pot, dt):
-        out = engine.update(belief, pot, dt)
+        out = update(belief, pot, dt)
         return engine.GaussianBelief(
             mean=out.mean + 1e-4 * np.linalg.norm(out.mean), cov=out.cov,
             step=out.step, tag=out.tag,
         )
 
-    report = oracle.identity_suite(seed=0, trials=60, update_fn=corrupted)
+    monkeypatch.setattr(engine, "update", corrupted)
+    report = oracle.identity_suite(seed=0, trials=60)
     assert not report.passed
     assert any(f["check"] == "forms_mean" for f in report.failures)
 
 
-def test_identity_suite_catches_corrupted_precision_update():
+def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
+    update = oracle.update_precision_form
+
     def corrupted(belief, pot, dt):
-        out = oracle.update_precision_form(belief, pot, dt)
+        out = update(belief, pot, dt)
         return engine.GaussianBelief(
             mean=out.mean, cov=out.cov * (1 + 1e-4), step=out.step, tag=out.tag
         )
 
-    report = oracle.identity_suite(seed=0, trials=60, precision_update_fn=corrupted)
+    monkeypatch.setattr(oracle, "update_precision_form", corrupted)
+    report = oracle.identity_suite(seed=0, trials=60)
     assert not report.passed
     assert any(f["check"] == "forms_cov" for f in report.failures)
 

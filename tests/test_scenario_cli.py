@@ -226,15 +226,16 @@ def test_simulate_steps_and_mode_overrides(tmp_path):
 
 def test_simulate_seed_sweep_matches_single_runs(tmp_path):
     scenario = write_doc(tmp_path, penalty_doc(horizon=30))
-    sweep = tmp_path / "sweep"
-    assert cli.main(["simulate", "--scenario", scenario, "--out", str(sweep),
-                     "--seeds", "0..2"]) == 0
-    for seed in range(3):
-        single = tmp_path / f"single{seed}"
-        cli.main(["simulate", "--scenario", scenario, "--out", str(single), "--seed", str(seed)])
-        assert (sweep / f"seed_{seed}" / "trajectory.csv").read_bytes() == (
-            single / "trajectory.csv"
-        ).read_bytes()
+    for case, overrides in enumerate([[], ["--steps", "12", "--mode", "belief"]]):
+        sweep = tmp_path / f"sweep{case}"
+        assert cli.main(["simulate", "--scenario", scenario, "--out", str(sweep),
+                         "--seeds", "0..2", *overrides]) == 0
+        for seed in range(3):
+            single = tmp_path / f"single{case}_{seed}"
+            cli.main(["simulate", "--scenario", scenario, "--out", str(single), "--seed", str(seed),
+                      *overrides])
+            for name in ("trajectory.csv", "run.json"):
+                assert (sweep / f"seed_{seed}" / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_simulate_rejects_observation_scenario(tmp_path, capsys):
@@ -363,6 +364,84 @@ def test_simulate_refuses_bad_scenario_numbers(tmp_path, capsys, edit, message):
     assert cli.main(["simulate", "--scenario", write_doc(tmp_path, doc), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _tanh_target(doc, **params):
+    doc["potential"]["target"] = {"kind": "tanh_ramp", "params": params}
+
+
+def _control(doc, b, r):
+    doc["control"] = {"B": b, "R": r}
+
+
+@pytest.mark.parametrize(
+    "make_doc, edit, message",
+    [
+        (penalty_doc, lambda d: _control(d, [[NAN, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]),
+         "B must be finite; got [[nan, 0.0], [0.0, 1.0]]"),
+        (penalty_doc, lambda d: _control(d, [[1.0, 0.0], [0.0, 1.0]], [[INF, 0.0], [0.0, 1.0]]),
+         "R must be finite; got [[inf, 0.0], [0.0, 1.0]]"),
+        (penalty_doc, lambda d: d["process"].update(g_inv=[[INF, 0.0], [0.0, 0.001]]),
+         "g_inv must be finite; got [[inf, 0.0], [0.0, 0.001]]"),
+        (penalty_doc, lambda d: d["initial"].update(cov=[[1.0, 0.0], [0.0, INF]]),
+         "initial cov must be finite; got [[1.0, 0.0], [0.0, inf]]"),
+        (penalty_doc, lambda d: d["potential"]["params"].update(sigma_nu=[[INF, 0.0], [0.0, 1.0]]),
+         "sigma_nu must be finite; got [[inf, 0.0], [0.0, 1.0]]"),
+        (dying_barrier_doc, lambda d: d["potential"]["params"].update(a=[NAN]),
+         "barrier weights a must be finite; got [nan]"),
+        (dying_barrier_doc, lambda d: d["potential"]["params"].update(a=[INF]),
+         "barrier weights a must be finite; got [inf]"),
+        (penalty_doc, lambda d: d["potential"]["target"]["params"].update(value=[NAN, 0.0]),
+         "target value must be finite; got [nan, 0.0]"),
+        (penalty_doc, lambda d: d["potential"]["target"]["params"].update(value=[0.2, -INF]),
+         "target value must be finite; got [0.2, -inf]"),
+        (penalty_doc, lambda d: _tanh_target(d, amplitude=NAN), "target amplitude must be finite; got nan"),
+        (penalty_doc, lambda d: _tanh_target(d, rate=INF), "target rate must be finite; got inf"),
+        (penalty_doc, lambda d: _tanh_target(d, center=-INF), "target center must be finite; got -inf"),
+        (penalty_doc, lambda d: d["process"]["drift"].update(params={"scale": NAN}),
+         "vanderpol_forced parameters must be finite; got scale=nan, forcing=3.0, omega=0.005"),
+        (penalty_doc, lambda d: d["process"]["drift"].update(params={"forcing": INF}),
+         "vanderpol_forced parameters must be finite; got scale=0.005, forcing=inf, omega=0.005"),
+        (penalty_doc, lambda d: d["process"]["drift"].update(params={"omega": -INF}),
+         "vanderpol_forced parameters must be finite; got scale=0.005, forcing=3.0, omega=-inf"),
+        (dying_barrier_doc, lambda d: d["process"]["drift"].update(params={"A": [[NAN]]}),
+         "drift matrix A must be finite; got [[nan]]"),
+        (observation_doc, lambda d: d["potential"]["params"]["map"].update(C=[[INF, 0.0]]),
+         "observation map C must be finite; got [[inf, 0.0]]"),
+    ],
+    ids=["B_nan", "R_infinity", "g_inv_infinity", "cov_infinity", "sigma_nu_infinity",
+         "barrier_a_nan", "barrier_a_infinity", "target_value_nan", "target_value_minus_infinity",
+         "tanh_amplitude_nan", "tanh_rate_infinity", "tanh_center_minus_infinity", "drift_scale_nan",
+         "drift_forcing_infinity", "drift_omega_minus_infinity", "drift_A_nan", "observation_C_infinity"],
+)
+def test_refuses_non_finite_scenario_numbers(tmp_path, capsys, make_doc, edit, message):
+    # Left to the run, each of these ends in exit 0 with nan outputs or
+    # in exit 2 when the run reaches the bad number. Observation
+    # scenarios are driven by `sqc filter`, the others by `sqc simulate`.
+    doc = make_doc()
+    edit(doc)
+    scenario, out = write_doc(tmp_path, doc), tmp_path / "x"
+    if make_doc is observation_doc:
+        argv = ["filter", "--scenario", scenario, "--obs", obs_csv(tmp_path, [0, 1], [0.1, 0.2])]
+    else:
+        argv = ["simulate", "--scenario", scenario]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_simulate_refuses_seed_with_seeds(tmp_path, capsys):
+    out = tmp_path / "x"
+    argv = ["simulate", "--scenario", write_doc(tmp_path, penalty_doc()), "--out", str(out),
+            "--seed", "5", "--seeds", "0..2"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed and --seeds cannot be combined" in err
     assert not out.exists()
 
 
