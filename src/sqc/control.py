@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import engine
 from .engine import GaussianBelief, TrajectoryRecord
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
-from .linalg import spd_solve, symmetrize
+from .linalg import _cholesky_solve, spd_solve, symmetrize
 from .process import ItoProcessModel
 
 __all__ = [
@@ -59,7 +58,7 @@ class ControlConfig:
             ) from exc
         # The least-effort map R^-1 B^T (B R^-1 B^T)^-1 is fixed once B and
         # R are, so it is built here and each step costs one product.
-        self.shift_map = cho_solve((brb_chol, True), self.r_inv_bt.T, check_finite=False).T
+        self.shift_map = _cholesky_solve(brb_chol, self.r_inv_bt.T).T
 
     def input_for_shift(self, shift: np.ndarray) -> np.ndarray:
         """Map a mean shift to the input u with B u = shift (least effort)."""

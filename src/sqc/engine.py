@@ -45,9 +45,9 @@ builds its own, and any other callable (including one that wraps a
 bundled one) is called with an array and its result unpacked with
 .tolist(). A constant curvature is factored once per run; one that
 comes back with every evaluation is factored every step. predict()
-and sample_posterior() stay in numpy as the independent references for the kernel's predict and sample stages,
-and the oracle keeps the precision form of the update as the
-reference for its update.
+and sample_posterior() stay in numpy as the independent references
+for the kernel's predict and sample stages, and the oracle keeps the
+precision form of the update as the reference for its update.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from functools import lru_cache
 from operator import mul
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import NotPositiveDefinite
 
@@ -77,17 +76,22 @@ def _dot(a, b) -> float:
     return sum(map(mul, a, b))
 
 
+def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b from the lower Cholesky factor L; b is 1-D or 2-D."""
+    # np.linalg.solve on L, then on L^T. For a diagonal factor this gives
+    # the bits of LAPACK's potrs; otherwise they may differ in the last bit.
+    return np.linalg.solve(low.T, np.linalg.solve(low, np.asarray(b, dtype=float)))
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A."""
-    low = spd_cholesky(a)
-    return cho_solve((low, True), np.asarray(b, dtype=float), check_finite=False)
+    return _cholesky_solve(spd_cholesky(a), b)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of an SPD matrix via its factorization, re-symmetrized."""
     low = spd_cholesky(a)
-    inv = cho_solve((low, True), np.eye(low.shape[0]), check_finite=False)
-    return symmetrize(inv)
+    return symmetrize(_cholesky_solve(low, np.eye(low.shape[0])))
 
 
 def spd_logdet(a: np.ndarray) -> float:

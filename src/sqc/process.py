@@ -12,6 +12,7 @@ through dt and the explicit time dependence of the drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -102,6 +103,44 @@ def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: 
 
 
 # ---------------------------------------------------------------------------
+# Numbers read from scenario files: the drift parameters here, and every
+# vector and matrix of a scenario through scenario._finite/_spd_matrix.
+
+def _all_reals(raw) -> bool:
+    # Every leaf a real number (a JSON int or float), not a bool or a string.
+    if isinstance(raw, (list, tuple)):
+        return all(map(_all_reals, raw))
+    if isinstance(raw, np.ndarray):
+        return raw.dtype.kind in "iuf"
+    return isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+
+
+def _reals(raw, label: str, scalar: bool = False):
+    """raw as a float array, or a float if ``scalar``.
+
+    It takes JSON ints and floats, alone or in nested lists of equal
+    length, and refuses strings, bools, None and ragged lists with a
+    ValidationError.
+    """
+    try:
+        values = np.asarray(raw, dtype=float) if _all_reals(raw) else None
+    except (ValueError, OverflowError):  # ragged lists, or an int beyond float range
+        values = None
+    if values is None or (scalar and values.ndim):
+        wanted = "a number" if scalar else "a number or lists of numbers of equal length"
+        raise ValidationError(f"{label} must be {wanted}; got {raw!r}")
+    return float(values) if scalar else values
+
+
+def _finite(raw, label: str, scalar: bool = False):
+    """_reals, with every entry finite."""
+    values = _reals(raw, label, scalar)
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{label} must be finite; got {np.asarray(values).tolist()}")
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Named drift builtins, selected by scenario files. Each is written once
 # on Python floats (its float form, x a float sequence, the result a
 # flat row-major sequence); the array callables are built from it and
@@ -169,29 +208,29 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
     with optional params {"scale": 0.005, "forcing": 3.0, "omega": 0.005}
     (the benchmark values are the defaults).
     """
+    if params is not None and not isinstance(params, dict):
+        raise ValidationError(f"drift params must be a JSON object; got {params!r}")
     params = dict(params or {})
     if kind == "zero":
         if params:
             raise ValidationError(f"zero drift takes no parameters, got {sorted(params)}")
         return _zero_drift(dim)
     if kind == "linear":
-        try:
-            a = np.asarray(params.pop("A"), dtype=float)
-        except KeyError:
-            raise ValidationError('linear drift requires parameter "A"') from None
+        if "A" not in params:
+            raise ValidationError('linear drift requires parameter "A"')
+        a = _finite(params.pop("A"), "drift matrix A")
         if params:
             raise ValidationError(f"unknown linear drift parameters {sorted(params)}")
         if a.shape != (dim, dim):
             raise ValidationError(f"drift matrix A has shape {a.shape}, expected {(dim, dim)}")
-        if not np.isfinite(a).all():
-            raise ValidationError(f"drift matrix A must be finite; got {a.tolist()}")
         return _linear_map(a)
     if kind == "vanderpol_forced":
         if dim != 2:
             raise ValidationError("vanderpol_forced drift is two dimensional")
-        scale = float(params.pop("scale", 0.005))
-        forcing = float(params.pop("forcing", 3.0))
-        omega = float(params.pop("omega", 0.005))
+        scale, forcing, omega = (
+            _reals(params.pop(key, default), f"vanderpol_forced {key}", scalar=True)
+            for key, default in (("scale", 0.005), ("forcing", 3.0), ("omega", 0.005))
+        )
         if params:
             raise ValidationError(f"unknown vanderpol_forced parameters {sorted(params)}")
         if not all(map(math.isfinite, (scale, forcing, omega))):

@@ -35,7 +35,7 @@ from .potential import (
     eval_log_barrier,
     eval_quadratic_penalty,
 )
-from .process import ItoProcessModel, _linear_map, make_drift
+from .process import ItoProcessModel, _finite, _linear_map, make_drift
 
 __all__ = [
     "Scenario",
@@ -95,14 +95,6 @@ def _take(mapping: dict, allowed: dict, context: str) -> dict:
     if mapping:
         raise ValidationError(f"unknown keys in {context}: {sorted(mapping)}")
     return out
-
-
-def _finite(raw, label: str) -> np.ndarray:
-    # raw as a float array whose entries are all finite.
-    values = np.asarray(raw, dtype=float)
-    if not np.isfinite(values).all():
-        raise ValidationError(f"{label} must be finite; got {values.tolist()}")
-    return values
 
 
 def _spd_matrix(raw, label: str) -> np.ndarray:
@@ -254,6 +246,8 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         },
         context,
     )
+    if not isinstance(top["name"], str):
+        raise ValidationError(f"name must be a string; got {top['name']!r}")
 
     initial = _take(top["initial"], {"mean": ..., "cov": ...}, "initial")
     mean0 = np.atleast_1d(_finite(initial["mean"], "initial mean"))
@@ -270,7 +264,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     dt = _check_dt(proc["dt"])
     # Build the drift once right here so a bad kind or parameter set
     # fails at parse time, not mid-sweep in a worker process.
-    make_drift(drift["kind"], dict(drift["params"] or {}), dim)
+    make_drift(drift["kind"], drift["params"], dim)
 
     pot = _take(top["potential"], {"kind": ..., "params": ..., "target": None}, "potential")
     kind = pot["kind"]
@@ -295,7 +289,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             tp = _take(
                 tgt["params"], {"amplitude": 0.2, "rate": 0.01, "center": 2500.0}, "target.params"
             )
-            target_params = {k: float(_finite(v, f"target {k}")) for k, v in tp.items()}
+            target_params = {k: _finite(v, f"target {k}", scalar=True) for k, v in tp.items()}
         else:
             raise ValidationError(f"unknown target kind {target_kind!r}; expected one of {TARGET_KINDS}")
     elif kind == "log_barrier":
@@ -349,7 +343,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
 
     return Scenario(
-        name=str(top["name"]),
+        name=top["name"],
         drift_kind=drift["kind"],
         drift_params=dict(drift["params"] or {}),
         g_inv=g_inv,

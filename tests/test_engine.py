@@ -180,19 +180,22 @@ def test_kernel_indefinite_matrix_raises():
 def test_import_and_scenario_load_compile_no_kernel():
     # Kernels compile on first use, so importing the package and loading
     # a scenario (what the benchmark's set-up time measures) compiles none.
+    # numpy is the only runtime dependency, so none of this imports scipy.
     code = (
+        "import sys\n"
         "import sqc, sqc.cli\n"
         "for name in sqc.scenario.BUNDLED_SCENARIOS:\n"
         "    sc = sqc.load_bundled(name)\n"
         "    sc.build_model(); sc.build_potential()\n"
         "print(sqc.engine._kernel.cache_info().currsize, sqc.engine._compiled.cache_info().currsize)\n"
+        "print('scipy' in sys.modules)\n"
     )
     src = str(Path(engine.__file__).resolve().parent.parent)
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "0"]
+    assert done.stdout.split() == ["0", "0", "False"]
 
 
 def test_gauge_invariance():

@@ -39,10 +39,15 @@ def test_spd_cholesky_jitter_rescues_semidefinite():
 
 
 def test_spd_solve_matches_dense_solve():
+    # numpy 2 reads a 1-D right-hand side of np.linalg.solve as one
+    # vector and a 2-D one as a matrix; spd_solve takes both.
     rng = np.random.default_rng(1)
     a = random_spd(rng, 4)
-    b = rng.standard_normal((4, 3))
-    np.testing.assert_allclose(linalg.spd_solve(a, b), np.linalg.solve(a, b), atol=1e-10)
+    for shape in [(4, 3), (4,)]:
+        b = rng.standard_normal(shape)
+        x = linalg.spd_solve(a, b)
+        assert x.shape == shape
+        np.testing.assert_allclose(x, np.linalg.solve(a, b), atol=1e-10)
 
 
 def test_spd_inverse_roundtrip():

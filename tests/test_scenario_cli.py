@@ -340,6 +340,13 @@ def _set_mean(doc, mean):
     doc["initial"]["mean"] = mean
 
 
+def _set_drift(doc, kind, params):
+    doc["process"]["drift"] = {"kind": kind, "params": params}
+
+
+_LISTS = "a number or lists of numbers of equal length"
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -351,9 +358,30 @@ def _set_mean(doc, mean):
         (lambda d: _set_dt(d, "0.5"), "dt must be positive, finite and a number; got '0.5'"),
         (lambda d: _set_dt(d, True), "dt must be positive, finite and a number; got True"),
         (lambda d: _set_mean(d, [float("nan"), 0.0]), "initial mean must be finite; got [nan, 0.0]"),
+        (lambda d: _set_mean(d, [True, 0.0]), f"initial mean must be {_LISTS}; got [True, 0.0]"),
+        (lambda d: _set_mean(d, ["0.1", 0.0]), f"initial mean must be {_LISTS}; got ['0.1', 0.0]"),
+        (lambda d: d["process"].update(g_inv=[["a", 0.0], [0.0, 0.001]]),
+         f"g_inv must be {_LISTS}; got [['a', 0.0], [0.0, 0.001]]"),
+        (lambda d: d.update(control={"B": [[1.0], [1.0, 0.0]], "R": [[1.0]]}),
+         f"B must be {_LISTS}; got [[1.0], [1.0, 0.0]]"),
+        (lambda d: d["potential"]["target"]["params"].update(value=["0.2", -0.1]),
+         f"target value must be {_LISTS}; got ['0.2', -0.1]"),
+        (lambda d: _set_drift(d, "linear", {"A": [["1", 0.0], [0.0, 1.0]]}),
+         f"drift matrix A must be {_LISTS}; got [['1', 0.0], [0.0, 1.0]]"),
+        (lambda d: _set_drift(d, "vanderpol_forced", [1]), "drift params must be a JSON object; got [1]"),
+        (lambda d: _set_drift(d, "vanderpol_forced", {"scale": "0.005"}),
+         "vanderpol_forced scale must be a number; got '0.005'"),
+        (lambda d: _set_drift(d, "vanderpol_forced", {"scale": True}),
+         "vanderpol_forced scale must be a number; got True"),
+        (lambda d: _tanh_target(d, rate="0.01"), "target rate must be a number; got '0.01'"),
+        (lambda d: _tanh_target(d, rate=[0.01]), "target rate must be a number; got [0.01]"),
+        (lambda d: d.update(name=["x"]), "name must be a string; got ['x']"),
     ],
     ids=["horizon_fraction", "horizon_true", "horizon_string", "dt_nan", "dt_infinity",
-         "dt_string", "dt_true", "mean_nan"],
+         "dt_string", "dt_true", "mean_nan", "mean_true", "mean_string", "g_inv_string",
+         "B_ragged", "target_value_string", "drift_A_string", "drift_params_list",
+         "drift_scale_string", "drift_scale_true", "tanh_rate_string", "tanh_rate_list",
+         "name_list"],
 )
 def test_simulate_refuses_bad_scenario_numbers(tmp_path, capsys, edit, message):
     # json.dumps writes nan and inf as NaN and Infinity, which the
