@@ -20,7 +20,7 @@ import numpy as np
 from . import engine
 from .engine import GaussianBelief, TrajectoryRecord
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
-from .linalg import _cholesky_solve, spd_solve, symmetrize
+from .linalg import _cholesky_solve, _strict_cholesky, spd_solve, symmetrize
 from .process import ItoProcessModel
 
 __all__ = [
@@ -51,11 +51,11 @@ class ControlConfig:
         self.r_inv_bt = spd_solve(self.R, self.B.T)
         self.brb = symmetrize(self.B @ self.r_inv_bt)
         try:
-            brb_chol = np.linalg.cholesky(self.brb)
-        except np.linalg.LinAlgError as exc:
+            brb_chol = _strict_cholesky(self.brb)
+        except NotPositiveDefinite:
             raise NotPositiveDefinite(
-                "B R^-1 B^T must be positive definite (B needs full row rank)"
-            ) from exc
+                f"B R^-1 B^T must be positive definite (B needs full row rank); got B = {self.B.tolist()}"
+            ) from None
         # The least-effort map R^-1 B^T (B R^-1 B^T)^-1 is fixed once B and
         # R are, so it is built here and each step costs one product.
         self.shift_map = _cholesky_solve(brb_chol, self.r_inv_bt.T).T
@@ -113,7 +113,8 @@ def run_closed_loop(
     failure = failed_step = None
     try:
         engine._run(
-            model, potential_fn, initial.mean, initial.cov, initial.step, True, draws, rows, retries
+            model, engine._floats(potential_fn, engine._evaluation_floats),
+            initial.mean, initial.cov, initial.step, True, draws, rows, retries,
         )
     except (DomainViolation, NonFinite) as exc:
         failure, failed_step = str(exc), initial.step + len(rows[0])

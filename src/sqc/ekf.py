@@ -10,12 +10,13 @@ Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
 
 filter_with_likelihood has no step loop of its own: it hands the
-engine's loop the observation potential as a float form, with the
-constant curvature sigma_nu_inv (factored once per call), unit time
-weight, and no evaluation at unobserved steps, which keep the bare
-prediction. h and its Jacobian enter through their float forms when
-they carry one (the scenario's linear and identity maps do) and
-through .tolist() otherwise. The log normalization gives the marginal
+engine's loop, with unit time weight, the observation potential's
+float form. That returns the same curvature tuple sigma_nu_inv at
+every observed step, so the loop factors it once per call, and None
+at unobserved steps, which keep the bare prediction. h and its
+Jacobian enter through their float forms when they carry one (the
+scenario's linear and identity maps do) and through .tolist()
+otherwise. The log normalization gives the marginal
 likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
@@ -33,7 +34,7 @@ import numpy as np
 from . import engine
 from .errors import ValidationError
 from .linalg import spd_inverse, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation, PotentialFloats, _quadratic, _vector, _zero_matrix
+from .potential import PotentialEvaluation, _quadratic, _vector, _zero_matrix
 from .process import ItoProcessModel
 
 __all__ = [
@@ -127,16 +128,16 @@ def ekf_step(
     return engine.GaussianBelief(mean=mean, cov=cov, step=pred.step, tag="updated")
 
 
-def marginal_likelihood(belief: engine.GaussianBelief, obs_model: ObservationModel, y: np.ndarray, t: Optional[int] = None) -> tuple[float, float]:
+def marginal_likelihood(belief: engine.GaussianBelief, obs_model: ObservationModel, y: np.ndarray) -> tuple[float, float]:
     """Log marginal density of y and the log weight at the predicted mean.
 
     The marginal is the Gaussian density of y under
-    N(h(x_hat), sigma_nu + H cov H^T); the weight is the ratio of the
-    observation density at x_hat to that marginal. Any common scaling
-    of the two densities cancels in the weight.
+    N(h(x_hat), sigma_nu + H cov H^T), h and H taken at the belief's
+    step; the weight is the ratio of the observation density at x_hat
+    to that marginal. Any common scaling of the two densities cancels
+    in the weight.
     """
-    t = belief.step if t is None else t
-    x = belief.mean
+    t, x = belief.step, belief.mean
     y = np.atleast_1d(np.asarray(y, dtype=float))
     jac = np.atleast_2d(obs_model.h_jacobian(x, t))
     innovation = y - np.atleast_1d(obs_model.h(x, t))
@@ -173,17 +174,17 @@ def filter_with_likelihood(
     if horizon is None:
         horizon = max(by_step) if by_step else start
     weights = obs_model.sigma_nu_inv.tolist()
+    curvature = tuple(obs_model.sigma_nu_inv.ravel().tolist())
     h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
 
-    def evaluate(x, t):
-        # The observation potential at step t, or None where nothing is observed.
+    def potential(x, t):
+        # The potential at step t, or None where nothing is observed.
         y = by_step.get(t)
         if y is None:
             return None
         value, grad = _quadratic([yi - hi for yi, hi in zip(y, h(x, t))], weights)
-        return value, grad, h_jacobian(x, t), None
+        return value, grad, h_jacobian(x, t), curvature
 
-    potential = PotentialFloats(evaluate, tuple(obs_model.sigma_nu_inv.ravel().tolist()), len(weights))
     rows = engine._new_rows()
     draws = [None] * (horizon + 1 - start)
     engine._run(

@@ -43,11 +43,12 @@ Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
 builds its own, and any other callable (including one that wraps a
 bundled one) is called with an array and its result unpacked with
-.tolist(). A constant curvature is factored once per run; one that
-comes back with every evaluation is factored every step. predict()
-and sample_posterior() stay in numpy as the independent references
-for the kernel's predict and sample stages, and the oracle keeps the
-precision form of the update as the reference for its update.
+.tolist(). _run factors a curvature only when it differs by value from
+the one it factored last, so a constant one is factored once per run
+on every path. predict() and sample_posterior() stay in numpy as the
+independent references for the kernel's predict and sample stages,
+and the oracle keeps the precision form of the update as the
+reference for its update.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ import numpy as np
 
 from .errors import NonFinite
 from .linalg import _jittered_cholesky, spd_cholesky, symmetrize
-from .potential import PotentialEvaluation, PotentialFloats
+from .potential import PotentialEvaluation
 from .process import ItoProcessModel, transition_matrix
 
 __all__ = [
@@ -367,49 +368,37 @@ def _kernel(m: int, k: int) -> types.SimpleNamespace:
     )
 
 
-def _floats(fn: Callable) -> Callable:
-    """fn's float form, or fn called on an array with its result unpacked by .tolist()."""
+def _flat(out) -> list:
+    # An array result as a flat list of floats.
+    return np.asarray(out, dtype=float).ravel().tolist()
+
+
+def _evaluation_floats(pot: PotentialEvaluation) -> tuple:
+    # A PotentialEvaluation as its float form's result: (V, grad_l, H, curvature).
+    return float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist()
+
+
+def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
+    """fn's float form, or fn called on an array with its result unpacked by ``unpack``."""
     form = getattr(fn, "floats", None)
     if form is not None:
         return form
 
     def adapter(x, t):
-        return np.asarray(fn(np.array(x), t), dtype=float).ravel().tolist()
+        return unpack(fn(np.array(x), t))
 
     return adapter
 
 
-def _potential_floats(potential_fn) -> PotentialFloats:
-    """potential_fn if it is a float form, else its float form or an adapter.
-
-    The adapter reads the PotentialEvaluation and returns the curvature
-    with every evaluation, so it is factored every step, and its k is
-    learned from the first one.
-    """
-    if isinstance(potential_fn, PotentialFloats):
-        return potential_fn
-    form = getattr(potential_fn, "floats", None)
-    if form is not None:
-        return form
-
-    def evaluate(x, t):
-        pot = potential_fn(np.array(x), t)
-        return (
-            float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(),
-            pot.curvature.ravel().tolist(),
-        )
-
-    return PotentialFloats(evaluate, None, None)
-
-
 def _update_once(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple:
-    m, k = belief.dim, len(pot.grad_l)
+    value, grad, h, curvature = _evaluation_floats(pot)
+    m, k = belief.dim, len(grad)
     kernel = _kernel(m, k)
     retries = [0]
-    sig, hld = kernel.factor(pot.curvature.ravel().tolist(), retries)
+    sig, hld = kernel.factor(curvature, retries)
     return kernel.update(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), float(pot.value), pot.grad_l.tolist(),
-        pot.H.ravel().tolist(), sig, hld, 0.5 * k * math.log(dt), dt, belief.step, retries,
+        belief.mean.tolist(), belief.cov.ravel().tolist(), value, grad, h, sig, hld,
+        0.5 * k * math.log(dt), dt, belief.step, retries,
     )
 
 
@@ -420,7 +409,7 @@ def _new_rows() -> tuple:
 
 def _run(
     model: ItoProcessModel,
-    potential_fn: PotentialFn | PotentialFloats,
+    evaluate: Callable,
     mean: np.ndarray,
     cov: np.ndarray,
     t: int,
@@ -434,26 +423,21 @@ def _run(
 
     Runs one step per entry of ``draws`` from the moments (mean, cov)
     at step t: predicts (except on the first step when the moments are
-    already predicted), evaluates the potential at the predicted mean,
-    updates with time weight ``weight`` (default model.dt), and takes
-    the next state from the posterior with the step's standard normal
-    draw, or the posterior mean where the draw is None. Where a float
-    form's evaluate returns None the step keeps the bare prediction,
-    with V and log_n nan and a zero shift. Each step appends to the
-    columns of ``rows``; a step that raises appends nothing, so
-    len(rows[0]) counts the completed ones.
+    already predicted), evaluates the potential's float form
+    ``evaluate`` at the predicted mean, updates with time weight
+    ``weight`` (default model.dt), and takes the next state from the
+    posterior with the step's standard normal draw, or the posterior
+    mean where the draw is None. Where ``evaluate`` returns None the
+    step keeps the bare prediction, with V and log_n nan and a zero
+    shift. Each step appends to the columns of ``rows``; a step that
+    raises appends nothing, so len(rows[0]) counts the completed ones.
     """
     m, dt = len(mean), model.dt
     weight = dt if weight is None else weight
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
-    evaluate, curvature, k = _potential_floats(potential_fn)
-    # predict and sample do not depend on k; an adapter's k is learned
-    # from its first evaluation.
-    kernel = _kernel(m, k or m)
-    predict, factor, update, sample = kernel.predict, kernel.factor, kernel.update, kernel.sample
-    if curvature is not None:
-        sig, hld = factor(curvature, retries)
-    ldt = 0.5 * (k or 0) * math.log(weight)
+    predict, sample = _compiled("predict", m), _compiled("sample", m)
+    # k comes from the first evaluation; (sig, hld) factor ``factored``.
+    k = factored = None
     noise = model.noise_cov.ravel().tolist()
     x, p = mean.tolist(), cov.ravel().tolist()
     xs, means, covs, values, log_ns, shifts = rows
@@ -470,13 +454,14 @@ def _run(
             shift = (0.0,) * m
         else:
             value, grad, h, curv = pot
-            if curv is not None:
+            if curv != factored:
                 if len(grad) != k:
                     k = len(grad)
                     kernel = _kernel(m, k)
                     factor, update = kernel.factor, kernel.update
                     ldt = 0.5 * k * math.log(weight)
                 sig, hld = factor(curv, retries)
+                factored = curv
             mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
         x = mn if z is None else sample(mn, p, z, retries)
         xs.append(x)
@@ -587,7 +572,8 @@ def step(
     predicted = belief.tag == "predicted"
     draws = rng.standard_normal((1, belief.dim)).tolist() if mode == "sampled" else [None]
     rows = _new_rows()
-    _run(model, potential_fn, belief.mean, belief.cov, belief.step, predicted, draws, rows, [0])
+    evaluate = _floats(potential_fn, _evaluation_floats)
+    _run(model, evaluate, belief.mean, belief.cov, belief.step, predicted, draws, rows, [0])
     record = _records(rows, belief.step + (not predicted), belief.dim, None)[0]
     mean = record.x if mode == "sampled" else record.mean
     return GaussianBelief._trusted(mean, record.cov, record.step, "updated"), record

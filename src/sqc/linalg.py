@@ -83,6 +83,27 @@ def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(low.T, np.linalg.solve(low, np.asarray(b, dtype=float)))
 
 
+def _strict_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix, no jitter.
+
+    Rounding can leave a singular matrix positive pivots, so ``a`` must
+    also be far from singular: its 1-norm condition number, within a
+    factor n of the 2-norm one, must stay below 1 / (n eps), the rank
+    tolerance of numpy's matrix_rank. Raises NotPositiveDefinite
+    otherwise.
+    """
+    n = a.shape[0]
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        low = None
+    if low is not None:
+        inv = _cholesky_solve(low, np.eye(n))
+        if np.linalg.norm(a, 1) * np.linalg.norm(inv, 1) * n * np.finfo(float).eps < 1.0:
+            return low
+    raise NotPositiveDefinite(f"matrix of shape {a.shape} is singular or not positive definite")
+
+
 def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A."""
     return _cholesky_solve(spd_cholesky(a), b)

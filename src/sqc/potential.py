@@ -19,6 +19,11 @@ as a diagnostic.
 The bundled potentials are also written on Python floats (their float
 forms), which the step kernel evaluates without building arrays; the
 eval_* functions build their arrays from the same float functions.
+Like a drift's, a potential's float form is its callable's ``floats``
+attribute: (x, t) -> (value, grad_l, H, curvature), H (k x m) and the
+curvature (k x k) flat and row-major. The step loop refactors the
+curvature only when it changes by value, so a float form returns an
+immutable tuple or a fresh list, never a list it later rewrites.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import sub
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -79,21 +84,6 @@ class PotentialEvaluation:
         self.curvature = curvature
         self.counter_curvature = counter_curvature
         return self
-
-
-class PotentialFloats(NamedTuple):
-    """The float form of a potential callable, kept as its ``floats`` attribute.
-
-    ``evaluate(x, t)`` takes the point as a sequence of floats and
-    returns (value, grad_l, H, curvature), with H (k x m) and the
-    curvature (k x k) as flat row-major sequences. A constant curvature
-    is given here once, flat, and evaluate then returns None in its
-    place; ``k`` is the inner dimension.
-    """
-
-    evaluate: Callable
-    curvature: Optional[tuple]
-    k: int
 
 
 @lru_cache(maxsize=None)
@@ -228,7 +218,7 @@ def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray)
     )
 
 
-def _quadratic_floats(inner: Callable, target: Callable, w) -> PotentialFloats:
+def _quadratic_floats(inner: Callable, target: Callable, w) -> Callable:
     """Float form of a quadratic penalty or double well with a target schedule.
 
     ``inner`` is _penalty_floats or _double_well_floats, ``target`` maps
@@ -236,15 +226,16 @@ def _quadratic_floats(inner: Callable, target: Callable, w) -> PotentialFloats:
     weight matrix, the curvature (its rows as float sequences).
     """
     w = [list(row) for row in w]
+    curvature = tuple(v for row in w for v in row)
 
     def evaluate(x, t):
         _, value, grad, h = inner(x, target(t), w)
-        return value, grad, h, None
+        return value, grad, h, curvature
 
-    return PotentialFloats(evaluate, tuple(v for row in w for v in row), len(w))
+    return evaluate
 
 
-def _log_barrier_floats(a) -> PotentialFloats:
+def _log_barrier_floats(a) -> Callable:
     """Float form of x, t -> eval_log_barrier(x, a); its curvature moves with x."""
     a = list(a)
     h = _diag([-1.0] * len(a))
@@ -253,7 +244,7 @@ def _log_barrier_floats(a) -> PotentialFloats:
         value, grad, curvature = _barrier_floats(x, a)
         return value, grad, h, curvature
 
-    return PotentialFloats(evaluate, None, len(a))
+    return evaluate
 
 
 def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.01, center: float = 2500.0) -> np.ndarray:
@@ -265,11 +256,12 @@ def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.
     return np.full(dim, _tanh_level(t, amplitude, rate, center))
 
 
-def verify_derivatives(potential, x_hat: np.ndarray, step_size: float = 1e-6) -> dict:
+def verify_derivatives(potential, x_hat: np.ndarray) -> dict:
     """Check a potential's reported derivatives against finite differences.
 
     ``potential`` is a callable x -> PotentialEvaluation. Three checks
-    run at x_hat, each a central difference:
+    run at x_hat, each a central difference with step 1e-6 max(1, |x_i|)
+    (3e-4 max(1, |x_i|) for the second differences):
 
       jacobian   dl/dx versus -H
       gradient   dV/dx versus -H^T grad_l
@@ -288,7 +280,7 @@ def verify_derivatives(potential, x_hat: np.ndarray, step_size: float = 1e-6) ->
     jac_fd = np.empty((k, m))
     grad_fd = np.empty(m)
     for i in range(m):
-        h = step_size * max(1.0, abs(x_hat[i]))
+        h = 1e-6 * max(1.0, abs(x_hat[i]))
         e = np.zeros(m)
         e[i] = h
         plus, minus = potential(x_hat + e), potential(x_hat - e)
@@ -299,7 +291,7 @@ def verify_derivatives(potential, x_hat: np.ndarray, step_size: float = 1e-6) ->
     grad_err = rel(np.abs(-here.H.T @ here.grad_l - grad_fd).max(), np.abs(grad_fd).max())
 
     # Second differences need a larger step to stay above roundoff.
-    h2 = max(step_size, 3e-4)
+    h2 = 3e-4
     hess_fd = np.empty((m, m))
     for i in range(m):
         hi = h2 * max(1.0, abs(x_hat[i]))

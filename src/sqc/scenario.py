@@ -23,8 +23,9 @@ from typing import Optional
 
 import numpy as np
 
+from .control import ControlConfig
 from .errors import NotPositiveDefinite, ParseError, ValidationError
-from .linalg import spd_cholesky, spd_inverse
+from .linalg import _strict_cholesky, spd_inverse
 from .potential import (
     _double_well_floats,
     _log_barrier_floats,
@@ -104,9 +105,9 @@ def _spd_matrix(raw, label: str) -> np.ndarray:
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
         raise ValidationError(f"{label} not symmetric")
     try:
-        spd_cholesky(mat)
+        _strict_cholesky(mat)
     except NotPositiveDefinite:
-        raise ValidationError(f"{label} not positive definite") from None
+        raise ValidationError(f"{label} not positive definite; got {mat.tolist()}") from None
     return mat
 
 
@@ -141,17 +142,8 @@ class Scenario:
             dim=self.dim, drift=drift, drift_jacobian=jac, g_inv=self.g_inv, dt=self.dt
         )
 
-    def build_target(self):
-        """Target schedule as a function of the step index."""
-        floats = self._target_floats()
-        if floats is None:
-            return None
-        return lambda t: np.array(floats(t))
-
     def _target_floats(self):
         # The target schedule on Python floats: step -> list of m floats.
-        if self.target_kind is None:
-            return None
         if self.target_kind == "constant":
             value = np.asarray(self.target_params["value"], dtype=float).tolist()
             return lambda t: value
@@ -168,13 +160,13 @@ class Scenario:
             # Read-only: the float form holds a copy of its values.
             inv = spd_inverse(self.potential_params["sigma_nu"])
             inv.setflags(write=False)
-            target = self.build_target()
+            target = self._target_floats()
             if kind == "quadratic_penalty":
                 evaluate, inner = eval_quadratic_penalty, _penalty_floats
             else:
                 evaluate, inner = eval_double_well, _double_well_floats
             fn = lambda x, t: evaluate(x, target(t), inv)  # noqa: E731
-            fn.floats = _quadratic_floats(inner, self._target_floats(), inv.tolist())
+            fn.floats = _quadratic_floats(inner, target, inv.tolist())
             return fn
         if kind == "log_barrier":
             a = np.asarray(self.potential_params["a"], dtype=float)
@@ -336,6 +328,12 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             raise ValidationError(f"B has {b.shape[0]} rows, state dim is {dim}")
         if r.shape[0] != b.shape[1]:
             raise ValidationError("R dim does not match B columns")
+    # Build the control map once here, as the drift above, so a B that
+    # cannot reproduce every shift fails before any output is written.
+    try:
+        ControlConfig(B=b, R=r)
+    except NotPositiveDefinite as exc:
+        raise ValidationError(str(exc)) from None
 
     horizon = _whole(top["horizon"], "horizon", 1, "a whole number >= 1")
     mode = top["mode"]

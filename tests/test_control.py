@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_spd, rel_err
+from conftest import counting_kernels, random_spd, rel_err
 from sqc import engine, oracle, process
 from sqc.control import ControlConfig, run_closed_loop, run_scenario
 from sqc.errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
@@ -64,6 +64,9 @@ def test_config_rejects_rank_deficient_input_matrix():
     # B without full row rank leaves states no input can shift.
     with pytest.raises(NotPositiveDefinite):
         ControlConfig(B=np.array([[1.0], [0.0]]), R=np.eye(1))
+    # Rounding leaves B R^-1 B^T = [[2, 2], [2, 2]] a positive second pivot.
+    with pytest.raises(NotPositiveDefinite, match="full row rank"):
+        ControlConfig(B=np.array([[1.0, 1.0], [1.0, 1.0]]), R=np.eye(2))
 
 
 def test_run_closed_loop_record_layout():
@@ -266,7 +269,7 @@ def test_closed_loop_refactors_changing_curvature(mode):
 
 
 @pytest.mark.parametrize("mode", ["sampled", "belief"])
-def test_closed_loop_adapter_path_matches_reference(mode):
+def test_closed_loop_adapter_path_matches_reference(monkeypatch, mode):
     # m = 3, k = 2 through the adapter: a bundled linear drift wrapped
     # by a user callable (so its float form is not seen), a user
     # Jacobian and a user potential l = tanh(C x) - d(t) that returns a
@@ -302,9 +305,12 @@ def test_closed_loop_adapter_path_matches_reference(mode):
     )
     initial = engine.GaussianBelief(mean=[0.4, -0.3, 0.2], cov=0.5 * np.eye(3), step=0, tag="predicted")
     horizon = 200
+    factors = counting_kernels(monkeypatch, "factor")
     result = run_closed_loop(model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode)
     assert result.completed and result.jitter_retries == 0
     assert calls == list(range(horizon))
+    # The curvature w is constant, so the loop factors it once.
+    assert len(factors) == 1
     rows, failed_step = reference_loop(
         model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode
     )

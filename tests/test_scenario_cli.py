@@ -100,10 +100,11 @@ def test_bundled_barrier_and_doublewell_frames():
     np.testing.assert_allclose(dwell.g_inv, 0.5 * np.eye(2))
     np.testing.assert_allclose(dwell.potential_params["sigma_nu"], 0.001 * np.eye(2))
     assert dwell.target_kind == "tanh_ramp"
-    target = dwell.build_target()
-    np.testing.assert_allclose(target(2500), [0.2, 0.2], atol=1e-12)
-    np.testing.assert_allclose(target(5000), [0.4, 0.4], atol=1e-10)
-    assert np.all(target(0) < 1e-12)
+    # The double well vanishes where |x| equals the target.
+    potential_fn = dwell.build_potential()
+    assert potential_fn(np.array([0.2, -0.2]), 2500).value == pytest.approx(0.0, abs=1e-20)
+    assert potential_fn(np.array([0.4, 0.4]), 5000).value == pytest.approx(0.0, abs=1e-12)
+    assert potential_fn(np.array([1e-7, 1e-7]), 0).value < 1e-20
 
 
 def test_all_bundled_names_load():
@@ -118,6 +119,12 @@ def test_write_parse_roundtrip(tmp_path):
     write_scenario(sc, path)
     back = parse_scenario(path)
     assert back.to_dict() == sc.to_dict()
+
+
+def _observed(doc):
+    # doc with the observation potential of observation_doc; its params.
+    doc["potential"] = observation_doc()["potential"]
+    return doc["potential"]["params"]
 
 
 def mutate(doc_mutation):
@@ -143,6 +150,22 @@ def mutate(doc_mutation):
         (lambda d: d.update(mode="exact"), "unknown mode"),
         (lambda d: d.update(horizon=0), "horizon"),
         (lambda d: d.update(control={"B": [[1.0]], "R": [[1.0]]}), "rows"),
+        (lambda d: d["initial"].update(cov=[[1.0]]), "does not match mean dim 2"),
+        (lambda d: d["potential"]["target"]["params"].update(value=[0.2]), "target value dim 1"),
+        (lambda d: d.update(potential={"kind": "log_barrier", "params": {"a": [1.0]}}),
+         "barrier weight dim 1"),
+        (lambda d: d.update(potential={"kind": "log_barrier", "params": {"a": [1.0, -1.0]}}),
+         "barrier weights a must be positive"),
+        (lambda d: _observed(d)["map"].pop("C"), 'linear observation map requires "C"'),
+        (lambda d: _observed(d)["map"].update(C=[[1.0]]), "C has 1 columns"),
+        (lambda d: _observed(d).update(sigma_nu=np.eye(2).tolist()),
+         "sigma_nu dim does not match observation map rows"),
+        (lambda d: _observed(d)["map"].update(kind="quadratic"), "unknown observation map kind"),
+        (lambda d: d["potential"].update(observation_doc()["potential"]),
+         "observation potential takes no target"),
+        (lambda d: d.update(control={"B": np.eye(2).tolist(), "R": [[1.0]]}), "R dim does not match B"),
+        (lambda d: d["process"].update(g_inv=[[0.001, 0.0]]), "must be square"),
+        (lambda d: d.update(initial=[0.5, 0.5]), "initial must be a JSON object"),
     ],
 )
 def test_scenario_rejects_bad_documents(mutation, message):
@@ -315,9 +338,10 @@ def test_simulate_missing_scenario_file(tmp_path, capsys):
 
 def test_bad_seed_range_is_a_usage_error(tmp_path):
     scenario = write_doc(tmp_path, penalty_doc())
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["simulate", "--scenario", scenario, "--seeds", "5..1"])
-    assert exc.value.code == 2
+    for seeds in ("5..1", "5"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--scenario", scenario, "--seeds", seeds])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("seed", [-1, 1.7, "3", True])
@@ -376,12 +400,26 @@ _LISTS = "a number or lists of numbers of equal length"
         (lambda d: _tanh_target(d, rate="0.01"), "target rate must be a number; got '0.01'"),
         (lambda d: _tanh_target(d, rate=[0.01]), "target rate must be a number; got [0.01]"),
         (lambda d: d.update(name=["x"]), "name must be a string; got ['x']"),
+        # Singular matrices, and a B that cannot reproduce every shift:
+        # refused before the run, not at its first factorization or never.
+        (lambda d: d.update(control={"B": [[1.0, 1.0], [1.0, 1.0]], "R": np.eye(2).tolist()}),
+         "(B needs full row rank); got B = [[1.0, 1.0], [1.0, 1.0]]"),
+        (lambda d: d.update(control={"B": [[1.0], [0.5]], "R": [[1.0]]}),
+         "(B needs full row rank); got B = [[1.0], [0.5]]"),
+        (lambda d: d.update(control={"B": np.eye(2).tolist(), "R": [[1.0, 1.0], [1.0, 1.0]]}),
+         "R not positive definite"),
+        (lambda d: d["potential"]["params"].update(sigma_nu=[[0.001, 0.001], [0.001, 0.001]]),
+         "sigma_nu not positive definite"),
+        (lambda d: d["process"].update(g_inv=[[0.001, 0.001], [0.001, 0.001]]),
+         "g_inv not positive definite"),
+        (lambda d: d["initial"].update(cov=[[1.0, 1.0], [1.0, 1.0]]), "initial cov not positive definite"),
     ],
     ids=["horizon_fraction", "horizon_true", "horizon_string", "dt_nan", "dt_infinity",
          "dt_string", "dt_true", "mean_nan", "mean_true", "mean_string", "g_inv_string",
          "B_ragged", "target_value_string", "drift_A_string", "drift_params_list",
          "drift_scale_string", "drift_scale_true", "tanh_rate_string", "tanh_rate_list",
-         "name_list"],
+         "name_list", "B_rank_deficient", "B_one_column", "R_singular", "sigma_nu_singular",
+         "g_inv_singular", "cov_singular"],
 )
 def test_simulate_refuses_bad_scenario_numbers(tmp_path, capsys, edit, message):
     # json.dumps writes nan and inf as NaN and Infinity, which the
@@ -479,8 +517,9 @@ def test_simulate_refuses_seed_with_seeds(tmp_path, capsys):
         (-1, [], "seed must be a non-negative whole number; got -1"),
         (0, ["--seed", "-1"], "--seed must be a non-negative whole number; got -1"),
         (0, ["--seeds=-2..-1"], "--seeds must be a non-negative whole number; got -2"),
+        (0, ["--steps", "0"], "--steps must be >= 1"),
     ],
-    ids=["scenario_file", "seed_flag", "seeds_flag"],
+    ids=["scenario_file", "seed_flag", "seeds_flag", "steps_zero"],
 )
 def test_simulate_refuses_negative_seeds_before_running(tmp_path, capsys, doc_seed, flags, message):
     scenario = write_doc(tmp_path, penalty_doc(seed=doc_seed))
@@ -574,6 +613,39 @@ def test_filter_rejects_observations_that_do_not_fit(tmp_path, capsys, csv_text,
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "drift_a, csv_text, code, message",
+    [
+        ([[-0.1, 0.0], [0.0, -0.2]], None, 1, "i/o error: "),
+        ([[1e200, 0.0], [0.0, 1e200]], "step,y1\n0,0.1\n1,0.2\n", 2,
+         "error: prediction to step 1 has non-finite entries"),
+    ],
+    ids=["missing_file", "prediction_overflow"],
+)
+def test_filter_fails_before_writing(tmp_path, capsys, drift_a, csv_text, code, message):
+    doc = observation_doc()
+    doc["process"]["drift"]["params"]["A"] = drift_a
+    obs = tmp_path / "obs.csv"
+    if csv_text is not None:
+        obs.write_text(csv_text)
+    out = tmp_path / "x"
+    argv = ["filter", "--scenario", write_doc(tmp_path, doc), "--obs", str(obs), "--out", str(out)]
+    assert cli.main(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+def test_filter_empty_observation_file_predicts_to_horizon(tmp_path):
+    obs = tmp_path / "obs.csv"
+    obs.write_text("")
+    out = tmp_path / "filt"
+    argv = ["filter", "--scenario", write_doc(tmp_path, observation_doc(horizon=6)), "--obs", str(obs),
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    table = read_table(out / "beliefs.csv")
+    assert list(table["step"]) == list(range(7)) and np.all(np.isnan(table["loglik"]))
 
 
 def test_filter_rejects_state_scenarios(tmp_path, capsys):
