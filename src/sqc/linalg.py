@@ -87,19 +87,20 @@ def _strict_cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a symmetric positive definite matrix, no jitter.
 
     Rounding can leave a singular matrix positive pivots, so ``a`` must
-    also be far from singular: its 1-norm condition number, within a
-    factor n of the 2-norm one, must stay below 1 / (n eps), the rank
-    tolerance of numpy's matrix_rank. Raises NotPositiveDefinite
-    otherwise.
+    also be far from singular once scaled to a unit diagonal: the 1-norm
+    condition number of D^-1/2 a D^-1/2, D the diagonal of ``a``, within
+    a factor n of the 2-norm one, must stay below 1 / (n eps), the rank
+    tolerance of numpy's matrix_rank. The scaling leaves any positive
+    diagonal matrix accepted, whatever the spread of its entries.
+    Raises NotPositiveDefinite otherwise.
     """
-    n = a.shape[0]
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         low = None
     if low is not None:
-        inv = _cholesky_solve(low, np.eye(n))
-        if np.linalg.norm(a, 1) * np.linalg.norm(inv, 1) * n * np.finfo(float).eps < 1.0:
+        d = 1.0 / np.sqrt(np.diag(a))
+        if np.linalg.cond(a * np.outer(d, d), 1) * a.shape[0] * np.finfo(float).eps < 1.0:
             return low
     raise NotPositiveDefinite(f"matrix of shape {a.shape} is singular or not positive definite")
 

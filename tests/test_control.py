@@ -69,6 +69,15 @@ def test_config_rejects_rank_deficient_input_matrix():
         ControlConfig(B=np.array([[1.0, 1.0], [1.0, 1.0]]), R=np.eye(2))
 
 
+def test_config_accepts_row_scaled_input_matrix():
+    # Rows of very different scale still give full row rank:
+    # B R^-1 B^T = diag(1e8, 1e-8) is accepted and B u reproduces the shift.
+    B = np.diag([1e4, 1e-4])
+    cfg = ControlConfig(B=B, R=np.eye(2))
+    shift = np.array([0.3, -0.1])
+    np.testing.assert_allclose(B @ cfg.input_for_shift(shift), shift, rtol=1e-15)
+
+
 def test_run_closed_loop_record_layout():
     model = zero_model(2)
     cfg = ControlConfig(B=np.eye(2), R=np.eye(2))

@@ -100,6 +100,10 @@ def test_bundled_barrier_and_doublewell_frames():
     np.testing.assert_allclose(dwell.g_inv, 0.5 * np.eye(2))
     np.testing.assert_allclose(dwell.potential_params["sigma_nu"], 0.001 * np.eye(2))
     assert dwell.target_kind == "tanh_ramp"
+    target = dwell._target_floats()
+    np.testing.assert_allclose(target(2500), [0.2, 0.2], atol=1e-12)
+    np.testing.assert_allclose(target(5000), [0.4, 0.4], atol=1e-10)
+    assert max(target(0)) < 1e-12
     # The double well vanishes where |x| equals the target.
     potential_fn = dwell.build_potential()
     assert potential_fn(np.array([0.2, -0.2]), 2500).value == pytest.approx(0.0, abs=1e-20)
@@ -171,6 +175,17 @@ def mutate(doc_mutation):
 def test_scenario_rejects_bad_documents(mutation, message):
     with pytest.raises(ValidationError, match=message):
         scenario_from_dict(mutate(mutation))
+
+
+def test_scenario_accepts_badly_scaled_regular_matrices():
+    # Only singularity is refused, not a spread of scales: each matrix
+    # is exactly regular once scaled to a unit diagonal.
+    doc = penalty_doc()
+    doc["process"]["g_inv"] = np.diag([1e-9, 1e9]).tolist()
+    doc["initial"]["cov"] = [[1e-10, 1e-6], [1e-6, 1e4]]
+    doc["control"] = {"B": np.diag([1e4, 1e-4]).tolist(), "R": np.eye(2).tolist()}
+    sc = scenario_from_dict(doc)
+    np.testing.assert_array_equal(sc.g_inv, np.diag([1e-9, 1e9]))
 
 
 def test_scenario_rejects_barrier_with_target():
