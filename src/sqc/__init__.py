@@ -11,7 +11,6 @@ from .engine import (
     normalization,
     predict,
     sample_posterior,
-    step,
     update,
 )
 from .errors import (
@@ -74,7 +73,6 @@ __all__ = [
     "sample_posterior",
     "scenario_from_dict",
     "simulate_open_loop",
-    "step",
     "tanh_target",
     "update",
     "verify_derivatives",

@@ -20,7 +20,7 @@ import numpy as np
 from . import engine
 from .engine import GaussianBelief, TrajectoryRecord
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
-from .linalg import _cholesky_solve, _strict_cholesky, spd_solve, symmetrize
+from .linalg import _cholesky_solve, _strict_cholesky, symmetrize
 from .process import ItoProcessModel
 
 __all__ = [
@@ -42,23 +42,23 @@ class ControlConfig:
     def __post_init__(self):
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
         self.R = symmetrize(np.atleast_2d(np.asarray(self.R, dtype=float)))
-        # Strict factorizations here, no jitter retry: a rank-deficient B
-        # must fail loudly at construction, not drift through the loop.
+        # Strict factorizations here, no jitter retry: a singular R or a
+        # rank-deficient B must fail loudly at construction, not drift
+        # through the loop.
         try:
-            np.linalg.cholesky(self.R)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite("R must be symmetric positive definite") from exc
-        self.r_inv_bt = spd_solve(self.R, self.B.T)
-        self.brb = symmetrize(self.B @ self.r_inv_bt)
+            r_chol = _strict_cholesky(self.R)
+        except NotPositiveDefinite:
+            raise NotPositiveDefinite("R must be symmetric positive definite") from None
+        r_inv_bt = _cholesky_solve(r_chol, self.B.T)
         try:
-            brb_chol = _strict_cholesky(self.brb)
+            brb_chol = _strict_cholesky(symmetrize(self.B @ r_inv_bt))
         except NotPositiveDefinite:
             raise NotPositiveDefinite(
                 f"B R^-1 B^T must be positive definite (B needs full row rank); got B = {self.B.tolist()}"
             ) from None
         # The least-effort map R^-1 B^T (B R^-1 B^T)^-1 is fixed once B and
         # R are, so it is built here and each step costs one product.
-        self.shift_map = _cholesky_solve(brb_chol, self.r_inv_bt.T).T
+        self.shift_map = _cholesky_solve(brb_chol, r_inv_bt.T).T
 
     def input_for_shift(self, shift: np.ndarray) -> np.ndarray:
         """Map a mean shift to the input u with B u = shift (least effort)."""
@@ -114,7 +114,7 @@ def run_closed_loop(
     try:
         engine._run(
             model, engine._floats(potential_fn, engine._evaluation_floats),
-            initial.mean, initial.cov, initial.step, True, draws, rows, retries,
+            initial.mean, initial.cov, initial.step, draws, rows, retries, model.dt,
         )
     except (DomainViolation, NonFinite) as exc:
         failure, failed_step = str(exc), initial.step + len(rows[0])

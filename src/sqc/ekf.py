@@ -33,7 +33,7 @@ import numpy as np
 
 from . import engine
 from .errors import ValidationError
-from .linalg import spd_inverse, spd_logdet, spd_solve, symmetrize
+from .linalg import _cholesky_solve, _strict_cholesky, spd_logdet, spd_solve, symmetrize
 from .potential import PotentialEvaluation, _quadratic, _vector, _zero_matrix
 from .process import ItoProcessModel
 
@@ -58,13 +58,15 @@ class ObservationModel:
 
     def __post_init__(self):
         self.sigma_nu = symmetrize(np.atleast_2d(np.asarray(self.sigma_nu, dtype=float)))
+        # One strict factor, no jitter retry: a singular sigma_nu fails here.
+        low, k = _strict_cholesky(self.sigma_nu), self.sigma_nu.shape[0]
         # Read-only: it is the constant curvature of every observation
         # potential, matched to log_density_offset below.
-        self.sigma_nu_inv = spd_inverse(self.sigma_nu)
+        self.sigma_nu_inv = symmetrize(_cholesky_solve(low, np.eye(k)))
         self.sigma_nu_inv.setflags(write=False)
         # log p(y) = log_density_offset - log_n for one absorbed observation.
-        k = self.sigma_nu.shape[0]
-        self.log_density_offset = -0.5 * (spd_logdet(self.sigma_nu) + k * math.log(2 * math.pi))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+        self.log_density_offset = -0.5 * (logdet + k * math.log(2 * math.pi))
 
 
 @dataclass
@@ -187,9 +189,7 @@ def filter_with_likelihood(
 
     rows = engine._new_rows()
     draws = [None] * (horizon + 1 - start)
-    engine._run(
-        model, potential, initial_belief.mean, initial_belief.cov, start, True, draws, rows, [0], weight=1.0
-    )
+    engine._run(model, potential, initial_belief.mean, initial_belief.cov, start, draws, rows, [0], 1.0)
     _, means, covs, _, log_ns, _ = rows
     m, n = initial_belief.dim, len(means)
     steps = range(start, start + n)

@@ -36,9 +36,10 @@ transient conditioning trouble (and still raises NotPositiveDefinite
 for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
-The kernel is the only update and _run the only step loop: step(),
-the closed loop and the observation filter each hand _run all their
-steps, and update() and normalization() call the kernel's update.
+The kernel is the only update and _run the only step loop: the closed
+loop and the observation filter each hand _run all their steps from a
+predicted belief, and update() and normalization() call the kernel's
+update. _compiled hands out each stage and documents its arguments.
 Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
 builds its own, and any other callable (including one that wraps a
@@ -54,11 +55,10 @@ reference for its update.
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -75,10 +75,7 @@ __all__ = [
     "update",
     "normalization",
     "sample_posterior",
-    "step",
 ]
-
-PotentialFn = Callable[[np.ndarray, int], PotentialEvaluation]
 
 
 @dataclass
@@ -132,7 +129,7 @@ class TrajectoryRecord:
     cov: np.ndarray
     value: float
     log_n: float
-    u: Optional[np.ndarray] = None
+    u: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +329,18 @@ _STAGES = {
 
 @lru_cache(maxsize=None)
 def _compiled(stage: str, *dims: int) -> Callable:
-    # One stage of the kernel, compiled from its source on first use for
-    # the dimensions it depends on: predict and sample on m, factor on k,
-    # update on (m, k).
+    """One stage of the step kernel, compiled on first use for its dimensions.
+
+    predict and sample depend on the state dimension m, factor on the
+    constraint dimension k, update on (m, k). Arguments and results are
+    float sequences, matrices flat in row-major order: predict(x, p, f,
+    jac, q, dt, t) -> (mean, cov); factor(c, retries) -> (c^-1,
+    log|c|/2); update(mean, p, value, grad, h, sig, hld, ldt, dt, t,
+    retries) -> (mean, cov, shift, log_n, script_n), where sig =
+    curvature^-1, hld its factor's log|curvature|/2 and ldt = (k/2)
+    log dt; sample(mean, p, z, retries) -> x. ``retries`` is a
+    one-entry list that counts the jittered Cholesky retries.
+    """
     namespace = {
         "sqrt": math.sqrt,
         "log": math.log,
@@ -345,27 +351,6 @@ def _compiled(stage: str, *dims: int) -> Callable:
     source = "\n".join(_STAGES[stage](*dims)) + "\n"
     exec(compile(source, f"<sqc step kernel {stage}{dims}>", "exec"), namespace)
     return namespace[stage]
-
-
-@lru_cache(maxsize=None)
-def _kernel(m: int, k: int) -> types.SimpleNamespace:
-    """The step kernel for state dimension m and constraint dimension k.
-
-    Arguments and results are float sequences, matrices flat in
-    row-major order: predict(x, p, f, jac, q, dt, t) -> (mean, cov);
-    factor(c, retries) -> (c^-1, log|c|/2); update(mean, p, value,
-    grad, h, sig, hld, ldt, dt, t, retries) -> (mean, cov, shift,
-    log_n, script_n), where sig = curvature^-1, hld its factor's
-    log|curvature|/2 and ldt = (k/2) log dt; sample(mean, p, z,
-    retries) -> x. ``retries`` is a one-entry list that counts the
-    jittered Cholesky retries.
-    """
-    return types.SimpleNamespace(
-        predict=_compiled("predict", m),
-        factor=_compiled("factor", k),
-        update=_compiled("update", m, k),
-        sample=_compiled("sample", m),
-    )
 
 
 def _flat(out) -> list:
@@ -393,10 +378,9 @@ def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
 def _update_once(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple:
     value, grad, h, curvature = _evaluation_floats(pot)
     m, k = belief.dim, len(grad)
-    kernel = _kernel(m, k)
     retries = [0]
-    sig, hld = kernel.factor(curvature, retries)
-    return kernel.update(
+    sig, hld = _compiled("factor", k)(curvature, retries)
+    return _compiled("update", m, k)(
         belief.mean.tolist(), belief.cov.ravel().tolist(), value, grad, h, sig, hld,
         0.5 * k * math.log(dt), dt, belief.step, retries,
     )
@@ -413,27 +397,26 @@ def _run(
     mean: np.ndarray,
     cov: np.ndarray,
     t: int,
-    predicted: bool,
     draws: list,
     rows: tuple,
     retries: list,
-    weight: Optional[float] = None,
+    weight: float,
 ) -> None:
-    """The recursion loop of step(), the closed loop and the filter.
+    """The recursion loop of the closed loop and the filter.
 
-    Runs one step per entry of ``draws`` from the moments (mean, cov)
-    at step t: predicts (except on the first step when the moments are
-    already predicted), evaluates the potential's float form
-    ``evaluate`` at the predicted mean, updates with time weight
-    ``weight`` (default model.dt), and takes the next state from the
-    posterior with the step's standard normal draw, or the posterior
-    mean where the draw is None. Where ``evaluate`` returns None the
-    step keeps the bare prediction, with V and log_n nan and a zero
-    shift. Each step appends to the columns of ``rows``; a step that
-    raises appends nothing, so len(rows[0]) counts the completed ones.
+    Runs one step per entry of ``draws`` from the predicted moments
+    (mean, cov) at step t: the first step updates them as given, every
+    later one first predicts from the previous step's state. Each step
+    evaluates the potential's float form ``evaluate`` at the predicted
+    mean, updates with time weight ``weight``, and takes the next state
+    from the posterior with the step's standard normal draw, or the
+    posterior mean where the draw is None. Where ``evaluate`` returns
+    None the step keeps the bare prediction, with V and log_n nan and a
+    zero shift. Each step appends to the columns of ``rows``; a step
+    that raises appends nothing, so len(rows[0]) counts the completed
+    ones.
     """
     m, dt = len(mean), model.dt
-    weight = dt if weight is None else weight
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
     predict, sample = _compiled("predict", m), _compiled("sample", m)
     # k comes from the first evaluation; (sig, hld) factor ``factored``.
@@ -441,9 +424,10 @@ def _run(
     noise = model.noise_cov.ravel().tolist()
     x, p = mean.tolist(), cov.ravel().tolist()
     xs, means, covs, values, log_ns, shifts = rows
+    first = True
     for z in draws:
-        if predicted:
-            predicted = False
+        if first:
+            first = False
             mn = x
         else:
             mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
@@ -457,8 +441,7 @@ def _run(
             if curv != factored:
                 if len(grad) != k:
                     k = len(grad)
-                    kernel = _kernel(m, k)
-                    factor, update = kernel.factor, kernel.update
+                    factor, update = _compiled("factor", k), _compiled("update", m, k)
                     ldt = 0.5 * k * math.log(weight)
                 sig, hld = factor(curv, retries)
                 factored = curv
@@ -477,17 +460,17 @@ def _table(column: list, size: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(column), float, size)
 
 
-def _records(rows: tuple, first_step: int, m: int, input_map: Optional[np.ndarray]) -> list:
+def _records(rows: tuple, first_step: int, m: int, input_map: np.ndarray) -> list:
     """TrajectoryRecords from _run's columns, built once per run.
 
-    The arrays of the records are views of one table per column; with
-    an ``input_map`` every record carries u = input_map @ shift.
+    The arrays of the records are views of one table per column; every
+    record carries u = input_map @ shift.
     """
     xs, means, covs, values, log_ns, shifts = rows
     n = len(xs)
     x, mean, shift = (_table(column, n * m).reshape(n, m) for column in (xs, means, shifts))
     cov = _table(covs, n * m * m).reshape(n, m, m)
-    u = [None] * n if input_map is None else shift @ input_map.T
+    u = shift @ input_map.T
     return list(map(TrajectoryRecord, range(first_step, first_step + n), x, mean, cov, values, log_ns, u))
 
 
@@ -542,38 +525,3 @@ def sample_posterior(belief: GaussianBelief, rng: np.random.Generator) -> np.nda
     low = spd_cholesky(belief.cov)
     return belief.mean + low @ rng.standard_normal(belief.dim)
 
-
-def step(
-    belief: GaussianBelief,
-    model: ItoProcessModel,
-    potential_fn: PotentialFn,
-    t: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
-    mode: str = "sampled",
-) -> tuple[GaussianBelief, TrajectoryRecord]:
-    """One full recursion step: predict, evaluate potential, update, log.
-
-    ``t``, when given, must equal the step index of the incoming belief
-    (a guard against desynchronized loops). A belief tagged "updated"
-    is first predicted to step + 1; one tagged "predicted" (the initial
-    belief) is updated in place. The potential is always evaluated at
-    the predicted mean, never at a sampled state.
-
-    mode="sampled" draws the next state from the posterior and hands
-    the recursion a belief re-centered on that draw (keeping the
-    posterior covariance). mode="belief" runs the pure moment recursion.
-    """
-    if mode not in ("sampled", "belief"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if t is not None and t != belief.step:
-        raise ValueError(f"t={t} does not match belief step {belief.step}")
-    if mode == "sampled" and rng is None:
-        raise ValueError("sampled mode needs a random generator")
-    predicted = belief.tag == "predicted"
-    draws = rng.standard_normal((1, belief.dim)).tolist() if mode == "sampled" else [None]
-    rows = _new_rows()
-    evaluate = _floats(potential_fn, _evaluation_floats)
-    _run(model, evaluate, belief.mean, belief.cov, belief.step, predicted, draws, rows, [0])
-    record = _records(rows, belief.step + (not predicted), belief.dim, None)[0]
-    mean = record.x if mode == "sampled" else record.mean
-    return GaussianBelief._trusted(mean, record.cov, record.step, "updated"), record

@@ -16,11 +16,6 @@ class Singular(SqcError):
 class DomainViolation(SqcError):
     """A potential was evaluated outside its admissible domain."""
 
-    def __init__(self, message, point=None, step=None):
-        super().__init__(message)
-        self.point = point
-        self.step = step
-
 
 class NonFinite(SqcError):
     """A state or belief left the finite range."""

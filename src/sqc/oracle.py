@@ -45,7 +45,6 @@ __all__ = [
     "update_precision_form",
     "normalization_precision_form",
     "woodbury_inverse",
-    "det_product_identity_check",
     "identity_suite",
     "IdentityReport",
     "quadrature_checks",
@@ -353,51 +352,6 @@ def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndar
     if np.allclose(out, out.T, rtol=1e-8, atol=1e-12):
         out = linalg.symmetrize(out)
     return out
-
-
-def _slogdet_or_singular(m: np.ndarray, label: str) -> tuple[float, float]:
-    sign, logabs = np.linalg.slogdet(m)
-    if sign == 0.0:
-        raise Singular(f"{label} is singular")
-    return float(sign), float(logabs)
-
-
-def det_product_identity_check(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> float:
-    """Max relative discrepancy among the three block determinant forms.
-
-    Compares |[[A,B],[C,D]]|, |A - B D^-1 C| |D| and |A| |D - C A^-1 B|
-    on the log scale and returns the worst pairwise relative error
-    (np.inf if the signs disagree). A and D must be invertible.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    c = np.atleast_2d(np.asarray(c, dtype=float))
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-
-    sign_a, logdet_a = _slogdet_or_singular(a, "A")
-    sign_d, logdet_d = _slogdet_or_singular(d, "D")
-    try:
-        schur_of_d = a - b @ np.linalg.solve(d, c)
-        schur_of_a = d - c @ np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise Singular("A or D is singular") from exc
-
-    block = np.block([[a, b], [c, d]])
-    signs = np.empty(3)
-    logs = np.empty(3)
-    signs[0], logs[0] = np.linalg.slogdet(block)
-    s1, l1 = np.linalg.slogdet(schur_of_d)
-    signs[1], logs[1] = s1 * sign_d, l1 + logdet_d
-    s2, l2 = np.linalg.slogdet(schur_of_a)
-    signs[2], logs[2] = s2 * sign_a, l2 + logdet_a
-
-    if not (signs[0] == signs[1] == signs[2]):
-        return np.inf
-    worst = 0.0
-    for i in range(3):
-        for j in range(i + 1, 3):
-            worst = max(worst, abs(np.expm1(logs[i] - logs[j])))
-    return float(worst)
 
 
 # ---------------------------------------------------------------------------

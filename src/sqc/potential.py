@@ -156,8 +156,7 @@ def _double_well_floats(x, d, w) -> tuple[list, float, list, list]:
 
 def _barrier_floats(x, a) -> tuple[float, list, list]:
     if any(xi <= 0.0 for xi in x):
-        point = np.array(x)
-        raise DomainViolation(f"barrier evaluated at non-positive point {point}", point=point)
+        raise DomainViolation(f"barrier evaluated at non-positive point {np.array(x)}")
     value = -_dot(a, [math.log(xi) for xi in x])
     grad = [-ai / xi for ai, xi in zip(a, x)]
     # a / x / x, not a / (x * x): x * x underflows to 0 for x below
@@ -190,7 +189,7 @@ def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
     m = len(x_hat)
     a = _entries(a, m)
     if any(ai <= 0.0 for ai in a):
-        raise DomainViolation("barrier weights a must be positive", point=np.array(a))
+        raise DomainViolation("barrier weights a must be positive")
     value, grad, curvature = _barrier_floats(x_hat.tolist(), a)
     return PotentialEvaluation._trusted(
         x_hat.copy(), value, np.array(grad), _neg_eye(m), np.reshape(curvature, (m, m)), _zero_matrix(m)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, ValidationError
-from .linalg import _dot, _eye, spd_cholesky, symmetrize
+from .linalg import _dot, _eye, _strict_cholesky, symmetrize
 
 __all__ = [
     "ItoProcessModel",
@@ -55,8 +55,9 @@ class ItoProcessModel:
         if self.dt <= 0:
             raise ValidationError("dt must be positive")
         # g_inv and dt are time independent, so the noise factor and the
-        # per-step noise covariance g_inv dt are computed once.
-        self.noise_factor = spd_cholesky(self.g_inv)
+        # per-step noise covariance g_inv dt are computed once; the strict
+        # factor refuses a singular g_inv.
+        self.noise_factor = _strict_cholesky(self.g_inv)
         self.noise_cov = self.g_inv * self.dt
 
 

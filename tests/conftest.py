@@ -1,7 +1,5 @@
 """Shared helpers for the test suite."""
 
-import types
-
 import numpy as np
 
 from sqc import engine
@@ -23,19 +21,20 @@ def rel_err(a, b):
 
 
 def counting_kernels(monkeypatch, stage):
-    """Make every kernel engine._kernel hands out count calls of one stage."""
+    """Make every kernel stage named ``stage`` that engine._compiled hands out count its calls."""
     calls = []
-    compiled = engine._kernel
+    compiled = engine._compiled
 
-    def kernel(m, k):
-        plain = compiled(m, k)
-        original = getattr(plain, stage)
+    def counting(name, *dims):
+        original = compiled(name, *dims)
+        if name != stage:
+            return original
 
         def counted(*args):
-            calls.append((m, k))
+            calls.append(dims)
             return original(*args)
 
-        return types.SimpleNamespace(**{**vars(plain), stage: counted})
+        return counted
 
-    monkeypatch.setattr(engine, "_kernel", kernel)
+    monkeypatch.setattr(engine, "_compiled", counting)
     return calls

@@ -58,6 +58,9 @@ def test_nonuniform_effort_weight_still_reproduces_shift():
 def test_config_rejects_indefinite_effort_weight():
     with pytest.raises(NotPositiveDefinite):
         ControlConfig(B=np.eye(2), R=np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # Numerically singular: both pivots are positive, R is refused all the same.
+    with pytest.raises(NotPositiveDefinite, match="R must be symmetric positive definite"):
+        ControlConfig(B=np.array([[1.0, 0.0]]), R=np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]))
 
 
 def test_config_rejects_rank_deficient_input_matrix():

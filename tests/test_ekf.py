@@ -4,7 +4,7 @@ from scipy import stats
 
 from conftest import counting_kernels, random_spd, rel_err
 from sqc import ekf, engine, process
-from sqc.errors import ValidationError
+from sqc.errors import NotPositiveDefinite, ValidationError
 from sqc.potential import eval_quadratic_penalty
 
 
@@ -197,6 +197,15 @@ def test_filter_requires_predicted_initial():
     bad = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), tag="updated")
     with pytest.raises(ValidationError):
         ekf.filter_with_likelihood(linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu), stream, bad)
+
+
+def test_observation_model_refuses_singular_sigma_nu():
+    # A jittered factor of this matrix would give a sigma_nu_inv with
+    # entries near 5e12; the strict factor refuses it.
+    with pytest.raises(NotPositiveDefinite):
+        ekf.ObservationModel(
+            h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(2), sigma_nu=[[0.001, 0.001], [0.001, 0.001]]
+        )
 
 
 def test_observation_stream_must_increase():

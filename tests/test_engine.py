@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -88,10 +90,9 @@ def kernel_update(belief, pot, dt):
     arrays and floats.
     """
     m, k = belief.dim, len(pot.grad_l)
-    kernel = engine._kernel(m, k)
     retries = [0]
-    sig, hld = kernel.factor(pot.curvature.ravel().tolist(), retries)
-    mean, cov, shift, log_n, script_n = kernel.update(
+    sig, hld = engine._compiled("factor", k)(pot.curvature.ravel().tolist(), retries)
+    mean, cov, shift, log_n, script_n = engine._compiled("update", m, k)(
         belief.mean.tolist(), belief.cov.ravel().tolist(), pot.value, pot.grad_l.tolist(),
         pot.H.ravel().tolist(), sig, hld, 0.5 * k * math.log(dt), dt, belief.step, retries,
     )
@@ -144,12 +145,12 @@ def test_kernel_cholesky_falls_back_to_jittered_factor():
     # spd_cholesky's jittered one, seen through log_n = log|S|/2 + ...,
     # and the run's count must show the retry. The sample stage takes
     # the same fallback for a covariance of all ones.
-    kernel = engine._kernel(2, 2)
+    update, sample = engine._compiled("update", 2, 2), engine._compiled("sample", 2)
     ones = np.ones((2, 2))
     low = linalg.spd_cholesky(ones)
     assert low[1, 1] > 0.0
     retries = [0]
-    mean, cov, shift, log_n, _ = kernel.update(
+    mean, cov, shift, log_n, _ = update(
         [0.5, -0.5], [1.0, 0.2, 0.2, 2.0], 0.3, [1.0, 2.0], [0.0] * 4, ones.ravel().tolist(),
         0.0, 0.0, 1.0, 0, retries,
     )
@@ -158,22 +159,22 @@ def test_kernel_cholesky_falls_back_to_jittered_factor():
     assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
 
     z = [0.7, -1.1]
-    x = kernel.sample([0.1, 0.2], ones.ravel().tolist(), z, retries)
+    x = sample([0.1, 0.2], ones.ravel().tolist(), z, retries)
     assert retries == [2]
     np.testing.assert_allclose(x, np.array([0.1, 0.2]) + low @ z, rtol=1e-14, atol=1e-14)
 
 
 def test_kernel_indefinite_matrix_raises():
-    kernel = engine._kernel(2, 2)
     indefinite = [1.0, 2.0, 2.0, 1.0]
     retries = [0]
     with pytest.raises(NotPositiveDefinite):
-        kernel.update([0.0, 0.0], [1.0, 0.0, 0.0, 1.0], 0.0, [1.0, 1.0], [0.0] * 4, indefinite,
-                      0.0, 0.0, 1.0, 0, retries)
+        engine._compiled("update", 2, 2)(
+            [0.0, 0.0], [1.0, 0.0, 0.0, 1.0], 0.0, [1.0, 1.0], [0.0] * 4, indefinite, 0.0, 0.0, 1.0, 0, retries
+        )
     with pytest.raises(NotPositiveDefinite):
-        kernel.factor(indefinite, retries)
+        engine._compiled("factor", 2)(indefinite, retries)
     with pytest.raises(NotPositiveDefinite):
-        kernel.sample([0.0, 0.0], indefinite, [0.1, 0.2], retries)
+        engine._compiled("sample", 2)([0.0, 0.0], indefinite, [0.1, 0.2], retries)
     assert retries == [0]
 
 
@@ -187,7 +188,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         "for name in sqc.scenario.BUNDLED_SCENARIOS:\n"
         "    sc = sqc.load_bundled(name)\n"
         "    sc.build_model(); sc.build_potential()\n"
-        "print(sqc.engine._kernel.cache_info().currsize, sqc.engine._compiled.cache_info().currsize)\n"
+        "print(sqc.engine._compiled.cache_info().currsize)\n"
         "print('scipy' in sys.modules)\n"
     )
     src = str(Path(engine.__file__).resolve().parent.parent)
@@ -195,7 +196,19 @@ def test_import_and_scenario_load_compile_no_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "0", "False"]
+    assert done.stdout.split() == ["0", "False"]
+
+
+def test_public_names_resolve():
+    # Every name the package and each of its modules export exists, so
+    # `from sqc.<module> import *` never meets a deleted function.
+    import sqc
+
+    modules = [importlib.import_module(f"sqc.{info.name}") for info in pkgutil.iter_modules(sqc.__path__)]
+    assert len(modules) >= 9
+    for module in [sqc] + modules:
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert not missing, (module.__name__, missing)
 
 
 def test_gauge_invariance():
@@ -254,59 +267,6 @@ def test_sample_posterior_deterministic_and_calibrated():
     np.testing.assert_allclose(np.cov(draws.T), belief.cov, atol=0.02)
 
 
-def test_step_belief_mode_composes_predict_and_update():
-    model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
-    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
-    belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=2, tag="updated")
-    nxt, record = engine.step(belief, model, pot_fn, mode="belief")
-
-    pred = engine.predict(belief, model)
-    ref = engine.update(pred, pot_fn(pred.mean, pred.step), model.dt)
-    assert nxt.step == 3 and nxt.tag == "updated"
-    np.testing.assert_allclose(nxt.mean, ref.mean, atol=1e-13)
-    np.testing.assert_allclose(nxt.cov, ref.cov, atol=1e-13)
-    assert record.step == 3
-    np.testing.assert_array_equal(record.x, nxt.mean)
-
-
-def test_step_consumes_initial_predicted_belief_in_place():
-    model = linear_model(np.array([[0.0]]), 1, np.array([[1.0]]))
-    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([0.0]), np.array([[1.0]]))
-    initial = engine.GaussianBelief(mean=[2.0], cov=[[1.0]], step=0, tag="predicted")
-    nxt, record = engine.step(initial, model, pot_fn, mode="belief")
-    assert nxt.step == 0 and record.step == 0
-    np.testing.assert_allclose(nxt.mean, [1.0])  # shrunk halfway to the origin
-
-
-def test_step_guards():
-    model = linear_model(np.array([[0.0]]), 1, np.array([[1.0]]))
-    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([0.0]), np.array([[1.0]]))
-    belief = engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=5)
-    with pytest.raises(ValueError, match="does not match"):
-        engine.step(belief, model, pot_fn, t=4, mode="belief")
-    with pytest.raises(ValueError, match="mode"):
-        engine.step(belief, model, pot_fn, mode="mean_field")
-    with pytest.raises(ValueError, match="generator"):
-        engine.step(belief, model, pot_fn)
-
-
-def test_step_sampled_mode_reproducible():
-    model = linear_model(np.array([[-0.05, 0.0], [0.0, -0.05]]), 2, 0.1 * np.eye(2))
-    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.zeros(2), 10.0 * np.eye(2))
-    initial = engine.GaussianBelief(mean=[1.0, 1.0], cov=np.eye(2), step=0, tag="predicted")
-
-    def run(seed):
-        rng = np.random.default_rng(seed)
-        belief, xs = initial, []
-        for _ in range(20):
-            belief, record = engine.step(belief, model, pot_fn, rng=rng, mode="sampled")
-            xs.append(record.x)
-        return np.array(xs)
-
-    np.testing.assert_array_equal(run(0), run(0))
-    assert not np.array_equal(run(0), run(1))
-
-
 def test_update_paths_run_through_step_core(monkeypatch):
     # One update kernel: the public update and normalization, the
     # closed loop and the observation filter each call the generated
@@ -333,28 +293,25 @@ def test_update_paths_run_through_step_core(monkeypatch):
 
 
 def test_step_loops_run_through_engine_run(monkeypatch):
-    # One step loop: engine.step, the closed loop and the observation
-    # filter each hand all of their steps to a single engine._run call.
+    # One step loop: the closed loop and the observation filter each
+    # hand all of their steps to a single engine._run call.
     calls = []
     run = engine._run
 
-    def counted(*args, **kwargs):
-        calls.append(len(args[6]))
-        return run(*args, **kwargs)
+    def counted(*args):
+        calls.append(len(args[5]))
+        return run(*args)
 
     monkeypatch.setattr(engine, "_run", counted)
     model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
     pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
     belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")
 
-    engine.step(belief, model, pot_fn, mode="belief")
-    assert calls == [1]
-
     cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
     control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
-    assert calls == [1, 7]
+    assert calls == [7]
 
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, belief)
-    assert calls == [1, 7, 4] and len(beliefs) == 4
+    assert calls == [7, 4] and len(beliefs) == 4

@@ -96,29 +96,3 @@ def test_woodbury_singular_inner_matrix():
     d = np.array([[-1.0]])  # D + C A^-1 B = 0
     with pytest.raises(Singular):
         oracle.woodbury_inverse(a_inv, b, d, c)
-
-
-def test_det_identity_frozen_blocks():
-    # [[2, 1], [1, 3]] has determinant 5 = (2 - 1/3) * 3 = 2 * (3 - 1/2).
-    err = oracle.det_product_identity_check(
-        np.array([[2.0]]), np.array([[1.0]]), np.array([[1.0]]), np.array([[3.0]])
-    )
-    assert err < 1e-12
-
-
-def test_det_identity_random_blocks():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m, k = rng.integers(1, 6, size=2)
-        a = random_spd(rng, int(m))
-        d = random_spd(rng, int(k))
-        b = rng.standard_normal((int(m), int(k)))
-        c = rng.standard_normal((int(k), int(m)))
-        assert oracle.det_product_identity_check(a, b, c, d) < 1e-8
-
-
-def test_det_identity_requires_invertible_corner():
-    with pytest.raises(Singular):
-        oracle.det_product_identity_check(
-            np.zeros((1, 1)), np.eye(1), np.eye(1), np.eye(1)
-        )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sqc import process
-from sqc.errors import NonFinite, ValidationError
+from sqc.errors import NonFinite, NotPositiveDefinite, ValidationError
 
 
 def make_model(dim=1, kind="zero", params=None, g_inv=None, dt=1.0):
@@ -18,6 +18,14 @@ def test_model_validates_shapes_and_dt():
         process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(3))
     with pytest.raises(ValidationError):
         process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(2), dt=0.0)
+
+
+def test_model_refuses_singular_noise_metric():
+    # Rounding leaves [[1, 1], [1, 1]] no failed pivot for a jittered
+    # retry to rescue; the strict factor refuses it.
+    drift, jac = process.make_drift("zero", None, 2)
+    with pytest.raises(NotPositiveDefinite):
+        process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=[[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_noise_factor_factorizes_g_inv():
