@@ -11,13 +11,14 @@ estimated from data.
 
 filter_with_likelihood has no step loop of its own: it hands the
 engine's loop, with unit time weight, the observation potential's
-float form. That returns the same curvature tuple sigma_nu_inv at
-every observed step, so the loop factors it once per call, and None
-at unobserved steps, which keep the bare prediction. h and its
-Jacobian enter through their float forms when they carry one (the
-scenario's linear and identity maps do) and through .tolist()
-otherwise. The log normalization gives the marginal
-likelihood:
+float form: the quadratic penalty's generated form evaluated at y with
+the target h(x), which gives l = y - h(x). That returns the same
+curvature tuple sigma_nu_inv at every observed step, so the loop
+factors it once per call, and None at unobserved steps, which keep
+the bare prediction. h and its Jacobian enter through their float
+forms when they carry one (the scenario's linear and identity maps do)
+and through .tolist() otherwise. The log normalization gives the
+marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
@@ -34,7 +35,7 @@ import numpy as np
 from . import engine
 from .errors import ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation, _quadratic, _vector, _zero_matrix
+from .potential import PotentialEvaluation, _form_factory, _vector, _zero_matrix, eval_quadratic_penalty
 from .process import ItoProcessModel
 
 __all__ = [
@@ -94,14 +95,14 @@ class ObservationStream:
 def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.ndarray, t: int) -> PotentialEvaluation:
     """Quadratic potential in the innovation l = y - h(x)."""
     x_hat = _vector(x_hat)
-    l = _vector(y) - _vector(obs_model.h(x_hat, t))
-    value, grad_l = _quadratic(l.tolist(), obs_model.sigma_nu_inv.tolist())
+    # The penalty at y with target h(x) has l = y - h(x), V and dV/dl.
+    pen = eval_quadratic_penalty(y, obs_model.h(x_hat, t), obs_model.sigma_nu_inv)
     jac = np.atleast_2d(np.asarray(obs_model.h_jacobian(x_hat, t), dtype=float))
     # H = -(dl/dx) = +dh/dx. A non-finite l makes the value non-finite,
     # which _trusted refuses; a non-finite Jacobian shows in the
     # updated moments, which the update checks.
     return PotentialEvaluation._trusted(
-        l, value, np.array(grad_l), jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
+        pen.l, pen.value, pen.grad_l, jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
     )
 
 
@@ -175,8 +176,8 @@ def filter_with_likelihood(
     start = initial_belief.step
     if horizon is None:
         horizon = max(by_step) if by_step else start
-    weights = obs_model.sigma_nu_inv.tolist()
-    curvature = tuple(obs_model.sigma_nu_inv.ravel().tolist())
+    weights = obs_model.sigma_nu_inv
+    evaluate, _ = _form_factory("quadratic_penalty", len(weights), "given")(*weights.ravel().tolist())
     h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
 
     def potential(x, t):
@@ -184,7 +185,7 @@ def filter_with_likelihood(
         y = by_step.get(t)
         if y is None:
             return None
-        value, grad = _quadratic([yi - hi for yi, hi in zip(y, h(x, t))], weights)
+        value, grad, _, curvature = evaluate(y, h(x, t))
         return value, grad, h_jacobian(x, t), curvature
 
     rows = engine._new_rows()

@@ -26,9 +26,10 @@ script_n and log_n) and sample (mean + chol(cov) z). Each function's
 source is compiled on first use for the dimensions it depends on and
 cached, as collections.namedtuple does; nothing is compiled at import
 or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and record) costs about 15 us, where the call
-overhead of about 40 numpy and LAPACK calls on 2 x 2 arrays used to
-cost about 57 us.
+potential, kernel and record) costs about 7-11 us on a 2-vCPU Xeon VM,
+where the call overhead of about 40 numpy and LAPACK calls on 2 x 2
+arrays used to cost about 57 us. The bundled potentials' float forms
+are generated the same way (see potential).
 
 A Cholesky pivot that is not > 0 hands the whole matrix to
 linalg.spd_cholesky, whose jittered retry keeps a run alive through
@@ -63,7 +64,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite
-from .linalg import _jittered_cholesky, spd_cholesky, symmetrize
+from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
 from .process import ItoProcessModel, transition_matrix
 
@@ -348,9 +349,7 @@ def _compiled(stage: str, *dims: int) -> Callable:
         "NonFinite": NonFinite,
         "_cholesky": _cholesky,
     }
-    source = "\n".join(_STAGES[stage](*dims)) + "\n"
-    exec(compile(source, f"<sqc step kernel {stage}{dims}>", "exec"), namespace)
-    return namespace[stage]
+    return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
 
 
 def _flat(out) -> list:

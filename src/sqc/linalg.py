@@ -10,7 +10,6 @@ overflow on long products.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 import numpy as np
 
@@ -70,10 +69,25 @@ def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
         ) from exc
 
 
-def _dot(a, b) -> float:
-    # Dot product of two float sequences; the float forms of the drifts
-    # and potentials use it.
-    return sum(map(mul, a, b))
+# Generated source. The float forms of the linear maps and the bundled
+# potentials, like the step kernel, are written out as source per
+# dimension and compiled on first use.
+
+def _dot_source(a: list, b: list) -> str:
+    """Source of the dot product of the float names a and b.
+
+    It sums left to right from 0.0, so products that are all -0.0 sum
+    to 0.0, as sum(map(mul, a, b)) does up to Python 3.11; unlike sum()
+    from 3.12, which compensates float sums, it rounds the same way on
+    every interpreter.
+    """
+    return "0.0 + " + " + ".join(f"{p} * {q}" for p, q in zip(a, b))
+
+
+def _compile_source(lines: list, label: str, namespace: dict, name: str):
+    """Compile source lines into ``namespace`` and return its entry ``name``."""
+    exec(compile("\n".join(lines) + "\n", label, "exec"), namespace)
+    return namespace[name]
 
 
 def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:

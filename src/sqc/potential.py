@@ -16,14 +16,20 @@ The counter term exactly cancels the counter_curvature contribution in
 the second-order expansion, so the update omits it; it is carried only
 as a diagnostic.
 
-The bundled potentials are also written on Python floats (their float
-forms), which the step kernel evaluates without building arrays; the
-eval_* functions build their arrays from the same float functions.
-Like a drift's, a potential's float form is its callable's ``floats``
-attribute: (x, t) -> (value, grad_l, H, curvature), H (k x m) and the
-curvature (k x k) flat and row-major. The step loop refactors the
-curvature only when it changes by value, so a float form returns an
-immutable tuple or a fresh list, never a list it later rewrites.
+The bundled potentials (penalty, double well, barrier) are evaluated
+through float forms: straight-line functions on Python floats that the
+step kernel calls without building arrays. As with the step kernel, a
+template writes out their source, here per (kind, m, target kind), with
+W, the target and the barrier weights as closure constants; it is
+compiled on first use and cached, and nothing is compiled at import or
+when a scenario is loaded. The eval_* functions, the scenario's
+potential callables and the filter's innovation quadratic are all
+built from these forms. Like a drift's, a potential's float form is
+its callable's ``floats`` attribute: (x, t) -> (value, grad_l, H,
+curvature), H (k x m) and the curvature (k x k) flat and row-major. The
+step loop refactors the curvature only when it changes by value, so a
+float form returns an immutable tuple or a fresh list, never a list it
+later rewrites.
 """
 
 from __future__ import annotations
@@ -31,13 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import sub
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainViolation, NonFinite
-from .linalg import _dot
+from .linalg import _compile_source, _dot_source
 
 __all__ = [
     "PotentialEvaluation",
@@ -87,13 +92,6 @@ class PotentialEvaluation:
 
 
 @lru_cache(maxsize=None)
-def _neg_eye(m: int) -> np.ndarray:
-    out = -np.eye(m)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _zero_matrix(m: int) -> np.ndarray:
     out = np.zeros((m, m))
     out.setflags(write=False)
@@ -124,59 +122,125 @@ def _weights(sigma_nu_inv, k: int) -> np.ndarray:
     return w
 
 
-def _diag(v) -> list:
-    # Flat row-major diagonal matrix with the floats v on its diagonal.
-    n = len(v)
-    out = [0.0] * (n * n)
-    out[:: n + 1] = v
-    return out
+class _NonPositivePoint(DomainViolation):
+    # The barrier's domain error; its point is formatted only when the
+    # message is read. The quadrature oracle catches and drops thousands
+    # of these, and formatting one costs several evaluations.
+    def __str__(self) -> str:
+        return f"barrier evaluated at non-positive point {np.array(self.args[0])}"
 
 
-# Float forms: each formula is written once, on sequences of Python
-# floats. The eval_* functions build their arrays from these, and the
-# scenario's potential callables carry them for the step kernel.
+# ---------------------------------------------------------------------------
+# The generated float forms.
 
-def _quadratic(l, w) -> tuple[float, list]:
-    """V = l^T w l / 2 and dV/dl = w l, for a float vector l and rows w."""
-    grad = [_dot(row, l) for row in w]
-    return 0.5 * _dot(l, grad), grad
+def _form_source(kind: str, m: int, target) -> list:
+    rm = range(m)
+    xs = [f"x{i}" for i in rm]
+
+    def diagonal(entries):
+        return "(" + ", ".join(entries[i] if i == j else "0.0" for i in rm for j in rm) + ",)"
+
+    head = [f"    {', '.join(xs)}, = x"]
+    h = "h"
+    if kind == "log_barrier":
+        constants, ls, inner = [f"a{i}" for i in rm], xs, []
+        body = [f"    if {' or '.join(f'{x} <= 0.0' for x in xs)}:", "        raise _NonPositivePoint(x)"]
+        value = f"-({_dot_source(constants, [f'log({x})' for x in xs])})"
+        grad = [f"-a{i} / x{i}" for i in rm]
+        # a / x / x, not a / (x * x): x * x underflows to 0 for x below
+        # 1e-162, and a Python float division by 0 raises.
+        curvature = diagonal([f"a{i} / x{i} / x{i}" for i in rm])
+    else:
+        w = [[f"w{i}_{j}" for j in rm] for i in rm]
+        constants, ds = [v for row in w for v in row], [f"d{i}" for i in rm]
+        if target == "constant":
+            constants += ds
+        elif target == "tanh_ramp":
+            constants += ["amp", "rate", "center"]
+            ds, head = ["d"] * m, head + ["    d = amp * (1.0 + tanh(rate * (t - center)))"]
+        else:  # "given": the second argument is the target vector
+            head = head + [f"    {', '.join(ds)}, = t"]
+        ls, grad = [f"l{i}" for i in rm], [f"g{i}" for i in rm]
+        if kind == "quadratic_penalty":
+            inner = [f"    l{i} = x{i} - {ds[i]}" for i in rm]
+        else:
+            inner = [f"    l{i} = x{i} * x{i} - {ds[i]} * {ds[i]}" for i in rm]
+            h = diagonal([f"-2.0 * x{i}" for i in rm])
+        body = [f"    g{i} = {_dot_source(w[i], ls)}" for i in rm]
+        value = f"0.5 * ({_dot_source(ls, grad)})"
+        curvature = "curvature"
+    lines = [f"def make({', '.join(constants)}):"]
+    if h == "h":
+        lines.append(f"    h = {diagonal(['-1.0'] * m)}")
+    if curvature == "curvature":
+        lines.append(f"    curvature = ({', '.join(constants[: m * m])},)")
+    for name, tail in (
+        ("inner", [f"    return ({', '.join(ls)},)"]),
+        ("evaluate", body + [f"    return {value}, ({', '.join(grad)},), {h}, {curvature}"]),
+    ):
+        lines.append(f"    def {name}(x, t):")
+        lines += ["    " + line for line in head + inner + tail]
+    lines.append("    return evaluate, inner")
+    return lines
 
 
-def _penalty_floats(x, d, w) -> tuple[list, float, list, list]:
-    l = list(map(sub, x, d))
-    value, grad = _quadratic(l, w)
-    return l, value, grad, _diag([-1.0] * len(l))
+@lru_cache(maxsize=None)
+def _form_factory(kind: str, m: int, target) -> Callable:
+    """The float form of a bundled potential, compiled on first use per (kind, m, target).
+
+    kind is "quadratic_penalty", "double_well" or "log_barrier"; target
+    is "constant", "tanh_ramp" or "given" for the first two and None for
+    the barrier. The result is a factory make(*constants) -> (evaluate,
+    inner). The constants are the barrier's a, or W's entries row by row
+    followed by the target's: its m entries ("constant"), amplitude, rate
+    and center ("tanh_ramp", amplitude * (1 + tanh(rate * (t - center))))
+    or none ("given", where the second argument t of evaluate and inner is
+    the target vector itself, not the step). evaluate(x, t) -> (value,
+    grad_l, H, curvature) is the float form, H and the curvature flat
+    row-major tuples; inner(x, t) -> l. Every dot product sums left to
+    right from 0.0 (linalg._dot_source).
+    """
+    namespace = {"tanh": math.tanh, "log": math.log, "_NonPositivePoint": _NonPositivePoint}
+    label = f"<sqc potential {kind}, m={m}, target {target}>"
+    return _compile_source(_form_source(kind, m, target), label, namespace, "make")
 
 
-def _double_well_floats(x, d, w) -> tuple[list, float, list, list]:
-    l = [xi * xi - di * di for xi, di in zip(x, d)]
-    value, grad = _quadratic(l, w)
-    return l, value, grad, _diag([-2.0 * xi for xi in x])
+def _array_evaluation(kind: str, form: tuple, x: list, t) -> PotentialEvaluation:
+    # A PotentialEvaluation from a generated (evaluate, inner) pair at the
+    # float point x.
+    evaluate, inner = form
+    value, grad, h, curvature = evaluate(x, t)
+    m, grad = len(x), np.array(grad)
+    counter = np.diag(2.0 * grad) if kind == "double_well" else _zero_matrix(m)
+    return PotentialEvaluation._trusted(
+        np.array(inner(x, t)), value, grad, np.array(h).reshape(m, m), np.array(curvature).reshape(m, m), counter
+    )
 
 
-def _barrier_floats(x, a) -> tuple[float, list, list]:
-    if any(xi <= 0.0 for xi in x):
-        raise DomainViolation(f"barrier evaluated at non-positive point {np.array(x)}")
-    value = -_dot(a, [math.log(xi) for xi in x])
-    grad = [-ai / xi for ai, xi in zip(a, x)]
-    # a / x / x, not a / (x * x): x * x underflows to 0 for x below
-    # 1e-162, and a Python float division by 0 raises.
-    return value, grad, _diag([ai / xi / xi for ai, xi in zip(a, x)])
+def _bound(kind: str, m: int, target, constants: list) -> Callable:
+    """Closure (x, t) -> PotentialEvaluation over a float form bound to ``constants``.
+
+    The closure carries the float form as its ``floats`` attribute.
+    """
+    form = _form_factory(kind, m, target)(*constants)
+
+    def fn(x, t):
+        return _array_evaluation(kind, form, _vector(x).tolist(), t)
+
+    fn.floats = form[0]
+    return fn
 
 
-def _tanh_level(t: float, amplitude: float, rate: float, center: float) -> float:
-    return amplitude * (1.0 + math.tanh(rate * (t - center)))
+def _quadratic_evaluation(kind: str, x_hat, d, sigma_nu_inv) -> PotentialEvaluation:
+    x = _vector(x_hat).tolist()
+    m = len(x)
+    form = _form_factory(kind, m, "given")(*_weights(sigma_nu_inv, m).ravel().tolist())
+    return _array_evaluation(kind, form, x, _entries(d, m))
 
 
 def eval_quadratic_penalty(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
     """Quadratic penalty V = l^T sigma_nu_inv l / 2 with l = x - d."""
-    x_hat = _vector(x_hat)
-    m = len(x_hat)
-    w = _weights(sigma_nu_inv, m)
-    l, value, grad, _ = _penalty_floats(x_hat.tolist(), _entries(d, m), w.tolist())
-    return PotentialEvaluation._trusted(
-        np.array(l), value, np.array(grad), _neg_eye(m), w, _zero_matrix(m)
-    )
+    return _quadratic_evaluation("quadratic_penalty", x_hat, d, sigma_nu_inv)
 
 
 def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
@@ -185,15 +249,12 @@ def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
     The curvature diag(a_i / x_i^2) makes the implied weight matrix
     diag(x_i^2 / a_i), so the barrier stiffens as the boundary nears.
     """
-    x_hat = _vector(x_hat)
-    m = len(x_hat)
+    x = _vector(x_hat).tolist()
+    m = len(x)
     a = _entries(a, m)
     if any(ai <= 0.0 for ai in a):
         raise DomainViolation("barrier weights a must be positive")
-    value, grad, curvature = _barrier_floats(x_hat.tolist(), a)
-    return PotentialEvaluation._trusted(
-        x_hat.copy(), value, np.array(grad), _neg_eye(m), np.reshape(curvature, (m, m)), _zero_matrix(m)
-    )
+    return _array_evaluation("log_barrier", _form_factory("log_barrier", m, None)(*a), x, 0)
 
 
 def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
@@ -203,56 +264,17 @@ def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray)
     quadratic, so the counter_curvature is nonzero away from the wells:
     d^2 l^i / dx_i^2 = 2 gives diagonal entries 2 (sigma_nu_inv l)_i.
     """
-    x_hat = _vector(x_hat)
-    m = len(x_hat)
-    w = _weights(sigma_nu_inv, m)
-    l, value, grad, h = _double_well_floats(x_hat.tolist(), _entries(d, m), w.tolist())
-    return PotentialEvaluation._trusted(
-        np.array(l),
-        value,
-        np.array(grad),
-        np.reshape(h, (m, m)),
-        w,
-        np.reshape(_diag([2.0 * g for g in grad]), (m, m)),
-    )
-
-
-def _quadratic_floats(inner: Callable, target: Callable, w) -> Callable:
-    """Float form of a quadratic penalty or double well with a target schedule.
-
-    ``inner`` is _penalty_floats or _double_well_floats, ``target`` maps
-    a step to the target as a float sequence and ``w`` is the constant
-    weight matrix, the curvature (its rows as float sequences).
-    """
-    w = [list(row) for row in w]
-    curvature = tuple(v for row in w for v in row)
-
-    def evaluate(x, t):
-        _, value, grad, h = inner(x, target(t), w)
-        return value, grad, h, curvature
-
-    return evaluate
-
-
-def _log_barrier_floats(a) -> Callable:
-    """Float form of x, t -> eval_log_barrier(x, a); its curvature moves with x."""
-    a = list(a)
-    h = _diag([-1.0] * len(a))
-
-    def evaluate(x, t):
-        value, grad, curvature = _barrier_floats(x, a)
-        return value, grad, h, curvature
-
-    return evaluate
+    return _quadratic_evaluation("double_well", x_hat, d, sigma_nu_inv)
 
 
 def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.01, center: float = 2500.0) -> np.ndarray:
     """Smooth target schedule amplitude * (1 + tanh(rate * (t - center))).
 
     Every component is equal; the defaults ramp each component from 0
-    to 2 * amplitude = 0.4 around step 2500.
+    to 2 * amplitude = 0.4 around step 2500. The "tanh_ramp" target of
+    the generated float forms computes the same level.
     """
-    return np.full(dim, _tanh_level(t, amplitude, rate, center))
+    return np.full(dim, amplitude * (1.0 + math.tanh(rate * (t - center))))
 
 
 def verify_derivatives(potential, x_hat: np.ndarray) -> dict:

@@ -14,12 +14,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFinite, ValidationError
-from .linalg import _dot, _eye, _strict_cholesky, symmetrize
+from .linalg import _compile_source, _dot_source, _eye, _strict_cholesky, symmetrize
 
 __all__ = [
     "ItoProcessModel",
@@ -144,8 +146,9 @@ def _finite(raw, label: str, scalar: bool = False):
 # ---------------------------------------------------------------------------
 # Named drift builtins, selected by scenario files. Each is written once
 # on Python floats (its float form, x a float sequence, the result a
-# flat row-major sequence); the array callables are built from it and
-# carry it as their ``floats`` attribute for the step kernel.
+# flat row-major sequence; the linear map's is generated per shape); the
+# array callables are built from it and carry it as their ``floats``
+# attribute for the step kernel.
 
 def _from_floats(floats, shape) -> DriftFn:
     # The array callable (x, t) -> ndarray of ``shape`` over a float form.
@@ -164,12 +167,28 @@ def _zero_drift(dim: int) -> tuple[DriftFn, DriftFn]:
     )
 
 
+@lru_cache(maxsize=None)
+def _matvec_factory(rows: int, cols: int) -> Callable:
+    # make(*a flat) -> (x, t) -> a x, straight-line, compiled on first
+    # use per shape; a's entries are closure values.
+    names = [[f"a{i}_{j}" for j in range(cols)] for i in range(rows)]
+    xs = [f"x{j}" for j in range(cols)]
+    lines = [
+        f"def make({', '.join(chain.from_iterable(names))}):",
+        "    def apply(x, t):",
+        f"        {', '.join(xs)}, = x",
+        f"        return ({', '.join(_dot_source(row, xs) for row in names)},)",
+        "    return apply",
+    ]
+    return _compile_source(lines, f"<sqc linear map {rows}x{cols}>", {}, "make")
+
+
 def _linear_map(a: np.ndarray) -> tuple[DriftFn, DriftFn]:
     """x, t -> a x and its constant Jacobian a: the linear drift and observation map."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    rows, flat = a.tolist(), tuple(a.ravel().tolist())
+    flat = tuple(a.ravel().tolist())
     return (
-        _from_floats(lambda x, t: [_dot(row, x) for row in rows], (a.shape[0],)),
+        _from_floats(_matvec_factory(*a.shape)(*flat), (a.shape[0],)),
         _from_floats(lambda x, t: flat, a.shape),
     )
 

@@ -26,16 +26,7 @@ import numpy as np
 from .control import ControlConfig
 from .errors import NotPositiveDefinite, ParseError, ValidationError
 from .linalg import _strict_cholesky, spd_inverse
-from .potential import (
-    _double_well_floats,
-    _log_barrier_floats,
-    _penalty_floats,
-    _quadratic_floats,
-    _tanh_level,
-    eval_double_well,
-    eval_log_barrier,
-    eval_quadratic_penalty,
-)
+from .potential import _bound
 from .process import ItoProcessModel, _finite, _linear_map, make_drift
 
 __all__ = [
@@ -142,37 +133,19 @@ class Scenario:
             dim=self.dim, drift=drift, drift_jacobian=jac, g_inv=self.g_inv, dt=self.dt
         )
 
-    def _target_floats(self):
-        # The target schedule on Python floats: step -> list of m floats.
-        if self.target_kind == "constant":
-            value = np.asarray(self.target_params["value"], dtype=float).tolist()
-            return lambda t: value
-        amplitude = self.target_params["amplitude"]
-        rate = self.target_params["rate"]
-        center = self.target_params["center"]
-        dim = self.dim
-        return lambda t: [_tanh_level(t, amplitude, rate, center)] * dim
-
     def build_potential(self):
-        """Closure (x, step) -> PotentialEvaluation, carrying its float form."""
+        """Closure (x, step) -> PotentialEvaluation, carrying its generated float form."""
         kind = self.potential_kind
         if kind in ("quadratic_penalty", "double_well"):
-            # Read-only: the float form holds a copy of its values.
-            inv = spd_inverse(self.potential_params["sigma_nu"])
-            inv.setflags(write=False)
-            target = self._target_floats()
-            if kind == "quadratic_penalty":
-                evaluate, inner = eval_quadratic_penalty, _penalty_floats
+            constants = spd_inverse(self.potential_params["sigma_nu"]).ravel().tolist()
+            if self.target_kind == "constant":
+                constants += np.asarray(self.target_params["value"], dtype=float).tolist()
             else:
-                evaluate, inner = eval_double_well, _double_well_floats
-            fn = lambda x, t: evaluate(x, target(t), inv)  # noqa: E731
-            fn.floats = _quadratic_floats(inner, target, inv.tolist())
-            return fn
+                constants += [self.target_params[key] for key in ("amplitude", "rate", "center")]
+            return _bound(kind, self.dim, self.target_kind, constants)
         if kind == "log_barrier":
-            a = np.asarray(self.potential_params["a"], dtype=float)
-            fn = lambda x, t: eval_log_barrier(x, a)  # noqa: E731
-            fn.floats = _log_barrier_floats(a.tolist())
-            return fn
+            a = np.asarray(self.potential_params["a"], dtype=float).tolist()
+            return _bound(kind, self.dim, None, a)
         raise ValidationError(
             f"potential kind {kind!r} has no state potential (observation "
             "scenarios are for the filter command)"

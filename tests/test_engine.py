@@ -179,14 +179,18 @@ def test_kernel_indefinite_matrix_raises():
 
 
 def test_import_and_scenario_load_compile_no_kernel():
-    # Kernels compile on first use, so importing the package and loading
-    # a scenario (what the benchmark's set-up time measures) compiles none.
-    # numpy is the only runtime dependency, so none of this imports scipy.
+    # Kernels and float forms compile on first use, so importing the
+    # package and loading the scenarios (what the benchmark's set-up time
+    # measures) compiles none. Building a potential compiles its float
+    # form but no kernel. numpy is the only runtime dependency, so none
+    # of this imports scipy.
     code = (
         "import sys\n"
         "import sqc, sqc.cli\n"
-        "for name in sqc.scenario.BUNDLED_SCENARIOS:\n"
-        "    sc = sqc.load_bundled(name)\n"
+        "scenarios = [sqc.load_bundled(name) for name in sqc.scenario.BUNDLED_SCENARIOS]\n"
+        "print(sqc.potential._form_factory.cache_info().currsize)\n"
+        "print(sqc.process._matvec_factory.cache_info().currsize)\n"
+        "for sc in scenarios:\n"
         "    sc.build_model(); sc.build_potential()\n"
         "print(sqc.engine._compiled.cache_info().currsize)\n"
         "print('scipy' in sys.modules)\n"
@@ -196,7 +200,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "False"]
+    assert done.stdout.split() == ["0", "0", "0", "False"]
 
 
 def test_public_names_resolve():

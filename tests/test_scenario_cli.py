@@ -5,6 +5,7 @@ import pytest
 
 from sqc import __version__, cli, ekf, engine
 from sqc.errors import ParseError, ValidationError
+from sqc.potential import tanh_target
 from sqc.scenario import (
     BUNDLED_SCENARIOS,
     load_bundled,
@@ -91,6 +92,15 @@ def test_bundled_penalty_matches_benchmark_frame():
     np.testing.assert_allclose(sc.cov0, np.eye(2))
 
 
+def target_floats(scenario):
+    # The scenario's target schedule on Python floats: step -> list of m floats.
+    if scenario.target_kind == "constant":
+        value = np.asarray(scenario.target_params["value"], dtype=float).tolist()
+        return lambda t: value
+    ramp = scenario.target_params
+    return lambda t: tanh_target(t, scenario.dim, ramp["amplitude"], ramp["rate"], ramp["center"]).tolist()
+
+
 def test_bundled_barrier_and_doublewell_frames():
     barrier = load_bundled("barrier")
     np.testing.assert_allclose(barrier.potential_params["a"], [10.0, 10.0])
@@ -100,7 +110,7 @@ def test_bundled_barrier_and_doublewell_frames():
     np.testing.assert_allclose(dwell.g_inv, 0.5 * np.eye(2))
     np.testing.assert_allclose(dwell.potential_params["sigma_nu"], 0.001 * np.eye(2))
     assert dwell.target_kind == "tanh_ramp"
-    target = dwell._target_floats()
+    target = target_floats(dwell)
     np.testing.assert_allclose(target(2500), [0.2, 0.2], atol=1e-12)
     np.testing.assert_allclose(target(5000), [0.4, 0.4], atol=1e-10)
     assert max(target(0)) < 1e-12
