@@ -24,6 +24,12 @@ configuration can be audited: the second-order expansion behind the
 update has uncharacterized error for non-quadratic potentials. No run
 calls the quadrature oracle; `sqc validate` audits fixed instances
 with it (quadrature_checks), one of them a barrier point.
+
+Like the step loop, the oracles read potentials and drifts through
+their float forms: quadrature_checks integrates V from the generated
+form that eval_* evaluate, and the kernel residual reads its drift
+through engine._floats. Neither is the update kernel, with which the
+oracles still share no code.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import engine, linalg
 from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
-from .potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
+from .potential import PotentialEvaluation, _form_factory, eval_log_barrier, eval_quadratic_penalty
 from .process import ItoProcessModel, make_drift
 
 __all__ = [
@@ -234,10 +240,13 @@ def fokker_planck_residual(
     at a time.
 
     ``potential`` maps a grid point to the scalar U (or a
-    PotentialEvaluation); pass None for U = 0. Raises MassLoss when the
+    PotentialEvaluation); pass None for U = 0. The model must be 1-D;
+    any other dim raises ValidationError. Raises MassLoss when the
     unweighted kernel quadrature loses more than 1e-4 of the mass,
     which signals a grid too small for the diffusion scale.
     """
+    if model.dim != 1:
+        raise ValidationError(f"kernel residual check needs a 1-D model, got dim {model.dim}")
     if dt > 1e-2:
         raise ValidationError("kernel residual check expects dt <= 1e-2")
     x = grid.points()
@@ -249,7 +258,8 @@ def fokker_planck_residual(
         raise ValidationError("density must be nonnegative")
 
     g_inv = float(model.g_inv[0, 0])
-    drift = np.array([model.drift(np.array([xi]), 0)[0] for xi in x])
+    drift_floats = engine._floats(model.drift)
+    drift = np.array([drift_floats([xi], 0)[0] for xi in x.tolist()])
     if potential is None:
         u = np.zeros_like(x)
     else:
@@ -404,7 +414,8 @@ def identity_suite(
     Per trial (random dims 1..6, well-conditioned SPD inputs) checks:
 
       a. engine.update (gain form) and the precision-form update agree,
-      b. the two covariance expressions agree (inversion lemma),
+      b. the precision form's covariance P^-1 agrees with the
+         inversion lemma's,
       c. the determinant identity, through the normalization:
          engine.normalization takes log|S| with S = sigma_nu/dt + H cov H^T,
          the precision form log|cov| + log|P| with P = cov^-1 + H^T curv H dt,
@@ -435,10 +446,7 @@ def identity_suite(
         value = float(rng.normal())
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         mean = rng.standard_normal(m)
-        pot = PotentialEvaluation(
-            l=np.zeros(k), value=value, grad_l=grad_l, H=h,
-            curvature=curvature, counter_curvature=np.zeros((m, m)),
-        )
+        pot = PotentialEvaluation._trusted(np.zeros(k), value, grad_l, h, curvature, np.zeros((m, m)))
         belief = engine.GaussianBelief(mean=mean, cov=cov, step=0, tag="predicted")
         report.checked += 1
 
@@ -447,18 +455,14 @@ def identity_suite(
         e_mean = _rel(ga.mean, pr.mean)
         e_cov = _rel(ga.cov, pr.cov)
 
-        direct = linalg.spd_inverse(_precision(belief, pot, dt))
         wood = woodbury_inverse(cov, h.T, linalg.spd_inverse(curvature) / dt, h)
-        e_two = _rel(direct, wood)
+        e_two = _rel(pr.cov, wood)
 
         n0 = engine.normalization(belief, pot, dt)
         ref = normalization_precision_form(belief, pot, dt)
         e_det = abs(n0.log_n - ref.log_n) / max(1.0, abs(ref.log_n))
 
-        shifted = PotentialEvaluation(
-            l=pot.l, value=value + 7.25, grad_l=grad_l, H=h,
-            curvature=curvature, counter_curvature=np.zeros((m, m)),
-        )
+        shifted = PotentialEvaluation._trusted(pot.l, value + 7.25, grad_l, h, curvature, pot.counter_curvature)
         gb = engine.update(belief, shifted, dt)
         n1 = engine.normalization(belief, shifted, dt)
         e_gauge = max(
@@ -485,6 +489,12 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # Report sections of `sqc validate`.
 
+def _value_form(kind: str, m: int, target, constants: list, t):
+    """x -> V from the float form that eval_* evaluates, without building its arrays."""
+    evaluate = _form_factory(kind, m, target)(*constants)[0]
+    return lambda x: evaluate(x.tolist(), t)[0]
+
+
 def quadrature_checks() -> dict:
     """Engine moments against the quadrature oracle on fixed instances."""
     checks = {}
@@ -499,9 +509,8 @@ def quadrature_checks() -> dict:
         belief = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
         pot = eval_quadratic_penalty(belief.mean, d, s_inv)
         upd = engine.update(belief, pot, dt)
-        mean, cov, log_norm = weighted_gaussian_moments(
-            belief.mean, belief.cov, lambda x: eval_quadratic_penalty(x, d, s_inv), dt
-        )
+        integrand = _value_form("quadratic_penalty", len(d), "given", s_inv.ravel().tolist(), d.tolist())
+        mean, cov, log_norm = weighted_gaussian_moments(belief.mean, belief.cov, integrand, dt)
         diag = engine.normalization(belief, pot, dt)
         checks[name] = {
             "mean_err": float(np.max(np.abs(upd.mean - mean))),
@@ -516,7 +525,7 @@ def quadrature_checks() -> dict:
     belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
     upd_b = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
     mean_q, _, _ = weighted_gaussian_moments(
-        mean_b, cov_b, lambda x: eval_log_barrier(x, a), 1.0
+        mean_b, cov_b, _value_form("log_barrier", 2, None, a.tolist(), 0), 1.0
     )
     checks["barrier_expansion"] = {
         "mean_rel_err": float(np.max(np.abs(upd_b.mean - mean_q) / np.abs(mean_q))),

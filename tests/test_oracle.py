@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, rel_err
-from sqc import engine, oracle, process
-from sqc.errors import MassLoss, QuadratureDomain, ValidationError
+from sqc import engine, linalg, oracle, potential, process
+from sqc.errors import DomainViolation, MassLoss, QuadratureDomain, ValidationError
 from sqc.potential import eval_log_barrier, eval_quadratic_penalty
 
 
@@ -57,6 +57,71 @@ def test_quadrature_dim_limit():
         )
 
 
+# The eval_* references of quadrature_checks' cases, in the order it runs them.
+QUADRATURE_REFERENCES = [
+    lambda x: eval_quadratic_penalty(x, np.array([1.0]), np.array([[1.0]])),
+    lambda x: eval_quadratic_penalty(x, np.array([1.0, 0.0]), np.array([[2.0, 0.0], [0.0, 0.5]])),
+    lambda x: eval_log_barrier(x, np.array([10.0, 10.0])),
+]
+
+
+def node_values(fn, xs):
+    """fn at each node, None where it raises DomainViolation."""
+    out = []
+    for x in xs:
+        try:
+            out.append(fn(x))
+        except DomainViolation:
+            out.append(None)
+    return out
+
+
+def test_quadrature_integrands_match_eval_functions_bit_for_bit(monkeypatch):
+    references = iter(QUADRATURE_REFERENCES)
+    outside = []
+    moments = oracle.weighted_gaussian_moments
+
+    def spy(x_hat, sigma, integrand, dt=1.0):
+        # Compare at the call, on the nodes of both passes: the prior's,
+        # then the first-pass moments' with 1.5 times the covariance.
+        reference = next(references)
+        xs, ws = oracle._gh_nodes(np.asarray(x_hat, dtype=float), np.asarray(sigma, dtype=float))
+        ref = node_values(lambda x: reference(x).value, xs)
+        keep = np.array([v is not None for v in ref])
+        vals = np.array([v for v in ref if v is not None])
+        mean1, cov1, _ = oracle._weighted_moments(xs[keep], ws[keep], -vals * dt)
+        ys, _ = oracle._gh_nodes(mean1, linalg.symmetrize(1.5 * cov1))
+        for nodes in (xs, ys):
+            got = node_values(integrand, nodes)
+            want = node_values(lambda x: reference(x).value, nodes)
+            assert [g is None for g in got] == [w is None for w in want]
+            outside.append(sum(w is None for w in want))
+            kept = [(g, w) for g, w in zip(got, want) if w is not None]
+            assert np.array([g for g, _ in kept]).tobytes() == np.array([w for _, w in kept]).tobytes()
+        return moments(x_hat, sigma, integrand, dt)
+
+    monkeypatch.setattr(oracle, "weighted_gaussian_moments", spy)
+    oracle.quadrature_checks()
+    assert next(references, None) is None
+    # The barrier's prior reaches past its wall, so the domain check is exercised.
+    assert len(outside) == 6 and outside[4] > 0
+
+
+def test_quadrature_checks_build_no_evaluation_per_node(monkeypatch):
+    calls = []
+    evaluation = potential._array_evaluation
+
+    def counted(*args):
+        calls.append(args[0])
+        return evaluation(*args)
+
+    monkeypatch.setattr(potential, "_array_evaluation", counted)
+    checks = oracle.quadrature_checks()
+    assert all(entry["passed"] for entry in checks.values())
+    # One eval_* per case, for the engine update.
+    assert calls == ["quadratic_penalty", "quadratic_penalty", "log_barrier"]
+
+
 def test_identity_suite_clean_run():
     report = oracle.identity_suite(seed=0, trials=120)
     assert report.passed
@@ -96,6 +161,18 @@ def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
     report = oracle.identity_suite(seed=0, trials=60)
     assert not report.passed
     assert any(f["check"] == "forms_cov" for f in report.failures)
+
+
+def test_identity_suite_catches_corrupted_inversion_lemma(monkeypatch):
+    woodbury = oracle.woodbury_inverse
+
+    def corrupted(a_inv, b, d, c):
+        return woodbury(a_inv, b, d, c) * (1 + 1e-4)
+
+    monkeypatch.setattr(oracle, "woodbury_inverse", corrupted)
+    report = oracle.identity_suite(seed=0, trials=60)
+    assert not report.passed
+    assert any(f["check"] == "cov_two_forms" for f in report.failures)
 
 
 def free_diffusion_model():
@@ -151,6 +228,40 @@ def test_kernel_residual_guards():
         oracle.fokker_planck_residual(
             model, None, narrow, standard_gaussian(narrow), 1e-2
         )
+
+
+def test_kernel_residual_refuses_a_model_of_another_dim():
+    # A 2-D model would otherwise run on g_inv[0, 0] and its first drift entry.
+    calls = []
+
+    def drift(x, t):
+        calls.append(t)
+        return np.zeros(2)
+
+    model = process.ItoProcessModel(
+        dim=2, drift=drift, drift_jacobian=lambda x, t: np.zeros((2, 2)), g_inv=np.diag([1.0, 4.0])
+    )
+    grid = oracle.Grid1D(-9.0, 9.0, 1024)
+    with pytest.raises(ValidationError, match="1-D"):
+        oracle.fokker_planck_residual(model, None, grid, standard_gaussian(grid), 1e-2)
+    assert not calls
+
+
+def test_kernel_residual_reads_the_drift_float_form():
+    drift, jac = process.make_drift("linear", {"A": [[-1.0]]}, 1)
+    calls = []
+
+    def counted(x, t):
+        calls.append(t)
+        return drift(x, t)
+
+    counted.floats = drift.floats
+    model = process.ItoProcessModel(dim=1, drift=counted, drift_jacobian=jac, g_inv=[[1.0]])
+    grid = oracle.Grid1D(-9.0, 9.0, 1024)
+    density = standard_gaussian(grid)
+    residual = oracle.fokker_planck_residual(model, None, grid, density, 1e-2)
+    assert not calls
+    assert residual == oracle.fokker_planck_residual(linear_drift_model(), None, grid, density, 1e-2)
 
 
 def dense_kernel_residual(model, potential, grid, density, dt, t=0):
