@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -20,38 +21,35 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
-def _write_csv(path: Path, cols: list[str], steps: list[int], table: np.ndarray) -> None:
+def _write_csv(path: Path, cols: list[str], steps: Iterable[int], table: np.ndarray) -> None:
     """Write the `# sqc <version>` line, the header and one row per step.
 
-    Each row is one % operation on a template built once per file; it
-    renders the same text as formatting each value with f"{v:.17g}",
-    nan, inf and -0 included. Rows are streamed to the file, so no
-    list of all rows or of all their values is held at once.
+    Each row is one % operation on a template built once per file,
+    applied to the table's values as Python floats; it renders the same
+    text as formatting each value with f"{v:.17g}", nan, inf and -0
+    included.
     """
     template = "%d," + ",".join(["%.17g"] * (len(cols) - 1)) + "\n"
     with path.open("w") as fh:
         fh.write(f"# sqc {__version__}\n{','.join(cols)}\n")
-        fh.writelines(template % (step, *row.tolist()) for step, row in zip(steps, table))
+        fh.writelines(template % (step, *row) for step, row in zip(steps, table.tolist()))
 
 
-def _write_trajectory_csv(path: Path, records, m: int, ldim: int) -> None:
+def _write_trajectory_csv(path: Path, result: control.ScenarioResult) -> None:
+    n, m = result.x.shape
     cols = (
         ["step"]
         + [f"x{i}" for i in range(1, m + 1)]
-        + [f"u{i}" for i in range(1, ldim + 1)]
+        + [f"u{i}" for i in range(1, result.u.shape[1] + 1)]
         + [f"mean{i}" for i in range(1, m + 1)]
         + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
         + ["V", "logN"]
     )
-    n = len(records)
     table = np.hstack([
-        np.reshape([r.x for r in records], (n, m)),
-        np.reshape([r.u for r in records], (n, ldim)),
-        np.reshape([r.mean for r in records], (n, m)),
-        np.reshape([r.cov for r in records], (n, m * m)),
-        np.reshape([(r.value, r.log_n) for r in records], (n, 2)),
+        result.x, result.u, result.mean, result.cov.reshape(n, m * m),
+        result.value.reshape(n, 1), result.log_n.reshape(n, 1),
     ])
-    _write_csv(path, cols, [r.step for r in records], table)
+    _write_csv(path, cols, range(result.first_step, result.first_step + n), table)
 
 
 def _write_beliefs_csv(path: Path, beliefs, logliks, m: int) -> None:
@@ -73,15 +71,14 @@ def _write_beliefs_csv(path: Path, beliefs, logliks, m: int) -> None:
 def _run_one_simulation(scenario, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = control.run_scenario_config(scenario)
-    ldim = scenario.B.shape[1]
-    _write_trajectory_csv(out_dir / "trajectory.csv", result.records, scenario.dim, ldim)
+    _write_trajectory_csv(out_dir / "trajectory.csv", result)
     code = EXIT_OK if result.completed else EXIT_DOMAIN
     summary = {
         "name": scenario.name,
         "seed": scenario.seed,
         "mode": scenario.mode,
         "horizon": scenario.horizon,
-        "rows": len(result.records),
+        "rows": len(result.x),
         "completed": result.completed,
         "failure": result.failure,
         "failed_step": result.failed_step,
@@ -125,7 +122,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         scenario.seed = args.seed
     code = _run_one_simulation(scenario, out_dir)
-    status = "completed" if code == EXIT_OK else "stopped on domain violation"
+    status = "completed" if code == EXIT_OK else "stopped early, see run.json"
     print(f"{scenario.name}: seed {scenario.seed}, {status}; output in {out_dir}")
     return code
 

@@ -13,6 +13,7 @@ reset by the controller; it keeps evolving through the recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -67,17 +68,36 @@ class ControlConfig:
 
 @dataclass
 class ScenarioResult:
-    """Trajectory records plus how the run ended.
+    """A run's per-step columns plus how it ended.
 
+    Row i of every column is step ``first_step + i``: ``x`` (the state
+    the next step starts from) and ``mean`` are (n, m), ``u`` is (n, l),
+    ``cov`` is (n, m, m), ``value`` (V at the predicted mean) and
+    ``log_n`` are (n,). ``records``, one TrajectoryRecord per step whose
+    arrays are views of these rows, is built on first read.
     ``jitter_retries`` counts the Cholesky factorizations of the run
     that needed linalg.spd_cholesky's jittered retry.
     """
 
-    records: list
+    first_step: int
+    x: np.ndarray
+    u: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    value: np.ndarray
+    log_n: np.ndarray
     completed: bool
     failure: Optional[str] = None
     failed_step: Optional[int] = None
     jitter_retries: int = 0
+
+    @cached_property
+    def records(self) -> list:
+        n = len(self.x)
+        return list(map(
+            TrajectoryRecord, range(self.first_step, self.first_step + n), self.x, self.mean, self.cov,
+            self.value.tolist(), self.log_n.tolist(), self.u,
+        ))
 
 
 def run_closed_loop(
@@ -89,13 +109,14 @@ def run_closed_loop(
     rng: Optional[np.random.Generator],
     mode: str = "sampled",
 ) -> ScenarioResult:
-    """Run the recursion for ``horizon`` steps, logging one record per step.
+    """Run the recursion for ``horizon`` steps, logging one row per step.
 
     The initial belief must be tagged predicted at step 0; the result
-    then holds horizon + 1 records. A DomainViolation (a barrier
-    evaluated outside its domain) or a non-finite state stops the run
-    and returns the partial trajectory with the failure noted. In
-    sampled mode all horizon + 1 draws are taken from ``rng`` up front.
+    then holds horizon + 1 rows. A DomainViolation (a barrier evaluated
+    outside its domain), a non-finite state or a covariance that is no
+    longer positive definite stops the run and returns the partial
+    trajectory with the failure noted. In sampled mode all horizon + 1
+    draws are taken from ``rng`` up front.
     """
     if initial.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
@@ -116,10 +137,19 @@ def run_closed_loop(
             model, engine._floats(potential_fn, engine._evaluation_floats),
             initial.mean, initial.cov, initial.step, draws, rows, retries, model.dt,
         )
-    except (DomainViolation, NonFinite) as exc:
+    except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
         failure, failed_step = str(exc), initial.step + len(rows[0])
+    xs, means, covs, values, log_ns, shifts = rows
+    done = len(xs)
+    x, mean, shift = (engine._table(column, done * m).reshape(done, m) for column in (xs, means, shifts))
     return ScenarioResult(
-        records=engine._records(rows, initial.step, m, cfg.shift_map),
+        first_step=initial.step,
+        x=x,
+        u=shift @ cfg.shift_map.T,
+        mean=mean,
+        cov=engine._table(covs, done * m * m).reshape(done, m, m),
+        value=np.array(values),
+        log_n=np.array(log_ns),
         completed=failure is None,
         failure=failure,
         failed_step=failed_step,

@@ -88,9 +88,6 @@ class ObservationStream:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def as_dict(self) -> dict:
-        return {int(s): y for s, y in zip(self.steps, self.values)}
-
 
 def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.ndarray, t: int) -> PotentialEvaluation:
     """Quadratic potential in the innovation l = y - h(x)."""
@@ -172,7 +169,7 @@ def filter_with_likelihood(
     """
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
-    by_step = {s: y.tolist() for s, y in stream.as_dict().items()}
+    by_step = dict(zip(stream.steps.tolist(), stream.values.tolist()))
     start = initial_belief.step
     if horizon is None:
         horizon = max(by_step) if by_step else start

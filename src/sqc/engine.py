@@ -26,7 +26,7 @@ script_n and log_n) and sample (mean + chol(cov) z). Each function's
 source is compiled on first use for the dimensions it depends on and
 cached, as collections.namedtuple does; nothing is compiled at import
 or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and record) costs about 7-11 us on a 2-vCPU Xeon VM,
+potential, kernel and row) costs about 7-11 us on a 2-vCPU Xeon VM,
 where the call overhead of about 40 numpy and LAPACK calls on 2 x 2
 arrays used to cost about 57 us. The bundled potentials' float forms
 are generated the same way (see potential).
@@ -457,20 +457,6 @@ def _run(
 def _table(column: list, size: int) -> np.ndarray:
     # One flat array from a list of float sequences.
     return np.fromiter(chain.from_iterable(column), float, size)
-
-
-def _records(rows: tuple, first_step: int, m: int, input_map: np.ndarray) -> list:
-    """TrajectoryRecords from _run's columns, built once per run.
-
-    The arrays of the records are views of one table per column; every
-    record carries u = input_map @ shift.
-    """
-    xs, means, covs, values, log_ns, shifts = rows
-    n = len(xs)
-    x, mean, shift = (_table(column, n * m).reshape(n, m) for column in (xs, means, shifts))
-    cov = _table(covs, n * m * m).reshape(n, m, m)
-    u = shift @ input_map.T
-    return list(map(TrajectoryRecord, range(first_step, first_step + n), x, mean, cov, values, log_ns, u))
 
 
 def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:

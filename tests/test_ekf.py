@@ -158,7 +158,7 @@ def test_filter_loglik_matches_marginal_likelihood():
 
     beliefs, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
     assert len(beliefs) == 17
-    by_step = stream.as_dict()
+    by_step = {int(s): y for s, y in zip(stream.steps, stream.values)}
     for i, (belief, loglik) in enumerate(zip(beliefs, logliks)):
         if belief.step not in by_step:
             assert np.isnan(loglik)

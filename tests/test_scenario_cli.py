@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sqc import __version__, cli, ekf, engine
+from sqc import __version__, cli, control, ekf, engine
 from sqc.errors import ParseError, ValidationError
 from sqc.potential import tanh_target
 from sqc.scenario import (
@@ -314,6 +314,73 @@ def test_simulate_stopped_at_step_zero_writes_header_only(tmp_path):
     assert lines == [f"# sqc {__version__}", "step,x1,u1,mean1,cov11,V,logN"]
 
 
+def test_simulate_numerical_breakdown_writes_partial_output(tmp_path):
+    # With sigma_nu = 1e-16 I the first posterior covariance is about
+    # 1e-16 and the sample stage's jittered Cholesky retry raises
+    # NotPositiveDefinite. Like a domain violation, that stops the run
+    # with its partial trajectory (none here) and a run.json, exit 2.
+    doc = load_bundled("penalty").to_dict()
+    doc["potential"]["params"]["sigma_nu"] = [[1e-16, 0.0], [0.0, 1e-16]]
+    doc["horizon"] = 200
+    scenario = write_doc(tmp_path, doc)
+    header = f"# sqc {__version__}\nstep,x1,x2,u1,u2,mean1,mean2,cov11,cov12,cov21,cov22,V,logN\n"
+    out = tmp_path / "single"
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(out)]) == 2
+    sweep = tmp_path / "sweep"
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(sweep), "--seeds", "0..1"]) == 2
+    for run in (out, sweep / "seed_0", sweep / "seed_1"):
+        summary = json.loads((run / "run.json").read_text())
+        assert summary["completed"] is False and summary["exit_code"] == 2
+        assert summary["failed_step"] == 0 and summary["rows"] == 0
+        assert "not positive definite" in summary["failure"]
+        assert (run / "trajectory.csv").read_text() == header
+    assert (sweep / "seed_0" / "run.json").read_bytes() == (out / "run.json").read_bytes()
+    belief = tmp_path / "belief"
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(belief), "--mode", "belief"]) == 0
+    assert json.loads((belief / "run.json").read_text())["rows"] == 201
+
+
+def test_simulate_builds_no_records(tmp_path, monkeypatch):
+    # The CLI writes trajectory.csv and run.json from the result's
+    # columns; the per-step records are built only when read.
+    built = []
+
+    class CountingRecord(control.TrajectoryRecord):
+        def __init__(self, *fields):
+            built.append(fields[0])
+            super().__init__(*fields)
+
+    monkeypatch.setattr(control, "TrajectoryRecord", CountingRecord)
+    path = tmp_path / "penalty.json"
+    write_scenario(load_bundled("penalty"), path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--scenario", str(path), "--out", str(out), "--steps", "300"]) == 0
+    assert built == []
+    assert json.loads((out / "run.json").read_text())["rows"] == 301
+    # The counter bites: reading the records builds one per step.
+    assert len(control.run_scenario("penalty", overrides={"horizon": 300}).records) == 301
+    assert built == list(range(301))
+
+
+def test_records_view_matches_columns():
+    result = control.run_scenario("penalty", overrides={"horizon": 300})
+    records = result.records
+    assert len(records) == len(result.x) == 301
+    for i, rec in enumerate(records):
+        assert rec.step == result.first_step + i
+        for got, want in ((rec.x, result.x), (rec.u, result.u), (rec.mean, result.mean),
+                          (rec.cov, result.cov), (rec.value, result.value), (rec.log_n, result.log_n)):
+            assert np.asarray(got).tobytes() == want[i].tobytes()
+    assert result.records is records
+
+    doc = dying_barrier_doc()
+    doc["initial"]["mean"] = [-0.1]  # outside the barrier's domain from the start
+    stopped = control.run_scenario_config(scenario_from_dict(doc))
+    assert stopped.failed_step == 0 and stopped.records == []
+    assert stopped.x.shape == stopped.mean.shape == stopped.u.shape == (0, 1)
+    assert stopped.cov.shape == (0, 1, 1) and stopped.value.shape == stopped.log_n.shape == (0,)
+
+
 def rendered_per_value(step, values):
     return ",".join([str(step)] + [f"{v:.17g}" for v in values])
 
@@ -324,15 +391,14 @@ def test_csv_writers_render_each_value_with_17_digits(tmp_path):
     # the overflow limit, whole numbers and a nan loglik included.
     odd = [-0.0, 5e-324, 1e308, 0.0, 3.0, -2.0, 1 / 3, -1e-300]
     rng = np.random.default_rng(5)
-    records = []
-    for step in range(6):
-        v = rng.permutation(odd + list(rng.standard_normal(5)))
-        records.append(engine.TrajectoryRecord(
-            step=step, x=v[0:2], mean=v[2:4], cov=v[4:8].reshape(2, 2), value=float(v[8]),
-            log_n=float(v[9]), u=v[10:13],
-        ))
+    v = np.array([rng.permutation(odd + list(rng.standard_normal(5))) for step in range(6)])
+    result = control.ScenarioResult(
+        first_step=0, x=v[:, 0:2], mean=v[:, 2:4], cov=v[:, 4:8].reshape(6, 2, 2), value=v[:, 8],
+        log_n=v[:, 9], u=v[:, 10:13], completed=True,
+    )
+    records = result.records
     path = tmp_path / "trajectory.csv"
-    cli._write_trajectory_csv(path, records, 2, 3)
+    cli._write_trajectory_csv(path, result)
     rows = path.read_text().splitlines()[2:]
     assert rows == [
         rendered_per_value(r.step, [*r.x, *r.u, *r.mean, *r.cov.ravel(), r.value, r.log_n])
