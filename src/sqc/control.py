@@ -76,7 +76,8 @@ class ScenarioResult:
     ``log_n`` are (n,). ``records``, one TrajectoryRecord per step whose
     arrays are views of these rows, is built on first read.
     ``jitter_retries`` counts the Cholesky factorizations of the run
-    that needed linalg.spd_cholesky's jittered retry.
+    that needed linalg.spd_cholesky's jittered retry, a retry that
+    failed and stopped the run included.
     """
 
     first_step: int
@@ -139,6 +140,10 @@ def run_closed_loop(
         )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
         failure, failed_step = str(exc), initial.step + len(rows[0])
+        # In the step loop a NotPositiveDefinite is the kernel's jittered
+        # Cholesky retry failing; the kernel counts only retries that
+        # factor, so the stopping one is counted here.
+        retries[0] += isinstance(exc, NotPositiveDefinite)
     xs, means, covs, values, log_ns, shifts = rows
     done = len(xs)
     x, mean, shift = (engine._table(column, done * m).reshape(done, m) for column in (xs, means, shifts))

@@ -13,7 +13,10 @@ kernel:
   The residual must shrink linearly with dt. The kernel is never built
   as an n x n matrix: it is evaluated in blocks of target rows, each
   over the band of source columns whose entries do not underflow to
-  0.0, so memory grows as O(256 n) rather than O(n^2).
+  0.0, so memory grows as O(256 n) rather than O(n^2). fp_convergence
+  runs it over three 1-D cases. It shares no state with the other two
+  oracles, so `sqc validate --level full` runs it in a worker process
+  while they run in the calling one.
 * identity_suite brute-force checks the engine's update and
   normalization against their precision form (kept here as the
   reference, with the inversion lemma and the block determinant
@@ -237,7 +240,11 @@ def fokker_planck_residual(
     every entry left out has exp of an argument below -_UNDERFLOW_ARG,
     which is exactly 0.0, so the step equals the full n x n kernel's
     mat-vec up to summation order. It holds O(_BLOCK_ROWS n) floats
-    at a time.
+    at a time. Inside the band, an entry whose argument is at or below
+    -_UNDERFLOW_ARG is written as 0.0 without calling exp, whose slow
+    path for arguments below -708 would return that same 0.0; the
+    subnormal results between -_UNDERFLOW_ARG and -708 are still
+    computed, so every entry is bit-identical to np.exp's.
 
     ``potential`` maps a grid point to the scalar U (or a
     PotentialEvaluation); pass None for U = 0. The model must be 1-D;
@@ -275,14 +282,16 @@ def fokker_planck_residual(
     centers = x + drift * dt
     weighted = quad_w * density
     # The band is a mask, not a search: a drift may fold the centers.
-    # A nan center fails both comparisons and is kept, so a nan drift
-    # still reaches the result.
+    # A nan center fails both comparisons and is kept, and its nan
+    # argument fails arg <= -_UNDERFLOW_ARG and is exponentiated, so a
+    # nan drift still reaches the result.
     cut = np.sqrt(2 * var * _UNDERFLOW_ARG)
     diffused = np.empty(grid.n)
     for start in range(0, grid.n, _BLOCK_ROWS):
         rows = x[start:start + _BLOCK_ROWS]
         cols = np.flatnonzero(~((centers < rows[0] - cut) | (centers > rows[-1] + cut)))
-        kernel = np.exp(-((rows[:, None] - centers[None, cols]) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
+        arg = -((rows[:, None] - centers[None, cols]) ** 2) / (2 * var)
+        kernel = np.exp(arg, out=np.zeros_like(arg), where=~(arg <= -_UNDERFLOW_ARG)) / np.sqrt(2 * np.pi * var)
         diffused[start:start + len(rows)] = kernel @ weighted[cols]
 
     mass_in = float(quad_w @ density)

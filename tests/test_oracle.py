@@ -247,6 +247,21 @@ def test_kernel_residual_refuses_a_model_of_another_dim():
     assert not calls
 
 
+def test_kernel_residual_carries_a_nan_drift_to_the_result():
+    # A nan drift at one grid point makes that column's kernel entries
+    # nan. They must reach the result: left at 0.0 they would drop the
+    # column's mass, about 0.4 h = 3.5e-3 at x = 0, and raise MassLoss.
+    grid = oracle.Grid1D(-9.0, 9.0, 2049)
+    poisoned = grid.points()[1024]
+    assert poisoned == 0.0
+
+    def drift(x, t):
+        return np.array([np.nan if x[0] == poisoned else 0.0])
+
+    residual = oracle.fokker_planck_residual(model_with_drift(drift), None, grid, standard_gaussian(grid), 1e-2)
+    assert np.isnan(residual)
+
+
 def test_kernel_residual_reads_the_drift_float_form():
     drift, jac = process.make_drift("linear", {"A": [[-1.0]]}, 1)
     calls = []

@@ -1,9 +1,10 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from sqc import __version__, cli, control, ekf, engine
+from sqc import __version__, cli, control, ekf, engine, oracle
 from sqc.errors import ParseError, ValidationError
 from sqc.potential import tanh_target
 from sqc.scenario import (
@@ -319,6 +320,7 @@ def test_simulate_numerical_breakdown_writes_partial_output(tmp_path):
     # 1e-16 and the sample stage's jittered Cholesky retry raises
     # NotPositiveDefinite. Like a domain violation, that stops the run
     # with its partial trajectory (none here) and a run.json, exit 2.
+    # The failed retry is counted in jitter_retries.
     doc = load_bundled("penalty").to_dict()
     doc["potential"]["params"]["sigma_nu"] = [[1e-16, 0.0], [0.0, 1e-16]]
     doc["horizon"] = 200
@@ -333,6 +335,7 @@ def test_simulate_numerical_breakdown_writes_partial_output(tmp_path):
         assert summary["completed"] is False and summary["exit_code"] == 2
         assert summary["failed_step"] == 0 and summary["rows"] == 0
         assert "not positive definite" in summary["failure"]
+        assert summary["jitter_retries"] >= 1
         assert (run / "trajectory.csv").read_text() == header
     assert (sweep / "seed_0" / "run.json").read_bytes() == (out / "run.json").read_bytes()
     belief = tmp_path / "belief"
@@ -778,3 +781,47 @@ def test_validate_flags_broken_update(tmp_path, capsys, monkeypatch):
     assert report["passed"] is False
     assert len(report["identity"]["failures"]) > 0
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_validate_full_writes_the_serial_report(tmp_path, capsys):
+    # The kernel-residual study runs in a worker process; its report
+    # comes back exactly as the in-process call's, and the worker is
+    # gone when the command returns.
+    out = tmp_path / "val"
+    assert cli.main(["validate", "--level", "full", "--out", str(out)]) == 0
+    assert multiprocessing.active_children() == []
+    report = {
+        "level": "full",
+        "identity": oracle.identity_suite(seed=0, trials=500).to_dict(),
+        "quadrature": oracle.quadrature_checks(),
+        "fokker_planck": oracle.fp_convergence(),
+        "passed": True,
+    }
+    assert (out / "validation.json").read_text() == json.dumps(report, indent=2) + "\n"
+    assert "kernel residual linear_drift" in capsys.readouterr().out
+
+
+def test_validate_builds_a_pool_only_at_the_full_level(tmp_path, monkeypatch):
+    pools = []
+
+    class CountingPool(cli.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    assert cli.main(["validate", "--level", "fast", "--out", str(tmp_path / "fast")]) == 0
+    assert pools == []
+    assert cli.main(["validate", "--level", "full", "--out", str(tmp_path / "full")]) == 0
+    assert pools == [{"max_workers": 1}]
+
+
+def test_validate_joins_its_worker_when_a_section_raises(tmp_path, monkeypatch):
+    def broken():
+        raise RuntimeError("quadrature section failed")
+
+    monkeypatch.setattr(oracle, "quadrature_checks", broken)
+    with pytest.raises(RuntimeError, match="quadrature section failed"):
+        cli.main(["validate", "--level", "full", "--out", str(tmp_path / "val")])
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "val").exists()
