@@ -49,8 +49,8 @@ bundled one) is called with an array and its result unpacked with
 the one it factored last, so a constant one is factored once per run
 on every path. predict() and sample_posterior() stay in numpy as the
 independent references for the kernel's predict and sample stages,
-and the oracle keeps the precision form of the update as the
-reference for its update.
+and oracle.precision_form, the update and normalization through the
+precision matrix, is the reference for its update.
 """
 
 from __future__ import annotations

@@ -47,7 +47,8 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     If the factorization fails, retry once with ``JITTER * trace/dim``
     added to the diagonal. The retry keeps long closed-loop runs alive
     through transient conditioning trouble; a genuinely indefinite
-    matrix still raises NotPositiveDefinite.
+    matrix still raises NotPositiveDefinite, at once if its trace is
+    not positive, since no bump could then be added.
     """
     return _jittered_cholesky(a)[0]
 
@@ -60,6 +61,8 @@ def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
     except np.linalg.LinAlgError:
         pass
     bump = JITTER * np.trace(a) / a.shape[0]
+    if not bump > 0:
+        raise NotPositiveDefinite(f"matrix of shape {a.shape} is not positive definite (trace {np.trace(a):g})")
     try:
         return np.linalg.cholesky(a + bump * np.eye(a.shape[0])), True
     except np.linalg.LinAlgError as exc:

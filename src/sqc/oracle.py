@@ -18,9 +18,9 @@ kernel:
   oracles, so `sqc validate --level full` runs it in a worker process
   while they run in the calling one.
 * identity_suite brute-force checks the engine's update and
-  normalization against their precision form (kept here as the
-  reference, with the inversion lemma and the block determinant
-  identity) and gauge invariance on randomized instances.
+  normalization against precision_form (kept here as the reference,
+  with the inversion lemma and the block determinant identity) and
+  gauge invariance on randomized instances.
 
 The oracles ship with the library (not the test tree) so any scenario
 configuration can be audited: the second-order expansion behind the
@@ -51,8 +51,7 @@ __all__ = [
     "Grid1D",
     "weighted_gaussian_moments",
     "fokker_planck_residual",
-    "update_precision_form",
-    "normalization_precision_form",
+    "precision_form",
     "woodbury_inverse",
     "identity_suite",
     "IdentityReport",
@@ -316,39 +315,34 @@ def fokker_planck_residual(
 # ---------------------------------------------------------------------------
 # Reference algebra: the update in precision form and the two identities.
 
-def _precision(belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float) -> np.ndarray:
-    """P = cov^-1 + H^T curvature H dt."""
-    h = pot.H
-    return linalg.symmetrize(linalg.spd_inverse(belief.cov) + h.T @ pot.curvature @ h * dt)
-
-
-def update_precision_form(belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float) -> engine.GaussianBelief:
-    """engine.update through the precision matrix; the reference form.
-
-    The mean moves along the preconditioned force direction:
-    mean' = mean - P^-1 (dV/dx) dt with dV/dx = -H^T grad_l.
-    """
-    cov = linalg.spd_inverse(_precision(belief, pot, dt))
-    shift = cov @ (pot.H.T @ pot.grad_l) * dt
-    return engine.GaussianBelief(mean=belief.mean + shift, cov=cov, step=belief.step, tag="updated")
-
-
-def normalization_precision_form(
+def precision_form(
     belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float
-) -> engine.NormalizationDiagnostic:
-    """engine.normalization through the precision matrix; the reference form.
+) -> tuple[engine.GaussianBelief, engine.NormalizationDiagnostic]:
+    """engine.update and engine.normalization through the precision matrix; the reference form.
 
-    By the determinant identity log|S| - log|sigma_nu / dt| = log|cov| + log|P|,
-    with P = cov^-1 + H^T curvature H dt, so
+    With P = cov^-1 + H^T curvature H dt, the posterior covariance is
+    P^-1 and the mean moves along the preconditioned force direction:
+    mean' = mean - P^-1 (dV/dx) dt with dV/dx = -H^T grad_l.
+
+    By the determinant identity log|S| - log|sigma_nu / dt| = log|cov| + log|P|, so
 
         log_n = (log|cov| + log|P|) / 2 + script_n dt
         script_n = V - (H^T grad_l)^T P^-1 (H^T grad_l) dt / 2.
+
+    Every inverse, solve and log-determinant here comes from one factor of cov and one of P.
     """
-    precision = _precision(belief, pot, dt)
-    force = pot.H.T @ pot.grad_l
-    script_n = pot.value - 0.5 * dt * float(force @ linalg.spd_solve(precision, force))
-    log_n = 0.5 * (linalg.spd_logdet(belief.cov) + linalg.spd_logdet(precision)) + script_n * dt
-    return engine.NormalizationDiagnostic(log_n=float(log_n), script_n=float(script_n))
+    h = pot.H
+    eye = np.eye(belief.dim)
+    low_cov = linalg.spd_cholesky(belief.cov)
+    cov_inv = linalg.symmetrize(linalg._cholesky_solve(low_cov, eye))
+    low = linalg.spd_cholesky(linalg.symmetrize(cov_inv + h.T @ pot.curvature @ h * dt))
+    cov = linalg.symmetrize(linalg._cholesky_solve(low, eye))
+    force = h.T @ pot.grad_l
+    updated = engine.GaussianBelief(mean=belief.mean + cov @ force * dt, cov=cov, step=belief.step, tag="updated")
+    script_n = pot.value - 0.5 * dt * float(force @ linalg._cholesky_solve(low, force))
+    log_det_cov, log_det_p = (2.0 * float(np.sum(np.log(np.diag(f)))) for f in (low_cov, low))
+    log_n = 0.5 * (log_det_cov + log_det_p) + script_n * dt
+    return updated, engine.NormalizationDiagnostic(log_n=float(log_n), script_n=float(script_n))
 
 
 def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -401,9 +395,9 @@ class IdentityReport:
         }
 
 
-def _random_spd(rng: np.random.Generator, n: int, eig_low: float = 0.3, eig_high: float = 3.0) -> np.ndarray:
+def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(eig_low, eig_high, size=n)
+    eigs = rng.uniform(0.3, 3.0, size=n)
     return linalg.symmetrize(q @ np.diag(eigs) @ q.T)
 
 
@@ -422,12 +416,12 @@ def identity_suite(
 
     Per trial (random dims 1..6, well-conditioned SPD inputs) checks:
 
-      a. engine.update (gain form) and the precision-form update agree,
-      b. the precision form's covariance P^-1 agrees with the
-         inversion lemma's,
+      a. engine.update (gain form) and precision_form's update agree,
+      b. precision_form's covariance P^-1 agrees with the inversion
+         lemma's,
       c. the determinant identity, through the normalization:
          engine.normalization takes log|S| with S = sigma_nu/dt + H cov H^T,
-         the precision form log|cov| + log|P| with P = cov^-1 + H^T curv H dt,
+         precision_form log|cov| + log|P| with P = cov^-1 + H^T curv H dt,
          and the two log_n agree,
       d. adding a constant to V leaves mean and covariance unchanged
          and shifts log_n by exactly that constant times dt.
@@ -460,7 +454,7 @@ def identity_suite(
         report.checked += 1
 
         ga = engine.update(belief, pot, dt)
-        pr = update_precision_form(belief, pot, dt)
+        pr, ref = precision_form(belief, pot, dt)
         e_mean = _rel(ga.mean, pr.mean)
         e_cov = _rel(ga.cov, pr.cov)
 
@@ -468,7 +462,6 @@ def identity_suite(
         e_two = _rel(pr.cov, wood)
 
         n0 = engine.normalization(belief, pot, dt)
-        ref = normalization_precision_form(belief, pot, dt)
         e_det = abs(n0.log_n - ref.log_n) / max(1.0, abs(ref.log_n))
 
         shifted = PotentialEvaluation._trusted(pot.l, value + 7.25, grad_l, h, curvature, pot.counter_curvature)

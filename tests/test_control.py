@@ -203,8 +203,8 @@ def reference_loop(model, potential_fn, initial, cfg, horizon, rng, mode):
         try:
             pred = belief if belief.tag == "predicted" else engine.predict(belief, model)
             pot = potential_fn(pred.mean, pred.step)
-            post = oracle.update_precision_form(pred, pot, model.dt)
-            log_n = oracle.normalization_precision_form(pred, pot, model.dt).log_n
+            post, diag = oracle.precision_form(pred, pot, model.dt)
+            log_n = diag.log_n
             u = cfg.input_for_shift(post.mean - pred.mean)
         except (DomainViolation, NonFinite):
             return rows, s

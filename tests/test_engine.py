@@ -78,7 +78,7 @@ def test_update_forms_agree():
         pot = random_potential(rng, m, k)
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         gain = engine.update(belief, pot, dt)
-        prec = oracle.update_precision_form(belief, pot, dt)
+        prec, _ = oracle.precision_form(belief, pot, dt)
         assert rel_err(gain.mean, prec.mean) < 1e-10
         assert rel_err(gain.cov, prec.cov) < 1e-10
 
@@ -109,8 +109,7 @@ def test_step_core_matches_reference_pair():
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         pot = random_potential(rng, m, k, h_zero=rng.random() < 0.1)
         dt = float(rng.choice([0.25, 1.0]))
-        ref = oracle.update_precision_form(belief, pot, dt)
-        ref_diag = oracle.normalization_precision_form(belief, pot, dt)
+        ref, ref_diag = oracle.precision_form(belief, pot, dt)
         mean, cov, shift, log_n, script_n = kernel_update(belief, pot, dt)
         assert rel_err(mean, ref.mean) < 1e-11
         assert rel_err(cov, ref.cov) < 1e-11
@@ -129,8 +128,7 @@ def test_kernel_matches_precision_form_for_every_shape(h_zero):
             belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
             pot = random_potential(rng, m, k, h_zero=h_zero)
             dt = float(rng.choice([0.25, 1.0]))
-            ref = oracle.update_precision_form(belief, pot, dt)
-            ref_diag = oracle.normalization_precision_form(belief, pot, dt)
+            ref, ref_diag = oracle.precision_form(belief, pot, dt)
             mean, cov, shift, log_n, script_n = kernel_update(belief, pot, dt)
             assert rel_err(mean, ref.mean) < 1e-11, (m, k)
             assert rel_err(cov, ref.cov) < 1e-11, (m, k)

@@ -30,6 +30,23 @@ def test_spd_cholesky_rejects_indefinite():
         linalg.spd_cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("a", [np.zeros((2, 2)), -np.eye(2)], ids=["zero", "minus_identity"])
+def test_spd_cholesky_skips_retry_without_positive_trace(monkeypatch, a):
+    # JITTER * trace/dim would bump the diagonal by 0 or less, so the
+    # retry could not help: it is not attempted.
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(m):
+        calls.append(m)
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    with pytest.raises(NotPositiveDefinite, match="not positive definite.*trace"):
+        linalg.spd_cholesky(a)
+    assert len(calls) == 1
+
+
 def test_spd_cholesky_jitter_rescues_semidefinite():
     # Rank-1 matrix: plain factorization fails, the one-shot diagonal
     # bump must bring it back.

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_spd, rel_err
 from sqc import engine, linalg, oracle, potential, process
 from sqc.errors import DomainViolation, MassLoss, QuadratureDomain, ValidationError
-from sqc.potential import eval_log_barrier, eval_quadratic_penalty
+from sqc.potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
 
 
 def test_quadrature_scalar_closed_form():
@@ -149,18 +149,56 @@ def test_identity_suite_catches_corrupted_gain_update(monkeypatch):
 
 
 def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
-    update = oracle.update_precision_form
+    reference = oracle.precision_form
 
     def corrupted(belief, pot, dt):
-        out = update(belief, pot, dt)
+        out, diag = reference(belief, pot, dt)
         return engine.GaussianBelief(
             mean=out.mean, cov=out.cov * (1 + 1e-4), step=out.step, tag=out.tag
-        )
+        ), diag
 
-    monkeypatch.setattr(oracle, "update_precision_form", corrupted)
+    monkeypatch.setattr(oracle, "precision_form", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
     assert not report.passed
     assert any(f["check"] == "forms_cov" for f in report.failures)
+
+
+def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
+    reference = oracle.precision_form
+
+    def corrupted(belief, pot, dt):
+        out, diag = reference(belief, pot, dt)
+        return out, engine.NormalizationDiagnostic(log_n=diag.log_n * (1 + 1e-6), script_n=diag.script_n)
+
+    monkeypatch.setattr(oracle, "precision_form", corrupted)
+    report = oracle.identity_suite(seed=0, trials=60)
+    assert not report.passed
+    assert any(f["check"] == "determinant" for f in report.failures)
+
+
+def test_precision_form_factors_cov_and_precision_once(monkeypatch):
+    # One factor of the prior covariance and one of P give every
+    # inverse, solve and log-determinant of the reference.
+    factored = []
+    cholesky = linalg.spd_cholesky
+
+    def counting(a):
+        factored.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(linalg, "spd_cholesky", counting)
+    rng = np.random.default_rng(3)
+    for m, k in [(1, 1), (2, 3), (4, 2)]:
+        cov = oracle._random_spd(rng, m)
+        h = rng.standard_normal((k, m))
+        pot = PotentialEvaluation._trusted(
+            np.zeros(k), 0.7, rng.standard_normal(k), h, oracle._random_spd(rng, k), np.zeros((m, m))
+        )
+        belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=cov)
+        factored.clear()
+        oracle.precision_form(belief, pot, 0.5)
+        assert len(factored) == 2
+        np.testing.assert_array_equal(factored[0], belief.cov)
 
 
 def test_identity_suite_catches_corrupted_inversion_lemma(monkeypatch):

@@ -46,6 +46,11 @@ SIMULATE_DIGESTS = {
 
 FILTER_DIGEST = "fa663f6652eaaa94c2fbb915998298b59e373f24acde00aee19d58b4feddebd5"
 
+VALIDATE_DIGESTS = {
+    "full": "893349cd1721481b0f8f739d8d3940010a1088db545077619fd537f59fa2fe41",
+    "fast": "b358d6014b9acb1e3157de957706c002d60b75d8e2ac08c4c03728f6f01c4780",
+}
+
 RUNS = {
     "seed": (["--seed", "5", "--steps", "300"], ""),
     "belief": (["--seeds", "3..3", "--steps", "300", "--mode", "belief"], "seed_3"),
@@ -103,3 +108,9 @@ def test_filter_beliefs_are_pinned(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["filter", "--scenario", str(scenario), "--obs", str(obs), "--out", str(out)]) == 0
     assert digest(out / "beliefs.csv") == FILTER_DIGEST
+
+
+@pytest.mark.parametrize("level", sorted(VALIDATE_DIGESTS))
+def test_validation_report_is_pinned(tmp_path, level):
+    assert cli.main(["validate", "--level", level, "--out", str(tmp_path)]) == 0
+    assert digest(tmp_path / "validation.json") == VALIDATE_DIGESTS[level]
