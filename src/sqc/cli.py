@@ -188,8 +188,7 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "validation.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"identity suite: {ident.checked} checked, {ident.skipped} skipped, "
-          f"{len(ident.failures)} failed")
+    print(f"identity suite: {ident.checked} checked, {len(ident.failures)} failed")
     for name, check in report["quadrature"].items():
         print(f"quadrature {name}: {'ok' if check['passed'] else 'FAILED'}")
     if args.level == "full":

@@ -139,13 +139,13 @@ def run_closed_loop(
             initial.mean, initial.cov, initial.step, draws, rows, retries, model.dt,
         )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
-        failure, failed_step = str(exc), initial.step + len(rows[0])
+        failure, failed_step = str(exc), initial.step + len(rows[3])
         # In the step loop a NotPositiveDefinite is a Cholesky factorization
         # that failed; the kernel counts only retries that factor, so the
         # stopping factorization is counted here.
         retries[0] += isinstance(exc, NotPositiveDefinite)
     xs, means, covs, values, log_ns, shifts = rows
-    done = len(xs)
+    done = len(values)
     x, mean, shift = (engine._table(column, done * m).reshape(done, m) for column in (xs, means, shifts))
     return ScenarioResult(
         first_step=initial.step,

@@ -189,7 +189,7 @@ def filter_with_likelihood(
     draws = [None] * (horizon + 1 - start)
     engine._run(model, potential, initial_belief.mean, initial_belief.cov, start, draws, rows, [0], 1.0)
     _, means, covs, _, log_ns, _ = rows
-    m, n = initial_belief.dim, len(means)
+    m, n = initial_belief.dim, len(log_ns)
     steps = range(start, start + n)
     beliefs = list(map(
         engine.GaussianBelief._trusted,

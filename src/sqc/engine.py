@@ -26,7 +26,7 @@ script_n and log_n) and sample (mean + chol(cov) z). Each function's
 source is compiled on first use for the dimensions it depends on and
 cached, as collections.namedtuple does; nothing is compiled at import
 or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and row) costs about 7-11 us on a 2-vCPU Xeon VM,
+potential, kernel and row) costs about 8-9 us on a 2-vCPU Xeon VM,
 where the call overhead of about 40 numpy and LAPACK calls on 2 x 2
 arrays used to cost about 57 us. The bundled potentials' float forms
 are generated the same way (see potential).
@@ -47,10 +47,12 @@ builds its own, and any other callable (including one that wraps a
 bundled one) is called with an array and its result unpacked with
 .tolist(). _run factors a curvature only when it differs by value from
 the one it factored last, so a constant one is factored once per run
-on every path. predict() and sample_posterior() stay in numpy as the
-independent references for the kernel's predict and sample stages,
-and oracle.precision_form, the update and normalization through the
-precision matrix, is the reference for its update.
+on every path. Its rows are flat float columns, so no per-step tuple
+outlives a step for the garbage collector to track. predict() and
+sample_posterior() stay in numpy as the independent references for the
+kernel's predict and sample stages, and oracle.precision_form, the
+update and normalization through the precision matrix, is the
+reference for its update.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -386,7 +387,7 @@ def _update_once(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) ->
 
 
 def _new_rows() -> tuple:
-    # The per-step columns _run appends to: x, mean, cov, V, log_n, shift.
+    # The flat float columns _run extends: x, mean, cov, V, log_n, shift.
     return [], [], [], [], [], []
 
 
@@ -411,9 +412,10 @@ def _run(
     from the posterior with the step's standard normal draw, or the
     posterior mean where the draw is None. Where ``evaluate`` returns
     None the step keeps the bare prediction, with V and log_n nan and a
-    zero shift. Each step appends to the columns of ``rows``; a step
-    that raises appends nothing, so len(rows[0]) counts the completed
-    ones.
+    zero shift. Each step extends the flat float columns of ``rows`` by
+    its m (x, mean, shift), m * m (cov) or one (V, log_n) entries, so
+    only floats outlive a step; a step that raises adds nothing, so
+    len(rows[3]) counts the completed ones.
     """
     m, dt = len(mean), model.dt
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
@@ -446,17 +448,17 @@ def _run(
                 factored = curv
             mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
         x = mn if z is None else sample(mn, p, z, retries)
-        xs.append(x)
-        means.append(mn)
-        covs.append(p)
+        xs.extend(x)
+        means.extend(mn)
+        covs.extend(p)
         values.append(value)
         log_ns.append(log_n)
-        shifts.append(shift)
+        shifts.extend(shift)
 
 
 def _table(column: list, size: int) -> np.ndarray:
-    # One flat array from a list of float sequences.
-    return np.fromiter(chain.from_iterable(column), float, size)
+    # One flat array from a flat float column.
+    return np.fromiter(column, float, size)
 
 
 def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:

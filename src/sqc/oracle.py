@@ -37,6 +37,7 @@ oracles still share no code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,7 +377,6 @@ class IdentityReport:
 
     trials: int
     checked: int
-    skipped: int
     failures: list = field(default_factory=list)
     worst: dict = field(default_factory=dict)
 
@@ -388,7 +388,6 @@ class IdentityReport:
         return {
             "trials": self.trials,
             "checked": self.checked,
-            "skipped": self.skipped,
             "failures": self.failures,
             "worst": self.worst,
             "passed": self.passed,
@@ -426,21 +425,18 @@ def identity_suite(
       d. adding a constant to V leaves mean and covariance unchanged
          and shifts log_n by exactly that constant times dt.
 
-    A check fails when its relative error exceeds 1e-8. Instances whose
-    prior covariance has a condition number beyond 1e7 are skipped, not
-    failed. Failures are reported, never raised.
+    A check fails when its relative error is not <= 1e-8, so a nan
+    error fails too and is kept as that check's worst. Failures are
+    reported, never raised.
     """
     rng = np.random.default_rng(seed)
-    report = IdentityReport(trials=trials, checked=0, skipped=0)
+    report = IdentityReport(trials=trials, checked=0)
     worst = {"forms_mean": 0.0, "forms_cov": 0.0, "cov_two_forms": 0.0, "determinant": 0.0, "gauge": 0.0}
 
     for trial in range(trials):
         m = int(rng.integers(1, 7))
         k = int(rng.integers(1, 7))
         cov = _random_spd(rng, m)
-        if np.linalg.cond(cov) > 1e7:
-            report.skipped += 1
-            continue
         curvature = _random_spd(rng, k)
         h = rng.standard_normal((k, m))
         if trial % 50 == 1:
@@ -481,8 +477,9 @@ def identity_suite(
             "gauge": e_gauge,
         }
         for name, err in errs.items():
-            worst[name] = max(worst[name], err)
-            if err > 1e-8:
+            if err > worst[name] or math.isnan(err):
+                worst[name] = err
+            if not err <= 1e-8:
                 report.failures.append({"trial": trial, "check": name, "error": err, "dims": (m, k)})
     report.worst = worst
     return report

@@ -317,3 +317,44 @@ def test_step_loops_run_through_engine_run(monkeypatch):
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, belief)
     assert calls == [7, 4] and len(beliefs) == 4
+
+
+def test_run_extends_flat_float_columns(monkeypatch):
+    # engine._run extends six flat float columns, so only floats
+    # outlive a step. The V column counts the completed steps; x, mean
+    # and shift hold m entries per step and cov m * m, so len(rows[0])
+    # is m times too many. A run that stops early must report its
+    # failed step from the V column too.
+    captured = []
+    run = engine._run
+
+    def capturing(*args):
+        captured.append(args[6])
+        return run(*args)
+
+    def assert_flat(rows, m, steps):
+        xs, means, covs, values, log_ns, shifts = rows
+        assert all(type(v) is float for column in rows for v in column)
+        assert len(values) == len(log_ns) == steps
+        assert len(xs) == len(means) == len(shifts) == steps * m
+        assert len(covs) == steps * m * m
+
+    monkeypatch.setattr(engine, "_run", capturing)
+    sampled = control.run_scenario("penalty", overrides={"horizon": 300})
+    assert sampled.completed and len(sampled.value) == 301
+    assert_flat(captured[-1], 2, 301)
+
+    model = linear_model(np.array([[-0.1, 0.2], [0.0, -0.3]]), 2, 0.05 * np.eye(2))
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(2), sigma_nu=0.5 * np.eye(2))
+    stream = ekf.ObservationStream(steps=[0, 2, 3, 7], values=[[0.1, 0.0], [0.2, 0.1], [0.3, 0.1], [0.0, 0.4]])
+    initial = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2), step=0, tag="predicted")
+    beliefs, loglik = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert len(beliefs) == len(loglik) == 8 and sum(math.isnan(v) for v in loglik) == 4
+    assert_flat(captured[-1], 2, 8)
+
+    stopped = control.run_scenario("barrier", overrides={"horizon": 1000})
+    assert not stopped.completed and "non-positive" in stopped.failure
+    done = len(captured[-1][3])
+    assert 0 < done < 1001 and stopped.failed_step == stopped.first_step + done
+    assert_flat(captured[-1], 2, done)
+    assert len(stopped.x) == len(stopped.value) == len(stopped.cov) == done

@@ -176,6 +176,22 @@ def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
     assert any(f["check"] == "determinant" for f in report.failures)
 
 
+def test_identity_suite_fails_nan_errors(monkeypatch):
+    # A nan error is no pass: err > 1e-8 and max() would both drop it.
+    reference = oracle.precision_form
+
+    def corrupted(belief, pot, dt):
+        out, diag = reference(belief, pot, dt)
+        return out, engine.NormalizationDiagnostic(log_n=float("nan"), script_n=diag.script_n)
+
+    monkeypatch.setattr(oracle, "precision_form", corrupted)
+    report = oracle.identity_suite(seed=0, trials=20)
+    assert not report.passed
+    assert sum(f["check"] == "determinant" for f in report.failures) == 20
+    assert np.isnan(report.worst["determinant"])
+    assert report.worst["forms_mean"] < 1e-10
+
+
 def test_precision_form_factors_cov_and_precision_once(monkeypatch):
     # One factor of the prior covariance and one of P give every
     # inverse, solve and log-determinant of the reference.

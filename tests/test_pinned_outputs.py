@@ -47,8 +47,8 @@ SIMULATE_DIGESTS = {
 FILTER_DIGEST = "fa663f6652eaaa94c2fbb915998298b59e373f24acde00aee19d58b4feddebd5"
 
 VALIDATE_DIGESTS = {
-    "full": "893349cd1721481b0f8f739d8d3940010a1088db545077619fd537f59fa2fe41",
-    "fast": "b358d6014b9acb1e3157de957706c002d60b75d8e2ac08c4c03728f6f01c4780",
+    "full": "77fba479bd16f8c69acf8f564c383f6e68d27c5ec44f74d930da5d047104c4ad",
+    "fast": "67857c8bd0fd3234ceded45c199a424a474f97d162de0e4328f9aa85b6454daa",
 }
 
 RUNS = {

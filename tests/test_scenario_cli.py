@@ -316,11 +316,12 @@ def test_simulate_stopped_at_step_zero_writes_header_only(tmp_path):
 
 
 def test_simulate_numerical_breakdown_writes_partial_output(tmp_path):
-    # With sigma_nu = 1e-16 I the first posterior covariance is about
-    # 1e-16 and the sample stage's jittered Cholesky retry raises
-    # NotPositiveDefinite. Like a domain violation, that stops the run
-    # with its partial trajectory (none here) and a run.json, exit 2.
-    # The failed retry is counted in jitter_retries.
+    # With sigma_nu = 1e-16 I the first posterior covariance has trace
+    # 0, so the sample stage's Cholesky fallback refuses it without a
+    # jittered retry and raises NotPositiveDefinite. Like a domain
+    # violation, that stops the run with its partial trajectory (none
+    # here) and a run.json, exit 2. jitter_retries counts the stopping
+    # factorization, which run_closed_loop adds.
     doc = load_bundled("penalty").to_dict()
     doc["potential"]["params"]["sigma_nu"] = [[1e-16, 0.0], [0.0, 1e-16]]
     doc["horizon"] = 200
