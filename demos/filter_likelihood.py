@@ -28,16 +28,17 @@ stream = ekf.ObservationStream(steps=steps, values=ys)
 
 # 2. filter from a vague prior
 initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=4.0 * np.eye(2), step=0, tag="predicted")
-beliefs, logliks = ekf.filter_with_likelihood(model, obs_model, stream, initial)
+mean, cov, logliks = ekf.filter_with_likelihood(model, obs_model, stream, initial)
 
-err = np.array([b.mean - truth.states[b.step] for b in beliefs])
+# row i of the filtered arrays is step initial.step + i
+filtered_steps = np.arange(initial.step, initial.step + len(mean))
+err = mean - truth.states[filtered_steps]
 print("rms estimation error, first vs last third of the run")
 print("  x1 (observed):", f"{np.sqrt((err[:30, 0] ** 2).mean()):.3f}",
       "->", f"{np.sqrt((err[-30:, 0] ** 2).mean()):.3f}")
 print("  x2 (hidden):  ", f"{np.sqrt((err[:30, 1] ** 2).mean()):.3f}",
       "->", f"{np.sqrt((err[-30:, 1] ** 2).mean()):.3f}")
 
-final = beliefs[-1]
-print(f"\nfinal belief mean {np.round(final.mean, 3)} vs truth {np.round(truth.states[final.step], 3)}")
-print(f"final std per component: {np.round(np.sqrt(np.diag(final.cov)), 3)}")
+print(f"\nfinal belief mean {np.round(mean[-1], 3)} vs truth {np.round(truth.states[filtered_steps[-1]], 3)}")
+print(f"final std per component: {np.round(np.sqrt(np.diag(cov[-1])), 3)}")
 print(f"cumulative log-likelihood over {len(steps)} observations: {np.nansum(logliks):.2f}")

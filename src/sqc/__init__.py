@@ -8,7 +8,6 @@ from .engine import (
     GaussianBelief,
     NormalizationDiagnostic,
     TrajectoryRecord,
-    normalization,
     predict,
     sample_posterior,
     update,
@@ -65,7 +64,6 @@ __all__ = [
     "load_bundled",
     "make_drift",
     "marginal_likelihood",
-    "normalization",
     "parse_scenario",
     "predict",
     "run_closed_loop",

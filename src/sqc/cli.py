@@ -53,20 +53,16 @@ def _write_trajectory_csv(path: Path, result: control.ScenarioResult) -> None:
     _write_csv(path, cols, range(result.first_step, result.first_step + n), table)
 
 
-def _write_beliefs_csv(path: Path, beliefs, logliks, m: int) -> None:
+def _write_beliefs_csv(path: Path, first_step: int, mean: np.ndarray, cov: np.ndarray, loglik: np.ndarray) -> None:
+    n, m = mean.shape
     cols = (
         ["step"]
         + [f"mean{i}" for i in range(1, m + 1)]
         + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
         + ["loglik"]
     )
-    n = len(beliefs)
-    table = np.hstack([
-        np.reshape([b.mean for b in beliefs], (n, m)),
-        np.reshape([b.cov for b in beliefs], (n, m * m)),
-        np.reshape(logliks, (n, 1)),
-    ])
-    _write_csv(path, cols, [b.step for b in beliefs], table)
+    table = np.hstack([mean, cov.reshape(n, m * m), loglik.reshape(n, 1)])
+    _write_csv(path, cols, range(first_step, first_step + n), table)
 
 
 def _run_one_simulation(scenario, out_dir: Path) -> int:
@@ -138,8 +134,6 @@ def cmd_filter(args) -> int:
             raise ValidationError(
                 f"observation file has {stream.values.shape[1]} value columns; the scenario observes {k}"
             )
-        if int(stream.steps.min()) < 0:
-            raise ValidationError(f"observation at step {int(stream.steps.min())} is before step 0")
         if int(stream.steps.max()) > scenario.horizon:
             raise ValidationError(
                 f"observation at step {int(stream.steps.max())} is beyond horizon {scenario.horizon}"
@@ -149,12 +143,12 @@ def cmd_filter(args) -> int:
         mean=scenario.mean0, cov=scenario.cov0, step=0, tag="predicted"
     )
     horizon = scenario.horizon if len(stream) == 0 else int(stream.steps.max())
-    beliefs, logliks = ekf.filter_with_likelihood(model, obs_model, stream, initial, horizon)
+    mean, cov, loglik = ekf.filter_with_likelihood(model, obs_model, stream, initial, horizon)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_beliefs_csv(out_dir / "beliefs.csv", beliefs, logliks, scenario.dim)
-    total = float(np.nansum(logliks))
+    _write_beliefs_csv(out_dir / "beliefs.csv", initial.step, mean, cov, loglik)
+    total = float(np.nansum(loglik))
     print(f"cumulative log-likelihood: {total:.12g} over {len(stream)} observations")
     return EXIT_OK
 
@@ -188,7 +182,7 @@ def cmd_validate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "validation.json").write_text(json.dumps(report, indent=2) + "\n")
 
-    print(f"identity suite: {ident.checked} checked, {len(ident.failures)} failed")
+    print(f"identity suite: {ident.trials} trials, {len(ident.failures)} failed")
     for name, check in report["quadrature"].items():
         print(f"quadrature {name}: {'ok' if check['passed'] else 'FAILED'}")
     if args.level == "full":

@@ -132,32 +132,30 @@ def run_closed_loop(
     # as n calls of standard_normal(m).
     draws = rng.standard_normal((n, m)).tolist() if mode == "sampled" else [None] * n
     rows, retries = engine._new_rows(), [0]
-    failure = failed_step = None
+    failure = None
     try:
         engine._run(
             model, engine._floats(potential_fn, engine._evaluation_floats),
             initial.mean, initial.cov, initial.step, draws, rows, retries, model.dt,
         )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
-        failure, failed_step = str(exc), initial.step + len(rows[3])
+        failure = str(exc)
         # In the step loop a NotPositiveDefinite is a Cholesky factorization
         # that failed; the kernel counts only retries that factor, so the
         # stopping factorization is counted here.
         retries[0] += isinstance(exc, NotPositiveDefinite)
-    xs, means, covs, values, log_ns, shifts = rows
-    done = len(values)
-    x, mean, shift = (engine._table(column, done * m).reshape(done, m) for column in (xs, means, shifts))
+    x, mean, cov, value, log_n, shift = engine._columns(rows, m)
     return ScenarioResult(
         first_step=initial.step,
         x=x,
         u=shift @ cfg.shift_map.T,
         mean=mean,
-        cov=engine._table(covs, done * m * m).reshape(done, m, m),
-        value=np.array(values),
-        log_n=np.array(log_ns),
+        cov=cov,
+        value=value,
+        log_n=log_n,
         completed=failure is None,
         failure=failure,
-        failed_step=failed_step,
+        failed_step=None if failure is None else initial.step + len(value),
         jitter_retries=retries[0],
     )
 

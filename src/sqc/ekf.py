@@ -20,6 +20,8 @@ forms when they carry one (the scenario's linear and identity maps do)
 and through .tolist() otherwise. The log normalization gives the
 marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
+It returns the loop's mean and cov columns, read by engine._columns,
+and that likelihood as arrays, one row per step from the initial one.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
 """
@@ -158,21 +160,31 @@ def filter_with_likelihood(
     stream: ObservationStream,
     initial_belief: engine.GaussianBelief,
     horizon: Optional[int] = None,
-) -> tuple[list[engine.GaussianBelief], list[float]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Filter a stream of observations starting from a predicted belief.
 
-    Returns one belief per step from the initial step through the
-    horizon (default: the last observed step), updated where an
-    observation exists and the bare prediction elsewhere, and the
-    per-step log marginal likelihood, nan at steps without an
-    observation.
+    Returns the arrays (mean, cov, loglik) of shapes (n, m), (n, m, m)
+    and (n,), whose row i is step initial_belief.step + i, from the
+    initial step through the horizon (default: the last observed step).
+    A row is the updated belief where an observation exists and the
+    bare prediction elsewhere; loglik is the step's log marginal
+    likelihood, and nan exactly at the rows without an observation. An
+    observation before the initial step or beyond the horizon, or a
+    horizon before the initial step, raises ValidationError.
     """
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
-    by_step = dict(zip(stream.steps.tolist(), stream.values.tolist()))
+    steps = stream.steps.tolist()
+    by_step = dict(zip(steps, stream.values.tolist()))
     start = initial_belief.step
     if horizon is None:
-        horizon = max(by_step) if by_step else start
+        horizon = steps[-1] if steps else start
+    if horizon < start:
+        raise ValidationError(f"horizon {horizon} is before step {start}")
+    outside = [s for s in steps if not start <= s <= horizon]
+    if outside:
+        where = f"before step {start}" if outside[0] < start else f"beyond horizon {horizon}"
+        raise ValidationError(f"observation at step {outside[0]} is {where}")
     weights = obs_model.sigma_nu_inv
     evaluate, _ = _form_factory("quadratic_penalty", len(weights), "given")(*weights.ravel().tolist())
     h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
@@ -188,17 +200,8 @@ def filter_with_likelihood(
     rows = engine._new_rows()
     draws = [None] * (horizon + 1 - start)
     engine._run(model, potential, initial_belief.mean, initial_belief.cov, start, draws, rows, [0], 1.0)
-    _, means, covs, _, log_ns, _ = rows
-    m, n = initial_belief.dim, len(log_ns)
-    steps = range(start, start + n)
-    beliefs = list(map(
-        engine.GaussianBelief._trusted,
-        engine._table(means, n * m).reshape(n, m),
-        engine._table(covs, n * m * m).reshape(n, m, m),
-        steps,
-        ["updated" if s in by_step else "predicted" for s in steps],
-    ))
-    return beliefs, [obs_model.log_density_offset - log_n for log_n in log_ns]
+    _, mean, cov, _, log_n, _ = engine._columns(rows, initial_belief.dim)
+    return mean, cov, obs_model.log_density_offset - log_n
 
 
 # Steps are stored as numpy's default integer, a C long.

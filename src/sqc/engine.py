@@ -39,8 +39,9 @@ math.log on each entry.
 
 The kernel is the only update and _run the only step loop: the closed
 loop and the observation filter each hand _run all their steps from a
-predicted belief, and update() and normalization() call the kernel's
-update. _compiled hands out each stage and documents its arguments.
+predicted belief, and update() calls the kernel's update once for the
+posterior and its normalization. _compiled hands out each stage and
+documents its arguments.
 Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
 builds its own, and any other callable (including one that wraps a
@@ -48,7 +49,8 @@ bundled one) is called with an array and its result unpacked with
 .tolist(). _run factors a curvature only when it differs by value from
 the one it factored last, so a constant one is factored once per run
 on every path. Its rows are flat float columns, so no per-step tuple
-outlives a step for the garbage collector to track. predict() and
+outlives a step for the garbage collector to track, and _columns is
+the one reader that turns them into arrays. predict() and
 sample_posterior() stay in numpy as the independent references for the
 kernel's predict and sample stages, and oracle.precision_form, the
 update and normalization through the precision matrix, is the
@@ -75,7 +77,6 @@ __all__ = [
     "TrajectoryRecord",
     "predict",
     "update",
-    "normalization",
     "sample_posterior",
 ]
 
@@ -375,17 +376,6 @@ def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
     return adapter
 
 
-def _update_once(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple:
-    value, grad, h, curvature = _evaluation_floats(pot)
-    m, k = belief.dim, len(grad)
-    retries = [0]
-    sig, hld = _compiled("factor", k)(curvature, retries)
-    return _compiled("update", m, k)(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), value, grad, h, sig, hld,
-        0.5 * k * math.log(dt), dt, belief.step, retries,
-    )
-
-
 def _new_rows() -> tuple:
     # The flat float columns _run extends: x, mean, cov, V, log_n, shift.
     return [], [], [], [], [], []
@@ -415,7 +405,7 @@ def _run(
     zero shift. Each step extends the flat float columns of ``rows`` by
     its m (x, mean, shift), m * m (cov) or one (V, log_n) entries, so
     only floats outlive a step; a step that raises adds nothing, so
-    len(rows[3]) counts the completed ones.
+    the V column counts the completed ones. _columns reads the rows.
     """
     m, dt = len(mean), model.dt
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
@@ -456,9 +446,18 @@ def _run(
         shifts.extend(shift)
 
 
-def _table(column: list, size: int) -> np.ndarray:
-    # One flat array from a flat float column.
-    return np.fromiter(column, float, size)
+def _columns(rows: tuple, m: int) -> tuple:
+    """_run's flat float rows as arrays: (x, mean, cov, V, log_n, shift).
+
+    With n the completed steps, the length of the V column, x, mean and
+    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). This is
+    the only reader of the rows' layout outside _run.
+    """
+    xs, means, covs, values, log_ns, shifts = rows
+    n = len(values)
+    x, mean, shift = (np.fromiter(column, float, n * m).reshape(n, m) for column in (xs, means, shifts))
+    cov = np.fromiter(covs, float, n * m * m).reshape(n, m, m)
+    return x, mean, cov, np.array(values), np.array(log_ns), shift
 
 
 def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
@@ -477,23 +476,13 @@ def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
     return GaussianBelief._trusted(mean, cov, belief.step + 1, "predicted")
 
 
-def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> GaussianBelief:
-    """Potential-driven update in gain form.
+def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple[GaussianBelief, NormalizationDiagnostic]:
+    """Potential-driven update in gain form, and the log of the weight normalization it absorbs.
 
     ``pot`` must have been evaluated at belief.mean. The posterior
     covariance never exceeds the prior one: the subtracted term is
-    positive semidefinite.
-    """
-    mean, cov, _, _, _ = _update_once(belief, pot, dt)
-    return GaussianBelief._trusted(
-        np.array(mean), np.reshape(cov, (belief.dim, belief.dim)), belief.step, "updated"
-    )
-
-
-def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> NormalizationDiagnostic:
-    """Log of the weight normalization absorbed by the update.
-
-    With S = sigma_nu / dt + H cov H^T and k the inner dimension,
+    positive semidefinite. With S = sigma_nu / dt + H cov H^T and k the
+    inner dimension,
 
         log_n = log|S|/2 - log|sigma_nu|/2 + (k/2) log dt + script_n dt
         script_n = V - (H^T grad_l)^T P^-1 (H^T grad_l) dt / 2.
@@ -501,10 +490,21 @@ def normalization(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -
     For a quadratic potential, log_n equals minus the log mass of
     exp(-V dt) under the predicted Gaussian exactly; the quadrature
     oracle checks this. The kernel computes script_n from the shift,
-    which equals P^-1 H^T grad_l dt by the matrix inversion lemma.
+    which equals P^-1 H^T grad_l dt by the matrix inversion lemma. One
+    kernel call gives both results.
     """
-    _, _, _, log_n, script_n = _update_once(belief, pot, dt)
-    return NormalizationDiagnostic(log_n=log_n, script_n=script_n)
+    value, grad, h, curvature = _evaluation_floats(pot)
+    m, k = belief.dim, len(grad)
+    retries = [0]
+    sig, hld = _compiled("factor", k)(curvature, retries)
+    mean, cov, _, log_n, script_n = _compiled("update", m, k)(
+        belief.mean.tolist(), belief.cov.ravel().tolist(), value, grad, h, sig, hld,
+        0.5 * k * math.log(dt), dt, belief.step, retries,
+    )
+    return (
+        GaussianBelief._trusted(np.array(mean), np.reshape(cov, (m, m)), belief.step, "updated"),
+        NormalizationDiagnostic(log_n=log_n, script_n=script_n),
+    )
 
 
 def sample_posterior(belief: GaussianBelief, rng: np.random.Generator) -> np.ndarray:

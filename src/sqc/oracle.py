@@ -17,7 +17,7 @@ kernel:
   runs it over three 1-D cases. It shares no state with the other two
   oracles, so `sqc validate --level full` runs it in a worker process
   while they run in the calling one.
-* identity_suite brute-force checks the engine's update and
+* identity_suite brute-force checks the engine's update and its
   normalization against precision_form (kept here as the reference,
   with the inversion lemma and the block determinant identity) and
   gauge invariance on randomized instances.
@@ -319,7 +319,7 @@ def fokker_planck_residual(
 def precision_form(
     belief: engine.GaussianBelief, pot: PotentialEvaluation, dt: float
 ) -> tuple[engine.GaussianBelief, engine.NormalizationDiagnostic]:
-    """engine.update and engine.normalization through the precision matrix; the reference form.
+    """engine.update's posterior and normalization through the precision matrix; the reference form.
 
     With P = cov^-1 + H^T curvature H dt, the posterior covariance is
     P^-1 and the mean moves along the preconditioned force direction:
@@ -376,18 +376,16 @@ class IdentityReport:
     """Outcome of the randomized identity suite."""
 
     trials: int
-    checked: int
     failures: list = field(default_factory=list)
     worst: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return self.checked > 0 and not self.failures
+        return self.trials > 0 and not self.failures
 
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
-            "checked": self.checked,
             "failures": self.failures,
             "worst": self.worst,
             "passed": self.passed,
@@ -419,7 +417,7 @@ def identity_suite(
       b. precision_form's covariance P^-1 agrees with the inversion
          lemma's,
       c. the determinant identity, through the normalization:
-         engine.normalization takes log|S| with S = sigma_nu/dt + H cov H^T,
+         engine.update takes log|S| with S = sigma_nu/dt + H cov H^T,
          precision_form log|cov| + log|P| with P = cov^-1 + H^T curv H dt,
          and the two log_n agree,
       d. adding a constant to V leaves mean and covariance unchanged
@@ -430,7 +428,7 @@ def identity_suite(
     reported, never raised.
     """
     rng = np.random.default_rng(seed)
-    report = IdentityReport(trials=trials, checked=0)
+    report = IdentityReport(trials=trials)
     worst = {"forms_mean": 0.0, "forms_cov": 0.0, "cov_two_forms": 0.0, "determinant": 0.0, "gauge": 0.0}
 
     for trial in range(trials):
@@ -447,9 +445,8 @@ def identity_suite(
         mean = rng.standard_normal(m)
         pot = PotentialEvaluation._trusted(np.zeros(k), value, grad_l, h, curvature, np.zeros((m, m)))
         belief = engine.GaussianBelief(mean=mean, cov=cov, step=0, tag="predicted")
-        report.checked += 1
 
-        ga = engine.update(belief, pot, dt)
+        ga, n0 = engine.update(belief, pot, dt)
         pr, ref = precision_form(belief, pot, dt)
         e_mean = _rel(ga.mean, pr.mean)
         e_cov = _rel(ga.cov, pr.cov)
@@ -457,12 +454,10 @@ def identity_suite(
         wood = woodbury_inverse(cov, h.T, linalg.spd_inverse(curvature) / dt, h)
         e_two = _rel(pr.cov, wood)
 
-        n0 = engine.normalization(belief, pot, dt)
         e_det = abs(n0.log_n - ref.log_n) / max(1.0, abs(ref.log_n))
 
         shifted = PotentialEvaluation._trusted(pot.l, value + 7.25, grad_l, h, curvature, pot.counter_curvature)
-        gb = engine.update(belief, shifted, dt)
-        n1 = engine.normalization(belief, shifted, dt)
+        gb, n1 = engine.update(belief, shifted, dt)
         e_gauge = max(
             _rel(ga.mean, gb.mean),
             _rel(ga.cov, gb.cov),
@@ -507,10 +502,9 @@ def quadrature_checks() -> dict:
         d, s_inv = np.array(d), np.array(s_inv)
         belief = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
         pot = eval_quadratic_penalty(belief.mean, d, s_inv)
-        upd = engine.update(belief, pot, dt)
+        upd, diag = engine.update(belief, pot, dt)
         integrand = _value_form("quadratic_penalty", len(d), "given", s_inv.ravel().tolist(), d.tolist())
         mean, cov, log_norm = weighted_gaussian_moments(belief.mean, belief.cov, integrand, dt)
-        diag = engine.normalization(belief, pot, dt)
         checks[name] = {
             "mean_err": float(np.max(np.abs(upd.mean - mean))),
             "cov_err": float(np.max(np.abs(upd.cov - cov))),
@@ -522,7 +516,7 @@ def quadrature_checks() -> dict:
     mean_b = np.array([1.0, 1.0])
     cov_b = 0.01 * np.eye(2)
     belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
-    upd_b = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
+    upd_b, _ = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
     mean_q, _, _ = weighted_gaussian_moments(
         mean_b, cov_b, _value_form("log_barrier", 2, None, a.tolist(), 0), 1.0
     )

@@ -89,6 +89,14 @@ def _take(mapping: dict, allowed: dict, context: str) -> dict:
     return out
 
 
+def _flat_vector(raw, label: str) -> np.ndarray:
+    # A number or a flat list of finite numbers, as a 1-D array.
+    vec = np.atleast_1d(_finite(raw, label))
+    if vec.ndim != 1:
+        raise ValidationError(f"{label} must be a flat list of numbers; got {vec.tolist()}")
+    return vec
+
+
 def _spd_matrix(raw, label: str) -> np.ndarray:
     mat = np.atleast_2d(_finite(raw, label))
     if mat.shape[0] != mat.shape[1]:
@@ -215,7 +223,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ValidationError(f"name must be a string; got {top['name']!r}")
 
     initial = _take(top["initial"], {"mean": ..., "cov": ...}, "initial")
-    mean0 = np.atleast_1d(_finite(initial["mean"], "initial mean"))
+    mean0 = _flat_vector(initial["mean"], "initial mean")
     cov0 = _spd_matrix(initial["cov"], "initial cov")
     dim = len(mean0)
     if cov0.shape != (dim, dim):
@@ -246,7 +254,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         target_kind = tgt["kind"]
         if target_kind == "constant":
             tp = _take(tgt["params"], {"value": ...}, "target.params")
-            value = np.atleast_1d(_finite(tp["value"], "target value"))
+            value = _flat_vector(tp["value"], "target value")
             if len(value) != dim:
                 raise ValidationError(f"target value dim {len(value)} does not match state dim {dim}")
             target_params = {"value": value}
@@ -259,7 +267,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             raise ValidationError(f"unknown target kind {target_kind!r}; expected one of {TARGET_KINDS}")
     elif kind == "log_barrier":
         params = _take(pot["params"], {"a": ...}, "potential.params")
-        a = np.atleast_1d(_finite(params["a"], "barrier weights a"))
+        a = _flat_vector(params["a"], "barrier weights a")
         if len(a) != dim:
             raise ValidationError(f"barrier weight dim {len(a)} does not match state dim {dim}")
         if np.any(a <= 0):

@@ -26,7 +26,7 @@ def test_identity_config_reproduces_update_shift():
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         pot = eval_quadratic_penalty(belief.mean, rng.standard_normal(m), random_spd(rng, m))
         dt = float(rng.uniform(0.2, 1.5))
-        shift = engine.update(belief, pot, dt).mean - belief.mean
+        shift = engine.update(belief, pot, dt)[0].mean - belief.mean
         u = cfg.input_for_shift(shift)
         assert rel_err(u, shift) < 1e-10
 
@@ -37,7 +37,7 @@ def test_wide_input_matrix_takes_least_effort_solution():
     cfg = ControlConfig(B=np.array([[1.0, 0.0]]), R=np.eye(2))
     belief = engine.GaussianBelief(mean=[0.7], cov=[[0.5]])
     pot = eval_quadratic_penalty(belief.mean, [0.0], [[4.0]])
-    shift = engine.update(belief, pot, 1.0).mean - belief.mean
+    shift = engine.update(belief, pot, 1.0)[0].mean - belief.mean
     u = cfg.input_for_shift(shift)
     assert u.shape == (2,)
     assert u[0] == pytest.approx(shift[0], rel=1e-12)
@@ -50,7 +50,7 @@ def test_nonuniform_effort_weight_still_reproduces_shift():
     cfg = ControlConfig(B=b, R=np.diag([2.0, 0.5]))
     belief = engine.GaussianBelief(mean=rng.standard_normal(2), cov=random_spd(rng, 2))
     pot = eval_quadratic_penalty(belief.mean, [0.1, -0.3], random_spd(rng, 2))
-    shift = engine.update(belief, pot, 1.0).mean - belief.mean
+    shift = engine.update(belief, pot, 1.0)[0].mean - belief.mean
     u = cfg.input_for_shift(shift)
     assert rel_err(b @ u, shift) < 1e-10
 

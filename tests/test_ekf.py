@@ -45,7 +45,7 @@ def test_ekf_step_equals_potential_update():
 
         a = ekf.ekf_step(pred, model, obs, y, 0)
         pot = ekf.observation_potential(obs, y, pred.mean, 0)
-        b = engine.update(pred, pot, 1.0)
+        b, _ = engine.update(pred, pot, 1.0)
         assert rel_err(a.mean, b.mean) < 1e-10
         assert rel_err(a.cov, b.cov) < 1e-10
 
@@ -98,14 +98,15 @@ def test_run_filter_matches_textbook_kalman():
     stream = ekf.ObservationStream(steps=np.arange(len(ys)), values=ys)
     initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
 
-    beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, initial)
+    mean, cov, loglik = ekf.filter_with_likelihood(model, obs, stream, initial)
     means, covs = naive_kalman(np.eye(2) + a, g_inv, c, sigma_nu, np.zeros(2), np.eye(2), ys)
 
-    assert len(beliefs) == len(ys)
-    for belief, mean, cov, s in zip(beliefs, means, covs, stream.steps):
-        assert belief.step == s and belief.tag == "updated"
-        assert rel_err(belief.mean, mean) < 1e-10
-        assert rel_err(belief.cov, cov) < 1e-10
+    assert len(mean) == len(ys)
+    for i, (ref_mean, ref_cov, s) in enumerate(zip(means, covs, stream.steps)):
+        # Row i is step initial.step + i, updated where loglik is finite.
+        assert initial.step + i == s and np.isfinite(loglik[i])
+        assert rel_err(mean[i], ref_mean) < 1e-10
+        assert rel_err(cov[i], ref_cov) < 1e-10
 
 
 def test_marginal_likelihood_matches_scipy():
@@ -131,13 +132,23 @@ def test_filter_with_likelihood_sparse_observations():
     stream = ekf.ObservationStream(steps=steps, values=ys[steps])
     initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
 
-    beliefs, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
-    assert len(beliefs) == 12
-    for belief, loglik in zip(beliefs, logliks):
-        if belief.step in steps:
-            assert belief.tag == "updated" and np.isfinite(loglik)
+    mean, cov, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert len(mean) == len(cov) == len(logliks) == 12
+    for i, loglik in enumerate(logliks):
+        step = initial.step + i
+        if step in steps:
+            assert np.isfinite(loglik)
+            continue
+        # An unobserved row is the bare prediction from the row before
+        # (row 0 is the initial belief itself), up to the rounding by
+        # which the kernel's predict and engine.predict differ.
+        assert np.isnan(loglik)
+        if i == 0:
+            ref = initial
         else:
-            assert belief.tag == "predicted" and np.isnan(loglik)
+            ref = engine.predict(engine.GaussianBelief(mean=mean[i - 1], cov=cov[i - 1], step=step - 1), model)
+        assert rel_err(mean[i], ref.mean) < 1e-14
+        assert rel_err(cov[i], ref.cov) < 1e-14
 
 
 def test_filter_loglik_matches_marginal_likelihood():
@@ -156,19 +167,23 @@ def test_filter_loglik_matches_marginal_likelihood():
     stream = ekf.ObservationStream(steps=steps, values=rng.standard_normal((len(steps), 2)))
     initial = engine.GaussianBelief(mean=rng.standard_normal(3), cov=random_spd(rng, 3), step=0, tag="predicted")
 
-    beliefs, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
-    assert len(beliefs) == 17
+    mean, cov, logliks = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert len(mean) == 17
     by_step = {int(s): y for s, y in zip(stream.steps, stream.values)}
-    for i, (belief, loglik) in enumerate(zip(beliefs, logliks)):
-        if belief.step not in by_step:
+    for i, loglik in enumerate(logliks):
+        step = initial.step + i
+        if step not in by_step:
             assert np.isnan(loglik)
             continue
-        pred = initial if i == 0 else engine.predict(beliefs[i - 1], model)
-        y = by_step[belief.step]
+        if i == 0:
+            pred = initial
+        else:
+            pred = engine.predict(engine.GaussianBelief(mean=mean[i - 1], cov=cov[i - 1], step=step - 1), model)
+        y = by_step[step]
         assert loglik == pytest.approx(ekf.marginal_likelihood(pred, obs, y)[0], abs=1e-10)
-        ref = ekf.ekf_step(pred, model, obs, y, belief.step)
-        assert rel_err(belief.mean, ref.mean) < 1e-10
-        assert rel_err(belief.cov, ref.cov) < 1e-10
+        ref = ekf.ekf_step(pred, model, obs, y, step)
+        assert rel_err(mean[i], ref.mean) < 1e-10
+        assert rel_err(cov[i], ref.cov) < 1e-10
 
 
 def test_filter_factors_curvature_once_per_call(monkeypatch):
@@ -184,8 +199,8 @@ def test_filter_factors_curvature_once_per_call(monkeypatch):
     initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
     for _ in range(2):
         calls.clear()
-        beliefs, _ = ekf.filter_with_likelihood(linear_model(a, 2, g_inv), obs, stream, initial)
-        assert len(beliefs) == 80 and len(calls) == 1
+        mean, _, _ = ekf.filter_with_likelihood(linear_model(a, 2, g_inv), obs, stream, initial)
+        assert len(mean) == 80 and len(calls) == 1
 
     with pytest.raises(ValueError):
         obs.sigma_nu_inv[0, 0] = 1.0
@@ -197,6 +212,55 @@ def test_filter_requires_predicted_initial():
     bad = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), tag="updated")
     with pytest.raises(ValidationError):
         ekf.filter_with_likelihood(linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu), stream, bad)
+
+
+def test_filter_refuses_observations_outside_its_steps():
+    # Initial step 2, horizon 5: observations at steps 1 and 8 lie outside
+    # the filtered steps 2..5 and are refused, not dropped. So is a
+    # horizon before the initial step, which would filter no step.
+    a, g_inv, c, sigma_nu, ys = filter_fixture(T=3)
+    model, obs = linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu)
+    initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=2, tag="predicted")
+    stream = ekf.ObservationStream(steps=[1, 3, 8], values=ys)
+    with pytest.raises(ValidationError, match="observation at step 1 is before step 2"):
+        ekf.filter_with_likelihood(model, obs, stream, initial, horizon=5)
+    stream = ekf.ObservationStream(steps=[3, 8], values=ys[:2])
+    with pytest.raises(ValidationError, match="observation at step 8 is beyond horizon 5"):
+        ekf.filter_with_likelihood(model, obs, stream, initial, horizon=5)
+    mean, _, loglik = ekf.filter_with_likelihood(model, obs, stream, initial, horizon=8)
+    assert len(mean) == 7 and np.isfinite(loglik).sum() == 2
+    empty = ekf.ObservationStream(steps=np.empty(0, dtype=int), values=np.empty((0, 1)))
+    with pytest.raises(ValidationError, match="horizon 1 is before step 2"):
+        ekf.filter_with_likelihood(model, obs, empty, initial, horizon=1)
+
+
+def test_filter_builds_no_beliefs(monkeypatch):
+    # The filter returns the step loop's columns as arrays; no per-step
+    # GaussianBelief is built on the way.
+    built = []
+
+    class CountingBelief(engine.GaussianBelief):
+        def __post_init__(self):
+            built.append(self.step)
+            super().__post_init__()
+
+        @classmethod
+        def _trusted(cls, mean, cov, step, tag):
+            built.append(step)
+            return super()._trusted(mean, cov, step, tag)
+
+    a, g_inv, c, sigma_nu, ys = filter_fixture(T=30)
+    model, obs = linear_model(a, 2, g_inv), linear_obs_model(c, sigma_nu)
+    stream = ekf.ObservationStream(steps=np.arange(0, 30, 2), values=ys[::2])
+    initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
+    monkeypatch.setattr(engine, "GaussianBelief", CountingBelief)
+    filtered = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert built == []
+    mean, _, _ = filtered
+    assert len(mean) == 29
+    # The counter bites: the array-form predict builds one belief.
+    engine.predict(initial, model)
+    assert built == [1]
 
 
 def test_observation_model_refuses_singular_sigma_nu():

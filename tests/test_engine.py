@@ -62,11 +62,10 @@ def test_update_scalar_closed_form():
     # exp(-1/4)/sqrt(2), so log_n = 1/4 + log(2)/2.
     belief = engine.GaussianBelief(mean=[0.0], cov=[[1.0]])
     pot = eval_quadratic_penalty(belief.mean, np.array([1.0]), np.array([[1.0]]))
-    upd = engine.update(belief, pot, 1.0)
+    upd, diag = engine.update(belief, pot, 1.0)
     assert upd.tag == "updated"
     np.testing.assert_allclose(upd.mean, [0.5], atol=1e-14)
     np.testing.assert_allclose(upd.cov, [[0.5]], atol=1e-14)
-    diag = engine.normalization(belief, pot, 1.0)
     assert diag.log_n == pytest.approx(0.25 + 0.5 * np.log(2.0), abs=1e-13)
 
 
@@ -77,7 +76,7 @@ def test_update_forms_agree():
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         pot = random_potential(rng, m, k)
         dt = float(rng.choice([0.25, 0.5, 1.0]))
-        gain = engine.update(belief, pot, dt)
+        gain, _ = engine.update(belief, pot, dt)
         prec, _ = oracle.precision_form(belief, pot, dt)
         assert rel_err(gain.mean, prec.mean) < 1e-10
         assert rel_err(gain.cov, prec.cov) < 1e-10
@@ -222,10 +221,9 @@ def test_gauge_invariance():
         curvature=pot.curvature, counter_curvature=pot.counter_curvature,
     )
     dt = 0.5
-    a, b = engine.update(belief, pot, dt), engine.update(belief, shifted, dt)
+    (a, na), (b, nb) = engine.update(belief, pot, dt), engine.update(belief, shifted, dt)
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.cov, b.cov)
-    na, nb = engine.normalization(belief, pot, dt), engine.normalization(belief, shifted, dt)
     assert nb.log_n - na.log_n == pytest.approx(4.5 * dt, abs=1e-12)
 
 
@@ -238,10 +236,9 @@ def test_zero_h_is_inert():
         l=np.zeros(2), value=0.7, grad_l=rng.standard_normal(2),
         H=np.zeros((2, 3)), curvature=np.eye(2), counter_curvature=np.zeros((3, 3)),
     )
-    upd = engine.update(belief, pot, 0.5)
+    upd, diag = engine.update(belief, pot, 0.5)
     np.testing.assert_allclose(upd.mean, belief.mean, atol=1e-15)
     np.testing.assert_allclose(upd.cov, belief.cov, atol=1e-14)
-    diag = engine.normalization(belief, pot, 0.5)
     assert diag.log_n == pytest.approx(0.35, abs=1e-13)
 
 
@@ -251,7 +248,7 @@ def test_posterior_covariance_never_exceeds_prior(seed, m, k):
     rng = np.random.default_rng(seed)
     belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
     pot = random_potential(rng, m, k)
-    upd = engine.update(belief, pot, float(rng.choice([0.25, 1.0])))
+    upd, _ = engine.update(belief, pot, float(rng.choice([0.25, 1.0])))
     gap = np.linalg.eigvalsh(belief.cov - upd.cov)
     assert gap.min() > -1e-9
     assert np.linalg.eigvalsh(upd.cov).min() > 0.0
@@ -270,10 +267,10 @@ def test_sample_posterior_deterministic_and_calibrated():
 
 
 def test_update_paths_run_through_step_core(monkeypatch):
-    # One update kernel: the public update and normalization, the
-    # closed loop and the observation filter each call the generated
-    # kernel's update once per update, so no second implementation can
-    # take over a path.
+    # One update kernel: the public update (posterior and normalization
+    # together), the closed loop and the observation filter each call the
+    # generated kernel's update once per update, so no second
+    # implementation can take over a path.
     calls = counting_kernels(monkeypatch, "update")
     model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
     pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
@@ -281,17 +278,16 @@ def test_update_paths_run_through_step_core(monkeypatch):
     pot = pot_fn(belief.mean, 0)
 
     engine.update(belief, pot, 1.0)
-    engine.normalization(belief, pot, 1.0)
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
     control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
-    assert len(calls) == 2 + 7
+    assert len(calls) == 1 + 7
 
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     ekf.filter_with_likelihood(model, obs, stream, belief)
-    assert len(calls) == 2 + 7 + 3
+    assert len(calls) == 1 + 7 + 3
 
 
 def test_step_loops_run_through_engine_run(monkeypatch):
@@ -315,8 +311,8 @@ def test_step_loops_run_through_engine_run(monkeypatch):
 
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
-    beliefs, _ = ekf.filter_with_likelihood(model, obs, stream, belief)
-    assert calls == [7, 4] and len(beliefs) == 4
+    mean, _, _ = ekf.filter_with_likelihood(model, obs, stream, belief)
+    assert calls == [7, 4] and len(mean) == 4
 
 
 def test_run_extends_flat_float_columns(monkeypatch):
@@ -348,8 +344,8 @@ def test_run_extends_flat_float_columns(monkeypatch):
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(2), sigma_nu=0.5 * np.eye(2))
     stream = ekf.ObservationStream(steps=[0, 2, 3, 7], values=[[0.1, 0.0], [0.2, 0.1], [0.3, 0.1], [0.0, 0.4]])
     initial = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2), step=0, tag="predicted")
-    beliefs, loglik = ekf.filter_with_likelihood(model, obs, stream, initial)
-    assert len(beliefs) == len(loglik) == 8 and sum(math.isnan(v) for v in loglik) == 4
+    mean, _, loglik = ekf.filter_with_likelihood(model, obs, stream, initial)
+    assert len(mean) == len(loglik) == 8 and sum(math.isnan(v) for v in loglik) == 4
     assert_flat(captured[-1], 2, 8)
 
     stopped = control.run_scenario("barrier", overrides={"horizon": 1000})

@@ -47,8 +47,8 @@ SIMULATE_DIGESTS = {
 FILTER_DIGEST = "fa663f6652eaaa94c2fbb915998298b59e373f24acde00aee19d58b4feddebd5"
 
 VALIDATE_DIGESTS = {
-    "full": "77fba479bd16f8c69acf8f564c383f6e68d27c5ec44f74d930da5d047104c4ad",
-    "fast": "67857c8bd0fd3234ceded45c199a424a474f97d162de0e4328f9aa85b6454daa",
+    "full": "ebc3a5c4c67b7e54e955f293733378095b2ee233dfe3a5ef4f1a397e73a7e6a4",
+    "fast": "a80fdcd611c3d5413f82e44a535aa5163ff292d51e2f603d26359a24ef4b81f4",
 }
 
 RUNS = {

@@ -409,19 +409,15 @@ def test_csv_writers_render_each_value_with_17_digits(tmp_path):
         for r in records
     ]
 
-    beliefs = [
-        engine.GaussianBelief._trusted(
-            np.array(odd[i:i + 2]), np.array(odd[i + 2:i + 6]).reshape(2, 2), i, "updated"
-        )
-        for i in range(3)
-    ]
+    mean = np.array([odd[i:i + 2] for i in range(3)])
+    cov = np.array([odd[i + 2:i + 6] for i in range(3)]).reshape(3, 2, 2)
     logliks = [-0.0, float("nan"), 12.0]
     path = tmp_path / "beliefs.csv"
-    cli._write_beliefs_csv(path, beliefs, logliks, 2)
+    cli._write_beliefs_csv(path, 0, mean, cov, np.array(logliks))
     rows = path.read_text().splitlines()
     assert rows[:2] == [f"# sqc {__version__}", "step,mean1,mean2,cov11,cov12,cov21,cov22,loglik"]
     assert rows[2:] == [
-        rendered_per_value(b.step, [*b.mean, *b.cov.ravel(), ll]) for b, ll in zip(beliefs, logliks)
+        rendered_per_value(i, [*mean[i], *cov[i].ravel(), ll]) for i, ll in enumerate(logliks)
     ]
     assert rows[3].endswith(",nan") and rows[2].startswith("0,-0,4.9406564584124654e-324,")
 
@@ -461,6 +457,17 @@ def _set_mean(doc, mean):
 
 def _set_drift(doc, kind, params):
     doc["process"]["drift"] = {"kind": kind, "params": params}
+
+
+def _one_dim(doc, mean=(0.5,), value=(0.2,), a=None):
+    # doc cut to one state with zero drift; a given, a barrier replaces the penalty.
+    _set_drift(doc, "zero", {})
+    doc["process"]["g_inv"] = [[0.001]]
+    doc["initial"] = {"mean": list(mean), "cov": [[1.0]]}
+    doc["potential"]["params"]["sigma_nu"] = [[0.001]]
+    doc["potential"]["target"]["params"]["value"] = list(value)
+    if a is not None:
+        doc["potential"] = {"kind": "log_barrier", "params": {"a": a}}
 
 
 _LISTS = "a number or lists of numbers of equal length"
@@ -508,13 +515,17 @@ _LISTS = "a number or lists of numbers of equal length"
         (lambda d: d["process"].update(g_inv=[[0.001, 0.001], [0.001, 0.001]]),
          "g_inv not positive definite"),
         (lambda d: d["initial"].update(cov=[[1.0, 1.0], [1.0, 1.0]]), "initial cov not positive definite"),
+        # Nested lists where a flat vector belongs: refused, not a TypeError mid-run.
+        (lambda d: _one_dim(d, mean=[[0.5]]), "initial mean must be a flat list of numbers; got [[0.5]]"),
+        (lambda d: _one_dim(d, value=[[0.2]]), "target value must be a flat list of numbers; got [[0.2]]"),
+        (lambda d: _one_dim(d, a=[[1.0]]), "barrier weights a must be a flat list of numbers; got [[1.0]]"),
     ],
     ids=["horizon_fraction", "horizon_true", "horizon_string", "dt_nan", "dt_infinity",
          "dt_string", "dt_true", "mean_nan", "mean_true", "mean_string", "g_inv_string",
          "B_ragged", "target_value_string", "drift_A_string", "drift_params_list",
          "drift_scale_string", "drift_scale_true", "tanh_rate_string", "tanh_rate_list",
          "name_list", "B_rank_deficient", "B_one_column", "R_singular", "sigma_nu_singular",
-         "g_inv_singular", "cov_singular"],
+         "g_inv_singular", "cov_singular", "mean_nested", "target_value_nested", "barrier_a_nested"],
 )
 def test_simulate_refuses_bad_scenario_numbers(tmp_path, capsys, edit, message):
     # json.dumps writes nan and inf as NaN and Infinity, which the
@@ -656,11 +667,11 @@ def test_filter_writes_beliefs(tmp_path, capsys):
     sc = scenario_from_dict(observation_doc())
     stream = ekf.ObservationStream(steps=np.array(steps), values=np.array(values)[:, None])
     initial = engine.GaussianBelief(mean=sc.mean0, cov=sc.cov0, step=0, tag="predicted")
-    beliefs, logliks = ekf.filter_with_likelihood(
+    mean, _, logliks = ekf.filter_with_likelihood(
         sc.build_model(), sc.build_observation_model(), stream, initial, 12
     )
-    np.testing.assert_array_equal(table["mean1"], [b.mean[0] for b in beliefs])
-    np.testing.assert_array_equal(table["mean2"], [b.mean[1] for b in beliefs])
+    np.testing.assert_array_equal(table["mean1"], mean[:, 0])
+    np.testing.assert_array_equal(table["mean2"], mean[:, 1])
     mask = np.isfinite(table["loglik"])
     np.testing.assert_array_equal(mask, np.isfinite(logliks))
     np.testing.assert_array_equal(table["loglik"][mask], np.asarray(logliks)[mask])
@@ -769,11 +780,11 @@ def test_validate_flags_broken_update(tmp_path, capsys, monkeypatch):
     true_update = engine.update
 
     def skewed(belief, pot, dt):
-        out = true_update(belief, pot, dt)
+        out, diag = true_update(belief, pot, dt)
         return engine.GaussianBelief(
             mean=out.mean + 1e-4 * (1.0 + np.abs(out.mean)),
             cov=out.cov, step=out.step, tag=out.tag,
-        )
+        ), diag
 
     monkeypatch.setattr(engine, "update", skewed)
     out = tmp_path / "val"
