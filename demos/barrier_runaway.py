@@ -20,14 +20,14 @@ for seed in range(8):
 # The budget argument, on the deterministic belief path (no sampling
 # noise involved):
 result = run_scenario("barrier", overrides={"mode": "belief"}, seed=0)
-xs = np.array([rec.x for rec in result.records])
+xs = result.x
 print(f"\nbelief mode also dies, at step {result.failed_step}")
 print("x1 is monotone increasing:", bool(np.all(np.diff(xs[:, 0]) > 0)))
 
 # Barrier shift on a component maxes out at sqrt(a * cov)/2, reached
 # when the predicted mean sits at sqrt(a * cov). The downward drift on
 # x2 grows with x1, so once x1 is large enough the wall has to give.
-covs = np.array([rec.cov[1, 1] for rec in result.records])
+covs = result.cov[:, 1, 1]
 max_counter = np.sqrt(10.0 * covs) / 2.0
 drift_down = 0.005 * xs[:, 0] + 0.005 * (xs[:, 0] ** 2 - 1.0) * xs[:, 1]
 k = np.argmax(drift_down > max_counter)

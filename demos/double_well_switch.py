@@ -16,7 +16,7 @@ print("\nseed   tail mean x1   tail mean x2   pattern")
 patterns = []
 for seed in range(6):
     result = run_scenario("doublewell", seed=seed)
-    tail = np.array([rec.x for rec in result.records[-500:]]).mean(axis=0)
+    tail = result.x[-500:].mean(axis=0)
     pattern = "".join("+" if v > 0 else "-" for v in tail)
     patterns.append(pattern)
     print(f"{seed:4d}   {tail[0]:12.4f}   {tail[1]:12.4f}   {pattern}")
@@ -28,7 +28,7 @@ print("\npatterns seen:", sorted(set(patterns)))
 # Before the ramp opens there is one well at the origin and the
 # component means sit on it; afterwards they sit on +-0.4.
 result = run_scenario("doublewell", seed=0)
-early = np.array([rec.x for rec in result.records[500:1000]])
-late = np.array([rec.x for rec in result.records[-500:]])
+early = result.x[500:1000]
+late = result.x[-500:]
 print(f"component means steps 500-1000: {np.round(early.mean(axis=0), 3)}  "
       f"steps 4500-5000: {np.round(late.mean(axis=0), 3)}")

@@ -23,7 +23,7 @@ obs_model = ekf.ObservationModel(h=lambda x, t: c @ x, h_jacobian=lambda x, t: c
 # 1. simulate a truth path and observe every third step
 truth = process.simulate_open_loop(model, np.array([1.0, -1.0]), 90, rng)
 steps = np.arange(0, 90, 3)
-ys = truth.states[steps] @ c.T + 0.3 * rng.standard_normal((len(steps), 1))
+ys = truth[steps] @ c.T + 0.3 * rng.standard_normal((len(steps), 1))
 stream = ekf.ObservationStream(steps=steps, values=ys)
 
 # 2. filter from a vague prior
@@ -32,13 +32,13 @@ mean, cov, logliks = ekf.filter_with_likelihood(model, obs_model, stream, initia
 
 # row i of the filtered arrays is step initial.step + i
 filtered_steps = np.arange(initial.step, initial.step + len(mean))
-err = mean - truth.states[filtered_steps]
+err = mean - truth[filtered_steps]
 print("rms estimation error, first vs last third of the run")
 print("  x1 (observed):", f"{np.sqrt((err[:30, 0] ** 2).mean()):.3f}",
       "->", f"{np.sqrt((err[-30:, 0] ** 2).mean()):.3f}")
 print("  x2 (hidden):  ", f"{np.sqrt((err[:30, 1] ** 2).mean()):.3f}",
       "->", f"{np.sqrt((err[-30:, 1] ** 2).mean()):.3f}")
 
-print(f"\nfinal belief mean {np.round(mean[-1], 3)} vs truth {np.round(truth.states[filtered_steps[-1]], 3)}")
+print(f"\nfinal belief mean {np.round(mean[-1], 3)} vs truth {np.round(truth[filtered_steps[-1]], 3)}")
 print(f"final std per component: {np.round(np.sqrt(np.diag(cov[-1])), 3)}")
 print(f"cumulative log-likelihood over {len(steps)} observations: {np.nansum(logliks):.2f}")

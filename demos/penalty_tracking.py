@@ -15,7 +15,7 @@ print("penalty scenario, 5000 steps per seed")
 print("seed   tail mean x1   tail mean x2   worst |x - d| in tail")
 for seed in (0, 1, 2):
     result = run_scenario("penalty", seed=seed)
-    tail = np.array([rec.x for rec in result.records[-500:]])
+    tail = result.x[-500:]
     mean = tail.mean(axis=0)
     worst = np.abs(tail - target).max()
     print(f"{seed:4d}   {mean[0]:12.4f}   {mean[1]:12.4f}   {worst:10.4f}")
@@ -23,10 +23,10 @@ for seed in (0, 1, 2):
 # The two components are weighted differently (sigma_nu = diag(0.001,
 # 0.0001)), so the second is held about three times tighter:
 result = run_scenario("penalty", seed=0)
-tail = np.array([rec.x for rec in result.records[-500:]])
+tail = result.x[-500:]
 print("\ntail std per component:", np.round(tail.std(axis=0), 4))
 
 # The control input that realizes the mean shift is logged per step.
-u = np.array([rec.u for rec in result.records])
+u = result.u
 print("largest input early vs late:",
       f"{np.abs(u[:100]).max():.4f} vs {np.abs(u[-100:]).max():.4f}")

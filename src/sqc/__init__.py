@@ -4,14 +4,7 @@ __version__ = "0.1.0"
 
 from .control import ControlConfig, ScenarioResult, run_closed_loop, run_scenario
 from .ekf import ObservationModel, ObservationStream, ekf_step, filter_with_likelihood, marginal_likelihood
-from .engine import (
-    GaussianBelief,
-    NormalizationDiagnostic,
-    TrajectoryRecord,
-    predict,
-    sample_posterior,
-    update,
-)
+from .engine import GaussianBelief, NormalizationDiagnostic, predict, sample_posterior, update
 from .errors import (
     DomainViolation,
     MassLoss,
@@ -31,7 +24,7 @@ from .potential import (
     tanh_target,
     verify_derivatives,
 )
-from .process import ItoProcessModel, StatePath, make_drift, simulate_open_loop
+from .process import ItoProcessModel, make_drift, simulate_open_loop
 from .scenario import Scenario, load_bundled, parse_scenario, scenario_from_dict, write_scenario
 
 __all__ = [
@@ -53,8 +46,6 @@ __all__ = [
     "ScenarioResult",
     "Singular",
     "SqcError",
-    "StatePath",
-    "TrajectoryRecord",
     "ValidationError",
     "ekf_step",
     "eval_double_well",

@@ -19,14 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import engine
-from .engine import GaussianBelief, TrajectoryRecord
-from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
+from .engine import GaussianBelief
+from .errors import NotPositiveDefinite, ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, symmetrize
 from .process import ItoProcessModel
 
 __all__ = [
     "ControlConfig",
-    "TrajectoryRecord",
     "ScenarioResult",
     "run_closed_loop",
     "run_scenario",
@@ -67,17 +66,30 @@ class ControlConfig:
 
 
 @dataclass
+class TrajectoryRecord:
+    """Everything logged for one closed-loop step, as ScenarioResult.records holds it."""
+
+    step: int
+    x: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    value: float
+    log_n: float
+    u: np.ndarray
+
+
+@dataclass
 class ScenarioResult:
     """A run's per-step columns plus how it ended.
 
     Row i of every column is step ``first_step + i``: ``x`` (the state
     the next step starts from) and ``mean`` are (n, m), ``u`` is (n, l),
     ``cov`` is (n, m, m), ``value`` (V at the predicted mean) and
-    ``log_n`` are (n,). ``records``, one TrajectoryRecord per step whose
-    arrays are views of these rows, is built on first read.
-    ``jitter_retries`` counts the Cholesky factorizations of the run
-    that needed linalg.spd_cholesky's jittered retry, and the
-    factorization that failed and stopped the run, if one did.
+    ``log_n`` are (n,). ``failure`` is the message of the breakdown
+    that engine._run reported and ``jitter_retries`` the retry count it
+    returned. ``records``, one TrajectoryRecord per
+    step whose arrays are views of these rows, is built on first read;
+    read the columns instead where a column is wanted.
     """
 
     first_step: int
@@ -113,11 +125,12 @@ def run_closed_loop(
     """Run the recursion for ``horizon`` steps, logging one row per step.
 
     The initial belief must be tagged predicted at step 0; the result
-    then holds horizon + 1 rows. A DomainViolation (a barrier evaluated
-    outside its domain), a non-finite state or a covariance that is no
-    longer positive definite stops the run and returns the partial
-    trajectory with the failure noted. In sampled mode all horizon + 1
-    draws are taken from ``rng`` up front.
+    then holds horizon + 1 rows. engine._run stops the run at a
+    DomainViolation (a barrier evaluated outside its domain), a
+    non-finite state or a covariance that is no longer positive
+    definite; the result then holds the completed rows, the failure's
+    message and the step it happened at. In sampled mode all
+    horizon + 1 draws are taken from ``rng`` up front.
     """
     if initial.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
@@ -131,20 +144,11 @@ def run_closed_loop(
     # One block of draws: standard_normal((n, m)) gives the same numbers
     # as n calls of standard_normal(m).
     draws = rng.standard_normal((n, m)).tolist() if mode == "sampled" else [None] * n
-    rows, retries = engine._new_rows(), [0]
-    failure = None
-    try:
-        engine._run(
-            model, engine._floats(potential_fn, engine._evaluation_floats),
-            initial.mean, initial.cov, initial.step, draws, rows, retries, model.dt,
-        )
-    except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
-        failure = str(exc)
-        # In the step loop a NotPositiveDefinite is a Cholesky factorization
-        # that failed; the kernel counts only retries that factor, so the
-        # stopping factorization is counted here.
-        retries[0] += isinstance(exc, NotPositiveDefinite)
-    x, mean, cov, value, log_n, shift = engine._columns(rows, m)
+    x, mean, cov, value, log_n, shift, retries, failure = engine._run(
+        model, engine._floats(potential_fn, engine._evaluation_floats),
+        initial.mean, initial.cov, initial.step, draws, model.dt,
+    )
+    failure = None if failure is None else str(failure)  # its traceback refers to this frame
     return ScenarioResult(
         first_step=initial.step,
         x=x,
@@ -156,7 +160,7 @@ def run_closed_loop(
         completed=failure is None,
         failure=failure,
         failed_step=None if failure is None else initial.step + len(value),
-        jitter_retries=retries[0],
+        jitter_retries=retries,
     )
 
 

@@ -20,8 +20,9 @@ forms when they carry one (the scenario's linear and identity maps do)
 and through .tolist() otherwise. The log normalization gives the
 marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
-It returns the loop's mean and cov columns, read by engine._columns,
-and that likelihood as arrays, one row per step from the initial one.
+It returns the loop's mean and cov columns and that likelihood as
+arrays, one row per step from the initial one, and raises the
+breakdown that stopped the loop, if one did.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
 """
@@ -169,11 +170,17 @@ def filter_with_likelihood(
     A row is the updated belief where an observation exists and the
     bare prediction elsewhere; loglik is the step's log marginal
     likelihood, and nan exactly at the rows without an observation. An
-    observation before the initial step or beyond the horizon, or a
-    horizon before the initial step, raises ValidationError.
+    observation of the wrong width, one before the initial step or
+    beyond the horizon, or a horizon before the initial step raises
+    ValidationError; a breakdown that stops engine._run is raised.
     """
     if initial_belief.tag != "predicted":
         raise ValidationError("initial belief must be tagged predicted")
+    k = len(obs_model.sigma_nu)
+    if len(stream) and stream.values.shape[1] != k:
+        raise ValidationError(
+            f"observation file has {stream.values.shape[1]} value columns; the scenario observes {k}"
+        )
     steps = stream.steps.tolist()
     by_step = dict(zip(steps, stream.values.tolist()))
     start = initial_belief.step
@@ -197,10 +204,15 @@ def filter_with_likelihood(
         value, grad, _, curvature = evaluate(y, h(x, t))
         return value, grad, h_jacobian(x, t), curvature
 
-    rows = engine._new_rows()
     draws = [None] * (horizon + 1 - start)
-    engine._run(model, potential, initial_belief.mean, initial_belief.cov, start, draws, rows, [0], 1.0)
-    _, mean, cov, _, log_n, _ = engine._columns(rows, initial_belief.dim)
+    _, mean, cov, _, log_n, _, _, failure = engine._run(
+        model, potential, initial_belief.mean, initial_belief.cov, start, draws, 1.0
+    )
+    if failure is not None:
+        try:
+            raise failure
+        finally:
+            del failure  # its new traceback refers to this frame
     return mean, cov, obs_model.log_density_offset - log_n
 
 

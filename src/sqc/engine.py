@@ -26,10 +26,9 @@ script_n and log_n) and sample (mean + chol(cov) z). Each function's
 source is compiled on first use for the dimensions it depends on and
 cached, as collections.namedtuple does; nothing is compiled at import
 or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and row) costs about 8-9 us on a 2-vCPU Xeon VM,
-where the call overhead of about 40 numpy and LAPACK calls on 2 x 2
-arrays used to cost about 57 us. The bundled potentials' float forms
-are generated the same way (see potential).
+potential, kernel and row) costs about 8-9 us on a 2-vCPU Xeon VM. The
+bundled potentials' float forms are generated the same way (see
+potential).
 
 A Cholesky pivot that is not > 0 hands the whole matrix to
 linalg.spd_cholesky, whose jittered retry keeps a run alive through
@@ -48,9 +47,12 @@ builds its own, and any other callable (including one that wraps a
 bundled one) is called with an array and its result unpacked with
 .tolist(). _run factors a curvature only when it differs by value from
 the one it factored last, so a constant one is factored once per run
-on every path. Its rows are flat float columns, so no per-step tuple
-outlives a step for the garbage collector to track, and _columns is
-the one reader that turns them into arrays. predict() and
+on every path. Its rows are flat float columns that never leave it, so
+no per-step tuple outlives a step for the garbage collector to track;
+it returns them as arrays through _columns. _run also owns the
+breakdown policy: a DomainViolation, NonFinite or NotPositiveDefinite
+ends the run, and it returns the completed rows, the retry count and
+that failure for the caller to report or raise. predict() and
 sample_posterior() stay in numpy as the independent references for the
 kernel's predict and sample stages, and oracle.precision_form, the
 update and normalization through the precision matrix, is the
@@ -66,7 +68,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonFinite
+from .errors import DomainViolation, NonFinite, NotPositiveDefinite
 from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
 from .process import ItoProcessModel, transition_matrix
@@ -74,7 +76,6 @@ from .process import ItoProcessModel, transition_matrix
 __all__ = [
     "GaussianBelief",
     "NormalizationDiagnostic",
-    "TrajectoryRecord",
     "predict",
     "update",
     "sample_posterior",
@@ -120,19 +121,6 @@ class NormalizationDiagnostic:
 
     log_n: float
     script_n: float
-
-
-@dataclass
-class TrajectoryRecord:
-    """Everything logged for one closed-loop step."""
-
-    step: int
-    x: np.ndarray
-    mean: np.ndarray
-    cov: np.ndarray
-    value: float
-    log_n: float
-    u: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +364,6 @@ def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
     return adapter
 
 
-def _new_rows() -> tuple:
-    # The flat float columns _run extends: x, mean, cov, V, log_n, shift.
-    return [], [], [], [], [], []
-
-
 def _run(
     model: ItoProcessModel,
     evaluate: Callable,
@@ -388,10 +371,8 @@ def _run(
     cov: np.ndarray,
     t: int,
     draws: list,
-    rows: tuple,
-    retries: list,
     weight: float,
-) -> None:
+) -> tuple:
     """The recursion loop of the closed loop and the filter.
 
     Runs one step per entry of ``draws`` from the predicted moments
@@ -402,10 +383,15 @@ def _run(
     from the posterior with the step's standard normal draw, or the
     posterior mean where the draw is None. Where ``evaluate`` returns
     None the step keeps the bare prediction, with V and log_n nan and a
-    zero shift. Each step extends the flat float columns of ``rows`` by
-    its m (x, mean, shift), m * m (cov) or one (V, log_n) entries, so
-    only floats outlive a step; a step that raises adds nothing, so
-    the V column counts the completed ones. _columns reads the rows.
+    zero shift.
+
+    Returns (x, mean, cov, V, log_n, shift, jitter_retries, failure):
+    the completed steps' rows as _columns gives them, the count of
+    Cholesky factorizations that needed the jittered retry (plus the
+    one that failed, which the kernel does not count), and the
+    DomainViolation, NonFinite or NotPositiveDefinite that stopped the
+    run, or None; a step that raises adds no row. The failure's
+    traceback refers to the caller's frame: drop or raise it there.
     """
     m, dt = len(mean), model.dt
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
@@ -414,44 +400,53 @@ def _run(
     k = factored = None
     noise = model.noise_cov.ravel().tolist()
     x, p = mean.tolist(), cov.ravel().tolist()
-    xs, means, covs, values, log_ns, shifts = rows
+    # Flat float columns, m (x, mean, shift), m * m (cov) or one (V,
+    # log_n) entries per step, so only floats outlive a step.
+    rows = xs, means, covs, values, log_ns, shifts = [], [], [], [], [], []
+    retries = [0]
     first = True
-    for z in draws:
-        if first:
-            first = False
-            mn = x
-        else:
-            mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
-            t += 1
-        pot = evaluate(mn, t)
-        if pot is None:
-            value = log_n = math.nan
-            shift = (0.0,) * m
-        else:
-            value, grad, h, curv = pot
-            if curv != factored:
-                if len(grad) != k:
-                    k = len(grad)
-                    factor, update = _compiled("factor", k), _compiled("update", m, k)
-                    ldt = 0.5 * k * math.log(weight)
-                sig, hld = factor(curv, retries)
-                factored = curv
-            mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
-        x = mn if z is None else sample(mn, p, z, retries)
-        xs.extend(x)
-        means.extend(mn)
-        covs.extend(p)
-        values.append(value)
-        log_ns.append(log_n)
-        shifts.extend(shift)
+    try:
+        for z in draws:
+            if first:
+                first = False
+                mn = x
+            else:
+                mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
+                t += 1
+            pot = evaluate(mn, t)
+            if pot is None:
+                value = log_n = math.nan
+                shift = (0.0,) * m
+            else:
+                value, grad, h, curv = pot
+                if curv != factored:
+                    if len(grad) != k:
+                        k = len(grad)
+                        factor, update = _compiled("factor", k), _compiled("update", m, k)
+                        ldt = 0.5 * k * math.log(weight)
+                    sig, hld = factor(curv, retries)
+                    factored = curv
+                mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
+            x = mn if z is None else sample(mn, p, z, retries)
+            xs.extend(x)
+            means.extend(mn)
+            covs.extend(p)
+            values.append(value)
+            log_ns.append(log_n)
+            shifts.extend(shift)
+    except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
+        # Returned from here: a local naming the exception would make a
+        # cycle through its traceback, which refers to this frame.
+        return (*_columns(rows, m), retries[0] + isinstance(exc, NotPositiveDefinite), exc)
+    return (*_columns(rows, m), retries[0], None)
 
 
 def _columns(rows: tuple, m: int) -> tuple:
     """_run's flat float rows as arrays: (x, mean, cov, V, log_n, shift).
 
     With n the completed steps, the length of the V column, x, mean and
-    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). This is
-    the only reader of the rows' layout outside _run.
+    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). _run
+    is its one caller.
     """
     xs, means, covs, values, log_ns, shifts = rows
     n = len(values)

@@ -9,8 +9,6 @@ overflow on long products.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import NotPositiveDefinite
@@ -31,14 +29,6 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     """Return the symmetric part (M + M^T)/2."""
     m = np.asarray(m, dtype=float)
     return 0.5 * (m + m.T)
-
-
-@lru_cache(maxsize=None)
-def _eye(m: int) -> np.ndarray:
-    # Shared read-only identity for the hot loops.
-    out = np.eye(m)
-    out.setflags(write=False)
-    return out
 
 
 def spd_cholesky(a: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ oracles still share no code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -55,7 +55,6 @@ __all__ = [
     "precision_form",
     "woodbury_inverse",
     "identity_suite",
-    "IdentityReport",
     "quadrature_checks",
     "fp_convergence",
 ]
@@ -371,27 +370,6 @@ def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndar
 # ---------------------------------------------------------------------------
 # Randomized identity suite.
 
-@dataclass
-class IdentityReport:
-    """Outcome of the randomized identity suite."""
-
-    trials: int
-    failures: list = field(default_factory=list)
-    worst: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.trials > 0 and not self.failures
-
-    def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst": self.worst,
-            "passed": self.passed,
-        }
-
-
 def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     eigs = rng.uniform(0.3, 3.0, size=n)
@@ -408,7 +386,7 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
 def identity_suite(
     seed: int = 0,
     trials: int = 500,
-) -> IdentityReport:
+) -> dict:
     """Randomized verification of the update algebra.
 
     Per trial (random dims 1..6, well-conditioned SPD inputs) checks:
@@ -425,10 +403,13 @@ def identity_suite(
 
     A check fails when its relative error is not <= 1e-8, so a nan
     error fails too and is kept as that check's worst. Failures are
-    reported, never raised.
+    reported, never raised: the result is validation.json's identity
+    section, {"trials", "failures", "worst", "passed"}, where each
+    failure names its trial, check, error and dims (m, k), and passed
+    means at least one trial and no failure.
     """
     rng = np.random.default_rng(seed)
-    report = IdentityReport(trials=trials)
+    failures = []
     worst = {"forms_mean": 0.0, "forms_cov": 0.0, "cov_two_forms": 0.0, "determinant": 0.0, "gauge": 0.0}
 
     for trial in range(trials):
@@ -475,9 +456,8 @@ def identity_suite(
             if err > worst[name] or math.isnan(err):
                 worst[name] = err
             if not err <= 1e-8:
-                report.failures.append({"trial": trial, "check": name, "error": err, "dims": (m, k)})
-    report.worst = worst
-    return report
+                failures.append({"trial": trial, "check": name, "error": err, "dims": (m, k)})
+    return {"trials": trials, "failures": failures, "worst": worst, "passed": trials > 0 and not failures}
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFinite, ValidationError
-from .linalg import _compile_source, _dot_source, _eye, _strict_cholesky, symmetrize
+from .linalg import _compile_source, _dot_source, _strict_cholesky, symmetrize
 
 __all__ = [
     "ItoProcessModel",
-    "StatePath",
     "step_sample",
     "transition_matrix",
     "simulate_open_loop",
@@ -63,18 +62,6 @@ class ItoProcessModel:
         self.noise_cov = self.g_inv * self.dt
 
 
-@dataclass
-class StatePath:
-    """Sampled forward path: integer step indices and one state per step."""
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        if len(self.times) != len(self.states):
-            raise ValidationError("times and states must have equal length")
-
-
 def step_sample(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
     """One Euler step of the process from state x at step index t."""
     x = np.asarray(x, dtype=float)
@@ -85,14 +72,15 @@ def step_sample(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Ge
 def transition_matrix(model: ItoProcessModel, x_hat: np.ndarray, t: int) -> np.ndarray:
     """Linearized one-step map F = I + (df/dx)(x_hat, t) dt."""
     jac = np.asarray(model.drift_jacobian(np.asarray(x_hat, dtype=float), t), dtype=float)
-    return _eye(model.dim) + jac * model.dt
+    return np.eye(model.dim) + jac * model.dt
 
 
-def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: np.random.Generator) -> StatePath:
+def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
     """Iterate step_sample for the given number of steps.
 
-    The returned path has steps+1 entries including the initial state.
-    Raises NonFinite as soon as a state leaves the finite range.
+    Returns the (steps + 1, dim) array of states whose row i is step i,
+    row 0 the initial state. Raises NonFinite as soon as a state leaves
+    the finite range.
     """
     if steps < 1:
         raise ValidationError("steps must be >= 1")
@@ -102,7 +90,7 @@ def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: 
         states[t + 1] = step_sample(model, states[t], t, rng)
         if not np.all(np.isfinite(states[t + 1])):
             raise NonFinite(f"state became non-finite at step {t + 1}")
-    return StatePath(times=np.arange(steps + 1), states=states)
+    return states
 
 
 # ---------------------------------------------------------------------------

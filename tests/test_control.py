@@ -92,11 +92,9 @@ def test_run_closed_loop_record_layout():
     initial = engine.GaussianBelief(mean=[0.5, 0.5], cov=np.eye(2), step=0, tag="predicted")
     result = run_closed_loop(model, potential_fn, initial, cfg, 10, np.random.default_rng(0))
     assert result.completed and result.failure is None
-    assert len(result.records) == 11
-    assert [r.step for r in result.records] == list(range(11))
-    for r in result.records:
-        assert r.x.shape == (2,) and r.u.shape == (2,) and r.cov.shape == (2, 2)
-        assert np.isfinite(r.log_n)
+    assert result.first_step == 0 and len(result.x) == 11
+    assert result.x.shape == result.u.shape == (11, 2) and result.cov.shape == (11, 2, 2)
+    assert np.all(np.isfinite(result.log_n))
 
 
 def test_run_closed_loop_belief_mode_is_deterministic():
@@ -109,10 +107,10 @@ def test_run_closed_loop_belief_mode_is_deterministic():
     initial = engine.GaussianBelief(mean=[1.0], cov=[[1.0]], step=0, tag="predicted")
     a = run_closed_loop(model, potential_fn, initial, cfg, 30, None, mode="belief")
     b = run_closed_loop(model, potential_fn, initial, cfg, 30, None, mode="belief")
-    np.testing.assert_array_equal(a.records[-1].x, b.records[-1].x)
-    np.testing.assert_array_equal(a.records[-1].x, a.records[-1].mean)
+    np.testing.assert_array_equal(a.x[-1], b.x[-1])
+    np.testing.assert_array_equal(a.x[-1], a.mean[-1])
     # The penalty drags the belief mean toward the target.
-    assert abs(a.records[-1].mean[0]) < 1e-3
+    assert abs(a.mean[-1, 0]) < 1e-3
 
 
 def test_run_closed_loop_reports_domain_failure():
@@ -130,7 +128,7 @@ def test_run_closed_loop_reports_domain_failure():
     assert not result.completed
     assert result.failed_step is not None and result.failed_step <= 5
     assert "non-positive" in result.failure
-    assert len(result.records) == result.failed_step
+    assert len(result.x) == result.failed_step
 
 
 def test_run_closed_loop_finite_guards():
@@ -149,7 +147,7 @@ def test_run_closed_loop_finite_guards():
             zero_model(1), lambda x, t: inert, initial, cfg, 3, None, mode="belief"
         )
     assert result.completed
-    assert result.records[-1].mean[0] == 1e200
+    assert result.mean[-1, 0] == 1e200
 
     drift, jac = process.make_drift("linear", {"A": [[1e200]]}, 1)
     model = process.ItoProcessModel(dim=1, drift=drift, drift_jacobian=jac, g_inv=[[1.0]])
@@ -157,7 +155,7 @@ def test_run_closed_loop_finite_guards():
     with np.errstate(over="ignore"):
         result = run_closed_loop(model, lambda x, t: inert, initial, cfg, 3, None, mode="belief")
     assert not result.completed
-    assert result.failed_step == 1 and len(result.records) == 1
+    assert result.failed_step == 1 and len(result.x) == 1
     assert "prediction to step 1" in result.failure
 
 
@@ -179,11 +177,11 @@ def test_run_closed_loop_argument_guards():
 
 def test_run_scenario_bundled_penalty():
     result = run_scenario("penalty", overrides={"horizon": 50}, seed=3)
-    assert result.completed and len(result.records) == 51
+    assert result.completed and len(result.x) == 51
     again = run_scenario("penalty", overrides={"horizon": 50}, seed=3)
-    np.testing.assert_array_equal(result.records[-1].x, again.records[-1].x)
+    np.testing.assert_array_equal(result.x[-1], again.x[-1])
     other = run_scenario("penalty", overrides={"horizon": 50}, seed=4)
-    assert not np.array_equal(result.records[-1].x, other.records[-1].x)
+    assert not np.array_equal(result.x[-1], other.x[-1])
 
 
 def test_run_scenario_rejects_unknown_name():
@@ -219,13 +217,9 @@ def reference_loop(model, potential_fn, initial, cfg, horizon, rng, mode):
 
 def assert_loops_agree(result, rows, failed_step):
     assert result.failed_step == failed_step
-    assert len(result.records) == len(rows)
-    fields = {
-        "x": lambda r: r.x, "mean": lambda r: r.mean, "cov": lambda r: r.cov,
-        "u": lambda r: r.u, "log_n": lambda r: r.log_n,
-    }
-    for i, (name, get) in enumerate(fields.items()):
-        got = np.array([get(r) for r in result.records])
+    assert len(result.x) == len(rows)
+    columns = {"x": result.x, "mean": result.mean, "cov": result.cov, "u": result.u, "log_n": result.log_n}
+    for i, (name, got) in enumerate(columns.items()):
         want = np.array([row[i] for row in rows])
         assert rel_err(got, want) <= 1e-10, name
 

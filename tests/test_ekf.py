@@ -234,6 +234,18 @@ def test_filter_refuses_observations_outside_its_steps():
         ekf.filter_with_likelihood(model, obs, empty, initial, horizon=1)
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_filter_refuses_observations_of_the_wrong_width(width):
+    # A 2-D observation model refuses a stream of 1 or 3 values per
+    # step with the CLI's message, not a bare unpacking ValueError.
+    a, g_inv, _, _, _ = filter_fixture(T=3)
+    model, obs = linear_model(a, 2, g_inv), linear_obs_model(np.eye(2), 0.5 * np.eye(2))
+    initial = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2), step=0, tag="predicted")
+    stream = ekf.ObservationStream(steps=[0, 1], values=np.full((2, width), 0.1))
+    with pytest.raises(ValidationError, match=f"has {width} value columns; the scenario observes 2"):
+        ekf.filter_with_likelihood(model, obs, stream, initial)
+
+
 def test_filter_builds_no_beliefs(monkeypatch):
     # The filter returns the step loop's columns as arrays; no per-step
     # GaussianBelief is built on the way.

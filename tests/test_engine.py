@@ -1,3 +1,4 @@
+import gc
 import importlib
 import math
 import os
@@ -317,16 +318,17 @@ def test_step_loops_run_through_engine_run(monkeypatch):
 
 def test_run_extends_flat_float_columns(monkeypatch):
     # engine._run extends six flat float columns, so only floats
-    # outlive a step. The V column counts the completed steps; x, mean
-    # and shift hold m entries per step and cov m * m, so len(rows[0])
-    # is m times too many. A run that stops early must report its
-    # failed step from the V column too.
+    # outlive a step, and hands them to engine._columns. The V column
+    # counts the completed steps; x, mean and shift hold m entries per
+    # step and cov m * m, so len(rows[0]) is m times too many. A run
+    # that stops early must report its failed step from the V column
+    # too.
     captured = []
-    run = engine._run
+    columns = engine._columns
 
-    def capturing(*args):
-        captured.append(args[6])
-        return run(*args)
+    def capturing(rows, m):
+        captured.append(rows)
+        return columns(rows, m)
 
     def assert_flat(rows, m, steps):
         xs, means, covs, values, log_ns, shifts = rows
@@ -335,7 +337,7 @@ def test_run_extends_flat_float_columns(monkeypatch):
         assert len(xs) == len(means) == len(shifts) == steps * m
         assert len(covs) == steps * m * m
 
-    monkeypatch.setattr(engine, "_run", capturing)
+    monkeypatch.setattr(engine, "_columns", capturing)
     sampled = control.run_scenario("penalty", overrides={"horizon": 300})
     assert sampled.completed and len(sampled.value) == 301
     assert_flat(captured[-1], 2, 301)
@@ -354,3 +356,29 @@ def test_run_extends_flat_float_columns(monkeypatch):
     assert 0 < done < 1001 and stopped.failed_step == stopped.first_step + done
     assert_flat(captured[-1], 2, done)
     assert len(stopped.x) == len(stopped.value) == len(stopped.cov) == done
+
+
+def test_stopped_runs_leave_no_reference_cycle():
+    # engine._run returns the exception that stopped a run, and its
+    # traceback refers to the callers' frames. The closed loop keeps
+    # only its message and the filter raises it without keeping a
+    # reference, so neither leaves the run's frames and rows to the
+    # cyclic garbage collector.
+    model = linear_model(np.array([[1e200]]), 1, np.array([[1.0]]))
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
+    stream = ekf.ObservationStream(steps=[0, 1, 2], values=[[0.1], [0.2], [0.3]])
+    initial = engine.GaussianBelief(mean=[1e200], cov=[[1.0]], step=0, tag="predicted")
+
+    def stop_both():
+        assert not control.run_scenario("barrier", overrides={"horizon": 1000}).completed
+        with np.errstate(over="ignore"), pytest.raises(NonFinite):
+            ekf.filter_with_likelihood(model, obs, stream, initial, horizon=50)
+
+    stop_both()
+    gc.collect()
+    gc.disable()
+    try:
+        stop_both()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -123,11 +123,10 @@ def test_quadrature_checks_build_no_evaluation_per_node(monkeypatch):
 
 def test_identity_suite_clean_run():
     report = oracle.identity_suite(seed=0, trials=120)
-    assert report.passed
-    assert not report.failures
-    assert max(report.worst.values()) < 1e-10
-    d = report.to_dict()
-    assert d["passed"] and d["trials"] == 120 and "checked" not in d
+    assert report["passed"]
+    assert not report["failures"]
+    assert max(report["worst"].values()) < 1e-10
+    assert list(report) == ["trials", "failures", "worst", "passed"] and report["trials"] == 120
 
 
 def test_identity_suite_catches_corrupted_gain_update(monkeypatch):
@@ -142,8 +141,8 @@ def test_identity_suite_catches_corrupted_gain_update(monkeypatch):
 
     monkeypatch.setattr(engine, "update", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
-    assert not report.passed
-    assert any(f["check"] == "forms_mean" for f in report.failures)
+    assert not report["passed"]
+    assert any(f["check"] == "forms_mean" for f in report["failures"])
 
 
 def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
@@ -157,8 +156,8 @@ def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
 
     monkeypatch.setattr(oracle, "precision_form", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
-    assert not report.passed
-    assert any(f["check"] == "forms_cov" for f in report.failures)
+    assert not report["passed"]
+    assert any(f["check"] == "forms_cov" for f in report["failures"])
 
 
 def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
@@ -170,8 +169,8 @@ def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
 
     monkeypatch.setattr(oracle, "precision_form", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
-    assert not report.passed
-    assert any(f["check"] == "determinant" for f in report.failures)
+    assert not report["passed"]
+    assert any(f["check"] == "determinant" for f in report["failures"])
 
 
 def test_identity_suite_fails_nan_errors(monkeypatch):
@@ -184,10 +183,10 @@ def test_identity_suite_fails_nan_errors(monkeypatch):
 
     monkeypatch.setattr(oracle, "precision_form", corrupted)
     report = oracle.identity_suite(seed=0, trials=20)
-    assert not report.passed
-    assert sum(f["check"] == "determinant" for f in report.failures) == 20
-    assert np.isnan(report.worst["determinant"])
-    assert report.worst["forms_mean"] < 1e-10
+    assert not report["passed"]
+    assert sum(f["check"] == "determinant" for f in report["failures"]) == 20
+    assert np.isnan(report["worst"]["determinant"])
+    assert report["worst"]["forms_mean"] < 1e-10
 
 
 def test_precision_form_factors_cov_and_precision_once(monkeypatch):
@@ -223,8 +222,8 @@ def test_identity_suite_catches_corrupted_inversion_lemma(monkeypatch):
 
     monkeypatch.setattr(oracle, "woodbury_inverse", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
-    assert not report.passed
-    assert any(f["check"] == "cov_two_forms" for f in report.failures)
+    assert not report["passed"]
+    assert any(f["check"] == "cov_two_forms" for f in report["failures"])
 
 
 def free_diffusion_model():

@@ -83,11 +83,12 @@ def test_vanderpol_jacobian_matches_finite_difference():
 def test_simulate_open_loop_shape_and_determinism():
     model = make_model(dim=2, g_inv=0.1 * np.eye(2))
     x0 = np.zeros(2)
-    path1 = process.simulate_open_loop(model, x0, 50, np.random.default_rng(5))
-    path2 = process.simulate_open_loop(model, x0, 50, np.random.default_rng(5))
-    assert path1.states.shape == (51, 2)
-    assert np.array_equal(path1.times, np.arange(51))
-    np.testing.assert_array_equal(path1.states, path2.states)
+    states1 = process.simulate_open_loop(model, x0, 50, np.random.default_rng(5))
+    states2 = process.simulate_open_loop(model, x0, 50, np.random.default_rng(5))
+    # Row i is step i, row 0 the initial state.
+    assert states1.shape == (51, 2)
+    assert np.array_equal(states1[0], x0)
+    np.testing.assert_array_equal(states1, states2)
 
 
 def test_simulate_open_loop_flags_nonfinite():
@@ -107,8 +108,8 @@ def test_vanderpol_open_loop_stays_bounded():
     # The benchmark oscillator at its weak scale has an attracting cycle
     # near unit radius; 5000 noisy steps must not wander off.
     model = make_model(dim=2, kind="vanderpol_forced", g_inv=0.001 * np.eye(2))
-    path = process.simulate_open_loop(model, np.array([0.5, 0.5]), 5000, np.random.default_rng(0))
-    assert np.max(np.abs(path.states)) < 10.0
+    states = process.simulate_open_loop(model, np.array([0.5, 0.5]), 5000, np.random.default_rng(0))
+    assert np.max(np.abs(states)) < 10.0
 
 
 def test_make_drift_rejects_unknown_kind_and_params():

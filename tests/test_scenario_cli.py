@@ -321,7 +321,7 @@ def test_simulate_numerical_breakdown_writes_partial_output(tmp_path):
     # jittered retry and raises NotPositiveDefinite. Like a domain
     # violation, that stops the run with its partial trajectory (none
     # here) and a run.json, exit 2. jitter_retries counts the stopping
-    # factorization, which run_closed_loop adds.
+    # factorization, which engine._run adds.
     doc = load_bundled("penalty").to_dict()
     doc["potential"]["params"]["sigma_nu"] = [[1e-16, 0.0], [0.0, 1e-16]]
     doc["horizon"] = 200
@@ -400,13 +400,13 @@ def test_csv_writers_render_each_value_with_17_digits(tmp_path):
         first_step=0, x=v[:, 0:2], mean=v[:, 2:4], cov=v[:, 4:8].reshape(6, 2, 2), value=v[:, 8],
         log_n=v[:, 9], u=v[:, 10:13], completed=True,
     )
-    records = result.records
     path = tmp_path / "trajectory.csv"
     cli._write_trajectory_csv(path, result)
     rows = path.read_text().splitlines()[2:]
     assert rows == [
-        rendered_per_value(r.step, [*r.x, *r.u, *r.mean, *r.cov.ravel(), r.value, r.log_n])
-        for r in records
+        rendered_per_value(i, [*result.x[i], *result.u[i], *result.mean[i], *result.cov[i].ravel(),
+                               result.value[i], result.log_n[i]])
+        for i in range(6)
     ]
 
     mean = np.array([odd[i:i + 2] for i in range(3)])
@@ -804,7 +804,7 @@ def test_validate_full_writes_the_serial_report(tmp_path, capsys):
     assert multiprocessing.active_children() == []
     report = {
         "level": "full",
-        "identity": oracle.identity_suite(seed=0, trials=500).to_dict(),
+        "identity": oracle.identity_suite(seed=0, trials=500),
         "quadrature": oracle.quadrature_checks(),
         "fokker_planck": oracle.fp_convergence(),
         "passed": True,
