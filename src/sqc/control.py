@@ -124,16 +124,15 @@ def run_closed_loop(
 ) -> ScenarioResult:
     """Run the recursion for ``horizon`` steps, logging one row per step.
 
-    The initial belief must be tagged predicted at step 0; the result
-    then holds horizon + 1 rows. engine._run stops the run at a
-    DomainViolation (a barrier evaluated outside its domain), a
+    The initial belief must be tagged predicted and have the model's
+    dimension, and B one row per state entry; the result holds
+    horizon + 1 rows from the belief's step. engine._run stops the run
+    at a DomainViolation (a barrier evaluated outside its domain), a
     non-finite state or a covariance that is no longer positive
     definite; the result then holds the completed rows, the failure's
     message and the step it happened at. In sampled mode all
     horizon + 1 draws are taken from ``rng`` up front.
     """
-    if initial.tag != "predicted":
-        raise ValidationError("initial belief must be tagged predicted")
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     if mode not in ("sampled", "belief"):
@@ -141,12 +140,13 @@ def run_closed_loop(
     if mode == "sampled" and rng is None:
         raise ValidationError("sampled mode needs a random generator")
     m, n = initial.dim, horizon + 1
+    if cfg.B.shape[0] != m:
+        raise ValidationError(f"B has {cfg.B.shape[0]} rows; the state has dim {m}")
     # One block of draws: standard_normal((n, m)) gives the same numbers
     # as n calls of standard_normal(m).
     draws = rng.standard_normal((n, m)).tolist() if mode == "sampled" else [None] * n
     x, mean, cov, value, log_n, shift, retries, failure = engine._run(
-        model, engine._floats(potential_fn, engine._evaluation_floats),
-        initial.mean, initial.cov, initial.step, draws, model.dt,
+        model, engine._floats(potential_fn), initial, draws, model.dt
     )
     failure = None if failure is None else str(failure)  # its traceback refers to this frame
     return ScenarioResult(

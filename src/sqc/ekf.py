@@ -37,8 +37,8 @@ import numpy as np
 
 from . import engine
 from .errors import ValidationError
-from .linalg import _cholesky_solve, _strict_cholesky, spd_logdet, spd_solve, symmetrize
-from .potential import PotentialEvaluation, _form_factory, _vector, _zero_matrix, eval_quadratic_penalty
+from .linalg import _cholesky_solve, _strict_cholesky, gaussian_log_density, spd_solve, symmetrize
+from .potential import PotentialEvaluation, _form_factory, _vector, eval_quadratic_penalty
 from .process import ItoProcessModel
 
 __all__ = [
@@ -102,7 +102,7 @@ def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.
     # which _trusted refuses; a non-finite Jacobian shows in the
     # updated moments, which the update checks.
     return PotentialEvaluation._trusted(
-        pen.l, pen.value, pen.grad_l, jac, obs_model.sigma_nu_inv, _zero_matrix(len(x_hat))
+        pen.l, pen.value, pen.grad_l, jac, obs_model.sigma_nu_inv, np.zeros((len(x_hat), len(x_hat)))
     )
 
 
@@ -138,20 +138,16 @@ def marginal_likelihood(belief: engine.GaussianBelief, obs_model: ObservationMod
     N(h(x_hat), sigma_nu + H cov H^T), h and H taken at the belief's
     step; the weight is the ratio of the observation density at x_hat
     to that marginal. Any common scaling of the two densities cancels
-    in the weight.
+    in the weight. Both densities are linalg.gaussian_log_density, which
+    factors each covariance once.
     """
     t, x = belief.step, belief.mean
     y = np.atleast_1d(np.asarray(y, dtype=float))
     jac = np.atleast_2d(obs_model.h_jacobian(x, t))
     innovation = y - np.atleast_1d(obs_model.h(x, t))
-    k = len(innovation)
-
-    def log_gauss(diff, cov):
-        return -0.5 * (float(diff @ spd_solve(cov, diff)) + spd_logdet(cov) + k * np.log(2 * np.pi))
-
     s = symmetrize(obs_model.sigma_nu + jac @ belief.cov @ jac.T)
-    log_marginal = log_gauss(innovation, s)
-    log_at_mean = log_gauss(innovation, obs_model.sigma_nu)
+    log_marginal = float(gaussian_log_density(innovation, s))
+    log_at_mean = float(gaussian_log_density(innovation, obs_model.sigma_nu))
     return log_marginal, log_at_mean - log_marginal
 
 
@@ -174,8 +170,6 @@ def filter_with_likelihood(
     beyond the horizon, or a horizon before the initial step raises
     ValidationError; a breakdown that stops engine._run is raised.
     """
-    if initial_belief.tag != "predicted":
-        raise ValidationError("initial belief must be tagged predicted")
     k = len(obs_model.sigma_nu)
     if len(stream) and stream.values.shape[1] != k:
         raise ValidationError(
@@ -205,9 +199,7 @@ def filter_with_likelihood(
         return value, grad, h_jacobian(x, t), curvature
 
     draws = [None] * (horizon + 1 - start)
-    _, mean, cov, _, log_n, _, _, failure = engine._run(
-        model, potential, initial_belief.mean, initial_belief.cov, start, draws, 1.0
-    )
+    _, mean, cov, _, log_n, _, _, failure = engine._run(model, potential, initial_belief, draws, 1.0)
     if failure is not None:
         try:
             raise failure

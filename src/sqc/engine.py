@@ -37,26 +37,28 @@ for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
 The kernel is the only update and _run the only step loop: the closed
-loop and the observation filter each hand _run all their steps from a
-predicted belief, and update() calls the kernel's update once for the
-posterior and its normalization. _compiled hands out each stage and
-documents its arguments.
+loop and the observation filter each hand _run their initial belief
+and all their steps, and _run alone checks that the belief is tagged
+predicted and has the model's dimension. update() calls the kernel's
+update once for the posterior and its normalization. _compiled hands
+out each stage and documents its arguments.
 Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
-builds its own, and any other callable (including one that wraps a
-bundled one) is called with an array and its result unpacked with
-.tolist(). _run factors a curvature only when it differs by value from
-the one it factored last, so a constant one is factored once per run
-on every path. Its rows are flat float columns that never leave it, so
-no per-step tuple outlives a step for the garbage collector to track;
-it returns them as arrays through _columns. _run also owns the
-breakdown policy: a DomainViolation, NonFinite or NotPositiveDefinite
-ends the run, and it returns the completed rows, the retry count and
-that failure for the caller to report or raise. predict() and
-sample_posterior() stay in numpy as the independent references for the
-kernel's predict and sample stages, and oracle.precision_form, the
-update and normalization through the precision matrix, is the
-reference for its update.
+builds its own, and _floats adapts any other callable (including one
+that wraps a bundled one): it calls it with an array and reads a
+PotentialEvaluation as (V, grad_l, H, curvature) and any other
+result as a flat list of floats. _run factors a curvature only when
+it differs by value from the one it factored last, so a constant one
+is factored once per run on every path. Its rows are flat float
+columns that never leave it, so no per-step tuple outlives a step for
+the garbage collector to track; it returns them as arrays through
+_columns. _run also owns the breakdown policy: a DomainViolation,
+NonFinite or NotPositiveDefinite ends the run, and it returns the
+completed rows, the retry count and that failure for the caller to
+report or raise. predict() and sample_posterior() stay in numpy as the
+independent references for the kernel's predict and sample stages,
+and oracle.precision_form, the update and normalization through the
+precision matrix, is the reference for its update.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, NonFinite, NotPositiveDefinite
+from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
 from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
 from .process import ItoProcessModel, transition_matrix
@@ -93,7 +95,10 @@ class GaussianBelief:
 
     def __post_init__(self):
         self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = symmetrize(np.atleast_2d(np.asarray(self.cov, dtype=float)))
+        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if self.mean.ndim != 1 or self.cov.shape != (self.dim, self.dim):
+            raise ValidationError(f"belief mean has shape {self.mean.shape} and covariance {self.cov.shape}")
+        self.cov = symmetrize(self.cov)
         if self.tag not in ("predicted", "updated"):
             raise ValueError(f"unknown belief tag {self.tag!r}")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
@@ -342,24 +347,25 @@ def _compiled(stage: str, *dims: int) -> Callable:
     return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
 
 
-def _flat(out) -> list:
-    # An array result as a flat list of floats.
-    return np.asarray(out, dtype=float).ravel().tolist()
-
-
 def _evaluation_floats(pot: PotentialEvaluation) -> tuple:
     # A PotentialEvaluation as its float form's result: (V, grad_l, H, curvature).
     return float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist()
 
 
-def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
-    """fn's float form, or fn called on an array with its result unpacked by ``unpack``."""
+def _floats(fn: Callable) -> Callable:
+    """fn's float form, or an adapter that calls fn on an array and
+    turns a PotentialEvaluation into (V, grad_l, H, curvature) and any
+    other result into a flat list of floats.
+    """
     form = getattr(fn, "floats", None)
     if form is not None:
         return form
 
     def adapter(x, t):
-        return unpack(fn(np.array(x), t))
+        out = fn(np.array(x), t)
+        if isinstance(out, PotentialEvaluation):
+            return _evaluation_floats(out)
+        return np.asarray(out, dtype=float).ravel().tolist()
 
     return adapter
 
@@ -367,23 +373,22 @@ def _floats(fn: Callable, unpack: Callable = _flat) -> Callable:
 def _run(
     model: ItoProcessModel,
     evaluate: Callable,
-    mean: np.ndarray,
-    cov: np.ndarray,
-    t: int,
+    initial: GaussianBelief,
     draws: list,
     weight: float,
 ) -> tuple:
     """The recursion loop of the closed loop and the filter.
 
-    Runs one step per entry of ``draws`` from the predicted moments
-    (mean, cov) at step t: the first step updates them as given, every
-    later one first predicts from the previous step's state. Each step
-    evaluates the potential's float form ``evaluate`` at the predicted
-    mean, updates with time weight ``weight``, and takes the next state
-    from the posterior with the step's standard normal draw, or the
-    posterior mean where the draw is None. Where ``evaluate`` returns
-    None the step keeps the bare prediction, with V and log_n nan and a
-    zero shift.
+    Runs one step per entry of ``draws`` from the ``initial`` belief,
+    which must be tagged predicted and have the model's dimension, or
+    ValidationError is raised before any step runs. The first step
+    updates it as given, every later one first predicts from the
+    previous step's state. Each step evaluates the potential's float
+    form ``evaluate`` at the predicted mean, updates with time weight
+    ``weight``, and takes the next state from the posterior with the
+    step's standard normal draw, or the posterior mean where the draw
+    is None. Where ``evaluate`` returns None the step keeps the bare
+    prediction, with V and log_n nan and a zero shift.
 
     Returns (x, mean, cov, V, log_n, shift, jitter_retries, failure):
     the completed steps' rows as _columns gives them, the count of
@@ -393,13 +398,17 @@ def _run(
     run, or None; a step that raises adds no row. The failure's
     traceback refers to the caller's frame: drop or raise it there.
     """
-    m, dt = len(mean), model.dt
+    if initial.tag != "predicted":
+        raise ValidationError("initial belief must be tagged predicted")
+    if initial.dim != model.dim:
+        raise ValidationError(f"initial belief has dim {initial.dim}; the model has dim {model.dim}")
+    m, dt, t = model.dim, model.dt, initial.step
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
     predict, sample = _compiled("predict", m), _compiled("sample", m)
     # k comes from the first evaluation; (sig, hld) factor ``factored``.
     k = factored = None
     noise = model.noise_cov.ravel().tolist()
-    x, p = mean.tolist(), cov.ravel().tolist()
+    x, p = initial.mean.tolist(), initial.cov.ravel().tolist()
     # Flat float columns, m (x, mean, shift), m * m (cov) or one (V,
     # log_n) entries per step, so only floats outlive a step.
     rows = xs, means, covs, values, log_ns, shifts = [], [], [], [], [], []

@@ -18,7 +18,7 @@ __all__ = [
     "spd_cholesky",
     "spd_solve",
     "spd_inverse",
-    "spd_logdet",
+    "gaussian_log_density",
 ]
 
 #: Relative diagonal jitter used in the single factorization retry.
@@ -123,7 +123,10 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     return symmetrize(_cholesky_solve(low, np.eye(low.shape[0])))
 
 
-def spd_logdet(a: np.ndarray) -> float:
-    """log det A for SPD A, computed from the Cholesky diagonal."""
-    low = spd_cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(low))))
+def gaussian_log_density(diff: np.ndarray, cov: np.ndarray):
+    """log N(diff; 0, cov) for each row of a 2-D ``diff``, or a 1-D one, from one factor of cov."""
+    low = spd_cholesky(cov)
+    diff = np.asarray(diff, dtype=float)
+    quad = np.sum(diff * _cholesky_solve(low, diff.T).T, axis=-1)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(low))))
+    return -0.5 * (quad + logdet + diff.shape[-1] * np.log(2.0 * np.pi))

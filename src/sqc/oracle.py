@@ -86,14 +86,6 @@ def _gh_nodes(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return xs, ws / np.pi ** (m / 2.0)
 
 
-def _log_gauss(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Row-wise log density of N(mean, cov)."""
-    diff = x - mean[None, :]
-    sol = linalg.spd_solve(cov, diff.T).T
-    quad = np.sum(diff * sol, axis=1)
-    return -0.5 * (quad + linalg.spd_logdet(cov) + len(mean) * np.log(2.0 * np.pi))
-
-
 def _potential_values(potential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """V at each node plus a mask of nodes outside the potential domain."""
     vals = np.empty(len(xs))
@@ -162,8 +154,8 @@ def weighted_gaussian_moments(
     keep2 = ~outside2
     log_int = (
         -vals2[keep2] * dt
-        + _log_gauss(ys[keep2], x_hat, sigma)
-        - _log_gauss(ys[keep2], mean1, ref_cov)
+        + linalg.gaussian_log_density(ys[keep2] - x_hat, sigma)
+        - linalg.gaussian_log_density(ys[keep2] - mean1, ref_cov)
     )
     return _weighted_moments(ys[keep2], wy[keep2], log_int)
 
@@ -253,8 +245,8 @@ def fokker_planck_residual(
     """
     if model.dim != 1:
         raise ValidationError(f"kernel residual check needs a 1-D model, got dim {model.dim}")
-    if dt > 1e-2:
-        raise ValidationError("kernel residual check expects dt <= 1e-2")
+    if not 0 < dt <= 1e-2:
+        raise ValidationError(f"kernel residual check expects 0 < dt <= 1e-2; got {dt}")
     x = grid.points()
     h = grid.spacing
     density = np.asarray(density, dtype=float)

@@ -91,17 +91,8 @@ class PotentialEvaluation:
         return self
 
 
-@lru_cache(maxsize=None)
-def _zero_matrix(m: int) -> np.ndarray:
-    out = np.zeros((m, m))
-    out.setflags(write=False)
-    return out
-
-
 def _vector(x) -> np.ndarray:
-    # np.atleast_1d(np.asarray(x, dtype=float)) minus the call overhead.
-    x = np.asarray(x, dtype=float)
-    return x if x.ndim else x.reshape(1)
+    return np.atleast_1d(np.asarray(x, dtype=float))
 
 
 def _entries(v, m: int) -> list:
@@ -211,7 +202,7 @@ def _array_evaluation(kind: str, form: tuple, x: list, t) -> PotentialEvaluation
     evaluate, inner = form
     value, grad, h, curvature = evaluate(x, t)
     m, grad = len(x), np.array(grad)
-    counter = np.diag(2.0 * grad) if kind == "double_well" else _zero_matrix(m)
+    counter = np.diag(2.0 * grad) if kind == "double_well" else np.zeros((m, m))
     return PotentialEvaluation._trusted(
         np.array(inner(x, t)), value, grad, np.array(h).reshape(m, m), np.array(curvature).reshape(m, m), counter
     )

@@ -53,8 +53,8 @@ class ItoProcessModel:
             raise ValidationError(
                 f"g_inv shape {self.g_inv.shape} does not match dim {self.dim}"
             )
-        if self.dt <= 0:
-            raise ValidationError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be positive and finite; got {self.dt!r}")
         # g_inv and dt are time independent, so the noise factor and the
         # per-step noise covariance g_inv dt are computed once; the strict
         # factor refuses a singular g_inv.
@@ -147,14 +147,6 @@ def _from_floats(floats, shape) -> DriftFn:
     return fn
 
 
-def _zero_drift(dim: int) -> tuple[DriftFn, DriftFn]:
-    zeros, zero_jac = (0.0,) * dim, (0.0,) * (dim * dim)
-    return (
-        _from_floats(lambda x, t: zeros, (dim,)),
-        _from_floats(lambda x, t: zero_jac, (dim, dim)),
-    )
-
-
 @lru_cache(maxsize=None)
 def _matvec_factory(rows: int, cols: int) -> Callable:
     # make(*a flat) -> (x, t) -> a x, straight-line, compiled on first
@@ -212,9 +204,9 @@ DRIFT_KINDS = ("zero", "linear", "vanderpol_forced")
 def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, DriftFn]:
     """Build (drift, jacobian) for a named builtin.
 
-    Kinds: "zero"; "linear" with params {"A": matrix}; "vanderpol_forced"
-    with optional params {"scale": 0.005, "forcing": 3.0, "omega": 0.005}
-    (the benchmark values are the defaults).
+    Kinds: "zero" (the linear map of a zero matrix); "linear" with params
+    {"A": matrix}; "vanderpol_forced" with optional params {"scale":
+    0.005, "forcing": 3.0, "omega": 0.005} (the benchmark values are the defaults).
     """
     if params is not None and not isinstance(params, dict):
         raise ValidationError(f"drift params must be a JSON object; got {params!r}")
@@ -222,7 +214,7 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
     if kind == "zero":
         if params:
             raise ValidationError(f"zero drift takes no parameters, got {sorted(params)}")
-        return _zero_drift(dim)
+        return _linear_map(np.zeros((dim, dim)))
     if kind == "linear":
         if "A" not in params:
             raise ValidationError('linear drift requires parameter "A"')

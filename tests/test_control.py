@@ -175,6 +175,19 @@ def test_run_closed_loop_argument_guards():
         run_closed_loop(model, fn, predicted, cfg, 5, None, mode="sampled")
 
 
+def test_run_closed_loop_refuses_input_matrix_of_another_dim():
+    # B maps the input onto the state, so it needs one row per state
+    # entry; a 3-row B on a 2-D state is refused before any draw.
+    model = zero_model(2)
+    cfg = ControlConfig(B=np.eye(3), R=np.eye(3))
+    initial = engine.GaussianBelief(mean=[0.5, 0.5], cov=np.eye(2))
+    fn = lambda x, t: eval_quadratic_penalty(x, [0.0, 0.0], np.eye(2))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValidationError, match="B has 3 rows; the state has dim 2"):
+        run_closed_loop(model, fn, initial, cfg, 5, rng)
+    assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
 def test_run_scenario_bundled_penalty():
     result = run_scenario("penalty", overrides={"horizon": 50}, seed=3)
     assert result.completed and len(result.x) == 51

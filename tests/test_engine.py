@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import counting_kernels, random_spd, rel_err
 from sqc import control, ekf, engine, linalg, oracle, process
-from sqc.errors import NonFinite, NotPositiveDefinite
+from sqc.errors import NonFinite, NotPositiveDefinite, ValidationError
 from sqc.potential import PotentialEvaluation, eval_quadratic_penalty
 
 
@@ -43,6 +43,25 @@ def test_belief_validates():
         engine.GaussianBelief(mean=[0.0], cov=[[1.0]], tag="posterior")
     with pytest.raises(NonFinite):
         engine.GaussianBelief(mean=[np.inf], cov=[[1.0]])
+    with pytest.raises(ValidationError, match=r"mean has shape \(2,\) and covariance \(3, 3\)"):
+        engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(3))
+    with pytest.raises(ValidationError, match=r"mean has shape \(1, 2\) and covariance \(1, 1\)"):
+        engine.GaussianBelief(mean=[[0.5, 0.5]], cov=[[1.0]])
+
+
+def test_step_loops_refuse_a_belief_of_another_dim():
+    # A 2-D belief on a 3-D model is refused by engine._run, before any
+    # step, for the closed loop and the filter alike.
+    model = linear_model(-0.1 * np.eye(3), 3, np.eye(3))
+    belief = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2))
+    pot_fn = lambda x, t: eval_quadratic_penalty(x, np.zeros(3), np.eye(3))
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    with pytest.raises(ValidationError, match="initial belief has dim 2; the model has dim 3"):
+        control.run_closed_loop(model, pot_fn, belief, cfg, 5, None, mode="belief")
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(3), sigma_nu=np.eye(3))
+    stream = ekf.ObservationStream(steps=[0, 2], values=[[0.1, 0.2, 0.3], [0.0, 0.1, 0.2]])
+    with pytest.raises(ValidationError, match="initial belief has dim 2; the model has dim 3"):
+        ekf.filter_with_likelihood(model, obs, stream, belief)
 
 
 def test_predict_frozen_linear_case():
@@ -298,7 +317,7 @@ def test_step_loops_run_through_engine_run(monkeypatch):
     run = engine._run
 
     def counted(*args):
-        calls.append(len(args[5]))
+        calls.append(len(args[3]))
         return run(*args)
 
     monkeypatch.setattr(engine, "_run", counted)

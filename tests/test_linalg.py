@@ -75,12 +75,19 @@ def test_spd_inverse_roundtrip():
     assert np.array_equal(inv, inv.T)
 
 
-def test_spd_logdet_matches_slogdet():
+def test_gaussian_log_density_matches_slogdet_and_inverse():
+    # Row-wise for a 2-D diff, and a scalar for a 1-D one.
     rng = np.random.default_rng(3)
     a = random_spd(rng, 5)
     sign, logdet = np.linalg.slogdet(a)
     assert sign == 1.0
-    assert linalg.spd_logdet(a) == pytest.approx(logdet, abs=1e-12)
+    diff = rng.standard_normal((4, 5))
+    quad = np.einsum("ij,jk,ik->i", diff, np.linalg.inv(a), diff)
+    expected = -0.5 * (quad + logdet + 5 * np.log(2 * np.pi))
+    out = linalg.gaussian_log_density(diff, a)
+    assert out.shape == (4,)
+    np.testing.assert_allclose(out, expected, rtol=1e-12)
+    assert linalg.gaussian_log_density(diff[2], a) == pytest.approx(expected[2], rel=1e-12)
 
 
 def test_woodbury_frozen_diagonal_case():

@@ -269,8 +269,9 @@ def test_kernel_residual_guards():
     grid = oracle.Grid1D(-9.0, 9.0, 1024)
     density = standard_gaussian(grid)
     model = free_diffusion_model()
-    with pytest.raises(ValidationError):
-        oracle.fokker_planck_residual(model, None, grid, density, 0.5)
+    for dt in (0.5, 0.0, -1e-3, float("nan")):
+        with pytest.raises(ValidationError, match="0 < dt <= 1e-2"):
+            oracle.fokker_planck_residual(model, None, grid, density, dt)
     with pytest.raises(ValidationError):
         oracle.fokker_planck_residual(model, None, grid, density[:-1], 1e-2)
     # Too narrow: the kernel leaks mass over the edge.

@@ -16,8 +16,19 @@ def test_model_validates_shapes_and_dt():
     drift, jac = process.make_drift("zero", None, 2)
     with pytest.raises(ValidationError):
         process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(3))
-    with pytest.raises(ValidationError):
-        process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(2), dt=0.0)
+    for dt in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match=f"dt must be positive and finite; got {dt}"):
+            process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(2), dt=dt)
+
+
+def test_zero_drift_is_positive_zero_everywhere():
+    # The zero drift is the linear map of a zero matrix: 0.0 + 0.0 * x
+    # is +0.0 for every finite x, negative entries included.
+    drift, jac = process.make_drift("zero", None, 2)
+    x = np.array([-1.5, 2.0])
+    for out in (drift(x, 0), jac(x, 0), drift.floats(x.tolist(), 0), jac.floats(x.tolist(), 0)):
+        assert not np.signbit(out).any() and not np.any(out)
+    assert drift(x, 0).shape == (2,) and jac(x, 0).shape == (2, 2)
 
 
 def test_model_refuses_singular_noise_metric():
