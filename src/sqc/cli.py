@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", required=True, help="scenario JSON file")
     sim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     sim.add_argument("--steps", type=int, default=None, help="override the horizon")
-    sim.add_argument("--mode", choices=["belief", "sampled"], default=None)
+    sim.add_argument("--mode", choices=control.MODES, default=None)
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--seeds", type=_parse_seed_range, default=None, metavar="A..B",
                      help="run a seed sweep, one subdirectory per seed")

@@ -31,6 +31,8 @@ __all__ = [
     "run_scenario",
 ]
 
+MODES = ("sampled", "belief")
+
 
 @dataclass
 class ControlConfig:
@@ -130,23 +132,20 @@ def run_closed_loop(
     at a DomainViolation (a barrier evaluated outside its domain), a
     non-finite state or a covariance that is no longer positive
     definite; the result then holds the completed rows, the failure's
-    message and the step it happened at. In sampled mode all
-    horizon + 1 draws are taken from ``rng`` up front.
+    message and the step it happened at. ``mode`` is one of MODES: each
+    next state is a posterior draw, taken with ``rng`` by engine._run
+    after its checks ("sampled"), or the posterior mean ("belief").
     """
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    if mode not in ("sampled", "belief"):
-        raise ValidationError(f"unknown mode {mode!r}; expected 'sampled' or 'belief'")
+    if mode not in MODES:
+        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "sampled" and rng is None:
         raise ValidationError("sampled mode needs a random generator")
-    m, n = initial.dim, horizon + 1
-    if cfg.B.shape[0] != m:
-        raise ValidationError(f"B has {cfg.B.shape[0]} rows; the state has dim {m}")
-    # One block of draws: standard_normal((n, m)) gives the same numbers
-    # as n calls of standard_normal(m).
-    draws = rng.standard_normal((n, m)).tolist() if mode == "sampled" else [None] * n
+    if cfg.B.shape[0] != initial.dim:
+        raise ValidationError(f"B has {cfg.B.shape[0]} rows; the state has dim {initial.dim}")
     x, mean, cov, value, log_n, shift, retries, failure = engine._run(
-        model, engine._floats(potential_fn), initial, draws, model.dt
+        model, engine._floats(potential_fn), initial, horizon + 1, model.dt, rng if mode == "sampled" else None
     )
     failure = None if failure is None else str(failure)  # its traceback refers to this frame
     return ScenarioResult(

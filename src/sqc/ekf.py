@@ -10,14 +10,14 @@ Sigma_nu is a tuning matrix for the observation weight, not something
 estimated from data.
 
 filter_with_likelihood has no step loop of its own: it hands the
-engine's loop, with unit time weight, the observation potential's
-float form: the quadratic penalty's generated form evaluated at y with
-the target h(x), which gives l = y - h(x). That returns the same
-curvature tuple sigma_nu_inv at every observed step, so the loop
-factors it once per call, and None at unobserved steps, which keep
-the bare prediction. h and its Jacobian enter through their float
-forms when they carry one (the scenario's linear and identity maps do)
-and through .tolist() otherwise. The log normalization gives the
+engine's loop its step count, with no generator and unit time weight,
+and the observation potential's float form: potential._bound's penalty
+at y with the target h(x), which gives l = y - h(x). That returns the
+same curvature tuple sigma_nu_inv at every observed step, so the loop
+factors it once per call, and None at unobserved steps, which keep the
+bare prediction. h and its Jacobian enter through their float forms
+when they carry one (the scenario's linear and identity maps do) and
+through .tolist() otherwise. The log normalization gives the
 marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
 It returns the loop's mean and cov columns and that likelihood as
@@ -38,13 +38,12 @@ import numpy as np
 from . import engine
 from .errors import ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, gaussian_log_density, spd_solve, symmetrize
-from .potential import PotentialEvaluation, _form_factory, _vector, eval_quadratic_penalty
+from .potential import _bound
 from .process import ItoProcessModel
 
 __all__ = [
     "ObservationModel",
     "ObservationStream",
-    "observation_potential",
     "ekf_step",
     "filter_with_likelihood",
     "marginal_likelihood",
@@ -90,20 +89,6 @@ class ObservationStream:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-def observation_potential(obs_model: ObservationModel, y: np.ndarray, x_hat: np.ndarray, t: int) -> PotentialEvaluation:
-    """Quadratic potential in the innovation l = y - h(x)."""
-    x_hat = _vector(x_hat)
-    # The penalty at y with target h(x) has l = y - h(x), V and dV/dl.
-    pen = eval_quadratic_penalty(y, obs_model.h(x_hat, t), obs_model.sigma_nu_inv)
-    jac = np.atleast_2d(np.asarray(obs_model.h_jacobian(x_hat, t), dtype=float))
-    # H = -(dl/dx) = +dh/dx. A non-finite l makes the value non-finite,
-    # which _trusted refuses; a non-finite Jacobian shows in the
-    # updated moments, which the update checks.
-    return PotentialEvaluation._trusted(
-        pen.l, pen.value, pen.grad_l, jac, obs_model.sigma_nu_inv, np.zeros((len(x_hat), len(x_hat)))
-    )
 
 
 def ekf_step(
@@ -186,8 +171,7 @@ def filter_with_likelihood(
     if outside:
         where = f"before step {start}" if outside[0] < start else f"beyond horizon {horizon}"
         raise ValidationError(f"observation at step {outside[0]} is {where}")
-    weights = obs_model.sigma_nu_inv
-    evaluate, _ = _form_factory("quadratic_penalty", len(weights), "given")(*weights.ravel().tolist())
+    evaluate = _bound("quadratic_penalty", obs_model.sigma_nu_inv).floats
     h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
 
     def potential(x, t):
@@ -198,8 +182,7 @@ def filter_with_likelihood(
         value, grad, _, curvature = evaluate(y, h(x, t))
         return value, grad, h_jacobian(x, t), curvature
 
-    draws = [None] * (horizon + 1 - start)
-    _, mean, cov, _, log_n, _, _, failure = engine._run(model, potential, initial_belief, draws, 1.0)
+    _, mean, cov, _, log_n, _, _, failure = engine._run(model, potential, initial_belief, horizon + 1 - start, 1.0)
     if failure is not None:
         try:
             raise failure

@@ -37,11 +37,12 @@ for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
 The kernel is the only update and _run the only step loop: the closed
-loop and the observation filter each hand _run their initial belief
-and all their steps, and _run alone checks that the belief is tagged
-predicted and has the model's dimension. update() calls the kernel's
-update once for the posterior and its normalization. _compiled hands
-out each stage and documents its arguments.
+loop and the observation filter each hand _run their initial belief,
+step count and generator (or None); _run alone checks the belief's tag
+and dimension, and only then draws the run's noise. update() calls the
+kernel's update once for the posterior and its normalization, after
+checking dt and that H and the curvature fit the belief. _compiled
+hands out each stage and documents its arguments.
 Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
 builds its own, and _floats adapts any other callable (including one
@@ -66,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -370,25 +371,32 @@ def _floats(fn: Callable) -> Callable:
     return adapter
 
 
+def _check_fit(h, curv, k: int, m: int) -> None:
+    if len(h) != k * m or len(curv) != k * k:
+        raise ValidationError(f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m}")
+
+
 def _run(
     model: ItoProcessModel,
     evaluate: Callable,
     initial: GaussianBelief,
-    draws: list,
+    steps: int,
     weight: float,
+    rng: Optional[np.random.Generator] = None,
 ) -> tuple:
     """The recursion loop of the closed loop and the filter.
 
-    Runs one step per entry of ``draws`` from the ``initial`` belief,
-    which must be tagged predicted and have the model's dimension, or
-    ValidationError is raised before any step runs. The first step
-    updates it as given, every later one first predicts from the
-    previous step's state. Each step evaluates the potential's float
-    form ``evaluate`` at the predicted mean, updates with time weight
-    ``weight``, and takes the next state from the posterior with the
-    step's standard normal draw, or the posterior mean where the draw
-    is None. Where ``evaluate`` returns None the step keeps the bare
-    prediction, with V and log_n nan and a zero shift.
+    Runs ``steps`` steps from the ``initial`` belief, which must be
+    tagged predicted and have the model's dimension, or ValidationError
+    is raised before anything is drawn. Only then are all the steps'
+    standard normal draws taken from ``rng``. The first step updates the
+    belief as given, every later one first predicts. Each step evaluates
+    the potential's float form ``evaluate`` at the predicted mean (its
+    first H and curvature must fit the state, or ValidationError is
+    raised), updates with time weight ``weight``, and takes the next
+    state from the posterior with its draw, or the posterior mean where
+    ``rng`` is None. Where ``evaluate`` returns None the step keeps the
+    bare prediction, with V and log_n nan and a zero shift.
 
     Returns (x, mean, cov, V, log_n, shift, jitter_retries, failure):
     the completed steps' rows as _columns gives them, the count of
@@ -403,6 +411,9 @@ def _run(
     if initial.dim != model.dim:
         raise ValidationError(f"initial belief has dim {initial.dim}; the model has dim {model.dim}")
     m, dt, t = model.dim, model.dt, initial.step
+    # One block of draws: standard_normal((steps, m)) gives the same
+    # numbers as steps calls of standard_normal(m).
+    draws = [None] * steps if rng is None else rng.standard_normal((steps, m)).tolist()
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
     predict, sample = _compiled("predict", m), _compiled("sample", m)
     # k comes from the first evaluation; (sig, hld) factor ``factored``.
@@ -431,6 +442,7 @@ def _run(
                 if curv != factored:
                     if len(grad) != k:
                         k = len(grad)
+                        _check_fit(h, curv, k, m)
                         factor, update = _compiled("factor", k), _compiled("update", m, k)
                         ldt = 0.5 * k * math.log(weight)
                     sig, hld = factor(curv, retries)
@@ -497,8 +509,11 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     which equals P^-1 H^T grad_l dt by the matrix inversion lemma. One
     kernel call gives both results.
     """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be positive and finite; got {dt!r}")
     value, grad, h, curvature = _evaluation_floats(pot)
     m, k = belief.dim, len(grad)
+    _check_fit(h, curvature, k, m)
     retries = [0]
     sig, hld = _compiled("factor", k)(curvature, retries)
     mean, cov, _, log_n, script_n = _compiled("update", m, k)(

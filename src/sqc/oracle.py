@@ -45,7 +45,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import engine, linalg
 from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
-from .potential import PotentialEvaluation, _form_factory, eval_log_barrier, eval_quadratic_penalty
+from .potential import PotentialEvaluation, _bound, eval_log_barrier, eval_quadratic_penalty
 from .process import ItoProcessModel, make_drift
 
 __all__ = [
@@ -455,9 +455,9 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # Report sections of `sqc validate`.
 
-def _value_form(kind: str, m: int, target, constants: list, t):
+def _value_form(kind: str, weights, t):
     """x -> V from the float form that eval_* evaluates, without building its arrays."""
-    evaluate = _form_factory(kind, m, target)(*constants)[0]
+    evaluate = _bound(kind, weights).floats
     return lambda x: evaluate(x.tolist(), t)[0]
 
 
@@ -475,7 +475,7 @@ def quadrature_checks() -> dict:
         belief = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
         pot = eval_quadratic_penalty(belief.mean, d, s_inv)
         upd, diag = engine.update(belief, pot, dt)
-        integrand = _value_form("quadratic_penalty", len(d), "given", s_inv.ravel().tolist(), d.tolist())
+        integrand = _value_form("quadratic_penalty", s_inv, d.tolist())
         mean, cov, log_norm = weighted_gaussian_moments(belief.mean, belief.cov, integrand, dt)
         checks[name] = {
             "mean_err": float(np.max(np.abs(upd.mean - mean))),
@@ -489,9 +489,7 @@ def quadrature_checks() -> dict:
     cov_b = 0.01 * np.eye(2)
     belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
     upd_b, _ = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
-    mean_q, _, _ = weighted_gaussian_moments(
-        mean_b, cov_b, _value_form("log_barrier", 2, None, a.tolist(), 0), 1.0
-    )
+    mean_q, _, _ = weighted_gaussian_moments(mean_b, cov_b, _value_form("log_barrier", a, 0), 1.0)
     checks["barrier_expansion"] = {
         "mean_rel_err": float(np.max(np.abs(upd_b.mean - mean_q) / np.abs(mean_q))),
         "tol": 0.05,

@@ -22,14 +22,15 @@ step kernel calls without building arrays. As with the step kernel, a
 template writes out their source, here per (kind, m, target kind), with
 W, the target and the barrier weights as closure constants; it is
 compiled on first use and cached, and nothing is compiled at import or
-when a scenario is loaded. The eval_* functions, the scenario's
-potential callables and the filter's innovation quadratic are all
-built from these forms. Like a drift's, a potential's float form is
-its callable's ``floats`` attribute: (x, t) -> (value, grad_l, H,
-curvature), H (k x m) and the curvature (k x k) flat and row-major. The
-step loop refactors the curvature only when it changes by value, so a
-float form returns an immutable tuple or a fresh list, never a list it
-later rewrites.
+when a scenario is loaded. _bound is the one builder: it alone calls
+_form_factory and lays out the constants, and the eval_* functions, the
+scenario's potential callables, the filter's innovation quadratic and
+the quadrature oracle's integrands all come from it. Like a drift's, a
+potential's float form is its callable's ``floats`` attribute: (x, t)
+-> (value, grad_l, H, curvature), H (k x m) and the curvature (k x k)
+flat and row-major. The step loop refactors the curvature only when it
+changes by value, so a float form returns an immutable tuple or a
+fresh list, never a list it later rewrites.
 """
 
 from __future__ import annotations
@@ -182,56 +183,51 @@ def _form_factory(kind: str, m: int, target) -> Callable:
     kind is "quadratic_penalty", "double_well" or "log_barrier"; target
     is "constant", "tanh_ramp" or "given" for the first two and None for
     the barrier. The result is a factory make(*constants) -> (evaluate,
-    inner). The constants are the barrier's a, or W's entries row by row
-    followed by the target's: its m entries ("constant"), amplitude, rate
-    and center ("tanh_ramp", amplitude * (1 + tanh(rate * (t - center))))
-    or none ("given", where the second argument t of evaluate and inner is
-    the target vector itself, not the step). evaluate(x, t) -> (value,
-    grad_l, H, curvature) is the float form, H and the curvature flat
-    row-major tuples; inner(x, t) -> l. Every dot product sums left to
-    right from 0.0 (linalg._dot_source).
+    inner), with the constants in the order _bound documents.
+    evaluate(x, t) -> (value, grad_l, H, curvature) is the float form, H
+    and the curvature flat row-major tuples; inner(x, t) -> l. Every dot
+    product sums left to right from 0.0 (linalg._dot_source). _bound is
+    its one caller.
     """
     namespace = {"tanh": math.tanh, "log": math.log, "_NonPositivePoint": _NonPositivePoint}
     label = f"<sqc potential {kind}, m={m}, target {target}>"
     return _compile_source(_form_source(kind, m, target), label, namespace, "make")
 
 
-def _array_evaluation(kind: str, form: tuple, x: list, t) -> PotentialEvaluation:
-    # A PotentialEvaluation from a generated (evaluate, inner) pair at the
-    # float point x.
-    evaluate, inner = form
-    value, grad, h, curvature = evaluate(x, t)
-    m, grad = len(x), np.array(grad)
-    counter = np.diag(2.0 * grad) if kind == "double_well" else np.zeros((m, m))
-    return PotentialEvaluation._trusted(
-        np.array(inner(x, t)), value, grad, np.array(h).reshape(m, m), np.array(curvature).reshape(m, m), counter
-    )
+def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
+    """Closure (x, t) -> PotentialEvaluation of a bundled potential, its float form as ``.floats``.
 
-
-def _bound(kind: str, m: int, target, constants: list) -> Callable:
-    """Closure (x, t) -> PotentialEvaluation over a float form bound to ``constants``.
-
-    The closure carries the float form as its ``floats`` attribute.
+    The one door into the generated forms. ``weights`` is W, an (m, m)
+    array, for "quadratic_penalty" and "double_well", or the barrier's
+    a, an (m,) array, for "log_barrier", which ignores ``target``. The
+    target is ("given",), where the second argument t of the closure and
+    of its float form is the target vector itself, not the step;
+    ("constant", d) with d's m entries; or ("tanh_ramp", amplitude,
+    rate, center), the level amplitude * (1 + tanh(rate * (t - center)))
+    at step t. The form's constants are the barrier's a, or W's entries
+    row by row followed by the target's numbers in that order.
     """
-    form = _form_factory(kind, m, target)(*constants)
+    m = len(weights)
+    constants = np.concatenate([np.ravel(weights), np.ravel(target[1:])]).astype(float).tolist()
+    evaluate, inner = _form_factory(kind, m, None if kind == "log_barrier" else target[0])(*constants)
 
     def fn(x, t):
-        return _array_evaluation(kind, form, _vector(x).tolist(), t)
+        x = _vector(x).tolist()
+        value, grad, h, curvature = evaluate(x, t)
+        grad = np.array(grad)
+        counter = np.diag(2.0 * grad) if kind == "double_well" else np.zeros((m, m))
+        return PotentialEvaluation._trusted(
+            np.array(inner(x, t)), value, grad, np.array(h).reshape(m, m), np.array(curvature).reshape(m, m), counter
+        )
 
-    fn.floats = form[0]
+    fn.floats = evaluate
     return fn
-
-
-def _quadratic_evaluation(kind: str, x_hat, d, sigma_nu_inv) -> PotentialEvaluation:
-    x = _vector(x_hat).tolist()
-    m = len(x)
-    form = _form_factory(kind, m, "given")(*_weights(sigma_nu_inv, m).ravel().tolist())
-    return _array_evaluation(kind, form, x, _entries(d, m))
 
 
 def eval_quadratic_penalty(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
     """Quadratic penalty V = l^T sigma_nu_inv l / 2 with l = x - d."""
-    return _quadratic_evaluation("quadratic_penalty", x_hat, d, sigma_nu_inv)
+    x = _vector(x_hat)
+    return _bound("quadratic_penalty", _weights(sigma_nu_inv, len(x)))(x, _entries(d, len(x)))
 
 
 def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
@@ -240,12 +236,11 @@ def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
     The curvature diag(a_i / x_i^2) makes the implied weight matrix
     diag(x_i^2 / a_i), so the barrier stiffens as the boundary nears.
     """
-    x = _vector(x_hat).tolist()
-    m = len(x)
-    a = _entries(a, m)
+    x = _vector(x_hat)
+    a = _entries(a, len(x))
     if any(ai <= 0.0 for ai in a):
         raise DomainViolation("barrier weights a must be positive")
-    return _array_evaluation("log_barrier", _form_factory("log_barrier", m, None)(*a), x, 0)
+    return _bound("log_barrier", a)(x, 0)
 
 
 def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
@@ -255,7 +250,8 @@ def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray)
     quadratic, so the counter_curvature is nonzero away from the wells:
     d^2 l^i / dx_i^2 = 2 gives diagonal entries 2 (sigma_nu_inv l)_i.
     """
-    return _quadratic_evaluation("double_well", x_hat, d, sigma_nu_inv)
+    x = _vector(x_hat)
+    return _bound("double_well", _weights(sigma_nu_inv, len(x)))(x, _entries(d, len(x)))
 
 
 def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.01, center: float = 2500.0) -> np.ndarray:

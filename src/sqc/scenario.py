@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControlConfig
+from .control import MODES, ControlConfig
 from .errors import NotPositiveDefinite, ParseError, ValidationError
 from .linalg import _strict_cholesky, spd_inverse
 from .potential import _bound
@@ -42,7 +42,6 @@ BUNDLED_SCENARIOS = ("penalty", "barrier", "doublewell")
 
 POTENTIAL_KINDS = ("quadratic_penalty", "log_barrier", "double_well", "observation")
 TARGET_KINDS = ("constant", "tanh_ramp")
-MODES = ("sampled", "belief")
 
 
 def _whole(raw, label: str, minimum: int, wanted: str) -> int:
@@ -145,15 +144,11 @@ class Scenario:
         """Closure (x, step) -> PotentialEvaluation, carrying its generated float form."""
         kind = self.potential_kind
         if kind in ("quadratic_penalty", "double_well"):
-            constants = spd_inverse(self.potential_params["sigma_nu"]).ravel().tolist()
-            if self.target_kind == "constant":
-                constants += np.asarray(self.target_params["value"], dtype=float).tolist()
-            else:
-                constants += [self.target_params[key] for key in ("amplitude", "rate", "center")]
-            return _bound(kind, self.dim, self.target_kind, constants)
+            keys = ("value",) if self.target_kind == "constant" else ("amplitude", "rate", "center")
+            target = (self.target_kind, *(self.target_params[key] for key in keys))
+            return _bound(kind, spd_inverse(self.potential_params["sigma_nu"]), target)
         if kind == "log_barrier":
-            a = np.asarray(self.potential_params["a"], dtype=float).tolist()
-            return _bound(kind, self.dim, None, a)
+            return _bound(kind, self.potential_params["a"])
         raise ValidationError(
             f"potential kind {kind!r} has no state potential (observation "
             "scenarios are for the filter command)"

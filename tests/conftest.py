@@ -3,6 +3,7 @@
 import numpy as np
 
 from sqc import engine
+from sqc.potential import PotentialEvaluation, eval_quadratic_penalty
 
 
 def random_spd(rng, n, eig_low=0.3, eig_high=3.0):
@@ -38,3 +39,15 @@ def counting_kernels(monkeypatch, stage):
 
     monkeypatch.setattr(engine, "_compiled", counting)
     return calls
+
+
+def observation_potential(obs_model, y, x_hat, t):
+    """Quadratic potential in the innovation l = y - h(x), through the public constructor."""
+    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
+    # The penalty at y with target h(x) has l = y - h(x), V and dV/dl,
+    # and H = -(dl/dx) = +dh/dx.
+    pen = eval_quadratic_penalty(y, obs_model.h(x_hat, t), obs_model.sigma_nu_inv)
+    return PotentialEvaluation(
+        l=pen.l, value=pen.value, grad_l=pen.grad_l, H=obs_model.h_jacobian(x_hat, t),
+        curvature=obs_model.sigma_nu_inv, counter_curvature=np.zeros((len(x_hat), len(x_hat))),
+    )

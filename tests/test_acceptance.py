@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from conftest import random_spd, rel_err
+from conftest import observation_potential, random_spd, rel_err
 from sqc import control, ekf, engine, oracle, process
 from sqc.potential import PotentialEvaluation
 
@@ -54,7 +54,7 @@ def test_2_filter_reduction_and_textbook_fixture(capfd):
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
         y = rng.standard_normal(k)
         a = ekf.ekf_step(belief, model, obs, y, 0)
-        b, _ = engine.update(belief, ekf.observation_potential(obs, y, belief.mean, 0), 1.0)
+        b, _ = engine.update(belief, observation_potential(obs, y, belief.mean, 0), 1.0)
         worst_step = max(worst_step, rel_err(a.mean, b.mean), rel_err(a.cov, b.cov))
 
     # Full filter against a self-contained textbook implementation.

@@ -188,6 +188,24 @@ def test_run_closed_loop_refuses_input_matrix_of_another_dim():
     assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
+def test_run_closed_loop_refusals_leave_the_generator_untouched():
+    # engine._run draws a run's noise only after it has checked the
+    # initial belief's tag and dimension, so a refused belief takes no
+    # draw from the caller's generator.
+    cfg = ControlConfig(B=np.eye(2), R=np.eye(2))
+    fn = lambda x, t: eval_quadratic_penalty(x, [0.0, 0.0], np.eye(2))
+    updated = engine.GaussianBelief(mean=[0.5, 0.5], cov=np.eye(2), tag="updated")
+    predicted = engine.GaussianBelief(mean=[0.5, 0.5], cov=np.eye(2))
+    for model, initial, match in (
+        (zero_model(2), updated, "initial belief must be tagged predicted"),
+        (zero_model(3), predicted, "initial belief has dim 2; the model has dim 3"),
+    ):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match=match):
+            run_closed_loop(model, fn, initial, cfg, 5000, rng)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
 def test_run_scenario_bundled_penalty():
     result = run_scenario("penalty", overrides={"horizon": 50}, seed=3)
     assert result.completed and len(result.x) == 51

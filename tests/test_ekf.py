@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import counting_kernels, random_spd, rel_err
+from conftest import counting_kernels, observation_potential, random_spd, rel_err
 from sqc import ekf, engine, process
 from sqc.errors import NotPositiveDefinite, ValidationError
 from sqc.potential import eval_quadratic_penalty
@@ -20,7 +20,7 @@ def linear_obs_model(c, sigma_nu):
 
 def test_observation_potential_signs():
     obs = linear_obs_model(np.array([[2.0, 0.0]]), np.array([[0.5]]))
-    pot = ekf.observation_potential(obs, np.array([3.0]), np.array([1.0, 5.0]), 0)
+    pot = observation_potential(obs, np.array([3.0]), np.array([1.0, 5.0]), 0)
     np.testing.assert_allclose(pot.l, [1.0])  # y - h = 3 - 2
     np.testing.assert_allclose(pot.H, [[2.0, 0.0]])  # plain observation jacobian
     np.testing.assert_allclose(pot.grad_l, [2.0])
@@ -44,7 +44,7 @@ def test_ekf_step_equals_potential_update():
         y = rng.standard_normal(k)
 
         a = ekf.ekf_step(pred, model, obs, y, 0)
-        pot = ekf.observation_potential(obs, y, pred.mean, 0)
+        pot = observation_potential(obs, y, pred.mean, 0)
         b, _ = engine.update(pred, pot, 1.0)
         assert rel_err(a.mean, b.mean) < 1e-10
         assert rel_err(a.cov, b.cov) < 1e-10

@@ -64,6 +64,23 @@ def test_step_loops_refuse_a_belief_of_another_dim():
         ekf.filter_with_likelihood(model, obs, stream, belief)
 
 
+def test_update_and_step_loop_refuse_a_potential_that_does_not_fit():
+    # A 3-D penalty on a 2-D belief, and a dt that is not positive and
+    # finite, are ValidationErrors naming the sizes and dt.
+    belief = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2))
+    wide = lambda x, t: eval_quadratic_penalty(np.append(x, 0.0), np.zeros(3), np.eye(3))
+    misfit = r"potential H \(9 entries\) and curvature \(9\) do not fit k = 3 on dim 2"
+    with pytest.raises(ValidationError, match=misfit):
+        engine.update(belief, wide(belief.mean, 0), 1.0)
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    with pytest.raises(ValidationError, match=misfit):
+        control.run_closed_loop(linear_model(-0.1 * np.eye(2), 2, np.eye(2)), wide, belief, cfg, 5, None, mode="belief")
+    fitting = eval_quadratic_penalty(belief.mean, np.zeros(2), np.eye(2))
+    for dt in (0.0, -1.0, math.nan):
+        with pytest.raises(ValidationError, match=f"dt must be positive and finite; got {dt}"):
+            engine.update(belief, fitting, dt)
+
+
 def test_predict_frozen_linear_case():
     # A = [[0,1],[0,0]], dt = 0.5, prior cov I, g_inv = 0.1 I:
     # mean (1,2) -> (2,2); F = [[1,.5],[0,1]] gives
@@ -317,7 +334,7 @@ def test_step_loops_run_through_engine_run(monkeypatch):
     run = engine._run
 
     def counted(*args):
-        calls.append(len(args[3]))
+        calls.append(args[3])
         return run(*args)
 
     monkeypatch.setattr(engine, "_run", counted)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd, rel_err
-from sqc import engine, linalg, oracle, potential, process
+from sqc import engine, linalg, oracle, process
 from sqc.errors import DomainViolation, MassLoss, QuadratureDomain, ValidationError
 from sqc.potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
 
@@ -108,17 +108,17 @@ def test_quadrature_integrands_match_eval_functions_bit_for_bit(monkeypatch):
 
 def test_quadrature_checks_build_no_evaluation_per_node(monkeypatch):
     calls = []
-    evaluation = potential._array_evaluation
+    trusted = PotentialEvaluation._trusted
 
     def counted(*args):
-        calls.append(args[0])
-        return evaluation(*args)
+        calls.append(args)
+        return trusted(*args)
 
-    monkeypatch.setattr(potential, "_array_evaluation", counted)
+    monkeypatch.setattr(PotentialEvaluation, "_trusted", counted)
     checks = oracle.quadrature_checks()
     assert all(entry["passed"] for entry in checks.values())
     # One eval_* per case, for the engine update.
-    assert calls == ["quadratic_penalty", "quadratic_penalty", "log_barrier"]
+    assert len(calls) == 3
 
 
 def test_identity_suite_clean_run():

@@ -1,4 +1,7 @@
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+import sqc
 from sqc import linalg, potential
 from sqc.errors import DomainViolation, NonFinite
 from sqc.scenario import scenario_from_dict
@@ -289,3 +293,14 @@ def test_barrier_passes_nan_on_to_the_finite_check():
     assert math.isnan(fn.floats([math.nan, 1.0], 0)[0])
     with pytest.raises(NonFinite):
         potential.eval_log_barrier(np.array([math.nan, 1.0]), np.array([1.0, 2.0]))
+
+
+def test_only_potential_builds_the_generated_forms():
+    # potential._bound is the one door into the generated float forms:
+    # no other module names _form_factory, and in potential only its
+    # definition and _bound's call do.
+    modules = [sqc] + [importlib.import_module(f"sqc.{info.name}") for info in pkgutil.iter_modules(sqc.__path__)]
+    naming = [module.__name__ for module in modules if "_form_factory" in inspect.getsource(module)]
+    assert naming == ["sqc.potential"]
+    assert inspect.getsource(potential).count("_form_factory(") == 2
+    assert "_form_factory(" in inspect.getsource(potential._bound)

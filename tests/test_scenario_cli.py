@@ -837,3 +837,23 @@ def test_validate_joins_its_worker_when_a_section_raises(tmp_path, monkeypatch):
         cli.main(["validate", "--level", "full", "--out", str(tmp_path / "val")])
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "val").exists()
+
+
+@pytest.mark.parametrize("mode, accepted", [("sampled", True), ("belief", True), ("exact", False)])
+def test_cli_scenario_and_closed_loop_accept_the_same_modes(mode, accepted):
+    scenario = scenario_from_dict(penalty_doc(horizon=3))
+    model, potential_fn = scenario.build_model(), scenario.build_potential()
+    cfg = control.ControlConfig(B=scenario.B, R=scenario.R)
+    initial = engine.GaussianBelief(mean=scenario.mean0, cov=scenario.cov0)
+    calls = [
+        (SystemExit, lambda: cli.build_parser().parse_args(["simulate", "--scenario", "s.json", "--mode", mode])),
+        (ValidationError, lambda: scenario_from_dict(penalty_doc(mode=mode))),
+        (ValidationError, lambda: control.run_closed_loop(
+            model, potential_fn, initial, cfg, 3, np.random.default_rng(0), mode=mode)),
+    ]
+    for refusal, call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(refusal):
+                call()
