@@ -7,8 +7,8 @@ import contextlib
 import dataclasses
 import json
 import sys
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,18 +22,227 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 
 
-def _write_csv(path: Path, cols: list[str], steps: Iterable[int], table: np.ndarray) -> None:
+# ---------------------------------------------------------------------------
+# CSV text: every value as '%.17g' renders it, formatted by numpy.
+
+_CHUNK_ROWS = 512
+_LANE = np.dtype("<u8")  # a value's text is 32 bytes, four little-endian lanes
+_EXACT_MIN, _EXACT_MAX = 1e-270, 1e290  # 10**k and its remainder stay normal doubles
+_SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
+
+
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> tuple:
+    """10**k as (hi, hi's Dekker halves, lo), from integers alone.
+
+    hi is the double nearest 10**k and lo the double nearest 10**k - hi:
+    Python rounds int-to-float and int / int correctly.
+    """
+    if k >= 0:
+        hi = float(10**k)
+        lo = float(10**k - int(hi))
+    else:
+        den = 10**-k
+        hi = 1 / den
+        num, two = hi.as_integer_ratio()
+        lo = (two - num * den) / (two * den)
+    c = hi * _SPLIT
+    high = c - (c - hi)
+    return hi, high, hi - high, lo
+
+
+def _lanes(texts: list, right: bool = False) -> np.ndarray:
+    # Each text as one 8-byte lane, left-aligned, or right-aligned to end at byte 6.
+    out = np.zeros((len(texts), 8), np.uint8)
+    for row, text in zip(out, texts):
+        if right:
+            row[7 - len(text):7] = list(text)
+        else:
+            row[:len(text)] = list(text)
+    return out.view(_LANE).ravel()
+
+
+def _bytes_lanes(masks: np.ndarray) -> np.ndarray:
+    return masks.astype(np.uint8).view(_LANE)
+
+
+@lru_cache(maxsize=None)
+def _text_tables() -> tuple:
+    """The lookup tables of _format_rows, built on first use.
+
+    quads[q]: the four ASCII digits of q < 10**4 as the low half of a
+    lane. sig[g, q]: for q, group g of a significand's last 16 digits,
+    the count of its digits up to group g's last nonzero one (0 for q =
+    0). prefix[code]: separator, sign and lead right-aligned to byte 6,
+    code = 16 * separator + 2 * lead + sign, where lead 0 is none, 1-4
+    "0." and lead - 1 zeros, 5 nan (never signed), 6 inf and 7 "0".
+    suffix[code]: exponent e+XX (code 325 + X) or nothing (0), the
+    newline added for code + 634. keep[K]: the 7 prefix bytes and K
+    digits. below[p]: the bytes before byte p; dot[p]: "." at byte p.
+    """
+    q = np.arange(10_000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    quads = (digits + 48).astype(np.uint8).view("<u4").ravel().astype(_LANE)
+    zeros = (digits == 0)[:, ::-1].cumprod(axis=1).sum(axis=1)
+    sig = np.where(q > 0, 5 + 4 * np.arange(4)[:, None] - zeros, 0).astype(np.int8)
+    leads = [b"", b"0.", b"0.0", b"0.00", b"0.000", b"nan", b"inf", b"0"]
+    prefix = _lanes(
+        [sep + (sign if lead != b"nan" else b"") + lead
+         for sep in (b"", b",") for lead in leads for sign in (b"", b"-")],
+        right=True,
+    )
+    exponents = [b""] + [b"e%+03d" % x for x in range(-324, 309)]
+    suffix = _lanes(exponents + [e + b"\n" for e in exponents])
+    col = np.arange(32)
+    keep = _bytes_lanes((col < 7 + np.arange(18)[:, None]) * 255)
+    below = _bytes_lanes((col < np.arange(33)[:, None]) * 255)
+    dot = _bytes_lanes((col == np.arange(33)[:, None]) * 46)
+    return quads, sig, prefix, suffix, keep, below, dot
+
+
+def _significand(v: np.ndarray) -> tuple:
+    """(D, X, exact) for each value: |v| is D * 10**(X - 16) to 17 digits.
+
+    D is in [10**16, 10**17). y = |v| * 10**(16 - e), e = floor(log10
+    |v|), is computed as a double-double: the Dekker product of |v| with
+    hi, plus |v| * lo, and D is y rounded to the nearest integer. exact
+    is False, and D and X are of no use, where the value is zero, not
+    finite or outside [_EXACT_MIN, _EXACT_MAX], where y's fraction is
+    within 1e-6 of a tie, or where the rounded y is not in (10**16,
+    10**17]; 10**17 is the carry to the next power of ten.
+    """
+    a = np.abs(v)
+    exact = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)
+    a = np.where(exact, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    top = int(e.max())
+    row = top - e
+    tables = np.zeros((4, int(row.max()) + 1))
+    for i in np.flatnonzero(np.bincount(row)).tolist():
+        tables[:, i] = _pow10(16 - top + i)
+    hi, hi_high, hi_low, lo = (table[row] for table in tables)
+    c = a * _SPLIT
+    a_high = c - (c - a)
+    a_low = a - a_high
+    p = a * hi
+    rest = (((a_high * hi_high - p) + a_high * hi_low + a_low * hi_high) + a_low * hi_low) + a * lo
+    whole = np.floor(p)
+    rest += p - whole
+    carry = np.floor(rest)
+    rest -= carry
+    d = whole.astype(np.int64) + (carry + (rest > 0.5)).astype(np.int64)
+    exact &= (np.abs(rest - 0.5) > 1e-6) & (d > 10**16) & (d <= 10**17)
+    up = d == 10**17
+    d[up] = 10**16
+    return d, e + up, exact
+
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """Rows of comma-separated values, each rendered as '%.17g' % v renders it.
+
+    Each value's text is built in 32 bytes, four little-endian uint64
+    lanes, and zero bytes are padding. Bytes 0-6 hold the separator,
+    sign and lead (or nan, inf, 0), right-aligned; bytes 7-23 the 17
+    digits of D. The digits past the last nonzero one and past the
+    integer part are cleared, the bytes from the point's place on move up
+    one byte to take the ".", and the exponent and the row's newline go
+    right after the last byte. Dropping every zero byte leaves the text.
+    """
+    quads, sig, prefix, suffix, keep, below, dot = _text_tables()
+    rows, cols = table.shape
+    v = table.ravel()
+    d, x, exact = _significand(v)
+    # D's first digit, then four groups of four.
+    first = d // 10**16
+    rest = d - first * 10**16
+    high = rest // 10**8
+    low = rest - high * 10**8
+    h, l = high // 10**4, low // 10**4
+    groups = (h, high - h * 10**4, l, low - l * 10**4)
+    # The digits kept: up to D's last nonzero one, and the integer part.
+    fixed = (x >= -4) & (x < 17)
+    whole = np.where(fixed & (x >= 0), x + 1, 1)
+    kept = whole.copy()
+    for g, group in enumerate(groups):
+        np.maximum(kept, sig[g][group], out=kept)
+    kept *= exact
+    code = np.where(fixed & (x < 0), -2 * x, 0)
+    code[v == 0] = 14
+    code[np.isinf(v)] = 12
+    code[np.isnan(v)] = 10
+    code += np.signbit(v)
+    code.reshape(rows, cols)[:, 1:] += 16
+    text = np.empty((v.size, 4), _LANE)
+    text[:, 0] = prefix[code] | (first + 48).astype(_LANE) << np.uint64(56)
+    text[:, 1] = quads[groups[0]] | quads[groups[1]] << np.uint64(32)
+    text[:, 2] = quads[groups[2]] | quads[groups[3]] << np.uint64(32)
+    text[:, 3] = 0
+    text &= np.take(keep, kept, axis=0)
+    # The point after the integer part, where a fraction is left.
+    point = (kept > whole) & ~(fixed & (x < 0))
+    at = np.where(point, 7 + whole, 32)
+    before = np.take(below, at, axis=0)
+    moved = text & ~before
+    text &= before
+    text |= moved << np.uint64(8)
+    text[:, 1:] |= moved[:, :-1] >> np.uint64(56)
+    text |= np.take(dot, at, axis=0)
+    # The exponent and the row's newline, at the first free byte.
+    ecode = np.where(fixed | ~exact, 0, x + 325)
+    ecode.reshape(rows, cols)[:, -1] += 634
+    tail = suffix[ecode]
+    end = (7 + kept + point) * 8
+    for lane in range(4):
+        shift = end - 64 * lane  # bits; a shift of 64 or more gives 0
+        text[:, lane] |= tail << shift.astype(np.uint64) | tail >> (-shift).astype(np.uint64)
+    for i in np.flatnonzero(~exact & np.isfinite(v) & (v != 0)).tolist():
+        col = i % cols
+        rendered = b"%s%.17g%s" % (b"," * (col > 0), v[i], b"\n" * (col == cols - 1))
+        text[i] = np.frombuffer(rendered.ljust(32, b"\0"), _LANE)
+    out = text.view(np.uint8).ravel()
+    return out[out != 0].tobytes()
+
+
+def _write_csv(path: Path, cols: list[str], first_step: int, table: np.ndarray) -> None:
     """Write the `# sqc <version>` line, the header and one row per step.
 
-    Each row is one % operation on a template built once per file,
-    applied to the table's values as Python floats; it renders the same
-    text as formatting each value with f"{v:.17g}", nan, inf and -0
-    included.
+    Row i is step first_step + i and then table's row i, every value
+    with exactly the bytes of '%.17g' % v: nan, inf and -0 included.
+    The step is formatted as one more float column (%.17g of a whole
+    float below 2**53 is its %d). Rows are formatted by numpy in chunks
+    of _CHUNK_ROWS, so the buffers stay small, and written as bytes.
+
+    The algorithm (_significand, then _format_rows). A finite value v
+    with 1e-270 <= |v| <= 1e290 has the 17 significant digits D =
+    round(|v| * 10**(16 - e)), e = floor(log10 |v|). The product is taken
+    in double-double arithmetic: a Dekker split of |v| times 10**k as
+    hi + lo, both built by _pow10 from integers the first time k occurs.
+    hi + lo is within 2**-106 of 10**k relatively, the split product is
+    exact and the few roundings left each err by at most a unit in the
+    last place of a number below 32, so y = |v| * 10**k is known to
+    within 1e-13 while y < 10**17. Where y's fraction is more than 1e-6
+    from a tie, rounding y to the nearest integer therefore gives the
+    correctly rounded digits that '%.17g' prints. log10 is good to an
+    ulp, so next to a power of ten e can be one off. One too high puts y
+    below 10**16 and D at 10**16 or less, which falls back (as D =
+    10**16 does for an exact power of ten). One too low puts y at 10**17
+    or more: D = 10**17 then means, as it does with e right, that |v|
+    rounds to the next power of ten, so the digits are 10**16 and the
+    exponent is e + 1; a larger D falls back. The text then follows
+    %g's rules: fixed notation for exponents -4 to 16, d.ddde+XX
+    otherwise, with the trailing zeros of the fraction and a bare point
+    dropped.
+
+    A value falls back to Python's '%.17g' only when it is outside that
+    range (subnormals among them), when y's fraction is within 1e-6 of a
+    tie, or when the rounded D is not in (10**16, 10**17]. nan, inf,
+    -inf, 0 and -0 are written by the numpy code itself.
     """
-    template = "%d," + ",".join(["%.17g"] * (len(cols) - 1)) + "\n"
-    with path.open("w") as fh:
-        fh.write(f"# sqc {__version__}\n{','.join(cols)}\n")
-        fh.writelines(template % (step, *row) for step, row in zip(steps, table.tolist()))
+    table = np.column_stack([first_step + np.arange(len(table), dtype=float), table])
+    with path.open("wb") as fh, np.errstate(all="ignore"):
+        fh.write(f"# sqc {__version__}\n{','.join(cols)}\n".encode())
+        for start in range(0, len(table), _CHUNK_ROWS):
+            fh.write(_format_rows(table[start:start + _CHUNK_ROWS]))
 
 
 def _write_trajectory_csv(path: Path, result: control.ScenarioResult) -> None:
@@ -50,7 +259,7 @@ def _write_trajectory_csv(path: Path, result: control.ScenarioResult) -> None:
         result.x, result.u, result.mean, result.cov.reshape(n, m * m),
         result.value.reshape(n, 1), result.log_n.reshape(n, 1),
     ])
-    _write_csv(path, cols, range(result.first_step, result.first_step + n), table)
+    _write_csv(path, cols, result.first_step, table)
 
 
 def _write_beliefs_csv(path: Path, first_step: int, mean: np.ndarray, cov: np.ndarray, loglik: np.ndarray) -> None:
@@ -62,7 +271,7 @@ def _write_beliefs_csv(path: Path, first_step: int, mean: np.ndarray, cov: np.nd
         + ["loglik"]
     )
     table = np.hstack([mean, cov.reshape(n, m * m), loglik.reshape(n, 1)])
-    _write_csv(path, cols, range(first_step, first_step + n), table)
+    _write_csv(path, cols, first_step, table)
 
 
 def _run_one_simulation(scenario, out_dir: Path) -> int:

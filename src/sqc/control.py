@@ -63,8 +63,12 @@ class ControlConfig:
         self.shift_map = _cholesky_solve(brb_chol, r_inv_bt.T).T
 
     def input_for_shift(self, shift: np.ndarray) -> np.ndarray:
-        """Map a mean shift to the input u with B u = shift (least effort)."""
-        return self.shift_map.dot(shift)
+        """Map a mean shift to the input u with B u = shift (least effort).
+
+        ``shift`` is one shift, (m,), or one per row, (n, m); u is then
+        (l,) or (n, l). run_closed_loop maps a run's shift column here.
+        """
+        return shift @ self.shift_map.T
 
 
 @dataclass
@@ -151,7 +155,7 @@ def run_closed_loop(
     return ScenarioResult(
         first_step=initial.step,
         x=x,
-        u=shift @ cfg.shift_map.T,
+        u=cfg.input_for_shift(shift),
         mean=mean,
         cov=cov,
         value=value,

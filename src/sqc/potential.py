@@ -205,11 +205,14 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
     ("constant", d) with d's m entries; or ("tanh_ramp", amplitude,
     rate, center), the level amplitude * (1 + tanh(rate * (t - center)))
     at step t. The form's constants are the barrier's a, or W's entries
-    row by row followed by the target's numbers in that order.
+    row by row followed by the target's numbers in that order. The float
+    form records its state dimension m as its ``dim``, which engine._run
+    compares with the model's before any step.
     """
     m = len(weights)
     constants = np.concatenate([np.ravel(weights), np.ravel(target[1:])]).astype(float).tolist()
     evaluate, inner = _form_factory(kind, m, None if kind == "log_barrier" else target[0])(*constants)
+    evaluate.dim = m
 
     def fn(x, t):
         x = _vector(x).tolist()

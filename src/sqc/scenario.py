@@ -109,6 +109,13 @@ def _spd_matrix(raw, label: str) -> np.ndarray:
     return mat
 
 
+def _square_to_dim(sigma_nu: np.ndarray, dim: int, what: str) -> np.ndarray:
+    # sigma_nu of a potential that weighs the whole state: (dim, dim).
+    if sigma_nu.shape != (dim, dim):
+        raise ValidationError(f"sigma_nu has shape {sigma_nu.shape}; {what} on state dim {dim} needs {(dim, dim)}")
+    return sigma_nu
+
+
 @dataclass
 class Scenario:
     """Validated scenario, ready to build a model and a potential."""
@@ -242,7 +249,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     target_params: dict = {}
     if kind in ("quadratic_penalty", "double_well"):
         params = _take(pot["params"], {"sigma_nu": ...}, "potential.params")
-        params["sigma_nu"] = _spd_matrix(params["sigma_nu"], "sigma_nu")
+        params["sigma_nu"] = _square_to_dim(_spd_matrix(params["sigma_nu"], "sigma_nu"), dim, kind)
         if pot["target"] is None:
             raise ValidationError(f"potential kind {kind!r} requires a target")
         tgt = _take(pot["target"], {"kind": ..., "params": ...}, "potential.target")
@@ -277,6 +284,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         if omap["kind"] == "identity":
             if omap["C"] is not None:
                 raise ValidationError("identity observation map takes no C")
+            _square_to_dim(params["sigma_nu"], dim, "an identity observation map")
             params["map"] = {"kind": "identity"}
         elif omap["kind"] == "linear":
             if omap["C"] is None:

@@ -206,6 +206,33 @@ def test_run_closed_loop_refusals_leave_the_generator_untouched():
         assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
+def test_run_closed_loop_refuses_a_bundled_potential_of_another_dim():
+    # A bundled float form records the state dimension it was built for,
+    # and engine._run compares it with the model's before any step or
+    # draw; a 2-D form on a 3-D state used to fail inside its own
+    # unpacking with a bare ValueError.
+    for name in ("penalty", "doublewell", "barrier"):
+        potential_fn = load_bundled(name).build_potential()
+        assert potential_fn.floats.dim == 2
+        initial = engine.GaussianBelief(mean=[0.5, 0.5, 0.5], cov=np.eye(3))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="the potential is built for dim 2; the model has dim 3"):
+            run_closed_loop(zero_model(3), potential_fn, initial, ControlConfig(B=np.eye(3), R=np.eye(3)), 50, rng)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
+
+def test_input_for_shift_maps_one_shift_or_a_column():
+    # The one shift-to-input map takes a run's shift column as well as a
+    # single shift, and each row reproduces its shift through B.
+    cfg = ControlConfig(B=np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 2.0]]), R=np.diag([1.0, 2.0, 3.0]))
+    shifts = np.random.default_rng(8).standard_normal((5, 2))
+    column = cfg.input_for_shift(shifts)
+    assert column.shape == (5, 3)
+    for shift, u in zip(shifts, column):
+        np.testing.assert_allclose(cfg.input_for_shift(shift), u, rtol=1e-14, atol=0.0)
+        assert rel_err(cfg.B @ u, shift) < 1e-12
+
+
 def test_run_scenario_bundled_penalty():
     result = run_scenario("penalty", overrides={"horizon": 50}, seed=3)
     assert result.completed and len(result.x) == 51

@@ -188,6 +188,38 @@ def test_scenario_rejects_bad_documents(mutation, message):
         scenario_from_dict(mutate(mutation))
 
 
+def _with_sigma_nu(doc, sigma_nu):
+    doc["potential"]["params"]["sigma_nu"] = sigma_nu
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, shape",
+    [
+        (_with_sigma_nu(penalty_doc(), 3), (1, 1)),
+        (_with_sigma_nu(penalty_doc(), np.eye(3).tolist()), (3, 3)),
+        (_with_sigma_nu(load_bundled("doublewell").to_dict(), [0.5]), (1, 1)),
+        (_with_sigma_nu(load_bundled("doublewell").to_dict(), np.eye(3).tolist()), (3, 3)),
+        (_with_sigma_nu(mutate(lambda d: _observed(d)["map"].update(kind="identity", C=None)),
+                        np.eye(3).tolist()), (3, 3)),
+    ],
+    ids=["penalty-scalar", "penalty-3x3", "doublewell-1", "doublewell-3x3", "identity-map-3x3"],
+)
+def test_scenario_refuses_sigma_nu_of_another_dim(tmp_path, capsys, doc, shape):
+    # A potential that weighs the whole state needs a (dim, dim) sigma_nu;
+    # the penalty and double well used to crash in their float forms.
+    message = rf"sigma_nu has shape \({shape[0]}, {shape[1]}\); .* on state dim 2 needs \(2, 2\)"
+    with pytest.raises(ValidationError, match=message):
+        scenario_from_dict(doc)
+    command = "filter" if doc["potential"]["kind"] == "observation" else "simulate"
+    obs = tmp_path / "obs.csv"
+    obs.write_text("step,y1,y2\n1,0.1,0.2\n")
+    argv = [command, "--scenario", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + (["--obs", str(obs)] if command == "filter" else [])) == 1
+    assert "error: sigma_nu has shape" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_scenario_accepts_badly_scaled_regular_matrices():
     # Only singularity is refused, not a spread of scales: each matrix
     # is exactly regular once scaled to a unit diagonal.
@@ -389,37 +421,96 @@ def rendered_per_value(step, values):
     return ",".join([str(step)] + [f"{v:.17g}" for v in values])
 
 
-def test_csv_writers_render_each_value_with_17_digits(tmp_path):
+def test_csv_writers_render_each_value_with_17_digits(tmp_path, monkeypatch):
     # Both writers must give exactly the text of formatting every value
-    # with f"{v:.17g}": signed zero, the smallest subnormal, values near
-    # the overflow limit, whole numbers and a nan loglik included.
-    odd = [-0.0, 5e-324, 1e308, 0.0, 3.0, -2.0, 1 / 3, -1e-300]
+    # with f"{v:.17g}": signed zero, nan, inf, whole numbers, and every
+    # case that falls back to Python: the smallest subnormal and values
+    # near the overflow limit (outside [1e-270, 1e290]), an exact tie
+    # (1 + 2**-17 has 18 digits, the last a 5), and 1e-7 and 100.0,
+    # whose rounded digits are 10**16 (log10 of the double nearest 1e-7
+    # reads -7, one too high), as are steps 1 and 10. Chunks of 1 and 4
+    # rows put chunk boundaries between rows of both files.
+    odd = [-0.0, 5e-324, 1e308, 0.0, 3.0, -2.0, 1 / 3, -1e-300,
+           1 + 2**-17, 1e-7, 100.0, float("inf"), -float("inf"), float("nan")]
+    fallbacks = [5e-324, 1e308, -1e-300, 1 + 2**-17, 1e-7, 100.0]
+    _, _, exact = cli._significand(np.array(fallbacks))
+    assert not exact.any()
     rng = np.random.default_rng(5)
-    v = np.array([rng.permutation(odd + list(rng.standard_normal(5))) for step in range(6)])
+    v = rng.permutation(odd * 4 + list(rng.standard_normal(11 * 13 - 4 * len(odd)))).reshape(11, 13)
     result = control.ScenarioResult(
-        first_step=0, x=v[:, 0:2], mean=v[:, 2:4], cov=v[:, 4:8].reshape(6, 2, 2), value=v[:, 8],
+        first_step=0, x=v[:, 0:2], mean=v[:, 2:4], cov=v[:, 4:8].reshape(11, 2, 2), value=v[:, 8],
         log_n=v[:, 9], u=v[:, 10:13], completed=True,
     )
-    path = tmp_path / "trajectory.csv"
-    cli._write_trajectory_csv(path, result)
-    rows = path.read_text().splitlines()[2:]
-    assert rows == [
-        rendered_per_value(i, [*result.x[i], *result.u[i], *result.mean[i], *result.cov[i].ravel(),
-                               result.value[i], result.log_n[i]])
-        for i in range(6)
-    ]
-
     mean = np.array([odd[i:i + 2] for i in range(3)])
     cov = np.array([odd[i + 2:i + 6] for i in range(3)]).reshape(3, 2, 2)
     logliks = [-0.0, float("nan"), 12.0]
-    path = tmp_path / "beliefs.csv"
-    cli._write_beliefs_csv(path, 0, mean, cov, np.array(logliks))
-    rows = path.read_text().splitlines()
-    assert rows[:2] == [f"# sqc {__version__}", "step,mean1,mean2,cov11,cov12,cov21,cov22,loglik"]
-    assert rows[2:] == [
-        rendered_per_value(i, [*mean[i], *cov[i].ravel(), ll]) for i, ll in enumerate(logliks)
-    ]
-    assert rows[3].endswith(",nan") and rows[2].startswith("0,-0,4.9406564584124654e-324,")
+    for chunk_rows in (1, 4, cli._CHUNK_ROWS):
+        monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "trajectory.csv"
+        cli._write_trajectory_csv(path, result)
+        rows = path.read_text().splitlines()[2:]
+        assert rows == [
+            rendered_per_value(i, [*result.x[i], *result.u[i], *result.mean[i], *result.cov[i].ravel(),
+                                   result.value[i], result.log_n[i]])
+            for i in range(11)
+        ]
+
+        path = tmp_path / "beliefs.csv"
+        cli._write_beliefs_csv(path, 0, mean, cov, np.array(logliks))
+        rows = path.read_text().splitlines()
+        assert rows[:2] == [f"# sqc {__version__}", "step,mean1,mean2,cov11,cov12,cov21,cov22,loglik"]
+        assert rows[2:] == [
+            rendered_per_value(i, [*mean[i], *cov[i].ravel(), ll]) for i, ll in enumerate(logliks)
+        ]
+        assert rows[3].endswith(",nan") and rows[2].startswith("0,-0,4.9406564584124654e-324,")
+
+
+def _near_ties(rng, per_case: int) -> np.ndarray:
+    # v = m * 2**(e - 38) in [10**e, 10**(e + 1)) has
+    # y = v * 10**(16 - e) = m * 5**(16 - e) / 2**22. Choosing m with
+    # m * 5**(16 - e) = 2**21 + r (mod 2**22) puts y's fraction at
+    # 0.5 + r / 2**22: an exact tie for r = 0, within 1e-6 of one for
+    # |r| <= 4 and just outside that band for 5 <= |r| <= 8.
+    out = []
+    for e in range(-7, 6):
+        scale = 2 ** (38 - e)
+        low = 10**e * scale if e >= 0 else -(-scale // 10**-e)
+        count = (10 ** (e + 1) * scale if e >= 0 else scale // 10 ** (-e - 1)) - low
+        inverse = pow(5 ** (16 - e), -1, 2**22)
+        for r in range(-8, 9):
+            m0 = (2**21 + r) * inverse % 2**22
+            k = rng.integers((low - m0) // 2**22 + 1, (low + count - m0) // 2**22, size=per_case)
+            out.append(np.ldexp((m0 + k * 2**22).astype(float), e - 38))
+    return np.concatenate(out)
+
+
+def test_csv_text_matches_percent_17g_on_a_million_values(tmp_path):
+    # The writer against Python's '%.17g', row by row, on 1,000,000
+    # values from a fixed seed: random bit patterns (nan and inf with
+    # payloads among them), subnormals, the doubles nearest 10**k and
+    # three ulps either side, whole numbers in [1e16, 1e17), exact ties
+    # (odd multiples of 2**-17 in [1, 10)), near ties (_near_ties), values
+    # spread over 16 decades, and zeros, nan and inf inside every chunk.
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64, size=430_000, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=40_000, dtype=np.uint64) << np.uint64(63)
+    subnormal = rng.integers(1, 2**52, size=40_000, dtype=np.uint64) | signs
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.uint64)
+    around_tens = (tens[:, None] + np.arange(-3, 4, dtype=np.int64).astype(np.uint64)).ravel()
+    whole = rng.integers(10**16, 10**17, size=100_000).astype(float)
+    ties = np.ldexp((rng.integers(2**16, 5 * 2**16, size=20_000) * 2 + 1).astype(float), -17)
+    spread = rng.standard_normal(300_000) * 10.0 ** rng.uniform(-8, 8, size=300_000)
+    values = np.concatenate([
+        bits.view(float), subnormal.view(float), around_tens.view(float), -around_tens.view(float), whole,
+        ties, _near_ties(rng, 300), spread,
+        [0.0, -0.0, np.nan, np.inf, -np.inf] * 2_000,
+    ])
+    values = rng.permutation(np.resize(values, 1_000_000)).reshape(100_000, 10)
+    path = tmp_path / "values.csv"
+    cli._write_csv(path, [f"c{i}" for i in range(11)], 0, values)
+    template = "%d," + ",".join(["%.17g"] * 10)
+    expected = [template % (step, *row) for step, row in enumerate(values.tolist())]
+    assert path.read_text().splitlines()[2:] == expected
 
 
 def test_simulate_missing_scenario_file(tmp_path, capsys):
