@@ -196,16 +196,23 @@ _STEP_RANGE = np.iinfo(int)
 
 
 def read_observations(path) -> ObservationStream:
-    """Load an observation CSV with header step,y1,...,yk."""
+    """Load an observation CSV with header step,y1,...,yk.
+
+    A file that is not CSV text, or whose header or lines do not fit
+    that form, raises ValidationError.
+    """
     import csv
 
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"observation file is not readable CSV text: {exc}") from None
     if not rows:
         return ObservationStream(steps=np.empty(0, dtype=int), values=np.empty((0, 0)))
     header = [c.strip() for c in rows[0]]
     k = len(header) - 1
-    if header[0] != "step" or k < 1 or header[1:] != [f"y{i}" for i in range(1, k + 1)]:
+    if k < 1 or header[0] != "step" or header[1:] != [f"y{i}" for i in range(1, k + 1)]:
         raise ValidationError(
             f"observation header must be step,y1,...,yk; got {','.join(header)}"
         )

@@ -487,8 +487,11 @@ def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
 
     The drift and its Jacobian are evaluated at the current step index,
     producing the predicted belief at step + 1. This is the array form
-    of the kernel's predict stage, kept as its reference.
+    of the kernel's predict stage, kept as its reference. A belief of
+    another dimension than the model's raises ValidationError.
     """
+    if belief.dim != model.dim:
+        raise ValidationError(f"belief has dim {belief.dim}; the model has dim {model.dim}")
     f = model.drift(belief.mean, belief.step)
     trans = transition_matrix(model, belief.mean, belief.step)
     mean = belief.mean + f * model.dt
@@ -520,6 +523,11 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     value, grad, h, curvature = _evaluation_floats(pot)
     m, k = belief.dim, len(grad)
     _check_fit(h, curvature, k, m)
+    if pot.grad_l.ndim != 1 or pot.H.shape != (k, m) or pot.curvature.shape != (k, k):
+        raise ValidationError(
+            f"potential grad_l {pot.grad_l.shape}, H {pot.H.shape} and curvature {pot.curvature.shape} "
+            f"do not fit k = {k} on dim {m}"
+        )
     retries = [0]
     sig, hld = _compiled("factor", k)(curvature, retries)
     mean, cov, _, log_n, script_n = _compiled("update", m, k)(

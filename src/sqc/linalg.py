@@ -26,9 +26,9 @@ JITTER = 1e-10
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (M + M^T)/2."""
+    """Return the symmetric part (M + M^T)/2 of a matrix, or of each matrix in a stack."""
     m = np.asarray(m, dtype=float)
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + (m.T if m.ndim <= 2 else m.swapaxes(-1, -2)))
 
 
 def spd_cholesky(a: np.ndarray) -> np.ndarray:
@@ -39,8 +39,18 @@ def spd_cholesky(a: np.ndarray) -> np.ndarray:
     through transient conditioning trouble; a genuinely indefinite
     matrix still raises NotPositiveDefinite, at once if its trace is
     not positive, since no bump could then be added.
+
+    A stack of matrices (..., n, n) is factored at once; if any of them
+    fails, each is factored on its own through that retry.
     """
-    return _jittered_cholesky(a)[0]
+    a = np.asarray(a, dtype=float)
+    if a.ndim <= 2:
+        return _jittered_cholesky(a)[0]
+    try:
+        return np.linalg.cholesky(symmetrize(a))
+    except np.linalg.LinAlgError:
+        flat = a.reshape(-1, *a.shape[-2:])
+        return np.stack([_jittered_cholesky(one)[0] for one in flat]).reshape(a.shape)
 
 
 def _jittered_cholesky(a: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -84,10 +94,15 @@ def _compile_source(lines: list, label: str, namespace: dict, name: str):
 
 
 def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L L^T x = b from the lower Cholesky factor L; b is 1-D or 2-D."""
+    """Solve L L^T x = b from the lower Cholesky factor L; b is 1-D or 2-D.
+
+    A stack of factors (..., n, n) takes a stack of right-hand sides
+    (..., n, r); pass a single one as an (..., n, 1) column, which
+    np.linalg.solve reads the same way on numpy 1.x and 2.x.
+    """
     # np.linalg.solve on L, then on L^T. For a diagonal factor this gives
     # the bits of LAPACK's potrs; otherwise they may differ in the last bit.
-    return np.linalg.solve(low.T, np.linalg.solve(low, np.asarray(b, dtype=float)))
+    return np.linalg.solve(low.swapaxes(-1, -2), np.linalg.solve(low, np.asarray(b, dtype=float)))
 
 
 def _strict_cholesky(a: np.ndarray) -> np.ndarray:
@@ -118,9 +133,9 @@ def spd_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an SPD matrix via its factorization, re-symmetrized."""
+    """Inverse of an SPD matrix, or of each in a stack, via its factorization, re-symmetrized."""
     low = spd_cholesky(a)
-    return symmetrize(_cholesky_solve(low, np.eye(low.shape[0])))
+    return symmetrize(_cholesky_solve(low, np.broadcast_to(np.eye(low.shape[-1]), low.shape)))
 
 
 def gaussian_log_density(diff: np.ndarray, cov: np.ndarray):

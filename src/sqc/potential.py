@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainViolation, NonFinite
+from .errors import DomainViolation, NonFinite, ValidationError
 from .linalg import _compile_source, _dot_source
 
 __all__ = [
@@ -207,7 +207,10 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
     at step t. The form's constants are the barrier's a, or W's entries
     row by row followed by the target's numbers in that order. The float
     form records its state dimension m as its ``dim``, which engine._run
-    compares with the model's before any step.
+    compares with the model's before any step; the closure itself
+    refuses a state of another length with ValidationError, so a
+    callable that wraps it fails the same way. The float form does not
+    check.
     """
     m = len(weights)
     constants = np.concatenate([np.ravel(weights), np.ravel(target[1:])]).astype(float).tolist()
@@ -216,6 +219,8 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
 
     def fn(x, t):
         x = _vector(x).tolist()
+        if len(x) != m:
+            raise ValidationError(f"the potential is built for dim {m}; the state has dim {len(x)}")
         value, grad, h, curvature = evaluate(x, t)
         grad = np.array(grad)
         counter = np.diag(2.0 * grad) if kind == "double_well" else np.zeros((m, m))

@@ -43,6 +43,9 @@ BUNDLED_SCENARIOS = ("penalty", "barrier", "doublewell")
 POTENTIAL_KINDS = ("quadratic_penalty", "log_barrier", "double_well", "observation")
 TARGET_KINDS = ("constant", "tanh_ramp")
 
+# Steps are numbered with numpy's default integer, a C long.
+_LAST_STEP = int(np.iinfo(int).max)
+
 
 def _whole(raw, label: str, minimum: int, wanted: str) -> int:
     # raw as an int: an int, or a float such as 3.0 that is whole; not a
@@ -96,8 +99,16 @@ def _flat_vector(raw, label: str) -> np.ndarray:
     return vec
 
 
-def _spd_matrix(raw, label: str) -> np.ndarray:
+def _matrix(raw, label: str) -> np.ndarray:
+    # A number, a flat list (one row) or a list of equal rows of finite numbers, as a 2-D array.
     mat = np.atleast_2d(_finite(raw, label))
+    if mat.ndim != 2:
+        raise ValidationError(f"{label} must be a matrix, a list of rows of numbers; got {mat.tolist()}")
+    return mat
+
+
+def _spd_matrix(raw, label: str) -> np.ndarray:
+    mat = _matrix(raw, label)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{label} must be square, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
@@ -289,7 +300,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         elif omap["kind"] == "linear":
             if omap["C"] is None:
                 raise ValidationError('linear observation map requires "C"')
-            c = np.atleast_2d(_finite(omap["C"], "observation map C"))
+            c = _matrix(omap["C"], "observation map C")
             if c.shape[1] != dim:
                 raise ValidationError(f"observation map C has {c.shape[1]} columns, state dim is {dim}")
             if params["sigma_nu"].shape[0] != c.shape[0]:
@@ -306,7 +317,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         r = np.eye(dim)
     else:
         ctl = _take(control, {"B": ..., "R": ...}, "control")
-        b = np.atleast_2d(_finite(ctl["B"], "B"))
+        b = _matrix(ctl["B"], "B")
         r = _spd_matrix(ctl["R"], "R")
         if b.shape[0] != dim:
             raise ValidationError(f"B has {b.shape[0]} rows, state dim is {dim}")
@@ -320,6 +331,8 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ValidationError(str(exc)) from None
 
     horizon = _whole(top["horizon"], "horizon", 1, "a whole number >= 1")
+    if horizon > _LAST_STEP:
+        raise ValidationError(f"horizon {horizon} is beyond the last step a C long can number, {_LAST_STEP}")
     mode = top["mode"]
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")

@@ -221,6 +221,22 @@ def test_run_closed_loop_refuses_a_bundled_potential_of_another_dim():
         assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
 
+def test_run_closed_loop_refuses_a_wrapped_bundled_potential_of_another_dim():
+    # A callable that wraps a bundled potential reaches the step loop
+    # through engine._floats' array adapter, which records no dim; the
+    # bundled closure compares the state's length with its own dim, so
+    # the 2-D penalty on a 3-D state is a ValidationError, not a bare
+    # ValueError from the float form's unpacking.
+    fn = load_bundled("penalty").build_potential()
+    wrapped = lambda x, t: fn(x, t)
+    initial = engine.GaussianBelief(mean=[0.5, 0.5, 0.5], cov=np.eye(3))
+    cfg = ControlConfig(B=np.eye(3), R=np.eye(3))
+    with pytest.raises(ValidationError, match="the potential is built for dim 2; the state has dim 3"):
+        run_closed_loop(zero_model(3), wrapped, initial, cfg, 20, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="the potential is built for dim 2; the state has dim 1"):
+        fn(np.array([0.5]), 0)
+
+
 def test_input_for_shift_maps_one_shift_or_a_column():
     # The one shift-to-input map takes a run's shift column as well as a
     # single shift, and each row reproduces its shift through B.

@@ -16,6 +16,7 @@ from conftest import counting_kernels, random_spd, rel_err
 from sqc import control, ekf, engine, linalg, oracle, process
 from sqc.errors import NonFinite, NotPositiveDefinite, ValidationError
 from sqc.potential import PotentialEvaluation, eval_quadratic_penalty
+from sqc.scenario import load_bundled
 
 
 def linear_model(a, dim, g_inv, dt=1.0):
@@ -62,6 +63,27 @@ def test_step_loops_refuse_a_belief_of_another_dim():
     stream = ekf.ObservationStream(steps=[0, 2], values=[[0.1, 0.2, 0.3], [0.0, 0.1, 0.2]])
     with pytest.raises(ValidationError, match="initial belief has dim 2; the model has dim 3"):
         ekf.filter_with_likelihood(model, obs, stream, belief)
+
+
+def test_predict_refuses_a_belief_of_another_dim():
+    # The public predict on the bundled double well's 2-D model: a 3-D
+    # or 1-D belief used to fail inside the drift's unpacking.
+    model = load_bundled("doublewell").build_model()
+    for mean in ([0.5, 0.5, 0.5], [0.5]):
+        belief = engine.GaussianBelief(mean=mean, cov=np.eye(len(mean)))
+        with pytest.raises(ValidationError, match=f"belief has dim {len(mean)}; the model has dim 2"):
+            engine.predict(belief, model)
+
+
+def test_update_refuses_a_potential_of_the_right_size_and_wrong_shape():
+    # H (1, 6) has the 6 entries of a (3, 2) H; read row-major it would
+    # pass as one silently.
+    belief = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2))
+    pot = PotentialEvaluation(
+        l=np.zeros(3), value=0.5, grad_l=np.ones(3), H=np.ones((1, 6)), curvature=np.eye(3), counter_curvature=np.zeros((2, 2))
+    )
+    with pytest.raises(ValidationError, match=r"H \(1, 6\) and curvature \(3, 3\) do not fit k = 3 on dim 2"):
+        engine.update(belief, pot, 1.0)
 
 
 def test_update_and_step_loop_refuse_a_potential_that_does_not_fit():

@@ -55,6 +55,28 @@ def test_spd_cholesky_jitter_rescues_semidefinite():
     np.testing.assert_allclose(low @ low.T, a, atol=1e-8)
 
 
+def test_stacks_factor_and_solve_as_their_matrices_do():
+    # A stack (n, m, m) gets each matrix's own bits. When one matrix
+    # needs the jittered retry, the stack falls back to factoring each
+    # matrix on its own; an indefinite one still raises.
+    rng = np.random.default_rng(4)
+    stack = np.array([random_spd(rng, 3) for _ in range(4)])
+    rhs = rng.standard_normal((4, 3, 1))
+    low = linalg.spd_cholesky(stack)
+    solved = linalg._cholesky_solve(low, rhs)
+    for i in range(4):
+        assert np.array_equal(low[i], linalg.spd_cholesky(stack[i]))
+        assert np.array_equal(solved[i][:, 0], linalg._cholesky_solve(low[i], rhs[i][:, 0]))
+        assert np.array_equal(linalg.symmetrize(stack)[i], linalg.symmetrize(stack[i]))
+    stack[2] = np.ones((3, 3))
+    low = linalg.spd_cholesky(stack)
+    for i in range(4):
+        assert np.array_equal(low[i], linalg.spd_cholesky(stack[i]))
+    stack[1] = -np.eye(3)
+    with pytest.raises(NotPositiveDefinite):
+        linalg.spd_cholesky(stack)
+
+
 def test_spd_solve_matches_dense_solve():
     # numpy 2 reads a 1-D right-hand side of np.linalg.solve as one
     # vector and a 2-D one as a matrix; spd_solve takes both.

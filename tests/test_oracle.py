@@ -146,28 +146,26 @@ def test_identity_suite_catches_corrupted_gain_update(monkeypatch):
 
 
 def test_identity_suite_catches_corrupted_precision_update(monkeypatch):
-    reference = oracle.precision_form
+    reference = oracle._precision_update
 
-    def corrupted(belief, pot, dt):
-        out, diag = reference(belief, pot, dt)
-        return engine.GaussianBelief(
-            mean=out.mean, cov=out.cov * (1 + 1e-4), step=out.step, tag=out.tag
-        ), diag
+    def corrupted(*args):
+        mean, cov, log_n, script_n = reference(*args)
+        return mean, cov * (1 + 1e-4), log_n, script_n
 
-    monkeypatch.setattr(oracle, "precision_form", corrupted)
+    monkeypatch.setattr(oracle, "_precision_update", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
     assert not report["passed"]
     assert any(f["check"] == "forms_cov" for f in report["failures"])
 
 
 def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
-    reference = oracle.precision_form
+    reference = oracle._precision_update
 
-    def corrupted(belief, pot, dt):
-        out, diag = reference(belief, pot, dt)
-        return out, engine.NormalizationDiagnostic(log_n=diag.log_n * (1 + 1e-6), script_n=diag.script_n)
+    def corrupted(*args):
+        mean, cov, log_n, script_n = reference(*args)
+        return mean, cov, log_n * (1 + 1e-6), script_n
 
-    monkeypatch.setattr(oracle, "precision_form", corrupted)
+    monkeypatch.setattr(oracle, "_precision_update", corrupted)
     report = oracle.identity_suite(seed=0, trials=60)
     assert not report["passed"]
     assert any(f["check"] == "determinant" for f in report["failures"])
@@ -175,13 +173,13 @@ def test_identity_suite_catches_corrupted_precision_normalization(monkeypatch):
 
 def test_identity_suite_fails_nan_errors(monkeypatch):
     # A nan error is no pass: err > 1e-8 and max() would both drop it.
-    reference = oracle.precision_form
+    reference = oracle._precision_update
 
-    def corrupted(belief, pot, dt):
-        out, diag = reference(belief, pot, dt)
-        return out, engine.NormalizationDiagnostic(log_n=float("nan"), script_n=diag.script_n)
+    def corrupted(*args):
+        mean, cov, log_n, script_n = reference(*args)
+        return mean, cov, np.full_like(log_n, np.nan), script_n
 
-    monkeypatch.setattr(oracle, "precision_form", corrupted)
+    monkeypatch.setattr(oracle, "_precision_update", corrupted)
     report = oracle.identity_suite(seed=0, trials=20)
     assert not report["passed"]
     assert sum(f["check"] == "determinant" for f in report["failures"]) == 20
@@ -224,6 +222,86 @@ def test_identity_suite_catches_corrupted_inversion_lemma(monkeypatch):
     report = oracle.identity_suite(seed=0, trials=60)
     assert not report["passed"]
     assert any(f["check"] == "cov_two_forms" for f in report["failures"])
+
+
+def test_stacked_reference_algebra_equals_one_instance_at_a_time():
+    # identity_suite runs the precision form and the inversion lemma on
+    # one (n, m, m) stack per (m, k); each instance must get the bits a
+    # call on it alone gives, for every shape the suite draws.
+    rng = np.random.default_rng(17)
+    for m in range(1, 7):
+        for k in range(1, 7):
+            n = 4
+            cov = np.array([oracle._random_spd(rng, m) for _ in range(n)])
+            curvature = np.array([oracle._random_spd(rng, k) for _ in range(n)])
+            h = rng.standard_normal((n, k, m))
+            h[1] = 0.0
+            grad_l, mean = rng.standard_normal((n, k)), rng.standard_normal((n, m))
+            value, dt = rng.standard_normal(n), rng.choice([0.25, 0.5, 1.0], size=n)
+            post_mean, post_cov, log_n, script_n = oracle._precision_update(mean, cov, h, curvature, grad_l, value, dt)
+            d = linalg.spd_inverse(curvature) / dt[:, None, None]
+            wood = oracle.woodbury_inverse(cov, h.swapaxes(-1, -2), d, h)
+            for i in range(n):
+                belief = engine.GaussianBelief(mean=mean[i], cov=cov[i])
+                pot = PotentialEvaluation._trusted(np.zeros(k), float(value[i]), grad_l[i], h[i], curvature[i], np.zeros((m, m)))
+                one, diag = oracle.precision_form(belief, pot, float(dt[i]))
+                assert np.array_equal(post_mean[i], one.mean) and np.array_equal(post_cov[i], one.cov), (m, k, i)
+                assert (log_n[i], script_n[i]) == (diag.log_n, diag.script_n), (m, k, i)
+                d_one = linalg.spd_inverse(curvature[i]) / float(dt[i])
+                assert np.array_equal(d[i], d_one), (m, k, i)
+                assert np.array_equal(wood[i], oracle.woodbury_inverse(cov[i], h[i].T, d_one, h[i])), (m, k, i)
+
+
+def test_woodbury_symmetrizes_each_matrix_of_a_stack_on_its_own():
+    # The symmetry test is per matrix: one asymmetric inverse in a stack
+    # must not keep the others from being symmetrized, nor be
+    # symmetrized itself.
+    rng = np.random.default_rng(5)
+    a_inv = np.array([oracle._random_spd(rng, 3) for _ in range(3)])
+    b = rng.standard_normal((3, 3, 2))
+    c = b.swapaxes(-1, -2).copy()
+    c[1] += 1.0  # C != B^T: that inverse is not symmetric
+    d = np.array([oracle._random_spd(rng, 2) for _ in range(3)])
+    stacked = oracle.woodbury_inverse(a_inv, b, d, c)
+    for i in range(3):
+        assert np.array_equal(stacked[i], oracle.woodbury_inverse(a_inv[i], b[i], d[i], c[i]))
+    assert not np.array_equal(stacked[1], stacked[1].T)
+    assert np.array_equal(stacked[0], stacked[0].T) and np.array_equal(stacked[2], stacked[2].T)
+
+
+def test_fp_convergence_residuals_equal_the_public_residual():
+    # The study's two-step residuals, with shared drifts and diffusions,
+    # have the bits of fokker_planck_residual on each case and dt.
+    report = oracle.fp_convergence()
+    grid = oracle.Grid1D(-9.0, 9.0, 2048)
+    x = grid.points()
+    density = np.exp(-0.5 * x**2) / np.sqrt(2 * np.pi)
+    cases = {
+        "free_diffusion": (free_diffusion_model(), None),
+        "linear_drift": (linear_drift_model(), None),
+        "constant_potential": (free_diffusion_model(), lambda x: 0.5),
+    }
+    assert list(report) == list(cases)
+    for name, (model, potential) in cases.items():
+        dts = report[name]["dts"]
+        assert dts == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+        expected = [oracle.fokker_planck_residual(model, potential, grid, density, dt) for dt in dts]
+        assert report[name]["residuals"] == expected, name
+
+
+def test_fp_convergence_diffuses_each_drift_and_dt_once(monkeypatch):
+    # Two drifts (zero and linear) at four dts: 8 kernel passes, where
+    # one fokker_planck_residual call per case and dt would make 12.
+    passes = []
+    diffuse = oracle._diffuse
+
+    def counted(grid, density, drift, g_inv, dt):
+        passes.append((drift.any(), dt))
+        return diffuse(grid, density, drift, g_inv, dt)
+
+    monkeypatch.setattr(oracle, "_diffuse", counted)
+    oracle.fp_convergence()
+    assert len(passes) == 8 and len(set(passes)) == 8
 
 
 def free_diffusion_model():
