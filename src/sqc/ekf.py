@@ -15,7 +15,8 @@ and the observation potential's float form: potential._bound's penalty
 at y with the target h(x), which gives l = y - h(x). That returns the
 same curvature tuple sigma_nu_inv at every observed step, so the loop
 factors it once per call, and None at unobserved steps, which keep the
-bare prediction. h and its Jacobian enter through their float forms
+bare prediction. Its ``k``, the observation width, tells the loop which
+kernel stage to run when step 0 has no observation. h and its Jacobian enter through their float forms
 when they carry one (the scenario's linear and identity maps do) and
 through .tolist() otherwise. The log normalization gives the
 marginal likelihood:
@@ -154,6 +155,8 @@ def filter_with_likelihood(
     observation of the wrong width, one before the initial step or
     beyond the horizon, or a horizon before the initial step raises
     ValidationError; a breakdown that stops engine._run is raised.
+    All the steps run in one call of the engine's loop stage for the
+    observation width.
     """
     k = len(obs_model.sigma_nu)
     if len(stream) and stream.values.shape[1] != k:
@@ -182,6 +185,7 @@ def filter_with_likelihood(
         value, grad, _, curvature = evaluate(y, h(x, t))
         return value, grad, h_jacobian(x, t), curvature
 
+    potential.k = k  # the loop's k where step 0 has no observation
     _, mean, cov, _, log_n, _, _, failure = engine._run(model, potential, initial_belief, horizon + 1 - start, 1.0)
     if failure is not None:
         try:

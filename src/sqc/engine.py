@@ -17,19 +17,26 @@ S = curvature^-1 / dt + H cov H^T:
 The inner solve lives in the usually smaller constraint dimension.
 
 The step kernel. For each state dimension m and constraint dimension k
-one template writes out the source of four functions, every matrix
+line generators write out the algebra of a step once, every matrix
 entry a Python float and every operation spelled out, with no loops
-and no numpy calls: predict, factor (the curvature's Cholesky factor,
-its inverse sigma_nu and log|curvature|/2), update (S, its Cholesky
+and no numpy calls: the prediction, the update (S, its Cholesky
 factor, the gain by substitution, the shift, the posterior moments,
-script_n and log_n) and sample (mean + chol(cov) z). Each function's
-source is compiled on first use for the dimensions it depends on and
-cached, as collections.namedtuple does; nothing is compiled at import
-or when a scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and row) costs about 5-7 us on a 2-vCPU Xeon VM
-(5001-step runs of the bundled penalty and double well, median of 21
-each). The bundled potentials' float forms are generated the same way
-(see potential).
+script_n and log_n) and the sample (mean + chol(cov) z). The kernel has
+three stages: factor (the curvature's Cholesky factor, its inverse
+sigma_nu and log|curvature|/2), update (the update lines as a function
+of their own, for update()) and loop, the step loop itself per (m, k,
+sampled or belief), with the prediction, update and sample lines
+inline on local floats. The only functions the loop calls are the
+drift, its Jacobian, the potential, factor when the curvature changes,
+_cholesky when a pivot fails, math's sqrt, log and isfinite, and the
+rows' list methods. Each stage's source is compiled on first use for
+the dimensions it depends on and cached, as collections.namedtuple
+does; nothing is compiled at import or when a scenario is loaded. At
+m = 2 a whole closed-loop step (drift, potential, kernel and row) costs
+about 4-5 us of CPU on a 2-vCPU Xeon VM (5001-step runs of the bundled
+penalty and double well, medians of 60 each, BENCH_23.json). The
+bundled potentials' float forms are generated the same way (see
+potential).
 
 A Cholesky pivot that is not > 0 hands the whole matrix to
 linalg.spd_cholesky, whose jittered retry keeps a run alive through
@@ -40,7 +47,8 @@ math.log on each entry.
 The kernel is the only update and _run the only step loop: the closed
 loop and the observation filter each hand _run their initial belief,
 step count and generator (or None); _run alone checks the belief's tag
-and dimension, and only then draws the run's noise. update() calls the
+and dimension, and only then draws the run's noise, as one flat block
+that the loop stage reads m floats per step. update() calls the
 kernel's update once for the posterior and its normalization, after
 checking dt and that H and the curvature fit the belief. _compiled
 hands out each stage and documents its arguments.
@@ -49,18 +57,18 @@ theirs as the ``floats`` attribute of their callables, the filter
 builds its own, and _floats adapts any other callable (including one
 that wraps a bundled one): it calls it with an array and reads a
 PotentialEvaluation as (V, grad_l, H, curvature) and any other
-result as a flat list of floats. _run factors a curvature only when
-it differs by value from the one it factored last, so a constant one
-is factored once per run on every path. Its rows are flat float
-columns that never leave it, so no per-step tuple outlives a step for
-the garbage collector to track; it returns them as arrays through
-_columns. _run also owns the breakdown policy: a DomainViolation,
-NonFinite or NotPositiveDefinite ends the run, and it returns the
-completed rows, the retry count and that failure for the caller to
-report or raise. predict() and sample_posterior() stay in numpy as the
-independent references for the kernel's predict and sample stages,
-and oracle.precision_form, the update and normalization through the
-precision matrix, is the reference for its update.
+result as a flat list of floats. The loop factors a curvature only
+when it differs by value from the one it factored last, so a constant
+one is factored once per run on every path. Its rows are flat float
+columns that never leave _run, so no per-step container outlives a
+step for the garbage collector to track; _run returns them as arrays
+through _columns. _run also owns the breakdown policy: a
+DomainViolation, NonFinite or NotPositiveDefinite ends the run, and it
+returns the completed rows, the retry count and that failure for the
+caller to report or raise. predict() and sample_posterior() stay in
+numpy as the independent references for the loop stage's prediction
+and sample, and oracle.precision_form, the update and normalization
+through the precision matrix, is the reference for its update.
 """
 
 from __future__ import annotations
@@ -68,6 +76,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -141,13 +150,38 @@ def _minus(first: str, terms: list) -> str:
     return first + "".join(f" - {t}" for t in terms)
 
 
+def _vector(name: str, n: int) -> list:
+    return [f"{name}{i}" for i in range(n)]
+
+
+def _matrix(name: str, rows: int, cols: int) -> list:
+    return [f"{name}{i}_{j}" for i in range(rows) for j in range(cols)]
+
+
+def _symmetric(name: str, n: int) -> list:
+    # The n x n matrix, row-major, read from its lower-triangle names.
+    return [f"{name}{max(i, j)}_{min(i, j)}" for i in range(n) for j in range(n)]
+
+
+def _tuple(names: list) -> str:
+    return f"({', '.join(names)},)"
+
+
 def _unpack(names: list, value: str) -> str:
-    return f"    {', '.join(names)}, = {value}"
+    return f"{', '.join(names)}, = {value}"
+
+
+def _assign(names: list, values: list) -> list:
+    return [f"{n} = {v}" for n, v in zip(names, values)]
+
+
+def _indent(lines: list, depth: int = 1) -> list:
+    return ["    " * depth + line for line in lines]
 
 
 def _finite_check(names: list, message: str) -> list:
     test = " and ".join(f"isfinite({n})" for n in names)
-    return [f"    if not ({test}):", f"        raise NonFinite({message})"]
+    return [f"if not ({test}):", f"    raise NonFinite({message})"]
 
 
 def _cholesky_lines(n: int, a: Callable, low: Callable) -> list:
@@ -155,8 +189,8 @@ def _cholesky_lines(n: int, a: Callable, low: Callable) -> list:
     # entries are named a(i, j), into the names low(i, j). Each column
     # nests inside the test of its pivot; if a pivot is not > 0 the
     # whole factor comes from _cholesky instead.
-    lines = [f"    pivot = {a(0, 0)}"]
-    pad = "    "
+    lines = [f"pivot = {a(0, 0)}"]
+    pad = ""
     for j in range(n):
         lines.append(f"{pad}if pivot > 0.0:")
         pad += "    "
@@ -169,8 +203,8 @@ def _cholesky_lines(n: int, a: Callable, low: Callable) -> list:
             lines.append(f"{pad}pivot = {_minus(a(j + 1, j + 1), dots)}")
     names = [low(i, j) for i in range(n) for j in range(i + 1)]
     rows = ", ".join("(" + ", ".join(a(i, j) for j in range(i + 1)) + ",)" for i in range(n))
-    lines.append("    if not pivot > 0.0:")
-    lines.append(f"        {', '.join(names)}, = _cholesky(({rows},), retries)")
+    lines.append("if not pivot > 0.0:")
+    lines.append(f"    {', '.join(names)}, = _cholesky(({rows},), retries)")
     return lines
 
 
@@ -178,130 +212,189 @@ def _half_logdet(n: int, low: Callable) -> str:
     return _sum([f"log({low(i, i)})" for i in range(n)])
 
 
-def _predict_source(m: int) -> list:
+# The three line generators below write the algebra of a step once.
+# Each reads and writes plain local names (x0, p0_1, ...): the update
+# stage and the loop stage put them in one function body.
+
+def _predict_lines(m: int) -> list:
+    # State x{i}, covariance p{i}_{j}, drift f{i}, its Jacobian j{i}_{j},
+    # noise q{i}_{j}, dt and t -> predicted mean m{i} and the lower
+    # triangle c{i}_{j} of its covariance.
     rm = range(m)
-    lines = [
-        "def predict(x, p, f, jac, q, dt, t):",
-        _unpack([f"x{i}" for i in rm], "x"),
-        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
-        _unpack([f"f{i}" for i in rm], "f"),
-        _unpack([f"j{i}_{j}" for i in rm for j in rm], "jac"),
-        _unpack([f"q{i}_{j}" for i in rm for j in rm], "q"),
-        "    # F = I + jac dt",
-    ]
+    lines = ["# F = I + jac dt"]
     lines += [
-        f"    a{i}_{j} = " + (f"1.0 + j{i}_{j} * dt" if i == j else f"j{i}_{j} * dt")
+        f"a{i}_{j} = " + (f"1.0 + j{i}_{j} * dt" if i == j else f"j{i}_{j} * dt")
         for i in rm for j in rm
     ]
-    lines.append("    # B = F P, then C = B F^T + q, symmetrized")
-    lines += [f"    b{i}_{j} = {_sum([f'a{i}_{l} * p{l}_{j}' for l in rm])}" for i in rm for j in rm]
+    lines.append("# B = F P, then C = B F^T + q, symmetrized")
+    lines += [f"b{i}_{j} = {_sum([f'a{i}_{l} * p{l}_{j}' for l in rm])}" for i in rm for j in rm]
     lines += [
-        f"    c{i}_{j} = ({_sum([f'b{i}_{l} * a{j}_{l}' for l in rm])}) + q{i}_{j}"
+        f"c{i}_{j} = ({_sum([f'b{i}_{l} * a{j}_{l}' for l in rm])}) + q{i}_{j}"
         for i in rm for j in rm
     ]
-    lines += [f"    c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
-    lines += [f"    m{i} = x{i} + f{i} * dt" for i in rm]
+    lines += [f"c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
+    lines += [f"m{i} = x{i} + f{i} * dt" for i in rm]
     lower = [f"c{i}_{j}" for i in rm for j in range(i + 1)]
     lines += _finite_check(
-        [f"m{i}" for i in rm] + lower, 'f"prediction to step {t + 1} has non-finite entries"'
+        _vector("m", m) + lower, 'f"prediction to step {t + 1} has non-finite entries"'
     )
-    cov = ", ".join(f"c{max(i, j)}_{min(i, j)}" for i in rm for j in rm)
-    lines.append(f"    return ({', '.join(f'm{i}' for i in rm)},), ({cov},)")
+    return lines
+
+
+def _update_lines(m: int, k: int) -> list:
+    # Mean m{i}, covariance p{i}_{j}, V as value, grad_l g{i}, H h{i}_{j},
+    # sigma_nu n{i}_{j}, hld, ldt, the time weight and t -> posterior
+    # mean u{i}, the lower triangle c{i}_{j} of its covariance, shift
+    # d{i}, log_n and script.
+    rm, rk = range(m), range(k)
+    lines = [
+        "if not isfinite(value):",
+        '    raise NonFinite("potential evaluation produced non-finite entries")',
+        "# A = H P, then the lower triangle of S = sigma_nu / weight + A H^T",
+    ]
+    lines += [f"a{i}_{j} = {_sum([f'h{i}_{l} * p{l}_{j}' for l in rm])}" for i in rk for j in rm]
+    lines += [
+        f"s{i}_{j} = n{i}_{j} / weight + ({_sum([f'a{i}_{l} * h{j}_{l}' for l in rm])})"
+        for i in rk for j in range(i + 1)
+    ]
+    lines += _cholesky_lines(k, lambda i, j: f"s{i}_{j}", lambda i, j: f"l{i}_{j}")
+    lines.append("# gain G = S^-1 A: L W = A, then L^T G = W")
+    for c in rm:
+        for i in rk:
+            terms = [f"l{i}_{p} * w{p}_{c}" for p in range(i)]
+            lines.append(f"w{i}_{c} = ({_minus(f'a{i}_{c}', terms)}) / l{i}_{i}")
+        for i in reversed(rk):
+            terms = [f"l{p}_{i} * k{p}_{c}" for p in range(i + 1, k)]
+            lines.append(f"k{i}_{c} = ({_minus(f'w{i}_{c}', terms)}) / l{i}_{i}")
+    lines.append("# shift = G^T sigma_nu grad, cov' = P - A^T G symmetrized")
+    lines += [f"e{i} = {_sum([f'n{i}_{j} * g{j}' for j in rk])}" for i in rk]
+    lines += [f"d{c} = {_sum([f'k{i}_{c} * e{i}' for i in rk])}" for c in rm]
+    lines += [
+        f"c{i}_{j} = p{i}_{j} - ({_sum([f'a{q}_{i} * k{q}_{j}' for q in rk])})"
+        for i in rm for j in rm
+    ]
+    lines += [f"c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
+    lines.append("# script_n = V - grad^T H shift / 2; log_n from the two half log-determinants")
+    lines += [f"r{i} = {_sum([f'h{i}_{j} * d{j}' for j in rm])}" for i in rk]
+    lines.append(f"script = value - 0.5 * ({_sum([f'g{i} * r{i}' for i in rk])})")
+    lines.append(f"log_n = {_half_logdet(k, lambda i, j: f'l{i}_{j}')} + hld + ldt + script * weight")
+    lines += [f"u{i} = m{i} + d{i}" for i in rm]
+    lower = [f"c{i}_{j}" for i in rm for j in range(i + 1)]
+    lines += _finite_check(
+        _vector("u", m) + lower, 'f"update at step {t} produced non-finite moments"'
+    )
+    return lines
+
+
+def _sample_lines(m: int) -> list:
+    # Mean m{i}, covariance p{i}_{j} and standard normal draws z{i} ->
+    # the state x{i} = mean + chol(cov) z.
+    rm = range(m)
+    lines = _cholesky_lines(m, lambda i, j: f"p{i}_{j}", lambda i, j: f"l{i}_{j}")
+    lines += [f"x{i} = m{i} + ({_sum([f'l{i}_{j} * z{j}' for j in range(i + 1)])})" for i in rm]
     return lines
 
 
 def _factor_source(k: int) -> list:
     rk = range(k)
-    lines = [
-        "def factor(c, retries):",
-        _unpack([f"c{i}_{j}" for i in rk for j in rk], "c"),
-    ]
+    lines = [_unpack(_matrix("c", k, k), "c")]
     lines += _cholesky_lines(k, lambda i, j: f"c{i}_{j}", lambda i, j: f"l{i}_{j}")
-    lines.append("    # sigma_nu = c^-1: L L^T V = I, one identity column at a time")
+    lines.append("# sigma_nu = c^-1: L L^T V = I, one identity column at a time")
     for col in rk:
         for i in range(col, k):
             if i == col:
-                lines.append(f"    w{i}_{col} = 1.0 / l{i}_{i}")
+                lines.append(f"w{i}_{col} = 1.0 / l{i}_{i}")
             else:
                 terms = [f"l{i}_{p} * w{p}_{col}" for p in range(col, i)]
-                lines.append(f"    w{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
+                lines.append(f"w{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
         for i in reversed(rk):
             terms = [f"l{p}_{i} * v{p}_{col}" for p in range(i + 1, k)]
             if i >= col:
-                lines.append(f"    v{i}_{col} = ({_minus(f'w{i}_{col}', terms)}) / l{i}_{i}")
+                lines.append(f"v{i}_{col} = ({_minus(f'w{i}_{col}', terms)}) / l{i}_{i}")
             else:
-                lines.append(f"    v{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
-    inverse = ", ".join(f"v{i}_{j}" for i in rk for j in rk)
-    lines.append(f"    return ({inverse},), {_half_logdet(k, lambda i, j: f'l{i}_{j}')}")
-    return lines
+                lines.append(f"v{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
+    lines.append(f"return {_tuple(_matrix('v', k, k))}, {_half_logdet(k, lambda i, j: f'l{i}_{j}')}")
+    return ["def factor(c, retries):", *_indent(lines)]
 
 
 def _update_source(m: int, k: int) -> list:
-    rm, rk = range(m), range(k)
     lines = [
-        "def update(mean, p, value, grad, h, sig, hld, ldt, dt, t, retries):",
-        "    if not isfinite(value):",
-        '        raise NonFinite("potential evaluation produced non-finite entries")',
-        _unpack([f"m{i}" for i in rm], "mean"),
-        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
-        _unpack([f"g{i}" for i in rk], "grad"),
-        _unpack([f"h{i}_{j}" for i in rk for j in rm], "h"),
-        _unpack([f"n{i}_{j}" for i in rk for j in rk], "sig"),
-        "    # A = H P, then the lower triangle of S = sigma_nu / dt + A H^T",
+        _unpack(_vector("m", m), "mean"),
+        _unpack(_matrix("p", m, m), "p"),
+        _unpack(_vector("g", k), "grad"),
+        _unpack(_matrix("h", k, m), "h"),
+        _unpack(_matrix("n", k, k), "sig"),
+        *_update_lines(m, k),
+        f"return {_tuple(_vector('u', m))}, {_tuple(_symmetric('c', m))}, {_tuple(_vector('d', m))}, log_n, script",
     ]
-    lines += [f"    a{i}_{j} = {_sum([f'h{i}_{l} * p{l}_{j}' for l in rm])}" for i in rk for j in rm]
-    lines += [
-        f"    s{i}_{j} = n{i}_{j} / dt + ({_sum([f'a{i}_{l} * h{j}_{l}' for l in rm])})"
-        for i in rk for j in range(i + 1)
-    ]
-    lines += _cholesky_lines(k, lambda i, j: f"s{i}_{j}", lambda i, j: f"l{i}_{j}")
-    lines.append("    # gain G = S^-1 A: L W = A, then L^T G = W")
-    for c in rm:
-        for i in rk:
-            terms = [f"l{i}_{p} * w{p}_{c}" for p in range(i)]
-            lines.append(f"    w{i}_{c} = ({_minus(f'a{i}_{c}', terms)}) / l{i}_{i}")
-        for i in reversed(rk):
-            terms = [f"l{p}_{i} * k{p}_{c}" for p in range(i + 1, k)]
-            lines.append(f"    k{i}_{c} = ({_minus(f'w{i}_{c}', terms)}) / l{i}_{i}")
-    lines.append("    # shift = G^T sigma_nu grad, cov' = P - A^T G symmetrized")
-    lines += [f"    e{i} = {_sum([f'n{i}_{j} * g{j}' for j in rk])}" for i in rk]
-    lines += [f"    d{c} = {_sum([f'k{i}_{c} * e{i}' for i in rk])}" for c in rm]
-    lines += [
-        f"    c{i}_{j} = p{i}_{j} - ({_sum([f'a{q}_{i} * k{q}_{j}' for q in rk])})"
-        for i in rm for j in rm
-    ]
-    lines += [f"    c{i}_{j} = 0.5 * (c{i}_{j} + c{j}_{i})" for i in rm for j in range(i)]
-    lines.append("    # script_n = V - grad^T H shift / 2; log_n from the two half log-determinants")
-    lines += [f"    r{i} = {_sum([f'h{i}_{j} * d{j}' for j in rm])}" for i in rk]
-    lines.append(f"    script = value - 0.5 * ({_sum([f'g{i} * r{i}' for i in rk])})")
-    lines.append(
-        f"    log_n = {_half_logdet(k, lambda i, j: f'l{i}_{j}')} + hld + ldt + script * dt"
-    )
-    lines += [f"    u{i} = m{i} + d{i}" for i in rm]
-    lower = [f"c{i}_{j}" for i in rm for j in range(i + 1)]
-    lines += _finite_check(
-        [f"u{i}" for i in rm] + lower, 'f"update at step {t} produced non-finite moments"'
-    )
-    cov = ", ".join(f"c{max(i, j)}_{min(i, j)}" for i in rm for j in rm)
-    lines.append(
-        f"    return ({', '.join(f'u{i}' for i in rm)},), ({cov},), "
-        f"({', '.join(f'd{i}' for i in rm)},), log_n, script"
-    )
-    return lines
+    return ["def update(mean, p, value, grad, h, sig, hld, ldt, weight, t, retries):", *_indent(lines)]
 
 
-def _sample_source(m: int) -> list:
-    rm = range(m)
-    lines = [
-        "def sample(mean, p, z, retries):",
-        _unpack([f"m{i}" for i in rm], "mean"),
-        _unpack([f"p{i}_{j}" for i in rm for j in rm], "p"),
-        _unpack([f"z{i}" for i in rm], "z"),
+def _loop_source(m: int, k: int, sampled: bool) -> list:
+    # The step loop: each pass but the first predicts and evaluates the
+    # potential (the first takes both as given); every pass updates (or
+    # keeps the bare prediction where the potential is None), draws or
+    # takes the mean, and extends the rows.
+    # A potential whose grad_l, H or curvature does not fit k returns
+    # the step's predicted state, its evaluation and its draws to _run.
+    mean, cov, x, shift = _vector("m", m), _matrix("p", m, m), _vector("x", m), _vector("d", m)
+    z = _vector("z", m) if sampled else ["z"]
+    resume = f"return t, {_tuple(mean)}, {_tuple(cov)}, pot, {_tuple(z)}"
+    step = [
+        "if first:",
+        "    first = False",
+        "else:",
+        *_indent([
+            _unpack(_vector("f", m), "drift(x, t)"),
+            _unpack(_matrix("j", m, m), "jacobian(x, t)"),
+            *_predict_lines(m),
+            *_assign(cov, _symmetric("c", m)),
+            "t += 1",
+            f"pot = evaluate({_tuple(mean)}, t)",
+        ]),
+        "if pot is None:",
+        "    value = log_n = nan",
+        f"    {' = '.join(shift)} = 0.0",
+        "else:",
+        *_indent([
+            "value, grad, h, curv = pot",
+            "if curv != factored:",
+            f"    if len(grad) != {k} or len(curv) != {k * k}:",
+            f"        {resume}",
+            "    sig, hld = factor(curv, retries)",
+            f"    {_unpack(_matrix('n', k, k), 'sig')}",
+            "    factored = curv",
+            "try:",
+            f"    {_unpack(_vector('g', k), 'grad')}",
+            f"    {_unpack(_matrix('h', k, m), 'h')}",
+            "except ValueError:",
+            f"    {resume}",
+            *_update_lines(m, k),
+            *_assign(mean, _vector("u", m)),
+            *_assign(cov, _symmetric("c", m)),
+        ]),
+        *(_sample_lines(m) if sampled else _assign(x, mean)),
+        f"x = {_tuple(x)}",
+        "xs.extend(x)",
+        f"means.extend({_tuple(mean)})",
+        f"covs.extend({_tuple(cov)})",
+        "values.append(value)",
+        "log_ns.append(log_n)",
+        f"shifts.extend({_tuple(shift)})",
     ]
-    lines += _cholesky_lines(m, lambda i, j: f"p{i}_{j}", lambda i, j: f"l{i}_{j}")
-    draws = [f"m{i} + ({_sum([f'l{i}_{j} * z{j}' for j in range(i + 1)])})" for i in rm]
-    lines.append(f"    return ({', '.join(draws)},)")
-    return lines
+    head = f"for {', '.join(z)}, in zip({', '.join(['draws'] * m)}):" if sampled else "for z in draws:"
+    lines = [
+        _unpack(mean, "mean"),
+        _unpack(cov, "p"),
+        _unpack(_matrix("q", m, m), "noise"),
+        "xs, means, covs, values, log_ns, shifts = rows",
+        "factored = None",
+        "first = True",
+        head,
+        *_indent(step),
+    ]
+    signature = "def loop(draws, mean, p, pot, t, drift, jacobian, evaluate, factor, noise, dt, weight, ldt, retries, rows):"
+    return [signature, *_indent(lines)]
 
 
 def _cholesky(rows, retries) -> list:
@@ -318,31 +411,39 @@ def _cholesky(rows, retries) -> list:
 
 
 _STAGES = {
-    "predict": _predict_source,
     "factor": _factor_source,
     "update": _update_source,
-    "sample": _sample_source,
+    "loop": _loop_source,
 }
 
 
 @lru_cache(maxsize=None)
-def _compiled(stage: str, *dims: int) -> Callable:
+def _compiled(stage: str, *dims) -> Callable:
     """One stage of the step kernel, compiled on first use for its dimensions.
 
-    predict and sample depend on the state dimension m, factor on the
-    constraint dimension k, update on (m, k). Arguments and results are
-    float sequences, matrices flat in row-major order: predict(x, p, f,
-    jac, q, dt, t) -> (mean, cov); factor(c, retries) -> (c^-1,
-    log|c|/2); update(mean, p, value, grad, h, sig, hld, ldt, dt, t,
-    retries) -> (mean, cov, shift, log_n, script_n), where sig =
-    curvature^-1, hld its factor's log|curvature|/2 and ldt = (k/2)
-    log dt; sample(mean, p, z, retries) -> x. ``retries`` is a
-    one-entry list that counts the jittered Cholesky retries.
+    factor depends on the constraint dimension k, update on (m, k) and
+    loop on (m, k, sampled). Arguments and results are float sequences,
+    matrices flat in row-major order, and ``retries`` is a one-entry
+    list that counts the jittered Cholesky retries.
+
+    factor(c, retries) -> (c^-1, log|c|/2).
+    update(mean, p, value, grad, h, sig, hld, ldt, weight, t, retries)
+    -> (mean, cov, shift, log_n, script_n), where sig = curvature^-1,
+    hld its factor's log|curvature|/2 and ldt = (k/2) log weight.
+    loop(draws, mean, p, pot, t, drift, jacobian, evaluate, factor,
+    noise, dt, weight, ldt, retries, rows) runs _run's steps from the
+    predicted belief (mean, p) at step t and its evaluation ``pot``,
+    one step per m floats of the iterator ``draws`` (sampled) or per
+    entry (belief), and extends _run's six ``rows``. It returns None
+    when ``draws`` is spent, or (t, mean, p, pot, z) at a step whose
+    potential does not fit k: that step's predicted belief, its
+    evaluation and the draws it took.
     """
     namespace = {
         "sqrt": math.sqrt,
         "log": math.log,
         "isfinite": math.isfinite,
+        "nan": math.nan,
         "NonFinite": NonFinite,
         "_cholesky": _cholesky,
     }
@@ -372,9 +473,15 @@ def _floats(fn: Callable) -> Callable:
     return adapter
 
 
-def _check_fit(h, curv, k: int, m: int) -> None:
+def _check_fit(h, curv, k: int, m: int, step: int) -> None:
     if len(h) != k * m or len(curv) != k * k:
-        raise ValidationError(f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m}")
+        raise ValidationError(
+            f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m} at step {step}"
+        )
+
+
+# The most float64 entries one array can hold.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 def _run(
@@ -387,19 +494,27 @@ def _run(
 ) -> tuple:
     """The recursion loop of the closed loop and the filter.
 
-    Runs ``steps`` steps from the ``initial`` belief, which must be
-    tagged predicted and have the model's dimension, as must a float
-    form that records its ``dim`` (the bundled potentials' do), or
-    ValidationError is raised before anything is drawn. Only then are
-    all the steps' standard normal draws taken from ``rng``. The first
-    step updates the belief as given, every later one first predicts.
-    Each step evaluates the potential's float form ``evaluate`` at the
-    predicted mean (its first H and curvature must fit the state, or
-    ValidationError is raised), updates with time weight ``weight``, and
-    takes the next state from the posterior with its draw, or the
-    posterior mean where ``rng`` is None. Where ``evaluate`` returns
-    None the step keeps the bare prediction, with V and log_n nan and a
-    zero shift.
+    Runs ``steps`` (>= 1) steps from the ``initial`` belief, which must
+    be tagged predicted and have the model's dimension, as must a float
+    form that records its ``dim`` (the bundled potentials' do), and the
+    run's covariance column must fit in one array, or ValidationError is
+    raised before anything is drawn. Only then are all the steps'
+    standard normal draws taken from ``rng``, as one flat block. The
+    first step updates the belief as given, every later one first
+    predicts. Each step evaluates the potential's float form
+    ``evaluate`` at the predicted mean, updates with time weight
+    ``weight``, and takes the next state from the posterior with its
+    draw, or the posterior mean where ``rng`` is None. Where
+    ``evaluate`` returns None the step keeps the bare prediction, with V
+    and log_n nan and a zero shift.
+
+    The steps run in the kernel's loop stage for the constraint
+    dimension k, which comes from the first evaluation, or where that is
+    None from ``evaluate.k`` (the filter's observation width). When a
+    step's grad_l, H or curvature does not fit that k, the stage hands
+    the step back: its H and curvature must fit the new k, or
+    ValidationError names the step and the sizes, and the run goes on
+    in the new k's stage with the rest of the draws.
 
     Returns (x, mean, cov, V, log_n, shift, jitter_retries, failure):
     the completed steps' rows as _columns gives them, the count of
@@ -417,50 +532,34 @@ def _run(
     if form_dim != model.dim:
         raise ValidationError(f"the potential is built for dim {form_dim}; the model has dim {model.dim}")
     m, dt, t = model.dim, model.dt, initial.step
-    # One block of draws: standard_normal((steps, m)) gives the same
-    # numbers as steps calls of standard_normal(m).
-    draws = [None] * steps if rng is None else rng.standard_normal((steps, m)).tolist()
+    if steps * m * m > _MAX_ENTRIES:
+        raise ValidationError(f"{steps} steps are too many: the {steps} x {m} x {m} covariance column exceeds any array")
+    # One flat block of draws, m per step: standard_normal((steps, m))
+    # gives the same numbers as steps calls of standard_normal(m). A
+    # belief run takes one None per step.
+    draws = iter([None] * steps if rng is None else rng.standard_normal((steps, m)).ravel().tolist())
     drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
-    predict, sample = _compiled("predict", m), _compiled("sample", m)
-    # k comes from the first evaluation; (sig, hld) factor ``factored``.
-    k = factored = None
     noise = model.noise_cov.ravel().tolist()
-    x, p = initial.mean.tolist(), initial.cov.ravel().tolist()
+    mean, p = initial.mean.tolist(), initial.cov.ravel().tolist()
     # Flat float columns, m (x, mean, shift), m * m (cov) or one (V,
     # log_n) entries per step, so only floats outlive a step.
-    rows = xs, means, covs, values, log_ns, shifts = [], [], [], [], [], []
+    rows = ([], [], [], [], [], [])
     retries = [0]
-    first = True
     try:
-        for z in draws:
-            if first:
-                first = False
-                mn = x
-            else:
-                mn, p = predict(x, p, drift(x, t), jacobian(x, t), noise, dt, t)
-                t += 1
-            pot = evaluate(mn, t)
-            if pot is None:
-                value = log_n = math.nan
-                shift = (0.0,) * m
-            else:
-                value, grad, h, curv = pot
-                if curv != factored:
-                    if len(grad) != k:
-                        k = len(grad)
-                        _check_fit(h, curv, k, m)
-                        factor, update = _compiled("factor", k), _compiled("update", m, k)
-                        ldt = 0.5 * k * math.log(weight)
-                    sig, hld = factor(curv, retries)
-                    factored = curv
-                mn, p, shift, log_n, _ = update(mn, p, value, grad, h, sig, hld, ldt, weight, t, retries)
-            x = mn if z is None else sample(mn, p, z, retries)
-            xs.extend(x)
-            means.extend(mn)
-            covs.extend(p)
-            values.append(value)
-            log_ns.append(log_n)
-            shifts.extend(shift)
+        pot = evaluate(mean, t)
+        k = evaluate.k if pot is None else len(pot[1])
+        while True:
+            if pot is not None:
+                _check_fit(pot[2], pot[3], k, m, t)
+            resume = _compiled("loop", m, k, rng is not None)(
+                draws, mean, p, pot, t, drift, jacobian, evaluate, _compiled("factor", k), noise, dt, weight,
+                0.5 * k * math.log(weight), retries, rows,
+            )
+            if resume is None:
+                break
+            t, mean, p, pot, taken = resume
+            k = len(pot[1])
+            draws = chain(taken, draws)
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
         # Returned from here: a local naming the exception would make a
         # cycle through its traceback, which refers to this frame.
@@ -487,7 +586,7 @@ def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
 
     The drift and its Jacobian are evaluated at the current step index,
     producing the predicted belief at step + 1. This is the array form
-    of the kernel's predict stage, kept as its reference. A belief of
+    of the loop stage's prediction, kept as its reference. A belief of
     another dimension than the model's raises ValidationError.
     """
     if belief.dim != model.dim:
@@ -522,7 +621,7 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
         raise ValidationError(f"dt must be positive and finite; got {dt!r}")
     value, grad, h, curvature = _evaluation_floats(pot)
     m, k = belief.dim, len(grad)
-    _check_fit(h, curvature, k, m)
+    _check_fit(h, curvature, k, m, belief.step)
     if pot.grad_l.ndim != 1 or pot.H.shape != (k, m) or pot.curvature.shape != (k, k):
         raise ValidationError(
             f"potential grad_l {pot.grad_l.shape}, H {pot.H.shape} and curvature {pot.curvature.shape} "
@@ -541,7 +640,7 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
 
 
 def sample_posterior(belief: GaussianBelief, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state from the belief (the array form of the kernel's sample stage)."""
+    """Draw one state from the belief (the array form of the loop stage's sample)."""
     low = spd_cholesky(belief.cov)
     return belief.mean + low @ rng.standard_normal(belief.dim)
 

@@ -397,6 +397,66 @@ def test_closed_loop_adapter_path_matches_reference(monkeypatch, mode):
     assert_loops_agree(result, rows, failed_step)
 
 
+def tanh_potential(c, w, d):
+    """l = tanh(C x) - d, V = l^T w l / 2, as a PotentialEvaluation."""
+
+    def potential_fn(x_hat, t):
+        inner = np.tanh(c @ x_hat)
+        l = inner - d
+        grad = w @ l
+        return PotentialEvaluation(
+            l=l, value=0.5 * float(l @ grad), grad_l=grad, H=-(1.0 - inner**2)[:, None] * c,
+            curvature=w, counter_curvature=np.zeros((len(x_hat), len(x_hat))),
+        )
+
+    return potential_fn
+
+
+@pytest.mark.parametrize("mode", ["sampled", "belief"])
+def test_loop_stage_matches_reference_for_every_shape(monkeypatch, mode):
+    # Every (m, k) up to 4 x 4: one run of the loop stage for its shape
+    # against the reference loop, with the bounds of the adapter test.
+    loops = counting_kernels(monkeypatch, "loop")
+    rng = np.random.default_rng(43)
+    for m in range(1, 5):
+        for k in range(1, 5):
+            drift, jacobian = process.make_drift("linear", {"A": 0.05 * rng.standard_normal((m, m))}, m)
+            model = process.ItoProcessModel(
+                dim=m, drift=drift, drift_jacobian=jacobian, g_inv=0.01 * random_spd(rng, m)
+            )
+            potential_fn = tanh_potential(rng.standard_normal((k, m)), 5.0 * random_spd(rng, k), rng.standard_normal(k))
+            initial = engine.GaussianBelief(mean=rng.standard_normal(m), cov=0.5 * np.eye(m))
+            cfg = ControlConfig(B=np.eye(m), R=np.eye(m))
+            seed = int(rng.integers(1000))
+            loops.clear()
+            result = run_closed_loop(model, potential_fn, initial, cfg, 40, np.random.default_rng(seed), mode)
+            assert result.completed and loops == [(m, k, mode == "sampled")]
+            rows, failed_step = reference_loop(model, potential_fn, initial, cfg, 40, np.random.default_rng(seed), mode)
+            assert_loops_agree(result, rows, failed_step)
+
+
+@pytest.mark.parametrize("mode", ["sampled", "belief"])
+def test_closed_loop_follows_a_constraint_dimension_that_changes(monkeypatch, mode):
+    # k = 2 until step 3, then k = 1: the loop stage for k = 2 hands step
+    # 3 back to engine._run, which checks the fit and runs the rest in
+    # the stage for k = 1 with the same draws; every row matches the
+    # reference loop.
+    loops = counting_kernels(monkeypatch, "loop")
+    rng = np.random.default_rng(47)
+    drift, jacobian = process.make_drift("linear", {"A": 0.05 * rng.standard_normal((2, 2))}, 2)
+    model = process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jacobian, g_inv=0.01 * np.eye(2))
+    two = tanh_potential(rng.standard_normal((2, 2)), 5.0 * random_spd(rng, 2), np.array([0.2, -0.1]))
+    one = tanh_potential(rng.standard_normal((1, 2)), np.array([[3.0]]), np.array([0.3]))
+    potential_fn = lambda x, t: two(x, t) if t < 3 else one(x, t)
+    initial = engine.GaussianBelief(mean=[0.4, -0.3], cov=0.5 * np.eye(2))
+    cfg = ControlConfig(B=np.eye(2), R=np.eye(2))
+    result = run_closed_loop(model, potential_fn, initial, cfg, 30, np.random.default_rng(9), mode)
+    assert result.completed and len(result.x) == 31
+    assert loops == [(2, 2, mode == "sampled"), (2, 1, mode == "sampled")]
+    rows, failed_step = reference_loop(model, potential_fn, initial, cfg, 30, np.random.default_rng(9), mode)
+    assert_loops_agree(result, rows, failed_step)
+
+
 def test_jitter_retries_are_counted():
     # Two constraints on x1 with a huge curvature: sigma_nu = 1e-20 I
     # vanishes next to H cov H^T, so S is exactly cov11 * ones, whose

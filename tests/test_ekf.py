@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from conftest import counting_kernels, observation_potential, random_spd, rel_err
-from sqc import ekf, engine, process
+from sqc import ekf, engine, oracle, process
 from sqc.errors import NotPositiveDefinite, ValidationError
 from sqc.potential import eval_quadratic_penalty
 
@@ -149,6 +149,43 @@ def test_filter_with_likelihood_sparse_observations():
             ref = engine.predict(engine.GaussianBelief(mean=mean[i - 1], cov=cov[i - 1], step=step - 1), model)
         assert rel_err(mean[i], ref.mean) < 1e-14
         assert rel_err(cov[i], ref.cov) < 1e-14
+
+
+def test_filter_loop_stage_matches_reference_for_every_shape(monkeypatch):
+    # Every (m, k) up to 4 x 4 on a gapped stream with no observation at
+    # step 0: the filter runs in one loop stage, for the observation
+    # width, and matches a reference loop of engine.predict and the
+    # oracle's precision form in every row and log likelihood.
+    loops = counting_kernels(monkeypatch, "loop")
+    rng = np.random.default_rng(31)
+    steps = np.array([2, 3, 4, 7, 11, 12, 19])
+    for m in range(1, 5):
+        for k in range(1, 5):
+            c = rng.standard_normal((k, m))
+            obs = ekf.ObservationModel(
+                h=lambda x, t, c=c: np.tanh(c @ x),
+                h_jacobian=lambda x, t, c=c: (1.0 - np.tanh(c @ x) ** 2)[:, None] * c,
+                sigma_nu=random_spd(rng, k),
+            )
+            model = linear_model(0.1 * rng.standard_normal((m, m)), m, 0.05 * random_spd(rng, m))
+            stream = ekf.ObservationStream(steps=steps, values=rng.standard_normal((len(steps), k)))
+            initial = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m))
+            loops.clear()
+            mean, cov, loglik = ekf.filter_with_likelihood(model, obs, stream, initial, horizon=21)
+            assert loops == [(m, k, False)] and len(mean) == 22
+
+            belief, by_step = initial, dict(zip(steps.tolist(), stream.values))
+            for step in range(22):
+                pred = belief if step == 0 else engine.predict(belief, model)
+                if step in by_step:
+                    pot = observation_potential(obs, by_step[step], pred.mean, step)
+                    belief, diag = oracle.precision_form(pred, pot, 1.0)
+                    assert loglik[step] == pytest.approx(obs.log_density_offset - diag.log_n, rel=1e-9, abs=1e-10)
+                else:
+                    belief = pred
+                    assert np.isnan(loglik[step])
+                assert rel_err(mean[step], belief.mean) < 1e-10, (m, k, step)
+                assert rel_err(cov[step], belief.cov) < 1e-10, (m, k, step)
 
 
 def test_filter_loglik_matches_marginal_likelihood():

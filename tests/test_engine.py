@@ -195,13 +195,30 @@ def test_kernel_matches_precision_form_for_every_shape(h_zero):
             assert script_n == pytest.approx(ref_diag.script_n, rel=1e-9, abs=1e-10), (m, k)
 
 
+def loop_step(mean, p, pot, z, retries):
+    """One sampled step of the generated m = 2, k = 2 loop stage.
+
+    The belief (mean, p) is updated with the float potential ``pot``
+    and a state drawn with ``z``, as _run's first step, which is not
+    predicted. Returns the stage's six row columns.
+    """
+    rows = ([], [], [], [], [], [])
+    done = engine._compiled("loop", 2, 2, True)(
+        iter(z), mean, p, pot, 0, None, None, None, engine._compiled("factor", 2),
+        [0.0] * 4, 1.0, 1.0, 0.0, retries, rows,
+    )
+    assert done is None
+    return rows
+
+
 def test_kernel_cholesky_falls_back_to_jittered_factor():
     # With H = 0 the kernel factors S = sigma_nu / dt itself. An S of all
     # ones has second pivot 1 - 1 * 1 = 0, so the factor must be
     # spd_cholesky's jittered one, seen through log_n = log|S|/2 + ...,
-    # and the run's count must show the retry. The sample stage takes
-    # the same fallback for a covariance of all ones.
-    update, sample = engine._compiled("update", 2, 2), engine._compiled("sample", 2)
+    # and the run's count must show the retry. The loop stage's sample
+    # takes the same fallback for a covariance of all ones, which an
+    # update with H = 0 and unit curvature leaves as it is.
+    update = engine._compiled("update", 2, 2)
     ones = np.ones((2, 2))
     low = linalg.spd_cholesky(ones)
     assert low[1, 1] > 0.0
@@ -215,7 +232,8 @@ def test_kernel_cholesky_falls_back_to_jittered_factor():
     assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
 
     z = [0.7, -1.1]
-    x = sample([0.1, 0.2], ones.ravel().tolist(), z, retries)
+    unit = (0.3, (1.0, 2.0), (0.0,) * 4, (1.0, 0.0, 0.0, 1.0))
+    x = loop_step([0.1, 0.2], ones.ravel().tolist(), unit, z, retries)[0]
     assert retries == [2]
     np.testing.assert_allclose(x, np.array([0.1, 0.2]) + low @ z, rtol=1e-14, atol=1e-14)
 
@@ -230,7 +248,7 @@ def test_kernel_indefinite_matrix_raises():
     with pytest.raises(NotPositiveDefinite):
         engine._compiled("factor", 2)(indefinite, retries)
     with pytest.raises(NotPositiveDefinite):
-        engine._compiled("sample", 2)([0.0, 0.0], indefinite, [0.1, 0.2], retries)
+        loop_step([0.0, 0.0], indefinite, (0.0, (1.0, 1.0), (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)), [0.1, 0.2], retries)
     assert retries == [0]
 
 
@@ -327,26 +345,39 @@ def test_sample_posterior_deterministic_and_calibrated():
 
 def test_update_paths_run_through_step_core(monkeypatch):
     # One update kernel: the public update (posterior and normalization
-    # together), the closed loop and the observation filter each call the
-    # generated kernel's update once per update, so no second
-    # implementation can take over a path.
-    calls = counting_kernels(monkeypatch, "update")
+    # together) calls the generated update stage once, and the closed
+    # loop and the observation filter each run all their steps in one
+    # call of the loop stage, whose source holds the update stage's
+    # lines verbatim, so no second implementation can take over a path.
+    updates = counting_kernels(monkeypatch, "update")
+    loops = counting_kernels(monkeypatch, "loop")
     model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
     pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
     belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")
     pot = pot_fn(belief.mean, 0)
 
     engine.update(belief, pot, 1.0)
-    assert len(calls) == 1
+    assert updates == [(1, 1)] and loops == []
 
     cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
     control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
-    assert len(calls) == 1 + 7
+    assert loops == [(1, 1, False)]
 
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     ekf.filter_with_likelihood(model, obs, stream, belief)
-    assert len(calls) == 1 + 7 + 3
+    assert loops == [(1, 1, False)] * 2 and updates == [(1, 1)]
+
+    # The update lines sit in the loop three levels deep (function, for,
+    # else) and in the update stage one level deep; the prediction and
+    # the sample are written only into the loop.
+    for m, k, sampled in ((1, 1, False), (2, 2, True), (3, 2, True)):
+        loop = "\n".join(engine._STAGES["loop"](m, k, sampled))
+        update = "\n".join(engine._STAGES["update"](m, k))
+        assert "\n".join(engine._indent(engine._update_lines(m, k), 3)) in loop
+        assert "\n".join(engine._indent(engine._update_lines(m, k), 1)) in update
+        assert "\n".join(engine._indent(engine._predict_lines(m), 3)) in loop
+        assert ("\n".join(engine._indent(engine._sample_lines(m), 2)) in loop) == sampled
 
 
 def test_step_loops_run_through_engine_run(monkeypatch):
@@ -440,3 +471,68 @@ def test_stopped_runs_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_penalty_run_sets_off_no_garbage_collection():
+    # The loop stage reads the run's draws from one flat list of floats
+    # and extends flat float columns, so a 5001-step run leaves no
+    # container alive past its step: started right after gc.collect(),
+    # it sets off no collection of any generation.
+    control.run_scenario("penalty", overrides={"horizon": 10})  # compiles the stages
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        result = control.run_scenario("penalty")
+    finally:
+        gc.callbacks.remove(count)
+    assert result.completed and len(result.value) == 5001
+    assert starts == []
+
+
+def test_step_loop_refuses_an_h_that_changes_size_mid_run():
+    # H fits (2, 2) until step 5, then has 3 columns on the 2-D state; the
+    # curvature stays the same, so the loop factors nothing new there.
+    # It used to fail with a bare "too many values to unpack".
+    model = linear_model(-0.1 * np.eye(2), 2, 0.05 * np.eye(2))
+    belief = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
+
+    def potential_fn(x, t):
+        pot = eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
+        if t < 5:
+            return pot
+        return PotentialEvaluation(
+            l=pot.l, value=pot.value, grad_l=pot.grad_l, H=np.ones((2, 3)), curvature=pot.curvature,
+            counter_curvature=pot.counter_curvature,
+        )
+
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    misfit = r"potential H \(6 entries\) and curvature \(4\) do not fit k = 2 on dim 2 at step 5"
+    for mode, rng in (("belief", None), ("sampled", np.random.default_rng(0))):
+        with pytest.raises(ValidationError, match=misfit):
+            control.run_closed_loop(model, potential_fn, belief, cfg, 20, rng, mode=mode)
+
+
+def test_a_horizon_no_array_can_hold_is_refused_before_any_draw():
+    # 10**18 steps of a 2-D belief need a covariance column of 4e18
+    # floats, beyond any array; the run is refused before anything is
+    # drawn or allocated, in both modes and in the filter.
+    with pytest.raises(ValidationError, match="1000000000000000001 steps are too many"):
+        control.run_scenario("penalty", overrides={"horizon": 10**18})
+    sc = load_bundled("penalty")
+    initial = engine.GaussianBelief(mean=sc.mean0, cov=sc.cov0)
+    cfg = control.ControlConfig(B=sc.B, R=sc.R)
+    for mode in control.MODES:
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="covariance column exceeds any array"):
+            control.run_closed_loop(sc.build_model(), sc.build_potential(), initial, cfg, 10**18, rng, mode=mode)
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(2), sigma_nu=np.eye(2))
+    stream = ekf.ObservationStream(steps=[0], values=[[0.1, 0.2]])
+    with pytest.raises(ValidationError, match="covariance column exceeds any array"):
+        ekf.filter_with_likelihood(sc.build_model(), obs, stream, initial, horizon=10**18)
