@@ -149,7 +149,7 @@ def run_closed_loop(
     if cfg.B.shape[0] != initial.dim:
         raise ValidationError(f"B has {cfg.B.shape[0]} rows; the state has dim {initial.dim}")
     x, mean, cov, value, log_n, shift, retries, failure = engine._run(
-        model, engine._floats(potential_fn), initial, horizon + 1, model.dt, rng if mode == "sampled" else None
+        model, engine._potential_floats(potential_fn), initial, horizon + 1, model.dt, rng if mode == "sampled" else None
     )
     failure = None if failure is None else str(failure)  # its traceback refers to this frame
     return ScenarioResult(

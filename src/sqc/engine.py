@@ -48,27 +48,28 @@ The kernel is the only update and _run the only step loop: the closed
 loop and the observation filter each hand _run their initial belief,
 step count and generator (or None); _run alone checks the belief's tag
 and dimension, and only then draws the run's noise, as one flat block
-that the loop stage reads m floats per step. update() calls the
-kernel's update once for the posterior and its normalization, after
-checking dt and that H and the curvature fit the belief. _compiled
-hands out each stage and documents its arguments.
+that the loop stage reads m floats per step, all in one call for the
+k of the first step; _check_fit, the one fit test, refuses a step that
+does not fit it. update() calls the kernel's update once for the
+posterior and its normalization, after checking dt and the fit.
+_compiled hands out each stage and documents its arguments.
 Drifts and potentials enter as float forms: the bundled ones carry
 theirs as the ``floats`` attribute of their callables, the filter
-builds its own, and _floats adapts any other callable (including one
-that wraps a bundled one): it calls it with an array and reads a
-PotentialEvaluation as (V, grad_l, H, curvature) and any other
-result as a flat list of floats. The loop factors a curvature only
-when it differs by value from the one it factored last, so a constant
-one is factored once per run on every path. Its rows are flat float
-columns that never leave _run, so no per-step container outlives a
-step for the garbage collector to track; _run returns them as arrays
-through _columns. _run also owns the breakdown policy: a
-DomainViolation, NonFinite or NotPositiveDefinite ends the run, and it
-returns the completed rows, the retry count and that failure for the
-caller to report or raise. predict() and sample_posterior() stay in
-numpy as the independent references for the loop stage's prediction
-and sample, and oracle.precision_form, the update and normalization
-through the precision matrix, is the reference for its update.
+builds its own, and any other callable (one that wraps a bundled one
+too) is called with an array: _floats reads its result as a flat list
+of floats, _potential_floats as a PotentialEvaluation, and refuses any
+other result. The loop factors a curvature only when it differs by
+value from the one it factored last, so a constant one is factored
+once per run on every path. Its rows are flat float columns that never
+leave _run, so no per-step container outlives a step for the garbage
+collector to track; _run returns them as arrays through _columns. _run
+also owns the breakdown policy: a DomainViolation, NonFinite or
+NotPositiveDefinite ends the run, and it returns the completed rows,
+the retry count and that failure for the caller to report or raise.
+predict() and sample_posterior() stay in numpy as the independent
+references for the loop stage's prediction and sample, and
+oracle.precision_form, the update and normalization through the
+precision matrix, is the reference for its update.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -111,7 +111,7 @@ class GaussianBelief:
             raise ValidationError(f"belief mean has shape {self.mean.shape} and covariance {self.cov.shape}")
         self.cov = symmetrize(self.cov)
         if self.tag not in ("predicted", "updated"):
-            raise ValueError(f"unknown belief tag {self.tag!r}")
+            raise ValidationError(f"unknown belief tag {self.tag!r}")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
             raise NonFinite(f"belief at step {self.step} has non-finite entries")
 
@@ -334,12 +334,11 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
     # The step loop: each pass but the first predicts and evaluates the
     # potential (the first takes both as given); every pass updates (or
     # keeps the bare prediction where the potential is None), draws or
-    # takes the mean, and extends the rows.
-    # A potential whose grad_l, H or curvature does not fit k returns
-    # the step's predicted state, its evaluation and its draws to _run.
+    # takes the mean, and extends the rows. At a step whose grad_l, H
+    # or curvature does not fit k, it calls _check_fit, which raises.
     mean, cov, x, shift = _vector("m", m), _matrix("p", m, m), _vector("x", m), _vector("d", m)
     z = _vector("z", m) if sampled else ["z"]
-    resume = f"return t, {_tuple(mean)}, {_tuple(cov)}, pot, {_tuple(z)}"
+    misfit = f"_check_fit(grad, h, curv, {k}, {m}, t)"
     step = [
         "if first:",
         "    first = False",
@@ -360,7 +359,7 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
             "value, grad, h, curv = pot",
             "if curv != factored:",
             f"    if len(grad) != {k} or len(curv) != {k * k}:",
-            f"        {resume}",
+            f"        {misfit}",
             "    sig, hld = factor(curv, retries)",
             f"    {_unpack(_matrix('n', k, k), 'sig')}",
             "    factored = curv",
@@ -368,7 +367,7 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
             f"    {_unpack(_vector('g', k), 'grad')}",
             f"    {_unpack(_matrix('h', k, m), 'h')}",
             "except ValueError:",
-            f"    {resume}",
+            f"    {misfit}",
             *_update_lines(m, k),
             *_assign(mean, _vector("u", m)),
             *_assign(cov, _symmetric("c", m)),
@@ -431,13 +430,12 @@ def _compiled(stage: str, *dims) -> Callable:
     -> (mean, cov, shift, log_n, script_n), where sig = curvature^-1,
     hld its factor's log|curvature|/2 and ldt = (k/2) log weight.
     loop(draws, mean, p, pot, t, drift, jacobian, evaluate, factor,
-    noise, dt, weight, ldt, retries, rows) runs _run's steps from the
-    predicted belief (mean, p) at step t and its evaluation ``pot``,
+    noise, dt, weight, ldt, retries, rows) runs all of _run's steps from
+    the predicted belief (mean, p) at step t and its evaluation ``pot``,
     one step per m floats of the iterator ``draws`` (sampled) or per
-    entry (belief), and extends _run's six ``rows``. It returns None
-    when ``draws`` is spent, or (t, mean, p, pot, z) at a step whose
-    potential does not fit k: that step's predicted belief, its
-    evaluation and the draws it took.
+    entry (belief), and extends _run's six ``rows``. It returns None; a
+    step whose grad_l, H or curvature does not fit k raises
+    ValidationError through _check_fit.
     """
     namespace = {
         "sqrt": math.sqrt,
@@ -446,37 +444,43 @@ def _compiled(stage: str, *dims) -> Callable:
         "nan": math.nan,
         "NonFinite": NonFinite,
         "_cholesky": _cholesky,
+        "_check_fit": _check_fit,
     }
     return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
 
 
-def _evaluation_floats(pot: PotentialEvaluation) -> tuple:
-    # A PotentialEvaluation as its float form's result: (V, grad_l, H, curvature).
+def _evaluation_floats(pot) -> tuple:
+    # A potential's PotentialEvaluation as its float form's result:
+    # (V, grad_l, H, curvature). Any other result is refused.
+    if not isinstance(pot, PotentialEvaluation):
+        raise ValidationError(f"the potential returned {type(pot).__name__}, not a PotentialEvaluation")
     return float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist()
 
 
 def _floats(fn: Callable) -> Callable:
     """fn's float form, or an adapter that calls fn on an array and
-    turns a PotentialEvaluation into (V, grad_l, H, curvature) and any
-    other result into a flat list of floats.
+    returns its result as a flat list of floats: the form of a drift, a
+    Jacobian or an observation map.
     """
     form = getattr(fn, "floats", None)
-    if form is not None:
-        return form
-
-    def adapter(x, t):
-        out = fn(np.array(x), t)
-        if isinstance(out, PotentialEvaluation):
-            return _evaluation_floats(out)
-        return np.asarray(out, dtype=float).ravel().tolist()
-
-    return adapter
+    return form if form is not None else lambda x, t: np.asarray(fn(np.array(x), t), dtype=float).ravel().tolist()
 
 
-def _check_fit(h, curv, k: int, m: int, step: int) -> None:
-    if len(h) != k * m or len(curv) != k * k:
+def _potential_floats(fn: Callable) -> Callable:
+    """A potential's float form, or an adapter that calls it on an array
+    and reads its result through _evaluation_floats.
+    """
+    form = getattr(fn, "floats", None)
+    return form if form is not None else lambda x, t: _evaluation_floats(fn(np.array(x), t))
+
+
+def _check_fit(grad, h, curv, k: int, m: int, step: int) -> None:
+    # The one fit test, against k >= 1 on dim m: update() runs it on
+    # every evaluation, the loop stage only at a step that misfits.
+    if not k or len(grad) != k or len(h) != k * m or len(curv) != k * k:
+        tail = "" if len(grad) == k else f"; grad_l has {len(grad)} entries"
         raise ValidationError(
-            f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m} at step {step}"
+            f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m} at step {step}{tail}"
         )
 
 
@@ -508,13 +512,12 @@ def _run(
     ``evaluate`` returns None the step keeps the bare prediction, with V
     and log_n nan and a zero shift.
 
-    The steps run in the kernel's loop stage for the constraint
-    dimension k, which comes from the first evaluation, or where that is
-    None from ``evaluate.k`` (the filter's observation width). When a
-    step's grad_l, H or curvature does not fit that k, the stage hands
-    the step back: its H and curvature must fit the new k, or
-    ValidationError names the step and the sizes, and the run goes on
-    in the new k's stage with the rest of the draws.
+    All steps run in one call of the kernel's loop stage for the
+    constraint dimension k, which is fixed for the run: it comes from
+    the first evaluation, or where that is None from ``evaluate.k`` (the
+    filter's observation width). A step whose grad_l, H or curvature
+    does not fit k, the first one included, raises ValidationError
+    naming the step and the sizes.
 
     Returns (x, mean, cov, V, log_n, shift, jitter_retries, failure):
     the completed steps' rows as _columns gives them, the count of
@@ -548,18 +551,12 @@ def _run(
     try:
         pot = evaluate(mean, t)
         k = evaluate.k if pot is None else len(pot[1])
-        while True:
-            if pot is not None:
-                _check_fit(pot[2], pot[3], k, m, t)
-            resume = _compiled("loop", m, k, rng is not None)(
-                draws, mean, p, pot, t, drift, jacobian, evaluate, _compiled("factor", k), noise, dt, weight,
-                0.5 * k * math.log(weight), retries, rows,
-            )
-            if resume is None:
-                break
-            t, mean, p, pot, taken = resume
-            k = len(pot[1])
-            draws = chain(taken, draws)
+        if not k:  # no stage is written for k = 0; _check_fit refuses it
+            _check_fit(*pot[1:], k, m, t)
+        _compiled("loop", m, k, rng is not None)(
+            draws, mean, p, pot, t, drift, jacobian, evaluate, _compiled("factor", k), noise, dt, weight,
+            0.5 * k * math.log(weight), retries, rows,
+        )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
         # Returned from here: a local naming the exception would make a
         # cycle through its traceback, which refers to this frame.
@@ -621,7 +618,7 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
         raise ValidationError(f"dt must be positive and finite; got {dt!r}")
     value, grad, h, curvature = _evaluation_floats(pot)
     m, k = belief.dim, len(grad)
-    _check_fit(h, curvature, k, m, belief.step)
+    _check_fit(grad, h, curvature, k, m, belief.step)
     if pot.grad_l.ndim != 1 or pot.H.shape != (k, m) or pot.curvature.shape != (k, k):
         raise ValidationError(
             f"potential grad_l {pot.grad_l.shape}, H {pot.H.shape} and curvature {pot.curvature.shape} "

@@ -427,7 +427,7 @@ def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndar
 # Randomized identity suite.
 
 def _spd_draws(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    # _random_spd's generator calls: an n x n standard normal block, then n eigenvalues.
+    # One SPD draw's generator calls: an n x n standard normal block, then n eigenvalues.
     return rng.standard_normal((n, n)), rng.uniform(0.3, 3.0, size=n)
 
 
@@ -435,10 +435,6 @@ def _spd_from(normals: np.ndarray, eigs: np.ndarray) -> np.ndarray:
     # Q diag(eigs) Q^T, Q from the QR of normals, for one draw or a stack.
     q, _ = np.linalg.qr(normals)
     return linalg.symmetrize(q @ (eigs[..., None] * np.eye(eigs.shape[-1])) @ q.swapaxes(-1, -2))
-
-
-def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
-    return _spd_from(*_spd_draws(rng, n))
 
 
 def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:

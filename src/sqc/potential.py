@@ -93,7 +93,10 @@ class PotentialEvaluation:
 
 
 def _vector(x) -> np.ndarray:
-    return np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(np.asarray(x, dtype=float))
+    if v.ndim != 1 or not len(v):
+        raise ValidationError(f"expected a vector with entries; got shape {v.shape}")
+    return v
 
 
 def _entries(v, m: int) -> list:
@@ -103,14 +106,14 @@ def _entries(v, m: int) -> list:
     if len(v) == 1:
         return v * m
     if len(v) != m:
-        raise ValueError(f"got {len(v)} entries where {m} are needed")
+        raise ValidationError(f"got {len(v)} entries where {m} are needed")
     return v
 
 
 def _weights(sigma_nu_inv, k: int) -> np.ndarray:
     w = np.atleast_2d(np.asarray(sigma_nu_inv, dtype=float))
     if w.shape != (k, k):
-        raise ValueError(f"weight matrix has shape {w.shape}, expected {(k, k)}")
+        raise ValidationError(f"weight matrix has shape {w.shape}, expected {(k, k)}")
     return w
 
 

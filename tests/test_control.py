@@ -223,10 +223,10 @@ def test_run_closed_loop_refuses_a_bundled_potential_of_another_dim():
 
 def test_run_closed_loop_refuses_a_wrapped_bundled_potential_of_another_dim():
     # A callable that wraps a bundled potential reaches the step loop
-    # through engine._floats' array adapter, which records no dim; the
-    # bundled closure compares the state's length with its own dim, so
-    # the 2-D penalty on a 3-D state is a ValidationError, not a bare
-    # ValueError from the float form's unpacking.
+    # through engine._potential_floats' array adapter, which records no
+    # dim; the bundled closure compares the state's length with its own
+    # dim, so the 2-D penalty on a 3-D state is a ValidationError, not a
+    # bare ValueError from the float form's unpacking.
     fn = load_bundled("penalty").build_potential()
     wrapped = lambda x, t: fn(x, t)
     initial = engine.GaussianBelief(mean=[0.5, 0.5, 0.5], cov=np.eye(3))
@@ -436,11 +436,10 @@ def test_loop_stage_matches_reference_for_every_shape(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["sampled", "belief"])
-def test_closed_loop_follows_a_constraint_dimension_that_changes(monkeypatch, mode):
-    # k = 2 until step 3, then k = 1: the loop stage for k = 2 hands step
-    # 3 back to engine._run, which checks the fit and runs the rest in
-    # the stage for k = 1 with the same draws; every row matches the
-    # reference loop.
+def test_closed_loop_refuses_a_constraint_dimension_that_changes(monkeypatch, mode):
+    # k = 2 until step 3, then k = 1: a run's k is fixed by its first
+    # step, so the one loop stage for k = 2 refuses step 3, naming it
+    # and the sizes, and no other stage runs.
     loops = counting_kernels(monkeypatch, "loop")
     rng = np.random.default_rng(47)
     drift, jacobian = process.make_drift("linear", {"A": 0.05 * rng.standard_normal((2, 2))}, 2)
@@ -450,11 +449,10 @@ def test_closed_loop_follows_a_constraint_dimension_that_changes(monkeypatch, mo
     potential_fn = lambda x, t: two(x, t) if t < 3 else one(x, t)
     initial = engine.GaussianBelief(mean=[0.4, -0.3], cov=0.5 * np.eye(2))
     cfg = ControlConfig(B=np.eye(2), R=np.eye(2))
-    result = run_closed_loop(model, potential_fn, initial, cfg, 30, np.random.default_rng(9), mode)
-    assert result.completed and len(result.x) == 31
-    assert loops == [(2, 2, mode == "sampled"), (2, 1, mode == "sampled")]
-    rows, failed_step = reference_loop(model, potential_fn, initial, cfg, 30, np.random.default_rng(9), mode)
-    assert_loops_agree(result, rows, failed_step)
+    misfit = r"H \(2 entries\) and curvature \(1\) do not fit k = 2 on dim 2 at step 3; grad_l has 1 entries"
+    with pytest.raises(ValidationError, match=misfit):
+        run_closed_loop(model, potential_fn, initial, cfg, 30, np.random.default_rng(9), mode)
+    assert loops == [(2, 2, mode == "sampled")]
 
 
 def test_jitter_retries_are_counted():

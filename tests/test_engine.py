@@ -40,7 +40,7 @@ def random_potential(rng, m, k, h_zero=False):
 def test_belief_validates():
     belief = engine.GaussianBelief(mean=[1.0], cov=[[2.0]])
     assert belief.dim == 1 and belief.tag == "predicted"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="unknown belief tag 'posterior'"):
         engine.GaussianBelief(mean=[0.0], cov=[[1.0]], tag="posterior")
     with pytest.raises(NonFinite):
         engine.GaussianBelief(mean=[np.inf], cov=[[1.0]])
@@ -101,6 +101,24 @@ def test_update_and_step_loop_refuse_a_potential_that_does_not_fit():
     for dt in (0.0, -1.0, math.nan):
         with pytest.raises(ValidationError, match=f"dt must be positive and finite; got {dt}"):
             engine.update(belief, fitting, dt)
+
+
+def test_update_and_step_loop_refuse_a_potential_with_no_constraint_entries():
+    # k = 0 fits no update; it used to reach the kernel and fail to
+    # compile its stage for k = 0 with a bare SyntaxError.
+    belief = engine.GaussianBelief(mean=[0.0, 0.0], cov=np.eye(2))
+    empty = PotentialEvaluation(
+        l=np.zeros(0), value=0.0, grad_l=np.zeros(0), H=np.zeros((0, 2)), curvature=np.eye(0),
+        counter_curvature=np.zeros((2, 2)),
+    )
+    misfit = r"potential H \(0 entries\) and curvature \(0\) do not fit k = 0 on dim 2 at step 0"
+    with pytest.raises(ValidationError, match=misfit):
+        engine.update(belief, empty, 1.0)
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    model = linear_model(-0.1 * np.eye(2), 2, np.eye(2))
+    for mode, rng in (("belief", None), ("sampled", np.random.default_rng(0))):
+        with pytest.raises(ValidationError, match=misfit):
+            control.run_closed_loop(model, lambda x, t: empty, belief, cfg, 5, rng, mode=mode)
 
 
 def test_predict_frozen_linear_case():
@@ -498,24 +516,33 @@ def test_penalty_run_sets_off_no_garbage_collection():
 def test_step_loop_refuses_an_h_that_changes_size_mid_run():
     # H fits (2, 2) until step 5, then has 3 columns on the 2-D state; the
     # curvature stays the same, so the loop factors nothing new there.
-    # It used to fail with a bare "too many values to unpack".
+    # It used to fail with a bare "too many values to unpack". Likewise
+    # a grad_l that grows to 3 entries at step 4 while H and the
+    # curvature still fit k = 2: the message names grad_l.
     model = linear_model(-0.1 * np.eye(2), 2, 0.05 * np.eye(2))
     belief = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
 
-    def potential_fn(x, t):
-        pot = eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
-        if t < 5:
-            return pot
-        return PotentialEvaluation(
-            l=pot.l, value=pot.value, grad_l=pot.grad_l, H=np.ones((2, 3)), curvature=pot.curvature,
-            counter_curvature=pot.counter_curvature,
-        )
+    def changing(first, **fields):
+        def potential_fn(x, t):
+            pot = eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
+            if t < first:
+                return pot
+            pieces = dict(
+                l=pot.l, value=pot.value, grad_l=pot.grad_l, H=pot.H, curvature=pot.curvature,
+                counter_curvature=pot.counter_curvature,
+            )
+            return PotentialEvaluation(**{**pieces, **fields})
+
+        return potential_fn
 
     cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
-    misfit = r"potential H \(6 entries\) and curvature \(4\) do not fit k = 2 on dim 2 at step 5"
-    for mode, rng in (("belief", None), ("sampled", np.random.default_rng(0))):
-        with pytest.raises(ValidationError, match=misfit):
-            control.run_closed_loop(model, potential_fn, belief, cfg, 20, rng, mode=mode)
+    for potential_fn, misfit in (
+        (changing(5, H=np.ones((2, 3))), r"potential H \(6 entries\) and curvature \(4\) do not fit k = 2 on dim 2 at step 5$"),
+        (changing(4, grad_l=np.ones(3)), r"H \(4 entries\) and curvature \(4\) do not fit k = 2 on dim 2 at step 4; grad_l has 3 entries$"),
+    ):
+        for mode, rng in (("belief", None), ("sampled", np.random.default_rng(0))):
+            with pytest.raises(ValidationError, match=misfit):
+                control.run_closed_loop(model, potential_fn, belief, cfg, 20, rng, mode=mode)
 
 
 def test_a_horizon_no_array_can_hold_is_refused_before_any_draw():

@@ -9,6 +9,11 @@ from sqc.errors import DomainViolation, MassLoss, QuadratureDomain, ValidationEr
 from sqc.potential import PotentialEvaluation, eval_log_barrier, eval_quadratic_penalty
 
 
+def suite_spd(rng, n):
+    """The identity suite's SPD draw: oracle._spd_from on oracle._spd_draws."""
+    return oracle._spd_from(*oracle._spd_draws(rng, n))
+
+
 def test_quadrature_scalar_closed_form():
     # exp(-(x-1)^2/2) against N(0,1): posterior N(1/2, 1/2), mass
     # exp(-1/4)/sqrt(2).
@@ -200,10 +205,10 @@ def test_precision_form_factors_cov_and_precision_once(monkeypatch):
     monkeypatch.setattr(linalg, "spd_cholesky", counting)
     rng = np.random.default_rng(3)
     for m, k in [(1, 1), (2, 3), (4, 2)]:
-        cov = oracle._random_spd(rng, m)
+        cov = suite_spd(rng, m)
         h = rng.standard_normal((k, m))
         pot = PotentialEvaluation._trusted(
-            np.zeros(k), 0.7, rng.standard_normal(k), h, oracle._random_spd(rng, k), np.zeros((m, m))
+            np.zeros(k), 0.7, rng.standard_normal(k), h, suite_spd(rng, k), np.zeros((m, m))
         )
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=cov)
         factored.clear()
@@ -232,8 +237,8 @@ def test_stacked_reference_algebra_equals_one_instance_at_a_time():
     for m in range(1, 7):
         for k in range(1, 7):
             n = 4
-            cov = np.array([oracle._random_spd(rng, m) for _ in range(n)])
-            curvature = np.array([oracle._random_spd(rng, k) for _ in range(n)])
+            cov = np.array([suite_spd(rng, m) for _ in range(n)])
+            curvature = np.array([suite_spd(rng, k) for _ in range(n)])
             h = rng.standard_normal((n, k, m))
             h[1] = 0.0
             grad_l, mean = rng.standard_normal((n, k)), rng.standard_normal((n, m))
@@ -257,11 +262,11 @@ def test_woodbury_symmetrizes_each_matrix_of_a_stack_on_its_own():
     # must not keep the others from being symmetrized, nor be
     # symmetrized itself.
     rng = np.random.default_rng(5)
-    a_inv = np.array([oracle._random_spd(rng, 3) for _ in range(3)])
+    a_inv = np.array([suite_spd(rng, 3) for _ in range(3)])
     b = rng.standard_normal((3, 3, 2))
     c = b.swapaxes(-1, -2).copy()
     c[1] += 1.0  # C != B^T: that inverse is not symmetric
-    d = np.array([oracle._random_spd(rng, 2) for _ in range(3)])
+    d = np.array([suite_spd(rng, 2) for _ in range(3)])
     stacked = oracle.woodbury_inverse(a_inv, b, d, c)
     for i in range(3):
         assert np.array_equal(stacked[i], oracle.woodbury_inverse(a_inv[i], b[i], d[i], c[i]))

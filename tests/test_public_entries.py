@@ -2,10 +2,13 @@
 
 A fixed-seed loop replaces one or two fields of a valid scenario with
 values from a fixed set and parses and runs it, writes observation
-files from malformed pieces and reads them, and hands the public
-update, predict and sample_posterior beliefs, models and potentials
-of mismatched shapes. Each test collects every exception that is not
-an SqcError, with the input that raised it, and fails listing them.
+files from malformed pieces and reads them, hands the public update,
+predict and sample_posterior beliefs, models and potentials of
+mismatched shapes, runs the closed loop over potential callables that
+return the wrong thing from a random step on, and hands the bundled
+eval_* functions arguments of mismatched shapes. Each test collects
+every exception that is not an SqcError, with the input that raised
+it, and fails listing them.
 """
 
 import copy
@@ -18,7 +21,7 @@ import pytest
 
 from sqc import control, ekf, engine, process
 from sqc.errors import SqcError
-from sqc.potential import PotentialEvaluation
+from sqc.potential import PotentialEvaluation, eval_double_well, eval_log_barrier, eval_quadratic_penalty
 from sqc.scenario import load_bundled, scenario_from_dict
 
 # The inputs include 1e308 and 1e-300 entries whose arithmetic
@@ -197,6 +200,66 @@ def test_update_predict_and_sample_with_mismatched_shapes_raise_only_sqc_errors(
                 ("predict", engine.predict, other, model),
                 ("sample_posterior", engine.sample_posterior, other, np.random.default_rng(trial)),
             ]
+        for name, call, *args in calls:
+            crash = bare_exception(call, *args)
+            if crash is not None:
+                found.setdefault((name, crash), repr(args))
+    assert not found, found
+
+
+def evaluation(k: int, m: int, grad_entries: int) -> PotentialEvaluation:
+    return PotentialEvaluation(
+        l=np.zeros(k), value=0.5, grad_l=np.full(grad_entries, 0.1), H=np.full((k, m), 0.1), curvature=np.eye(k),
+        counter_curvature=np.zeros((m, m)),
+    )
+
+
+def malformed_potential(kind: str, first: int, k: int, m: int):
+    """A potential that fits k on dim m before step ``first`` and from there returns ``kind``."""
+    other = k % 3 + 1  # another k in 1..3
+    late = {
+        "ndarray": lambda x: x,
+        "float": lambda x: float(x @ x),
+        "None": lambda x: None,
+        "tuple": lambda x: (0.5, [0.1] * k, [0.1] * (k * m), np.eye(k).ravel().tolist()),
+        "k": lambda x: evaluation(other, m, other),
+        "grad_l": lambda x: evaluation(k, m, other),
+        "empty": lambda x: evaluation(0, m, 0),
+    }[kind]
+    return lambda x, t: evaluation(k, m, k) if t < first else late(x)
+
+
+def test_closed_loop_over_malformed_potentials_raises_only_sqc_errors():
+    rnd = random.Random(9)
+    found = {}
+    for trial in range(120):
+        m, k, first = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(0, 6)
+        kind = rnd.choice(["ndarray", "float", "None", "tuple", "k", "grad_l", "empty"])
+        mode = rnd.choice(control.MODES)
+        drift, jac = process.make_drift("zero", {}, m)
+        model = process.ItoProcessModel(dim=m, drift=drift, drift_jacobian=jac, g_inv=np.eye(m))
+        args = (
+            model, malformed_potential(kind, first, k, m), engine.GaussianBelief(mean=np.full(m, 0.3), cov=np.eye(m)),
+            control.ControlConfig(B=np.eye(m), R=np.eye(m)), 8, np.random.default_rng(trial), mode,
+        )
+        crash = bare_exception(control.run_closed_loop, *args)
+        if crash is not None:
+            found.setdefault(crash, (kind, first, k, m, mode))
+    assert not found, found
+
+
+def test_bundled_potentials_with_mismatched_shapes_raise_only_sqc_errors():
+    shapes = [(), (0,), (1,), (2,), (3,), (4,), (1, 2), (2, 2), (3, 3), (2, 1), (0, 0), (2, 2, 2)]
+    rnd = random.Random(10)
+    rng = np.random.default_rng(10)
+    found = {}
+    for _ in range(600):
+        x, second, weights = (rng.uniform(0.1, 1.0, rnd.choice(shapes)) for _ in range(3))
+        calls = [
+            ("eval_quadratic_penalty", eval_quadratic_penalty, x, second, weights),
+            ("eval_double_well", eval_double_well, x, second, weights),
+            ("eval_log_barrier", eval_log_barrier, x, second),
+        ]
         for name, call, *args in calls:
             crash = bare_exception(call, *args)
             if crash is not None:
