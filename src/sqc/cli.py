@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
@@ -145,8 +146,8 @@ def _format_rows(table: np.ndarray) -> bytes:
     sign and lead (or nan, inf, 0), right-aligned; bytes 7-23 the 17
     digits of D. The digits past the last nonzero one and past the
     integer part are cleared, the bytes from the point's place on move up
-    one byte to take the ".", and the exponent and the row's newline go
-    right after the last byte. Dropping every zero byte leaves the text.
+    one byte to take the ".", and the exponent and the row's newline
+    fill bytes 26-31. Dropping every zero byte leaves the text.
     """
     quads, sig, prefix, suffix, keep, below, dot = _text_tables()
     rows, cols = table.shape
@@ -172,11 +173,10 @@ def _format_rows(table: np.ndarray) -> bytes:
     code[np.isnan(v)] = 10
     code += np.signbit(v)
     code.reshape(rows, cols)[:, 1:] += 16
-    text = np.empty((v.size, 4), _LANE)
+    text = np.zeros((v.size, 4), _LANE)
     text[:, 0] = prefix[code] | (first + 48).astype(_LANE) << np.uint64(56)
     text[:, 1] = quads[groups[0]] | quads[groups[1]] << np.uint64(32)
     text[:, 2] = quads[groups[2]] | quads[groups[3]] << np.uint64(32)
-    text[:, 3] = 0
     text &= np.take(keep, kept, axis=0)
     # The point after the integer part, where a fraction is left.
     point = (kept > whole) & ~(fixed & (x < 0))
@@ -187,14 +187,11 @@ def _format_rows(table: np.ndarray) -> bytes:
     text |= moved << np.uint64(8)
     text[:, 1:] |= moved[:, :-1] >> np.uint64(56)
     text |= np.take(dot, at, axis=0)
-    # The exponent and the row's newline, at the first free byte.
+    # The exponent and the row's newline, in bytes 26-31: the last digit
+    # is at byte 24 or lower, and e-308 and the newline take 6 bytes.
     ecode = np.where(fixed | ~exact, 0, x + 325)
     ecode.reshape(rows, cols)[:, -1] += 634
-    tail = suffix[ecode]
-    end = (7 + kept + point) * 8
-    for lane in range(4):
-        shift = end - 64 * lane  # bits; a shift of 64 or more gives 0
-        text[:, lane] |= tail << shift.astype(np.uint64) | tail >> (-shift).astype(np.uint64)
+    text[:, 3] |= suffix[ecode] << np.uint64(16)
     for i in np.flatnonzero(~exact & np.isfinite(v) & (v != 0)).tolist():
         col = i % cols
         rendered = b"%s%.17g%s" % (b"," * (col > 0), v[i], b"\n" * (col == cols - 1))
@@ -203,14 +200,18 @@ def _format_rows(table: np.ndarray) -> bytes:
     return out[out != 0].tobytes()
 
 
-def _write_csv(path: Path, cols: list[str], first_step: int, table: np.ndarray) -> None:
+def _write_csv(path: Path, first_step: int, columns: dict) -> None:
     """Write the `# sqc <version>` line, the header and one row per step.
 
-    Row i is step first_step + i and then table's row i, every value
-    with exactly the bytes of '%.17g' % v: nan, inf and -0 included.
-    The step is formatted as one more float column (%.17g of a whole
-    float below 2**53 is its %d). Rows are formatted by numpy in chunks
-    of _CHUNK_ROWS, so the buffers stay small, and written as bytes.
+    ``columns`` maps names, in order, to arrays of n rows. After
+    ``step``, an array of shape (n,), (n, m) or (n, m, m) is headed
+    name, name1..namem or name11..namemm (row-major). Row i is step
+    first_step + i, as a float (%.17g of a whole float below 2**53 is
+    its %d), then every array's row i, each value with exactly the bytes
+    of '%.17g' % v: nan, inf and -0 included; n = 0 writes the header
+    alone. Rows are formatted by numpy in chunks of _CHUNK_ROWS, each
+    value in 32 bytes with its exponent and the row's newline in the
+    fixed bytes 26-31 (_format_rows), and written as bytes.
 
     The algorithm (_significand, then _format_rows). A finite value v
     with 1e-270 <= |v| <= 1e290 has the 17 significant digits D =
@@ -238,46 +239,24 @@ def _write_csv(path: Path, cols: list[str], first_step: int, table: np.ndarray) 
     tie, or when the rounded D is not in (10**16, 10**17]. nan, inf,
     -inf, 0 and -0 are written by the numpy code itself.
     """
-    table = np.column_stack([first_step + np.arange(len(table), dtype=float), table])
+    n = len(next(iter(columns.values())))
+    names, blocks = ["step"], [first_step + np.arange(n, dtype=float)]
+    for name, col in columns.items():
+        names += [name + "".join(str(i + 1) for i in ix) for ix in np.ndindex(col.shape[1:])]
+        blocks.append(col.reshape(n, math.prod(col.shape[1:])))  # explicit width: n may be 0
+    table = np.column_stack(blocks)
     with path.open("wb") as fh, np.errstate(all="ignore"):
-        fh.write(f"# sqc {__version__}\n{','.join(cols)}\n".encode())
-        for start in range(0, len(table), _CHUNK_ROWS):
+        fh.write(f"# sqc {__version__}\n{','.join(names)}\n".encode())
+        for start in range(0, n, _CHUNK_ROWS):
             fh.write(_format_rows(table[start:start + _CHUNK_ROWS]))
-
-
-def _write_trajectory_csv(path: Path, result: control.ScenarioResult) -> None:
-    n, m = result.x.shape
-    cols = (
-        ["step"]
-        + [f"x{i}" for i in range(1, m + 1)]
-        + [f"u{i}" for i in range(1, result.u.shape[1] + 1)]
-        + [f"mean{i}" for i in range(1, m + 1)]
-        + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
-        + ["V", "logN"]
-    )
-    table = np.hstack([
-        result.x, result.u, result.mean, result.cov.reshape(n, m * m),
-        result.value.reshape(n, 1), result.log_n.reshape(n, 1),
-    ])
-    _write_csv(path, cols, result.first_step, table)
-
-
-def _write_beliefs_csv(path: Path, first_step: int, mean: np.ndarray, cov: np.ndarray, loglik: np.ndarray) -> None:
-    n, m = mean.shape
-    cols = (
-        ["step"]
-        + [f"mean{i}" for i in range(1, m + 1)]
-        + [f"cov{i}{j}" for i in range(1, m + 1) for j in range(1, m + 1)]
-        + ["loglik"]
-    )
-    table = np.hstack([mean, cov.reshape(n, m * m), loglik.reshape(n, 1)])
-    _write_csv(path, cols, first_step, table)
 
 
 def _run_one_simulation(scenario, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     result = control.run_scenario_config(scenario)
-    _write_trajectory_csv(out_dir / "trajectory.csv", result)
+    _write_csv(out_dir / "trajectory.csv", result.first_step, {
+        "x": result.x, "u": result.u, "mean": result.mean, "cov": result.cov, "V": result.value, "logN": result.log_n,
+    })
     code = EXIT_OK if result.completed else EXIT_DOMAIN
     summary = {
         "name": scenario.name,
@@ -337,20 +316,18 @@ def cmd_filter(args) -> int:
     scenario = parse_scenario(args.scenario)
     obs_model = scenario.build_observation_model()
     stream = ekf.read_observations(args.obs)
-    if len(stream) and int(stream.steps.max()) > scenario.horizon:
-        raise ValidationError(
-            f"observation at step {int(stream.steps.max())} is beyond horizon {scenario.horizon}"
-        )
+    horizon = int(stream.steps.max()) if len(stream) else scenario.horizon
+    if horizon > scenario.horizon:
+        raise ValidationError(f"observation at step {horizon} is beyond horizon {scenario.horizon}")
     model = scenario.build_model()
     initial = engine.GaussianBelief(
         mean=scenario.mean0, cov=scenario.cov0, step=0, tag="predicted"
     )
-    horizon = scenario.horizon if len(stream) == 0 else int(stream.steps.max())
     mean, cov, loglik = ekf.filter_with_likelihood(model, obs_model, stream, initial, horizon)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_beliefs_csv(out_dir / "beliefs.csv", initial.step, mean, cov, loglik)
+    _write_csv(out_dir / "beliefs.csv", initial.step, {"mean": mean, "cov": cov, "loglik": loglik})
     total = float(np.nansum(loglik))
     print(f"cumulative log-likelihood: {total:.12g} over {len(stream)} observations")
     return EXIT_OK
@@ -374,11 +351,9 @@ def cmd_validate(args) -> int:
         report["quadrature"] = oracle.quadrature_checks()
         if args.level == "full":
             report["fokker_planck"] = study.result()
-
-    passed = ident["passed"] and all(c["passed"] for c in report["quadrature"].values())
-    if args.level == "full":
-        passed = passed and all(c["passed"] for c in report["fokker_planck"].values())
-    report["passed"] = passed
+    kernel = report.get("fokker_planck", {})
+    checks = [*report["quadrature"].values(), *kernel.values()]
+    passed = report["passed"] = ident["passed"] and all(c["passed"] for c in checks)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -387,10 +362,9 @@ def cmd_validate(args) -> int:
     print(f"identity suite: {ident['trials']} trials, {len(ident['failures'])} failed")
     for name, check in report["quadrature"].items():
         print(f"quadrature {name}: {'ok' if check['passed'] else 'FAILED'}")
-    if args.level == "full":
-        for name, case in report["fokker_planck"].items():
-            ratios = ", ".join(f"{r:.2f}" for r in case["ratios"])
-            print(f"kernel residual {name}: ratios [{ratios}] {'ok' if case['passed'] else 'FAILED'}")
+    for name, case in kernel.items():
+        ratios = ", ".join(f"{r:.2f}" for r in case["ratios"])
+        print(f"kernel residual {name}: ratios [{ratios}] {'ok' if case['passed'] else 'FAILED'}")
     print(f"validation {'passed' if passed else 'FAILED'}; report in {out_dir / 'validation.json'}")
     return EXIT_OK if passed else EXIT_USAGE
 

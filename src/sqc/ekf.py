@@ -175,7 +175,8 @@ def filter_with_likelihood(
         where = f"before step {start}" if outside[0] < start else f"beyond horizon {horizon}"
         raise ValidationError(f"observation at step {outside[0]} is {where}")
     evaluate = _bound("quadratic_penalty", obs_model.sigma_nu_inv).floats
-    h, h_jacobian = engine._floats(obs_model.h), engine._floats(obs_model.h_jacobian)
+    h = engine._floats(obs_model.h, "observation map", k)
+    h_jacobian = engine._floats(obs_model.h_jacobian, "observation Jacobian", k * model.dim)
 
     def potential(x, t):
         # The potential at step t, or None where nothing is observed.

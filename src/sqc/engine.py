@@ -49,27 +49,28 @@ loop and the observation filter each hand _run their initial belief,
 step count and generator (or None); _run alone checks the belief's tag
 and dimension, and only then draws the run's noise, as one flat block
 that the loop stage reads m floats per step, all in one call for the
-k of the first step; _check_fit, the one fit test, refuses a step that
-does not fit it. update() calls the kernel's update once for the
-posterior and its normalization, after checking dt and the fit.
-_compiled hands out each stage and documents its arguments.
-Drifts and potentials enter as float forms: the bundled ones carry
-theirs as the ``floats`` attribute of their callables, the filter
-builds its own, and any other callable (one that wraps a bundled one
-too) is called with an array: _floats reads its result as a flat list
-of floats, _potential_floats as a PotentialEvaluation, and refuses any
-other result. The loop factors a curvature only when it differs by
-value from the one it factored last, so a constant one is factored
-once per run on every path. Its rows are flat float columns that never
-leave _run, so no per-step container outlives a step for the garbage
-collector to track; _run returns them as arrays through _columns. _run
-also owns the breakdown policy: a DomainViolation, NonFinite or
-NotPositiveDefinite ends the run, and it returns the completed rows,
-the retry count and that failure for the caller to report or raise.
-predict() and sample_posterior() stay in numpy as the independent
-references for the loop stage's prediction and sample, and
-oracle.precision_form, the update and normalization through the
-precision matrix, is the reference for its update.
+k of the first step; _check_fit, the one test of sizes against k,
+refuses a step that does not fit it. update() calls the kernel's
+update once for the posterior and its normalization, after checking dt
+and the fit. _compiled hands out each stage and documents its
+arguments. Drifts and potentials enter as float forms: the bundled
+ones carry theirs as the ``floats`` attribute of their callables, the
+filter builds its own, and any other callable (one that wraps a
+bundled one too) is called with an array: _floats reads its result as
+a flat list of the entry count its caller names, _potential_floats as
+a PotentialEvaluation through _evaluation_floats, the one shape test,
+and each refuses any other result. The loop factors a curvature only
+when it differs by value from the one it factored last, so a constant
+one is factored once per run on every path. Its rows are flat float
+columns that never leave _run, so no per-step container outlives a
+step for the garbage collector to track; _run returns them as arrays
+through _columns. _run also owns the breakdown policy: a
+DomainViolation, NonFinite or NotPositiveDefinite ends the run, and it
+returns the completed rows, the retry count and that failure for the
+caller to report or raise. predict() and sample_posterior() stay in
+numpy as the independent references for the loop stage's prediction
+and sample, and oracle.precision_form, the update and normalization
+through the precision matrix, is the reference for its update.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ import numpy as np
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
 from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
-from .process import ItoProcessModel, transition_matrix
+from .process import ItoProcessModel, _sized, transition_matrix
 
 __all__ = [
     "GaussianBelief",
@@ -449,21 +450,32 @@ def _compiled(stage: str, *dims) -> Callable:
     return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
 
 
-def _evaluation_floats(pot) -> tuple:
-    # A potential's PotentialEvaluation as its float form's result:
-    # (V, grad_l, H, curvature). Any other result is refused.
+def _evaluation_floats(pot, m: int, step: int) -> tuple:
+    # A PotentialEvaluation at a point of dim m as a float form's result,
+    # (V, grad_l, H, curvature) flat; any other result is refused. The one
+    # shape test: counts that fit k = grad_l's size on dim m must come
+    # shaped (k,), (k, m) and (k, k). Counts that do not fit are _check_fit's.
     if not isinstance(pot, PotentialEvaluation):
         raise ValidationError(f"the potential returned {type(pot).__name__}, not a PotentialEvaluation")
-    return float(pot.value), pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist()
+    grad, h, curv = pot.grad_l, pot.H, pot.curvature
+    k = grad.size
+    if (h.size, curv.size) == (k * m, k * k) and (grad.shape, h.shape, curv.shape) != ((k,), (k, m), (k, k)):
+        raise ValidationError(
+            f"potential grad_l {grad.shape}, H {h.shape} and curvature {curv.shape} "
+            f"do not fit k = {k} on dim {m} at step {step}"
+        )
+    return float(pot.value), grad.ravel().tolist(), h.ravel().tolist(), curv.ravel().tolist()
 
 
-def _floats(fn: Callable) -> Callable:
+def _floats(fn: Callable, role: str, size: int) -> Callable:
     """fn's float form, or an adapter that calls fn on an array and
     returns its result as a flat list of floats: the form of a drift, a
-    Jacobian or an observation map.
+    Jacobian or an observation map. The adapter refuses a result with
+    another count of entries than ``size`` with ValidationError naming
+    the callable's ``role``; a float form is not checked.
     """
     form = getattr(fn, "floats", None)
-    return form if form is not None else lambda x, t: np.asarray(fn(np.array(x), t), dtype=float).ravel().tolist()
+    return form if form is not None else lambda x, t: _sized(fn(np.array(x), t), role, size).ravel().tolist()
 
 
 def _potential_floats(fn: Callable) -> Callable:
@@ -471,7 +483,7 @@ def _potential_floats(fn: Callable) -> Callable:
     and reads its result through _evaluation_floats.
     """
     form = getattr(fn, "floats", None)
-    return form if form is not None else lambda x, t: _evaluation_floats(fn(np.array(x), t))
+    return form if form is not None else lambda x, t: _evaluation_floats(fn(np.array(x), t), len(x), t)
 
 
 def _check_fit(grad, h, curv, k: int, m: int, step: int) -> None:
@@ -541,7 +553,7 @@ def _run(
     # gives the same numbers as steps calls of standard_normal(m). A
     # belief run takes one None per step.
     draws = iter([None] * steps if rng is None else rng.standard_normal((steps, m)).ravel().tolist())
-    drift, jacobian = _floats(model.drift), _floats(model.drift_jacobian)
+    drift, jacobian = _floats(model.drift, "drift", m), _floats(model.drift_jacobian, "drift Jacobian", m * m)
     noise = model.noise_cov.ravel().tolist()
     mean, p = initial.mean.tolist(), initial.cov.ravel().tolist()
     # Flat float columns, m (x, mean, shift), m * m (cov) or one (V,
@@ -584,11 +596,13 @@ def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
     The drift and its Jacobian are evaluated at the current step index,
     producing the predicted belief at step + 1. This is the array form
     of the loop stage's prediction, kept as its reference. A belief of
-    another dimension than the model's raises ValidationError.
+    another dimension than the model's raises ValidationError, as does
+    a drift or Jacobian result without m or m * m entries.
     """
-    if belief.dim != model.dim:
-        raise ValidationError(f"belief has dim {belief.dim}; the model has dim {model.dim}")
-    f = model.drift(belief.mean, belief.step)
+    m = belief.dim
+    if m != model.dim:
+        raise ValidationError(f"belief has dim {m}; the model has dim {model.dim}")
+    f = _sized(model.drift(belief.mean, belief.step), "drift", m).reshape(m)
     trans = transition_matrix(model, belief.mean, belief.step)
     mean = belief.mean + f * model.dt
     cov = symmetrize(trans @ belief.cov @ trans.T + model.noise_cov)
@@ -616,14 +630,10 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValidationError(f"dt must be positive and finite; got {dt!r}")
-    value, grad, h, curvature = _evaluation_floats(pot)
-    m, k = belief.dim, len(grad)
+    m = belief.dim
+    value, grad, h, curvature = _evaluation_floats(pot, m, belief.step)
+    k = len(grad)
     _check_fit(grad, h, curvature, k, m, belief.step)
-    if pot.grad_l.ndim != 1 or pot.H.shape != (k, m) or pot.curvature.shape != (k, k):
-        raise ValidationError(
-            f"potential grad_l {pot.grad_l.shape}, H {pot.H.shape} and curvature {pot.curvature.shape} "
-            f"do not fit k = {k} on dim {m}"
-        )
     retries = [0]
     sig, hld = _compiled("factor", k)(curvature, retries)
     mean, cov, _, log_n, script_n = _compiled("update", m, k)(

@@ -269,7 +269,7 @@ def fokker_planck_residual(
 
 def _drift_on_grid(model: ItoProcessModel, grid: Grid1D) -> np.ndarray:
     # The 1-D model's drift at step 0, read through its float form.
-    drift_floats = engine._floats(model.drift)
+    drift_floats = engine._floats(model.drift, "drift", 1)
     return np.array([drift_floats([xi], 0)[0] for xi in grid.points().tolist()])
 
 
@@ -453,8 +453,6 @@ def _rel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 # identity_suite's checks, in the order of validation.json's worst values.
 _CHECKS = ("forms_mean", "forms_cov", "cov_two_forms", "determinant", "gauge")
-# The floats one trial draws at the largest dims, (6, 6).
-_MOST_DRAWS = 3 * 6 * 6 + 4 * 6 + 2
 
 
 def identity_suite(
@@ -489,11 +487,8 @@ def identity_suite(
     order, and passed means at least one trial and no failure.
     """
     rng = np.random.default_rng(seed)
-    # Each trial's draws in ``drawn`` from starts[trial], in the order of
-    # ``shapes`` below: one buffer, sized for dims (6, 6), rather than an
-    # array per draw.
-    drawn, starts, dims = np.empty(trials * _MOST_DRAWS), np.empty(trials, dtype=int), []
-    end = 0
+    # Each trial's draws as one flat array, in the order of ``shapes`` below.
+    drawn, dims = [], []
     for trial in range(trials):
         m = int(rng.integers(1, 7))
         k = int(rng.integers(1, 7))
@@ -506,12 +501,8 @@ def identity_suite(
         value = float(rng.normal())
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         mean = rng.standard_normal(m)
-        starts[trial] = end
         dims.append((m, k))
-        for part in (*cov_draws, *curvature_draws, h, grad_l, mean, (value, dt)):
-            part = np.ravel(part)
-            drawn[end:end + part.size] = part
-            end += part.size
+        drawn.append(np.concatenate([np.ravel(part) for part in (*cov_draws, *curvature_draws, h, grad_l, mean, (value, dt))]))
 
     by_dims: dict = {}
     for trial, mk in enumerate(dims):
@@ -522,7 +513,7 @@ def identity_suite(
         # cov's normals and eigenvalues, the curvature's, h, grad_l, mean, value and dt
         shapes = [(m, m), (m,), (k, k), (k,), (k, m), (k,), (m,), (), ()]
         widths = [math.prod(shape) for shape in shapes]
-        rows = drawn[starts[members][:, None] + np.arange(sum(widths))]
+        rows = np.array([drawn[trial] for trial in members])
         cov_normals, cov_eigs, curv_normals, curv_eigs, h, grad_l, mean, values, dts = (
             np.ascontiguousarray(col).reshape(-1, *shape)
             for col, shape in zip(np.split(rows, np.cumsum(widths)[:-1], axis=1), shapes)

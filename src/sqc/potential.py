@@ -92,8 +92,15 @@ class PotentialEvaluation:
         return self
 
 
+def _numbers(raw) -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"expected numbers in an array's shape; got {raw!r:.80}") from None
+
+
 def _vector(x) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float))
+    v = np.atleast_1d(_numbers(x))
     if v.ndim != 1 or not len(v):
         raise ValidationError(f"expected a vector with entries; got shape {v.shape}")
     return v
@@ -111,7 +118,7 @@ def _entries(v, m: int) -> list:
 
 
 def _weights(sigma_nu_inv, k: int) -> np.ndarray:
-    w = np.atleast_2d(np.asarray(sigma_nu_inv, dtype=float))
+    w = np.atleast_2d(_numbers(sigma_nu_inv))
     if w.shape != (k, k):
         raise ValidationError(f"weight matrix has shape {w.shape}, expected {(k, k)}")
     return w

@@ -69,10 +69,23 @@ def step_sample(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Ge
     return x + model.drift(x, t) * model.dt + np.sqrt(model.dt) * (model.noise_factor @ z)
 
 
+def _sized(out, role: str, size: int) -> np.ndarray:
+    # A drift's, Jacobian's or observation map's result as an array of
+    # floats, refused unless it has ``size`` entries.
+    out = np.asarray(out, dtype=float)
+    if out.size != size:
+        raise ValidationError(f"the {role} returned {out.size} entries where {size} are needed")
+    return out
+
+
 def transition_matrix(model: ItoProcessModel, x_hat: np.ndarray, t: int) -> np.ndarray:
-    """Linearized one-step map F = I + (df/dx)(x_hat, t) dt."""
-    jac = np.asarray(model.drift_jacobian(np.asarray(x_hat, dtype=float), t), dtype=float)
-    return np.eye(model.dim) + jac * model.dt
+    """Linearized one-step map F = I + (df/dx)(x_hat, t) dt.
+
+    A Jacobian result without dim * dim entries raises ValidationError.
+    """
+    m = model.dim
+    jac = _sized(model.drift_jacobian(np.asarray(x_hat, dtype=float), t), "drift Jacobian", m * m)
+    return np.eye(m) + jac.reshape(m, m) * model.dt
 
 
 def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:

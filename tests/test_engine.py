@@ -86,6 +86,30 @@ def test_update_refuses_a_potential_of_the_right_size_and_wrong_shape():
         engine.update(belief, pot, 1.0)
 
 
+@pytest.mark.parametrize("mode", ["sampled", "belief"])
+def test_step_loop_refuses_a_potential_of_the_right_size_and_wrong_shape(mode):
+    # H (1, 4) has the 4 entries of a (2, 2) H. The step loop used to
+    # read it row-major and run on where update() refuses it; both now
+    # refuse it through the one shape test.
+    belief = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
+
+    def flat_h(x, t):
+        p = eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
+        return PotentialEvaluation(
+            l=p.l, value=p.value, grad_l=p.grad_l, H=p.H.reshape(1, 4), curvature=p.curvature,
+            counter_curvature=p.counter_curvature,
+        )
+
+    misfit = r"potential grad_l \(2,\), H \(1, 4\) and curvature \(2, 2\) do not fit k = 2 on dim 2"
+    with pytest.raises(ValidationError, match=misfit):
+        engine.update(belief, flat_h(belief.mean, 0), 1.0)
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    model = linear_model(np.zeros((2, 2)), 2, np.eye(2))
+    rng = np.random.default_rng(0) if mode == "sampled" else None
+    with pytest.raises(ValidationError, match=misfit):
+        control.run_closed_loop(model, flat_h, belief, cfg, 5, rng, mode=mode)
+
+
 def test_update_and_step_loop_refuse_a_potential_that_does_not_fit():
     # A 3-D penalty on a 2-D belief, and a dt that is not positive and
     # finite, are ValidationErrors naming the sizes and dt.

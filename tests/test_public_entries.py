@@ -5,8 +5,10 @@ values from a fixed set and parses and runs it, writes observation
 files from malformed pieces and reads them, hands the public update,
 predict and sample_posterior beliefs, models and potentials of
 mismatched shapes, runs the closed loop over potential callables that
-return the wrong thing from a random step on, and hands the bundled
-eval_* functions arguments of mismatched shapes. Each test collects
+return the wrong thing from a random step on, runs both modes, the
+filter and predict over drifts, Jacobians and observation maps that
+return the wrong number of entries, and hands the bundled eval_*
+functions arguments of mismatched shapes or that are not numbers. Each test collects
 every exception that is not an SqcError, with the input that raised
 it, and fails listing them.
 """
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from sqc import control, ekf, engine, process
-from sqc.errors import SqcError
+from sqc.errors import SqcError, ValidationError
 from sqc.potential import PotentialEvaluation, eval_double_well, eval_log_barrier, eval_quadratic_penalty
 from sqc.scenario import load_bundled, scenario_from_dict
 
@@ -248,13 +250,83 @@ def test_closed_loop_over_malformed_potentials_raises_only_sqc_errors():
     assert not found, found
 
 
+def test_callables_with_wrong_entry_counts_raise_only_sqc_errors():
+    # One of a drift, its Jacobian, an observation map or its Jacobian
+    # returns one entry too few, one too many or twice its count from a
+    # random step on; the others are right.
+    rnd = random.Random(11)
+    found = {}
+    for trial in range(160):
+        m, k, first = rnd.randint(1, 3), rnd.randint(1, 3), rnd.randint(0, 4)
+        c = np.full((k, m), 0.5)
+        right = {
+            "drift": (lambda x, t: -0.1 * x, m),
+            "drift_jacobian": (lambda x, t: -0.1 * np.eye(m), m * m),
+            "h": (lambda x, t: c @ x, k),
+            "h_jacobian": (lambda x, t: c, k * m),
+        }
+        role = rnd.choice(list(right))
+        fn, count = right[role]
+        entries = rnd.choice([count - 1, count + 1, 2 * count])
+        fns = {name: f for name, (f, _) in right.items()}
+        fns[role] = lambda x, t, fn=fn, entries=entries, first=first: fn(x, t) if t < first else np.full(entries, 0.1)
+        model = process.ItoProcessModel(dim=m, drift=fns["drift"], drift_jacobian=fns["drift_jacobian"], g_inv=np.eye(m))
+        obs = ekf.ObservationModel(h=fns["h"], h_jacobian=fns["h_jacobian"], sigma_nu=np.eye(k))
+        belief = engine.GaussianBelief(mean=np.full(m, 0.3), cov=np.eye(m))
+        penalty = lambda x, t, m=m: eval_quadratic_penalty(x, np.zeros(m), np.eye(m))
+        cfg = control.ControlConfig(B=np.eye(m), R=np.eye(m))
+        stream = ekf.ObservationStream(steps=list(range(7)), values=np.full((7, k), 0.1))
+        calls = [
+            ("sampled", control.run_closed_loop, model, penalty, belief, cfg, 6, np.random.default_rng(trial), "sampled"),
+            ("belief", control.run_closed_loop, model, penalty, belief, cfg, 6, None, "belief"),
+            ("filter", ekf.filter_with_likelihood, model, obs, stream, belief),
+            ("predict", engine.predict, engine.GaussianBelief(mean=belief.mean, cov=belief.cov, step=first), model),
+        ]
+        for name, call, *args in calls:
+            crash = bare_exception(call, *args)
+            if crash is not None:
+                found.setdefault((name, role, crash), (m, k, first, entries))
+    assert not found, found
+
+
+def test_wrong_entry_counts_are_refused_naming_the_callable():
+    zero, eye = (lambda x, t: np.zeros(2)), (lambda x, t: np.eye(2))
+    belief = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
+    penalty = lambda x, t: eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    for drift, jacobian, message in (
+        (lambda x, t: np.zeros(3), eye, "the drift returned 3 entries where 2 are needed"),
+        (zero, lambda x, t: np.zeros((3, 3)), "the drift Jacobian returned 9 entries where 4 are needed"),
+    ):
+        model = process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jacobian, g_inv=np.eye(2))
+        for mode, rng in (("sampled", np.random.default_rng(0)), ("belief", None)):
+            with pytest.raises(ValidationError, match=message):
+                control.run_closed_loop(model, penalty, belief, cfg, 5, rng, mode)
+        with pytest.raises(ValidationError, match=message):
+            engine.predict(belief, model)
+    model = process.ItoProcessModel(dim=2, drift=zero, drift_jacobian=lambda x, t: np.zeros((2, 2)), g_inv=np.eye(2))
+    stream = ekf.ObservationStream(steps=[0, 1], values=np.full((2, 2), 0.1))
+    for h, h_jacobian, message in (
+        (lambda x, t: np.zeros(3), eye, "the observation map returned 3 entries where 2 are needed"),
+        (lambda x, t: x, lambda x, t: np.eye(3), "the observation Jacobian returned 9 entries where 4 are needed"),
+    ):
+        obs = ekf.ObservationModel(h=h, h_jacobian=h_jacobian, sigma_nu=np.eye(2))
+        with pytest.raises(ValidationError, match=message):
+            ekf.filter_with_likelihood(model, obs, stream, belief)
+
+
 def test_bundled_potentials_with_mismatched_shapes_raise_only_sqc_errors():
+    # Besides arrays of mismatched shapes, arguments that are not numbers:
+    # a string, a ragged list, None and a dict.
     shapes = [(), (0,), (1,), (2,), (3,), (4,), (1, 2), (2, 2), (3, 3), (2, 1), (0, 0), (2, 2, 2)]
+    others = ["x", [[1.0], [2.0, 3.0]], None, {"a": 1}]
     rnd = random.Random(10)
     rng = np.random.default_rng(10)
     found = {}
     for _ in range(600):
-        x, second, weights = (rng.uniform(0.1, 1.0, rnd.choice(shapes)) for _ in range(3))
+        x, second, weights = (
+            rnd.choice(others) if rnd.random() < 0.1 else rng.uniform(0.1, 1.0, rnd.choice(shapes)) for _ in range(3)
+        )
         calls = [
             ("eval_quadratic_penalty", eval_quadratic_penalty, x, second, weights),
             ("eval_double_well", eval_double_well, x, second, weights),

@@ -447,7 +447,10 @@ def test_csv_writers_render_each_value_with_17_digits(tmp_path, monkeypatch):
     for chunk_rows in (1, 4, cli._CHUNK_ROWS):
         monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
         path = tmp_path / "trajectory.csv"
-        cli._write_trajectory_csv(path, result)
+        cli._write_csv(path, result.first_step, {
+            "x": result.x, "u": result.u, "mean": result.mean, "cov": result.cov, "V": result.value,
+            "logN": result.log_n,
+        })
         rows = path.read_text().splitlines()[2:]
         assert rows == [
             rendered_per_value(i, [*result.x[i], *result.u[i], *result.mean[i], *result.cov[i].ravel(),
@@ -456,13 +459,35 @@ def test_csv_writers_render_each_value_with_17_digits(tmp_path, monkeypatch):
         ]
 
         path = tmp_path / "beliefs.csv"
-        cli._write_beliefs_csv(path, 0, mean, cov, np.array(logliks))
+        cli._write_csv(path, 0, {"mean": mean, "cov": cov, "loglik": np.array(logliks)})
         rows = path.read_text().splitlines()
         assert rows[:2] == [f"# sqc {__version__}", "step,mean1,mean2,cov11,cov12,cov21,cov22,loglik"]
         assert rows[2:] == [
             rendered_per_value(i, [*mean[i], *cov[i].ravel(), ll]) for i, ll in enumerate(logliks)
         ]
         assert rows[3].endswith(",nan") and rows[2].startswith("0,-0,4.9406564584124654e-324,")
+
+
+def test_csv_header_names_each_column_from_its_shape(tmp_path):
+    # A 3-D state with a one-column u: (n,) arrays give their name,
+    # (n, m) ones name1..namem and (n, m, m) ones name11..namemm, in
+    # row-major order, and each row lists the arrays' entries in turn.
+    rng = np.random.default_rng(3)
+    columns = {
+        "x": rng.standard_normal((4, 3)), "u": rng.standard_normal((4, 1)), "mean": rng.standard_normal((4, 3)),
+        "cov": rng.standard_normal((4, 3, 3)), "V": rng.standard_normal(4), "logN": rng.standard_normal(4),
+    }
+    path = tmp_path / "trajectory.csv"
+    cli._write_csv(path, 7, columns)
+    lines = path.read_text().splitlines()
+    assert lines[1] == ",".join(
+        ["step", "x1", "x2", "x3", "u1", "mean1", "mean2", "mean3"]
+        + [f"cov{i}{j}" for i in "123" for j in "123"] + ["V", "logN"]
+    )
+    assert lines[2:] == [
+        rendered_per_value(7 + i, np.concatenate([np.ravel(col[i]) for col in columns.values()]))
+        for i in range(4)
+    ]
 
 
 def _near_ties(rng, per_case: int) -> np.ndarray:
@@ -507,7 +532,7 @@ def test_csv_text_matches_percent_17g_on_a_million_values(tmp_path):
     ])
     values = rng.permutation(np.resize(values, 1_000_000)).reshape(100_000, 10)
     path = tmp_path / "values.csv"
-    cli._write_csv(path, [f"c{i}" for i in range(11)], 0, values)
+    cli._write_csv(path, 0, {"c": values})
     template = "%d," + ",".join(["%.17g"] * 10)
     expected = [template % (step, *row) for step, row in enumerate(values.tolist())]
     assert path.read_text().splitlines()[2:] == expected
