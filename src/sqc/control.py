@@ -22,7 +22,7 @@ from . import engine
 from .engine import GaussianBelief
 from .errors import NotPositiveDefinite, ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, symmetrize
-from .process import ItoProcessModel
+from .process import ItoProcessModel, _reals, _whole
 
 __all__ = [
     "ControlConfig",
@@ -36,14 +36,16 @@ MODES = ("sampled", "belief")
 
 @dataclass
 class ControlConfig:
-    """Input matrix B and effort weight R; both checked at construction."""
+    """Input matrix B (m, l) and effort weight R (l, l); both checked at construction."""
 
     B: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.R = symmetrize(np.atleast_2d(np.asarray(self.R, dtype=float)))
+        self.B, self.R = _reals(self.B, "B", 2), _reals(self.R, "R", 2)
+        if self.R.shape != (self.B.shape[1],) * 2:
+            raise ValidationError(f"R dim does not match B columns: R has shape {self.R.shape}, B {self.B.shape}")
+        self.R = symmetrize(self.R)
         # Strict factorizations here, no jitter retry: a singular R or a
         # rank-deficient B must fail loudly at construction, not drift
         # through the loop.
@@ -140,8 +142,7 @@ def run_closed_loop(
     next state is a posterior draw, taken with ``rng`` by engine._run
     after its checks ("sampled"), or the posterior mean ("belief").
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    horizon = _whole(horizon, "horizon", 1, "a whole number >= 1")
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if mode == "sampled" and rng is None:

@@ -40,7 +40,7 @@ from . import engine
 from .errors import ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, gaussian_log_density, spd_solve, symmetrize
 from .potential import _bound
-from .process import ItoProcessModel
+from .process import ItoProcessModel, _LAST_STEP, _STEP, _reals, _sized, _steps, _whole
 
 __all__ = [
     "ObservationModel",
@@ -54,14 +54,19 @@ __all__ = [
 
 @dataclass
 class ObservationModel:
-    """Observation map h, its Jacobian and the noise weight matrix."""
+    """Observation map h, its Jacobian and the noise weight matrix; checked at construction."""
 
     h: Callable[[np.ndarray, int], np.ndarray]
     h_jacobian: Callable[[np.ndarray, int], np.ndarray]
     sigma_nu: np.ndarray
 
     def __post_init__(self):
-        self.sigma_nu = symmetrize(np.atleast_2d(np.asarray(self.sigma_nu, dtype=float)))
+        if not (callable(self.h) and callable(self.h_jacobian)):
+            raise ValidationError("the observation map and its Jacobian must be callables (x, t) -> array")
+        self.sigma_nu = _reals(self.sigma_nu, "sigma_nu", 2)
+        if self.sigma_nu.shape[0] != self.sigma_nu.shape[1]:
+            raise ValidationError(f"sigma_nu must be square, got shape {self.sigma_nu.shape}")
+        self.sigma_nu = symmetrize(self.sigma_nu)
         # One strict factor, no jitter retry: a singular sigma_nu fails here.
         low, k = _strict_cholesky(self.sigma_nu), self.sigma_nu.shape[0]
         # Read-only: it is the constant curvature of every observation
@@ -75,14 +80,14 @@ class ObservationModel:
 
 @dataclass
 class ObservationStream:
-    """Ordered (step, y) pairs; steps strictly increasing."""
+    """Ordered (step, y) pairs: whole steps, strictly increasing, and one row of numbers per step."""
 
     steps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        self.steps = np.asarray(self.steps, dtype=int)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        self.steps = _steps(self.steps, "observation steps")
+        self.values = _reals(self.values, "observation values", 2)
         if len(self.steps) != len(self.values):
             raise ValidationError("steps and values must have equal length")
         if len(self.steps) > 1 and np.any(np.diff(self.steps) <= 0):
@@ -90,6 +95,18 @@ class ObservationStream:
 
     def __len__(self) -> int:
         return len(self.steps)
+
+
+def _innovation(belief: engine.GaussianBelief, obs_model: ObservationModel, y, t: int) -> tuple:
+    # y - h(x), H = dh/dx (k, m) and sigma_nu + H cov H^T at the belief's
+    # mean and step t; y must be k numbers and h and H have k and k * m entries.
+    k, m = len(obs_model.sigma_nu), belief.dim
+    y = _reals(y, "observation y", 1)
+    if len(y) != k:
+        raise ValidationError(f"observation y has {len(y)} entries; sigma_nu observes {k}")
+    jac = _sized(obs_model.h_jacobian(belief.mean, t), "observation Jacobian", k * m).reshape(k, m)
+    innovation = y - _sized(obs_model.h(belief.mean, t), "observation map", k).reshape(k)
+    return innovation, jac, symmetrize(obs_model.sigma_nu + jac @ belief.cov @ jac.T)
 
 
 def ekf_step(
@@ -104,15 +121,12 @@ def ekf_step(
     The update arithmetic here is the innovation form with unit time
     weighting (one observation absorbed per step), deliberately not a
     call into the engine so the two can be compared as independent
-    routes.
+    routes. y, t and the results of h and h_jacobian are checked.
     """
     pred = engine.predict(belief, model) if belief.tag == "updated" else belief
-    x = pred.mean
-    jac = np.atleast_2d(obs_model.h_jacobian(x, t))
-    innovation = np.atleast_1d(np.asarray(y, dtype=float)) - np.atleast_1d(obs_model.h(x, t))
-    s = symmetrize(obs_model.sigma_nu + jac @ pred.cov @ jac.T)
+    innovation, jac, s = _innovation(pred, obs_model, y, _whole(t, "step t", *_STEP))
     gain = spd_solve(s, jac @ pred.cov).T
-    mean = x + gain @ innovation
+    mean = pred.mean + gain @ innovation
     cov = symmetrize(pred.cov - gain @ jac @ pred.cov)
     return engine.GaussianBelief(mean=mean, cov=cov, step=pred.step, tag="updated")
 
@@ -125,13 +139,9 @@ def marginal_likelihood(belief: engine.GaussianBelief, obs_model: ObservationMod
     step; the weight is the ratio of the observation density at x_hat
     to that marginal. Any common scaling of the two densities cancels
     in the weight. Both densities are linalg.gaussian_log_density, which
-    factors each covariance once.
+    factors each covariance once. y, h and h_jacobian are checked.
     """
-    t, x = belief.step, belief.mean
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    jac = np.atleast_2d(obs_model.h_jacobian(x, t))
-    innovation = y - np.atleast_1d(obs_model.h(x, t))
-    s = symmetrize(obs_model.sigma_nu + jac @ belief.cov @ jac.T)
+    innovation, _, s = _innovation(belief, obs_model, y, belief.step)
     log_marginal = float(gaussian_log_density(innovation, s))
     log_at_mean = float(gaussian_log_density(innovation, obs_model.sigma_nu))
     return log_marginal, log_at_mean - log_marginal
@@ -153,8 +163,8 @@ def filter_with_likelihood(
     bare prediction elsewhere; loglik is the step's log marginal
     likelihood, and nan exactly at the rows without an observation. An
     observation of the wrong width, one before the initial step or
-    beyond the horizon, or a horizon before the initial step raises
-    ValidationError; a breakdown that stops engine._run is raised.
+    beyond the horizon, or a horizon that is not a whole number or is
+    before the initial step raises ValidationError; a breakdown that stops engine._run is raised.
     All the steps run in one call of the engine's loop stage for the
     observation width.
     """
@@ -166,8 +176,7 @@ def filter_with_likelihood(
     steps = stream.steps.tolist()
     by_step = dict(zip(steps, stream.values.tolist()))
     start = initial_belief.step
-    if horizon is None:
-        horizon = steps[-1] if steps else start
+    horizon = (steps[-1] if steps else start) if horizon is None else _whole(horizon, "horizon", *_STEP)
     if horizon < start:
         raise ValidationError(f"horizon {horizon} is before step {start}")
     outside = [s for s in steps if not start <= s <= horizon]
@@ -194,10 +203,6 @@ def filter_with_likelihood(
         finally:
             del failure  # its new traceback refers to this frame
     return mean, cov, obs_model.log_density_offset - log_n
-
-
-# Steps are stored as numpy's default integer, a C long.
-_STEP_RANGE = np.iinfo(int)
 
 
 def read_observations(path) -> ObservationStream:
@@ -234,7 +239,7 @@ def read_observations(path) -> ObservationStream:
             raise ValidationError(f"line {line}: {exc}") from None
         if not step.is_integer():
             raise ValidationError(f"line {line}: step {r[0].strip()} is not a whole number")
-        if not _STEP_RANGE.min <= step <= _STEP_RANGE.max:
+        if not -_LAST_STEP - 1 <= step <= _LAST_STEP:
             raise ValidationError(f"line {line}: step {r[0].strip()} is out of range")
         for v in row:
             if not math.isfinite(v):

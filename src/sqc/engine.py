@@ -85,7 +85,7 @@ import numpy as np
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
 from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
-from .process import ItoProcessModel, _sized, transition_matrix
+from .process import ItoProcessModel, _STEP, _dt, _reals, _sized, _whole, transition_matrix
 
 __all__ = [
     "GaussianBelief",
@@ -98,7 +98,7 @@ __all__ = [
 
 @dataclass
 class GaussianBelief:
-    """Mean and covariance at an integer step, tagged by recursion phase."""
+    """Mean and covariance at an integer step, tagged by recursion phase; checked at construction."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -106,12 +106,13 @@ class GaussianBelief:
     tag: str = "predicted"
 
     def __post_init__(self):
-        self.mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        self.cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if self.mean.ndim != 1 or self.cov.shape != (self.dim, self.dim):
-            raise ValidationError(f"belief mean has shape {self.mean.shape} and covariance {self.cov.shape}")
-        self.cov = symmetrize(self.cov)
-        if self.tag not in ("predicted", "updated"):
+        # The mean is read as a row, so a 2-D one is refused naming both shapes.
+        mean, self.cov = _reals(self.mean, "belief mean", 2), _reals(self.cov, "belief cov", 2)
+        if np.ndim(self.mean) > 1 or self.cov.shape != (mean.size, mean.size):
+            raise ValidationError(f"belief mean has shape {np.shape(self.mean)} and covariance {self.cov.shape}")
+        self.mean, self.cov = mean[0], symmetrize(self.cov)
+        self.step = _whole(self.step, "belief step", *_STEP)
+        if not (isinstance(self.tag, str) and self.tag in ("predicted", "updated")):
             raise ValidationError(f"unknown belief tag {self.tag!r}")
         if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.cov))):
             raise NonFinite(f"belief at step {self.step} has non-finite entries")
@@ -628,8 +629,7 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     which equals P^-1 H^T grad_l dt by the matrix inversion lemma. One
     kernel call gives both results.
     """
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be positive and finite; got {dt!r}")
+    dt = _dt(dt)
     m = belief.dim
     value, grad, h, curvature = _evaluation_floats(pot, m, belief.step)
     k = len(grad)

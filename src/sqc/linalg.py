@@ -114,13 +114,13 @@ def _strict_cholesky(a: np.ndarray) -> np.ndarray:
     a factor n of the 2-norm one, must stay below 1 / (n eps), the rank
     tolerance of numpy's matrix_rank. The scaling leaves any positive
     diagonal matrix accepted, whatever the spread of its entries.
-    Raises NotPositiveDefinite otherwise.
+    Raises NotPositiveDefinite otherwise, and for an empty matrix.
     """
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         low = None
-    if low is not None:
+    if low is not None and a.size:
         d = 1.0 / np.sqrt(np.diag(a))
         if np.linalg.cond(a * np.outer(d, d), 1) * a.shape[0] * np.finfo(float).eps < 1.0:
             return low

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import DomainViolation, NonFinite, ValidationError
 from .linalg import _compile_source, _dot_source
+from .process import _reals
 
 __all__ = [
     "PotentialEvaluation",
@@ -57,7 +58,7 @@ __all__ = [
 
 @dataclass
 class PotentialEvaluation:
-    """All derivative information of a potential at a single point."""
+    """All derivative information of a potential at a single point, checked at construction."""
 
     l: np.ndarray
     value: float
@@ -67,11 +68,12 @@ class PotentialEvaluation:
     counter_curvature: np.ndarray
 
     def __post_init__(self):
-        self.l = np.atleast_1d(np.asarray(self.l, dtype=float))
-        self.grad_l = np.atleast_1d(np.asarray(self.grad_l, dtype=float))
-        self.H = np.atleast_2d(np.asarray(self.H, dtype=float))
-        self.curvature = np.atleast_2d(np.asarray(self.curvature, dtype=float))
-        self.counter_curvature = np.atleast_2d(np.asarray(self.counter_curvature, dtype=float))
+        self.l = _reals(self.l, "potential l", 1)
+        self.value = _reals(self.value, "potential value", 0)
+        self.grad_l = _reals(self.grad_l, "potential grad_l", 1)
+        self.H = _reals(self.H, "potential H", 2)
+        self.curvature = _reals(self.curvature, "potential curvature", 2)
+        self.counter_curvature = _reals(self.counter_curvature, "potential counter_curvature", 2)
         pieces = (self.l, self.value, self.grad_l, self.H, self.curvature, self.counter_curvature)
         if not all(np.all(np.isfinite(p)) for p in pieces):
             raise NonFinite("potential evaluation produced non-finite entries")
@@ -92,33 +94,19 @@ class PotentialEvaluation:
         return self
 
 
-def _numbers(raw) -> np.ndarray:
-    try:
-        return np.asarray(raw, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"expected numbers in an array's shape; got {raw!r:.80}") from None
-
-
-def _vector(x) -> np.ndarray:
-    v = np.atleast_1d(_numbers(x))
-    if v.ndim != 1 or not len(v):
-        raise ValidationError(f"expected a vector with entries; got shape {v.shape}")
-    return v
-
-
-def _entries(v, m: int) -> list:
+def _entries(v, label: str, m: int) -> list:
     # v as a list of m floats; a single value stands for all m, as it
     # would under numpy broadcasting.
-    v = _vector(v).tolist()
+    v = _reals(v, label, 1).tolist()
     if len(v) == 1:
         return v * m
     if len(v) != m:
-        raise ValidationError(f"got {len(v)} entries where {m} are needed")
+        raise ValidationError(f"{label} has {len(v)} entries where {m} are needed")
     return v
 
 
 def _weights(sigma_nu_inv, k: int) -> np.ndarray:
-    w = np.atleast_2d(_numbers(sigma_nu_inv))
+    w = _reals(sigma_nu_inv, "sigma_nu_inv", 2)
     if w.shape != (k, k):
         raise ValidationError(f"weight matrix has shape {w.shape}, expected {(k, k)}")
     return w
@@ -223,12 +211,14 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
     check.
     """
     m = len(weights)
+    if not m:  # no form is written for m = 0
+        raise ValidationError("a potential needs a state with entries")
     constants = np.concatenate([np.ravel(weights), np.ravel(target[1:])]).astype(float).tolist()
     evaluate, inner = _form_factory(kind, m, None if kind == "log_barrier" else target[0])(*constants)
     evaluate.dim = m
 
     def fn(x, t):
-        x = _vector(x).tolist()
+        x = _reals(x, "the state", 1).tolist()
         if len(x) != m:
             raise ValidationError(f"the potential is built for dim {m}; the state has dim {len(x)}")
         value, grad, h, curvature = evaluate(x, t)
@@ -244,8 +234,8 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
 
 def eval_quadratic_penalty(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray) -> PotentialEvaluation:
     """Quadratic penalty V = l^T sigma_nu_inv l / 2 with l = x - d."""
-    x = _vector(x_hat)
-    return _bound("quadratic_penalty", _weights(sigma_nu_inv, len(x)))(x, _entries(d, len(x)))
+    x = _reals(x_hat, "x_hat", 1)
+    return _bound("quadratic_penalty", _weights(sigma_nu_inv, len(x)))(x, _entries(d, "d", len(x)))
 
 
 def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
@@ -254,8 +244,8 @@ def eval_log_barrier(x_hat: np.ndarray, a: np.ndarray) -> PotentialEvaluation:
     The curvature diag(a_i / x_i^2) makes the implied weight matrix
     diag(x_i^2 / a_i), so the barrier stiffens as the boundary nears.
     """
-    x = _vector(x_hat)
-    a = _entries(a, len(x))
+    x = _reals(x_hat, "x_hat", 1)
+    a = _entries(a, "a", len(x))
     if any(ai <= 0.0 for ai in a):
         raise DomainViolation("barrier weights a must be positive")
     return _bound("log_barrier", a)(x, 0)
@@ -268,8 +258,8 @@ def eval_double_well(x_hat: np.ndarray, d: np.ndarray, sigma_nu_inv: np.ndarray)
     quadratic, so the counter_curvature is nonzero away from the wells:
     d^2 l^i / dx_i^2 = 2 gives diagonal entries 2 (sigma_nu_inv l)_i.
     """
-    x = _vector(x_hat)
-    return _bound("double_well", _weights(sigma_nu_inv, len(x)))(x, _entries(d, len(x)))
+    x = _reals(x_hat, "x_hat", 1)
+    return _bound("double_well", _weights(sigma_nu_inv, len(x)))(x, _entries(d, "d", len(x)))
 
 
 def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.01, center: float = 2500.0) -> np.ndarray:
@@ -295,7 +285,7 @@ def verify_derivatives(potential, x_hat: np.ndarray) -> dict:
 
     Returns a dict of relative errors plus their maximum under "max".
     """
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
+    x_hat = _reals(x_hat, "x_hat", 1)
     here = potential(x_hat)
     m = len(x_hat)
     k = len(here.l)

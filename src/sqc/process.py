@@ -37,7 +37,7 @@ DriftFn = Callable[[np.ndarray, int], np.ndarray]
 
 @dataclass
 class ItoProcessModel:
-    """Drift, drift Jacobian, inverse noise metric and step size."""
+    """Drift, drift Jacobian, inverse noise metric and step size, each checked at construction."""
 
     dim: int
     drift: DriftFn
@@ -48,13 +48,13 @@ class ItoProcessModel:
     noise_cov: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.g_inv = symmetrize(np.asarray(self.g_inv, dtype=float))
+        self.dim = _whole(self.dim, "dim", 1, "a whole number >= 1")
+        if not (callable(self.drift) and callable(self.drift_jacobian)):
+            raise ValidationError("the drift and its Jacobian must be callables (x, t) -> array")
+        self.g_inv, self.dt = _reals(self.g_inv, "g_inv", 2), _dt(self.dt)
         if self.g_inv.shape != (self.dim, self.dim):
-            raise ValidationError(
-                f"g_inv shape {self.g_inv.shape} does not match dim {self.dim}"
-            )
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValidationError(f"dt must be positive and finite; got {self.dt!r}")
+            raise ValidationError(f"g_inv shape {self.g_inv.shape} does not match dim {self.dim}")
+        self.g_inv = symmetrize(self.g_inv)
         # g_inv and dt are time independent, so the noise factor and the
         # per-step noise covariance g_inv dt are computed once; the strict
         # factor refuses a singular g_inv.
@@ -62,17 +62,25 @@ class ItoProcessModel:
         self.noise_cov = self.g_inv * self.dt
 
 
+def _state(model: ItoProcessModel, x, label: str) -> np.ndarray:
+    x = _reals(x, label, 1)
+    if len(x) != model.dim:
+        raise ValidationError(f"{label} has {len(x)} entries; the model has dim {model.dim}")
+    return x
+
+
 def step_sample(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    """One Euler step of the process from state x at step index t."""
-    x = np.asarray(x, dtype=float)
-    z = rng.standard_normal(model.dim)
-    return x + model.drift(x, t) * model.dt + np.sqrt(model.dt) * (model.noise_factor @ z)
+    """One Euler step of the process from state x at step index t; x, t and the drift's result are checked."""
+    m, t = model.dim, _whole(t, "step t", *_STEP)
+    x = _state(model, x, "state x")
+    z = rng.standard_normal(m)
+    return x + _sized(model.drift(x, t), "drift", m).reshape(m) * model.dt + np.sqrt(model.dt) * (model.noise_factor @ z)
 
 
 def _sized(out, role: str, size: int) -> np.ndarray:
-    # A drift's, Jacobian's or observation map's result as an array of
-    # floats, refused unless it has ``size`` entries.
-    out = np.asarray(out, dtype=float)
+    """A drift's, Jacobian's or observation map's result through _reals, at
+    most 2-D; ValidationError naming ``role`` unless it has ``size`` entries."""
+    out = _reals(out, f"the {role}'s result", 2)
     if out.size != size:
         raise ValidationError(f"the {role} returned {out.size} entries where {size} are needed")
     return out
@@ -81,10 +89,10 @@ def _sized(out, role: str, size: int) -> np.ndarray:
 def transition_matrix(model: ItoProcessModel, x_hat: np.ndarray, t: int) -> np.ndarray:
     """Linearized one-step map F = I + (df/dx)(x_hat, t) dt.
 
-    A Jacobian result without dim * dim entries raises ValidationError.
+    An x_hat or a Jacobian result of the wrong size raises ValidationError.
     """
     m = model.dim
-    jac = _sized(model.drift_jacobian(np.asarray(x_hat, dtype=float), t), "drift Jacobian", m * m)
+    jac = _sized(model.drift_jacobian(_state(model, x_hat, "x_hat"), t), "drift Jacobian", m * m)
     return np.eye(m) + jac.reshape(m, m) * model.dt
 
 
@@ -93,12 +101,11 @@ def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: 
 
     Returns the (steps + 1, dim) array of states whose row i is step i,
     row 0 the initial state. Raises NonFinite as soon as a state leaves
-    the finite range.
+    the finite range, and ValidationError for a malformed x0 or steps.
     """
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    steps = _whole(steps, "steps", 1, "a whole number >= 1")
     states = np.empty((steps + 1, model.dim))
-    states[0] = np.asarray(x0, dtype=float)
+    states[0] = _state(model, x0, "x0")
     for t in range(steps):
         states[t + 1] = step_sample(model, states[t], t, rng)
         if not np.all(np.isfinite(states[t + 1])):
@@ -107,8 +114,8 @@ def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: 
 
 
 # ---------------------------------------------------------------------------
-# Numbers read from scenario files: the drift parameters here, and every
-# vector and matrix of a scenario through scenario._finite/_spd_matrix.
+# The readers of numbers from outside: scenario files, public entries and
+# user callables. The hot path (float forms, _trusted, the loop) skips them.
 
 def _all_reals(raw) -> bool:
     # Every leaf a real number (a JSON int or float), not a bool or a string.
@@ -116,32 +123,70 @@ def _all_reals(raw) -> bool:
         return all(map(_all_reals, raw))
     if isinstance(raw, np.ndarray):
         return raw.dtype.kind in "iuf"
-    return isinstance(raw, numbers.Real) and not isinstance(raw, bool)
+    return type(raw) is float or isinstance(raw, numbers.Real) and not isinstance(raw, bool)
 
 
-def _reals(raw, label: str, scalar: bool = False):
-    """raw as a float array, or a float if ``scalar``.
+_SHAPES = ("a number", "a flat list of numbers", "a matrix, a list of rows of numbers")
 
-    It takes JSON ints and floats, alone or in nested lists of equal
-    length, and refuses strings, bools, None and ragged lists with a
-    ValidationError.
+
+def _reals(raw, label: str, ndim: int):
+    """raw as a float for ndim 0, else as np.atleast_{ndim}d of a float array.
+
+    It takes ints and floats, alone, in nested lists of equal length or in
+    numpy arrays, of at most ``ndim`` dimensions. Anything else (strings,
+    bools, None, object arrays, ragged lists, ints beyond float range, more
+    dimensions) raises a ValidationError naming ``label``.
     """
     try:
         values = np.asarray(raw, dtype=float) if _all_reals(raw) else None
     except (ValueError, OverflowError):  # ragged lists, or an int beyond float range
         values = None
-    if values is None or (scalar and values.ndim):
-        wanted = "a number" if scalar else "a number or lists of numbers of equal length"
+    if values is None:
+        wanted = "a number or lists of numbers of equal length" if ndim else "a number"
         raise ValidationError(f"{label} must be {wanted}; got {raw!r}")
-    return float(values) if scalar else values
+    if values.ndim > ndim:
+        raise ValidationError(f"{label} must be {_SHAPES[ndim]}; got {values.tolist()}")
+    return values[(None,) * (ndim - values.ndim)] if ndim else float(values)  # leading axes, as np.atleast_{ndim}d
 
 
-def _finite(raw, label: str, scalar: bool = False):
+def _finite(raw, label: str, ndim: int):
     """_reals, with every entry finite."""
-    values = _reals(raw, label, scalar)
+    values = _reals(raw, label, ndim)
     if not np.isfinite(values).all():
         raise ValidationError(f"{label} must be finite; got {np.asarray(values).tolist()}")
     return values
+
+
+def _dt(raw) -> float:
+    """dt as a float; anything but a positive finite number raises ValidationError."""
+    try:
+        dt = _reals(raw, "dt", 0)
+    except ValidationError:
+        dt = math.nan
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be positive, finite and a number; got {raw!r}")
+    return dt
+
+
+def _whole(raw, label: str, minimum: int, wanted: str, maximum=math.inf) -> int:
+    """raw as an int, from an int or a whole float such as 3.0 (not a bool) within [minimum, maximum]."""
+    whole = type(raw) is int or isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not whole or not minimum <= raw <= maximum:
+        raise ValidationError(f"{label} must be {wanted}; got {raw!r}")
+    return int(raw)
+
+
+# _whole's arguments for a step, which numpy's default integer, a C long, numbers.
+_LAST_STEP = int(np.iinfo(int).max)
+_STEP = (-_LAST_STEP - 1, "a whole number a C long holds", _LAST_STEP)
+
+
+def _steps(raw, label: str) -> np.ndarray:
+    """Step numbers as an int array; each entry as given through _whole, so an int stays exact."""
+    _reals(raw, label, 1)
+    if not (isinstance(raw, np.ndarray) and raw.dtype.kind == "i"):
+        raw = [_whole(s, label, *_STEP) for s in np.atleast_1d(np.asarray(raw, dtype=object)).tolist()]
+    return np.asarray(raw, dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +276,7 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
     if kind == "linear":
         if "A" not in params:
             raise ValidationError('linear drift requires parameter "A"')
-        a = _finite(params.pop("A"), "drift matrix A")
+        a = _finite(params.pop("A"), "drift matrix A", 2)
         if params:
             raise ValidationError(f"unknown linear drift parameters {sorted(params)}")
         if a.shape != (dim, dim):
@@ -241,7 +286,7 @@ def make_drift(kind: str, params: dict | None, dim: int) -> tuple[DriftFn, Drift
         if dim != 2:
             raise ValidationError("vanderpol_forced drift is two dimensional")
         scale, forcing, omega = (
-            _reals(params.pop(key, default), f"vanderpol_forced {key}", scalar=True)
+            _reals(params.pop(key, default), f"vanderpol_forced {key}", 0)
             for key, default in (("scale", 0.005), ("forcing", 3.0), ("omega", 0.005))
         )
         if params:

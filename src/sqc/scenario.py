@@ -14,8 +14,6 @@ seed 0, mode "sampled", B = R = identity.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -27,7 +25,7 @@ from .control import MODES, ControlConfig
 from .errors import NotPositiveDefinite, ParseError, ValidationError
 from .linalg import _strict_cholesky, spd_inverse
 from .potential import _bound
-from .process import ItoProcessModel, _finite, _linear_map, make_drift
+from .process import ItoProcessModel, _LAST_STEP, _finite, _linear_map, _whole, make_drift
 
 __all__ = [
     "Scenario",
@@ -43,30 +41,9 @@ BUNDLED_SCENARIOS = ("penalty", "barrier", "doublewell")
 POTENTIAL_KINDS = ("quadratic_penalty", "log_barrier", "double_well", "observation")
 TARGET_KINDS = ("constant", "tanh_ramp")
 
-# Steps are numbered with numpy's default integer, a C long.
-_LAST_STEP = int(np.iinfo(int).max)
-
-
-def _whole(raw, label: str, minimum: int, wanted: str) -> int:
-    # raw as an int: an int, or a float such as 3.0 that is whole; not a
-    # bool or a string.
-    whole = isinstance(raw, numbers.Integral) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not whole or raw < minimum:
-        raise ValidationError(f"{label} must be {wanted}; got {raw!r}")
-    return int(raw)
-
-
 def check_seed(raw, label: str = "seed") -> int:
     """A seed as an int; it must be a non-negative whole number (3.0 reads as 3)."""
     return _whole(raw, label, 0, "a non-negative whole number")
-
-
-def _check_dt(raw) -> float:
-    # A finite real number > 0; not a bool or a string.
-    real = isinstance(raw, numbers.Real) and not isinstance(raw, bool)
-    if not (real and math.isfinite(raw) and raw > 0):
-        raise ValidationError(f"dt must be positive, finite and a number; got {raw!r}")
-    return float(raw)
 
 
 def _take(mapping: dict, allowed: dict, context: str) -> dict:
@@ -91,24 +68,8 @@ def _take(mapping: dict, allowed: dict, context: str) -> dict:
     return out
 
 
-def _flat_vector(raw, label: str) -> np.ndarray:
-    # A number or a flat list of finite numbers, as a 1-D array.
-    vec = np.atleast_1d(_finite(raw, label))
-    if vec.ndim != 1:
-        raise ValidationError(f"{label} must be a flat list of numbers; got {vec.tolist()}")
-    return vec
-
-
-def _matrix(raw, label: str) -> np.ndarray:
-    # A number, a flat list (one row) or a list of equal rows of finite numbers, as a 2-D array.
-    mat = np.atleast_2d(_finite(raw, label))
-    if mat.ndim != 2:
-        raise ValidationError(f"{label} must be a matrix, a list of rows of numbers; got {mat.tolist()}")
-    return mat
-
-
 def _spd_matrix(raw, label: str) -> np.ndarray:
-    mat = _matrix(raw, label)
+    mat = _finite(raw, label, 2)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{label} must be square, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-12, atol=1e-12):
@@ -236,7 +197,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ValidationError(f"name must be a string; got {top['name']!r}")
 
     initial = _take(top["initial"], {"mean": ..., "cov": ...}, "initial")
-    mean0 = _flat_vector(initial["mean"], "initial mean")
+    mean0 = _finite(initial["mean"], "initial mean", 1)
     cov0 = _spd_matrix(initial["cov"], "initial cov")
     dim = len(mean0)
     if cov0.shape != (dim, dim):
@@ -245,12 +206,10 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
     proc = _take(top["process"], {"drift": ..., "g_inv": ..., "dt": 1.0}, "process")
     drift = _take(proc["drift"], {"kind": ..., "params": {}}, "process.drift")
     g_inv = _spd_matrix(proc["g_inv"], "g_inv")
-    if g_inv.shape != (dim, dim):
-        raise ValidationError(f"g_inv shape {g_inv.shape} does not match state dim {dim}")
-    dt = _check_dt(proc["dt"])
-    # Build the drift once right here so a bad kind or parameter set
-    # fails at parse time, not mid-sweep in a worker process.
-    make_drift(drift["kind"], drift["params"], dim)
+    # Build the model once right here so a bad drift kind or parameter
+    # set, g_inv shape or dt fails at parse time, not mid-sweep in a
+    # worker process.
+    dt = ItoProcessModel(dim, *make_drift(drift["kind"], drift["params"], dim), g_inv, proc["dt"]).dt
 
     pot = _take(top["potential"], {"kind": ..., "params": ..., "target": None}, "potential")
     kind = pot["kind"]
@@ -267,7 +226,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         target_kind = tgt["kind"]
         if target_kind == "constant":
             tp = _take(tgt["params"], {"value": ...}, "target.params")
-            value = _flat_vector(tp["value"], "target value")
+            value = _finite(tp["value"], "target value", 1)
             if len(value) != dim:
                 raise ValidationError(f"target value dim {len(value)} does not match state dim {dim}")
             target_params = {"value": value}
@@ -275,12 +234,12 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
             tp = _take(
                 tgt["params"], {"amplitude": 0.2, "rate": 0.01, "center": 2500.0}, "target.params"
             )
-            target_params = {k: _finite(v, f"target {k}", scalar=True) for k, v in tp.items()}
+            target_params = {k: _finite(v, f"target {k}", 0) for k, v in tp.items()}
         else:
             raise ValidationError(f"unknown target kind {target_kind!r}; expected one of {TARGET_KINDS}")
     elif kind == "log_barrier":
         params = _take(pot["params"], {"a": ...}, "potential.params")
-        a = _flat_vector(params["a"], "barrier weights a")
+        a = _finite(params["a"], "barrier weights a", 1)
         if len(a) != dim:
             raise ValidationError(f"barrier weight dim {len(a)} does not match state dim {dim}")
         if np.any(a <= 0):
@@ -300,7 +259,7 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         elif omap["kind"] == "linear":
             if omap["C"] is None:
                 raise ValidationError('linear observation map requires "C"')
-            c = _matrix(omap["C"], "observation map C")
+            c = _finite(omap["C"], "observation map C", 2)
             if c.shape[1] != dim:
                 raise ValidationError(f"observation map C has {c.shape[1]} columns, state dim is {dim}")
             if params["sigma_nu"].shape[0] != c.shape[0]:
@@ -317,14 +276,13 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         r = np.eye(dim)
     else:
         ctl = _take(control, {"B": ..., "R": ...}, "control")
-        b = _matrix(ctl["B"], "B")
+        b = _finite(ctl["B"], "B", 2)
         r = _spd_matrix(ctl["R"], "R")
         if b.shape[0] != dim:
             raise ValidationError(f"B has {b.shape[0]} rows, state dim is {dim}")
-        if r.shape[0] != b.shape[1]:
-            raise ValidationError("R dim does not match B columns")
-    # Build the control map once here, as the drift above, so a B that
-    # cannot reproduce every shift fails before any output is written.
+    # Build the control map once here, as the model above, so an R that
+    # does not fit B, or a B that cannot reproduce every shift, fails
+    # before any output is written.
     try:
         ControlConfig(B=b, R=r)
     except NotPositiveDefinite as exc:

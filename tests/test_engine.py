@@ -123,7 +123,7 @@ def test_update_and_step_loop_refuse_a_potential_that_does_not_fit():
         control.run_closed_loop(linear_model(-0.1 * np.eye(2), 2, np.eye(2)), wide, belief, cfg, 5, None, mode="belief")
     fitting = eval_quadratic_penalty(belief.mean, np.zeros(2), np.eye(2))
     for dt in (0.0, -1.0, math.nan):
-        with pytest.raises(ValidationError, match=f"dt must be positive and finite; got {dt}"):
+        with pytest.raises(ValidationError, match=f"dt must be positive, finite and a number; got {dt}"):
             engine.update(belief, fitting, dt)
 
 

@@ -1,6 +1,12 @@
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 
+import sqc
 from sqc import process
 from sqc.errors import NonFinite, NotPositiveDefinite, ValidationError
 
@@ -17,7 +23,7 @@ def test_model_validates_shapes_and_dt():
     with pytest.raises(ValidationError):
         process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(3))
     for dt in (0.0, -1.0, float("nan"), float("inf")):
-        with pytest.raises(ValidationError, match=f"dt must be positive and finite; got {dt}"):
+        with pytest.raises(ValidationError, match=f"dt must be positive, finite and a number; got {dt}"):
             process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jac, g_inv=np.eye(2), dt=dt)
 
 
@@ -136,3 +142,21 @@ def test_make_drift_rejects_unknown_kind_and_params():
         process.make_drift("vanderpol_forced", None, 3)
     with pytest.raises(ValidationError):
         process.make_drift("vanderpol_forced", {"omega": 0.005, "phase": 1.0}, 2)
+
+
+def test_process_reals_is_the_one_reader_of_outside_numbers():
+    # The readers that process._reals replaced stay gone, and no public
+    # dataclass of the package converts its fields with a bare np.asarray
+    # in __post_init__.
+    modules = {info.name: importlib.import_module(f"sqc.{info.name}") for info in pkgutil.iter_modules(sqc.__path__)}
+    for module, names in (("potential", ["_numbers", "_vector"]), ("scenario", ["_flat_vector", "_matrix"])):
+        assert not [name for name in names if hasattr(modules[module], name)], module
+    assert not [name for name, module in modules.items() if hasattr(module, "_check_dt")]
+    constructors = [
+        cls for module in modules.values() for cls in vars(module).values()
+        if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__ and "__post_init__" in vars(cls)
+    ]
+    assert {cls.__name__ for cls in constructors} >= {
+        "GaussianBelief", "ControlConfig", "ItoProcessModel", "ObservationModel", "ObservationStream", "PotentialEvaluation",
+    }
+    assert not [cls.__name__ for cls in constructors if "np.asarray" in inspect.getsource(cls.__post_init__)]

@@ -7,8 +7,12 @@ predict and sample_posterior beliefs, models and potentials of
 mismatched shapes, runs the closed loop over potential callables that
 return the wrong thing from a random step on, runs both modes, the
 filter and predict over drifts, Jacobians and observation maps that
-return the wrong number of entries, and hands the bundled eval_*
-functions arguments of mismatched shapes or that are not numbers. Each test collects
+return the wrong number of entries, hands the bundled eval_*
+functions arguments of mismatched shapes or that are not numbers, and
+hands the public dataclass constructors, step_sample,
+simulate_open_loop, ekf_step, marginal_likelihood and update's dt
+arguments that are not numbers, ragged, of the wrong shape or count, bools
+and None. Each test collects
 every exception that is not an SqcError, with the input that raised
 it, and fails listing them.
 """
@@ -16,6 +20,7 @@ it, and fails listing them.
 import copy
 import json
 import random
+import re
 from importlib import resources
 
 import numpy as np
@@ -179,7 +184,7 @@ def test_update_predict_and_sample_with_mismatched_shapes_raise_only_sqc_errors(
         belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=np.eye(m), step=rnd.randint(0, 3))
         model = rnd.choice(models)
         k, hm = rnd.randint(1, 3), rnd.randint(1, 3)
-        pot = PotentialEvaluation(
+        pieces = dict(
             l=np.zeros(k),
             value=rnd.choice([0.5, 1e308, -1e308]),
             grad_l=rng.standard_normal(rnd.choice([(k,), (k, 1), (1, k)])),
@@ -190,7 +195,9 @@ def test_update_predict_and_sample_with_mismatched_shapes_raise_only_sqc_errors(
         dt = rnd.choice([1.0, 0.5, 0.0, -1.0, float("nan"), float("inf"), 1e-300, 1e300])
         calls = [
             ("predict", engine.predict, belief, model),
-            ("update", engine.update, belief, pot, dt),
+            # The evaluation is built inside the call: its constructor
+            # refuses a grad_l of two dimensions.
+            ("update", lambda b, p, dt: engine.update(b, PotentialEvaluation(**p), dt), belief, pieces, dt),
             ("sample_posterior", engine.sample_posterior, belief, np.random.default_rng(trial)),
         ]
         try:
@@ -337,3 +344,109 @@ def test_bundled_potentials_with_mismatched_shapes_raise_only_sqc_errors():
             if crash is not None:
                 found.setdefault((name, crash), repr(args))
     assert not found, found
+
+
+def junk(m: int) -> list:
+    """Arguments that are not what a public entry of dim m takes: not numbers, ragged, of the wrong shape or count."""
+    return [
+        "x", None, True, False, [], {"a": 1}, [[1.0], [2.0, 3.0]], ["1", 2.0], [True, 1.0], 10**400,
+        np.array(["a"]), np.array([None, 1.0]), np.array([True]), 0.5, -1.0, 0.0, float("nan"), 1.5,
+        np.ones(m - 1), np.ones(m + 1), np.eye(m + 1), np.ones((m, m + 1)), np.ones((1, m)), np.ones((m, m, 1)),
+        np.zeros(0), np.zeros((0, 0)),
+    ]
+
+
+def entry_calls(m: int, k: int) -> dict:
+    """Each public constructor and textbook function, as (call, its valid keyword arguments) on dim m and k observed."""
+    c = np.full((k, m), 0.5)
+    if m == 2 and k == 1:
+        drift, jacobian = process.make_drift("vanderpol_forced", None, 2)  # reads t as a number
+    else:
+        drift, jacobian = (lambda x, t: -0.1 * x), (lambda x, t: -0.1 * np.eye(m))
+    callables = dict(drift=drift, drift_jacobian=jacobian, h=lambda x, t: c @ x, h_jacobian=lambda x, t: c)
+    belief = dict(mean=np.full(m, 0.3), cov=np.eye(m), step=2, tag="predicted")
+    pot = dict(l=np.zeros(k), value=0.5, grad_l=np.full(k, 0.1), H=np.full((k, m), 0.1), curvature=np.eye(k),
+               counter_curvature=np.zeros((m, m)))
+
+    def with_models(fn):
+        # fn called with a model and an observation model built around the callables.
+        def call(drift, drift_jacobian, h, h_jacobian, **rest):
+            model = process.ItoProcessModel(dim=m, drift=drift, drift_jacobian=drift_jacobian, g_inv=np.eye(m), dt=0.5)
+            return fn(model, ekf.ObservationModel(h=h, h_jacobian=h_jacobian, sigma_nu=np.eye(k)), **rest)
+
+        return call
+
+    now = engine.GaussianBelief(**belief)
+    return {
+        "GaussianBelief": (engine.GaussianBelief, belief),
+        "ControlConfig": (control.ControlConfig, dict(B=np.eye(m), R=np.eye(m))),
+        "ItoProcessModel": (process.ItoProcessModel, dict(dim=m, drift=drift, drift_jacobian=jacobian, g_inv=np.eye(m), dt=0.5)),
+        "ObservationModel": (ekf.ObservationModel, dict(h=callables["h"], h_jacobian=callables["h_jacobian"], sigma_nu=np.eye(k))),
+        "ObservationStream": (ekf.ObservationStream, dict(steps=[0, 2, 5], values=np.full((3, k), 0.1))),
+        "PotentialEvaluation": (PotentialEvaluation, pot),
+        "step_sample": (
+            with_models(lambda model, obs, x, t: process.step_sample(model, x, t, np.random.default_rng(0))),
+            {**callables, "x": np.full(m, 0.3), "t": 3},
+        ),
+        "simulate_open_loop": (
+            with_models(lambda model, obs, x0, steps: process.simulate_open_loop(model, x0, steps, np.random.default_rng(0))),
+            {**callables, "x0": np.full(m, 0.3), "steps": 3},
+        ),
+        "ekf_step": (
+            with_models(lambda model, obs, y, t: ekf.ekf_step(now, model, obs, y, t)), {**callables, "y": np.full(k, 0.1), "t": 2},
+        ),
+        "marginal_likelihood": (
+            with_models(lambda model, obs, y: ekf.marginal_likelihood(now, obs, y)), {**callables, "y": np.full(k, 0.1)},
+        ),
+        "update": (lambda dt: engine.update(now, PotentialEvaluation(**pot), dt), dict(dt=1.0)),
+    }
+
+
+def test_constructors_and_textbook_functions_raise_only_sqc_errors():
+    # One or two arguments of a public constructor, of step_sample,
+    # simulate_open_loop, ekf_step or marginal_likelihood, or update()'s
+    # dt, replaced by a value from junk(m). A callable argument is
+    # replaced by the value itself or by a callable that returns it.
+    rnd = random.Random(12)
+    found = {}
+    for _ in range(1500):
+        m, k = rnd.randint(1, 3), rnd.randint(1, 3)
+        calls = entry_calls(m, k)
+        name = rnd.choice(sorted(calls))
+        call, kwargs = calls[name]
+        kwargs = dict(kwargs)
+        for key in rnd.sample(sorted(kwargs), min(len(kwargs), rnd.choice((1, 2)))):
+            value = rnd.choice(junk(m))
+            if callable(kwargs[key]) and rnd.random() < 0.7:
+                value = lambda x, t, value=value: value
+            kwargs[key] = value
+        crash = bare_exception(lambda: call(**kwargs))
+        if crash is not None:
+            found.setdefault((name, crash), repr(kwargs)[:300])
+    assert not found, found
+
+
+def test_steps_are_whole_numbers_at_every_public_entry():
+    # A step that is not a whole number used to pass construction: as
+    # "x" or None it crashed the run later with a bare TypeError, as 1.5
+    # it ran with first_step 1.5, and observation steps 1.5 or True were
+    # cut to ints silently.
+    for step in ("x", None, 1.5, True, 2**63):
+        with pytest.raises(ValidationError, match="belief step must be a whole number"):
+            engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=step)
+    assert engine.GaussianBelief(mean=[0.0], cov=[[1.0]], step=3.0).step == 3
+    for steps, message in (
+        ([1.5, 2.7], "observation steps must be a whole number a C long holds; got 1.5"),
+        ([True, 2], "observation steps must be a number or lists of numbers of equal length; got [True, 2]"),
+        (["a"], "observation steps must be a number"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            ekf.ObservationStream(steps=steps, values=np.zeros((len(steps), 1)))
+    assert ekf.ObservationStream(steps=[1, 2.0], values=np.zeros((2, 1))).steps.tolist() == [1, 2]
+    # The filter's horizon is a step too: 2.5 and "x" used to raise a bare TypeError.
+    model = process.ItoProcessModel(dim=1, drift=lambda x, t: -x, drift_jacobian=lambda x, t: -np.eye(1), g_inv=np.eye(1))
+    obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=np.eye(1))
+    stream = ekf.ObservationStream(steps=[0, 1], values=[[0.1], [0.2]])
+    for horizon in (2.5, "x"):
+        with pytest.raises(ValidationError, match="horizon must be a whole number"):
+            ekf.filter_with_likelihood(model, obs, stream, engine.GaussianBelief(mean=[0.0], cov=[[1.0]]), horizon)
