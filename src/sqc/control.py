@@ -22,7 +22,7 @@ from . import engine
 from .engine import GaussianBelief
 from .errors import NotPositiveDefinite, ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, symmetrize
-from .process import ItoProcessModel, _reals, _whole
+from .process import ItoProcessModel, _generator, _reals, _whole
 
 __all__ = [
     "ControlConfig",
@@ -143,10 +143,10 @@ def run_closed_loop(
     after its checks ("sampled"), or the posterior mean ("belief").
     """
     horizon = _whole(horizon, "horizon", 1, "a whole number >= 1")
-    if mode not in MODES:
+    if not (isinstance(mode, str) and mode in MODES):
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "sampled" and rng is None:
-        raise ValidationError("sampled mode needs a random generator")
+    if mode == "sampled" or rng is not None:  # a belief run draws nothing and may take None
+        _generator(rng)
     if cfg.B.shape[0] != initial.dim:
         raise ValidationError(f"B has {cfg.B.shape[0]} rows; the state has dim {initial.dim}")
     x, mean, cov, value, log_n, shift, retries, failure = engine._run(

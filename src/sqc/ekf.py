@@ -21,9 +21,6 @@ when they carry one (the scenario's linear and identity maps do) and
 through .tolist() otherwise. The log normalization gives the
 marginal likelihood:
 log p(y) = -log_n - log|sigma_nu|/2 - (k/2) log 2 pi.
-It returns the loop's mean and cov columns and that likelihood as
-arrays, one row per step from the initial one, and raises the
-breakdown that stopped the loop, if one did.
 ekf_step and marginal_likelihood are the textbook innovation-form EKF,
 kept as the independent reference the tests compare the filter with.
 """

@@ -19,24 +19,23 @@ The inner solve lives in the usually smaller constraint dimension.
 The step kernel. For each state dimension m and constraint dimension k
 line generators write out the algebra of a step once, every matrix
 entry a Python float and every operation spelled out, with no loops
-and no numpy calls: the prediction, the update (S, its Cholesky
-factor, the gain by substitution, the shift, the posterior moments,
-script_n and log_n) and the sample (mean + chol(cov) z). The kernel has
-three stages: factor (the curvature's Cholesky factor, its inverse
-sigma_nu and log|curvature|/2), update (the update lines as a function
-of their own, for update()) and loop, the step loop itself per (m, k,
-sampled or belief), with the prediction, update and sample lines
-inline on local floats. The only functions the loop calls are the
-drift, its Jacobian, the potential, factor when the curvature changes,
-_cholesky when a pivot fails, math's sqrt, log and isfinite, and the
-rows' list methods. Each stage's source is compiled on first use for
-the dimensions it depends on and cached, as collections.namedtuple
-does; nothing is compiled at import or when a scenario is loaded. At
-m = 2 a whole closed-loop step (drift, potential, kernel and row) costs
-about 4-5 us of CPU on a 2-vCPU Xeon VM (5001-step runs of the bundled
-penalty and double well, medians of 60 each, BENCH_23.json). The
-bundled potentials' float forms are generated the same way (see
-potential).
+and no numpy calls: the prediction, the absorption of an evaluation
+(where its curvature changed, the curvature's Cholesky factor, its
+inverse sigma_nu and log|curvature|/2; then S, its Cholesky factor,
+the gain by substitution, the shift, the posterior moments, script_n
+and log_n) and the sample (mean + chol(cov) z). Two stages write out
+the absorption: update, a function of its own for update(), and loop,
+the step loop per (m, k, sampled or belief) with the prediction, the
+absorption and the sample inline on local floats. The loop calls only
+the drift, its Jacobian, the potential, _cholesky when a pivot fails,
+math's sqrt, log and isfinite, and the rows' list methods. Each stage
+is compiled on first use for its dimensions and cached, as
+collections.namedtuple does; nothing is compiled at import or when a
+scenario is loaded. At m = 2 a whole closed-loop step (drift,
+potential, kernel and row) costs about 4-5 us of CPU on a 2-vCPU Xeon
+VM (5001-step runs of the bundled penalty and double well, medians of
+60 each, BENCH_23.json). The bundled potentials' float forms are
+generated the same way (see potential).
 
 A Cholesky pivot that is not > 0 hands the whole matrix to
 linalg.spd_cholesky, whose jittered retry keeps a run alive through
@@ -44,32 +43,20 @@ transient conditioning trouble (and still raises NotPositiveDefinite
 for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
-The kernel is the only update and _run the only step loop: the closed
-loop and the observation filter each hand _run their initial belief,
-step count and generator (or None); _run alone checks the belief's tag
-and dimension, and only then draws the run's noise, as one flat block
-that the loop stage reads m floats per step, all in one call for the
-k of the first step; _check_fit, the one test of sizes against k,
-refuses a step that does not fit it. update() calls the kernel's
-update once for the posterior and its normalization, after checking dt
-and the fit. _compiled hands out each stage and documents its
-arguments. Drifts and potentials enter as float forms: the bundled
+The kernel is the only update and _run the only step loop, for the
+closed loop and the filter alike; _run documents its checks, its one
+block of draws, its float rows and its breakdown policy. _check_fit,
+the one test of sizes against k, is reached where an evaluation fails
+to unpack. Drifts and potentials enter as float forms: the bundled
 ones carry theirs as the ``floats`` attribute of their callables, the
-filter builds its own, and any other callable (one that wraps a
-bundled one too) is called with an array: _floats reads its result as
-a flat list of the entry count its caller names, _potential_floats as
-a PotentialEvaluation through _evaluation_floats, the one shape test,
-and each refuses any other result. The loop factors a curvature only
-when it differs by value from the one it factored last, so a constant
-one is factored once per run on every path. Its rows are flat float
-columns that never leave _run, so no per-step container outlives a
-step for the garbage collector to track; _run returns them as arrays
-through _columns. _run also owns the breakdown policy: a
-DomainViolation, NonFinite or NotPositiveDefinite ends the run, and it
-returns the completed rows, the retry count and that failure for the
-caller to report or raise. predict() and sample_posterior() stay in
-numpy as the independent references for the loop stage's prediction
-and sample, and oracle.precision_form, the update and normalization
+filter builds its own, and any other callable is called with an array
+through _floats or _potential_floats, which read its result
+(_evaluation_floats is the one shape test of a PotentialEvaluation)
+and refuse any other. A curvature is factored only when it differs by
+value from the one factored last, so a constant one is factored once
+per run on every path. predict() and sample_posterior() stay in numpy
+as the independent references for the loop stage's prediction and
+sample, and oracle.precision_form, the update and normalization
 through the precision matrix, is the reference for its update.
 """
 
@@ -85,7 +72,7 @@ import numpy as np
 from .errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
 from .linalg import _compile_source, _jittered_cholesky, spd_cholesky, symmetrize
 from .potential import PotentialEvaluation
-from .process import ItoProcessModel, _STEP, _dt, _reals, _sized, _whole, transition_matrix
+from .process import ItoProcessModel, _MAX_ENTRIES, _STEP, _dt, _generator, _reals, _sized, _whole, transition_matrix
 
 __all__ = [
     "GaussianBelief",
@@ -214,9 +201,9 @@ def _half_logdet(n: int, low: Callable) -> str:
     return _sum([f"log({low(i, i)})" for i in range(n)])
 
 
-# The three line generators below write the algebra of a step once.
-# Each reads and writes plain local names (x0, p0_1, ...): the update
-# stage and the loop stage put them in one function body.
+# The line generators below write the algebra of a step once. Each
+# reads and writes plain local names (x0, p0_1, ...): the update stage
+# and the loop stage put them in one function body.
 
 def _predict_lines(m: int) -> list:
     # State x{i}, covariance p{i}_{j}, drift f{i}, its Jacobian j{i}_{j},
@@ -297,50 +284,68 @@ def _sample_lines(m: int) -> list:
     return lines
 
 
-def _factor_source(k: int) -> list:
+def _factor_lines(k: int) -> list:
+    # Curvature v{i}_{j} -> sigma_nu n{i}_{j} and hld = log|curvature|/2,
+    # through the curvature's Cholesky factor y{i}_{j}.
     rk = range(k)
-    lines = [_unpack(_matrix("c", k, k), "c")]
-    lines += _cholesky_lines(k, lambda i, j: f"c{i}_{j}", lambda i, j: f"l{i}_{j}")
-    lines.append("# sigma_nu = c^-1: L L^T V = I, one identity column at a time")
+    lines = _cholesky_lines(k, lambda i, j: f"v{i}_{j}", lambda i, j: f"y{i}_{j}")
+    lines.append("# sigma_nu = curvature^-1: Y Y^T N = I, one identity column at a time")
     for col in rk:
         for i in range(col, k):
             if i == col:
-                lines.append(f"w{i}_{col} = 1.0 / l{i}_{i}")
+                lines.append(f"o{i}_{col} = 1.0 / y{i}_{i}")
             else:
-                terms = [f"l{i}_{p} * w{p}_{col}" for p in range(col, i)]
-                lines.append(f"w{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
+                terms = [f"y{i}_{p} * o{p}_{col}" for p in range(col, i)]
+                lines.append(f"o{i}_{col} = (-{_minus(terms[0], terms[1:])}) / y{i}_{i}")
         for i in reversed(rk):
-            terms = [f"l{p}_{i} * v{p}_{col}" for p in range(i + 1, k)]
+            terms = [f"y{p}_{i} * n{p}_{col}" for p in range(i + 1, k)]
             if i >= col:
-                lines.append(f"v{i}_{col} = ({_minus(f'w{i}_{col}', terms)}) / l{i}_{i}")
+                lines.append(f"n{i}_{col} = ({_minus(f'o{i}_{col}', terms)}) / y{i}_{i}")
             else:
-                lines.append(f"v{i}_{col} = (-{_minus(terms[0], terms[1:])}) / l{i}_{i}")
-    lines.append(f"return {_tuple(_matrix('v', k, k))}, {_half_logdet(k, lambda i, j: f'l{i}_{j}')}")
-    return ["def factor(c, retries):", *_indent(lines)]
+                lines.append(f"n{i}_{col} = (-{_minus(terms[0], terms[1:])}) / y{i}_{i}")
+    lines.append(f"hld = {_half_logdet(k, lambda i, j: f'y{i}_{j}')}")
+    return lines
+
+
+def _absorb_lines(m: int, k: int) -> list:
+    # Evaluation pot = (V, grad_l, H, curvature) through the update lines,
+    # its curvature factored where it differs from ``factored``; a grad_l,
+    # H or new curvature that does not fit k fails its unpack for _check_fit.
+    return [
+        "value, grad, h, curv = pot",
+        "fresh = curv != factored",
+        "try:",
+        f"    {_unpack(_vector('g', k), 'grad')}",
+        f"    {_unpack(_matrix('h', k, m), 'h')}",
+        "    if fresh:",
+        f"        {_unpack(_matrix('v', k, k), 'curv')}",
+        "except ValueError:",
+        f"    _check_fit(grad, h, curv, {k}, {m}, t)",
+        "if fresh:",
+        *_indent([*_factor_lines(k), "factored = curv"]),
+        *_update_lines(m, k),
+    ]
 
 
 def _update_source(m: int, k: int) -> list:
     lines = [
         _unpack(_vector("m", m), "mean"),
         _unpack(_matrix("p", m, m), "p"),
-        _unpack(_vector("g", k), "grad"),
-        _unpack(_matrix("h", k, m), "h"),
-        _unpack(_matrix("n", k, k), "sig"),
-        *_update_lines(m, k),
+        f"ldt = {0.5 * k!r} * log(weight)",
+        "factored = None",
+        *_absorb_lines(m, k),
         f"return {_tuple(_vector('u', m))}, {_tuple(_symmetric('c', m))}, {_tuple(_vector('d', m))}, log_n, script",
     ]
-    return ["def update(mean, p, value, grad, h, sig, hld, ldt, weight, t, retries):", *_indent(lines)]
+    return ["def update(mean, p, pot, weight, t, retries):", *_indent(lines)]
 
 
 def _loop_source(m: int, k: int, sampled: bool) -> list:
     # The step loop: each pass but the first predicts and evaluates the
-    # potential (the first takes both as given); every pass updates (or
-    # keeps the bare prediction where the potential is None), draws or
-    # takes the mean, and extends the rows. At a step whose grad_l, H
-    # or curvature does not fit k, it calls _check_fit, which raises.
+    # potential (the first takes both as given); every pass absorbs the
+    # evaluation (or keeps the bare prediction where it is None), draws
+    # or takes the mean, and extends the rows.
     mean, cov, x, shift = _vector("m", m), _matrix("p", m, m), _vector("x", m), _vector("d", m)
     z = _vector("z", m) if sampled else ["z"]
-    misfit = f"_check_fit(grad, h, curv, {k}, {m}, t)"
     step = [
         "if first:",
         "    first = False",
@@ -358,19 +363,7 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
         f"    {' = '.join(shift)} = 0.0",
         "else:",
         *_indent([
-            "value, grad, h, curv = pot",
-            "if curv != factored:",
-            f"    if len(grad) != {k} or len(curv) != {k * k}:",
-            f"        {misfit}",
-            "    sig, hld = factor(curv, retries)",
-            f"    {_unpack(_matrix('n', k, k), 'sig')}",
-            "    factored = curv",
-            "try:",
-            f"    {_unpack(_vector('g', k), 'grad')}",
-            f"    {_unpack(_matrix('h', k, m), 'h')}",
-            "except ValueError:",
-            f"    {misfit}",
-            *_update_lines(m, k),
+            *_absorb_lines(m, k),
             *_assign(mean, _vector("u", m)),
             *_assign(cov, _symmetric("c", m)),
         ]),
@@ -389,12 +382,13 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
         _unpack(cov, "p"),
         _unpack(_matrix("q", m, m), "noise"),
         "xs, means, covs, values, log_ns, shifts = rows",
+        f"ldt = {0.5 * k!r} * log(weight)",
         "factored = None",
         "first = True",
         head,
         *_indent(step),
     ]
-    signature = "def loop(draws, mean, p, pot, t, drift, jacobian, evaluate, factor, noise, dt, weight, ldt, retries, rows):"
+    signature = "def loop(draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt, weight, retries, rows):"
     return [signature, *_indent(lines)]
 
 
@@ -411,43 +405,33 @@ def _cholesky(rows, retries) -> list:
     return [v for i, row in enumerate(low.tolist()) for v in row[: i + 1]]
 
 
-_STAGES = {
-    "factor": _factor_source,
-    "update": _update_source,
-    "loop": _loop_source,
-}
+_STAGES = {"update": _update_source, "loop": _loop_source}
 
 
 @lru_cache(maxsize=None)
 def _compiled(stage: str, *dims) -> Callable:
     """One stage of the step kernel, compiled on first use for its dimensions.
 
-    factor depends on the constraint dimension k, update on (m, k) and
-    loop on (m, k, sampled). Arguments and results are float sequences,
-    matrices flat in row-major order, and ``retries`` is a one-entry
-    list that counts the jittered Cholesky retries.
+    update depends on (m, k) and loop on (m, k, sampled); both write
+    out the same absorption of an evaluation ``pot``, (V, grad_l, H,
+    curvature) as _evaluation_floats gives it, and either raises
+    ValidationError through _check_fit where pot does not fit k.
+    Arguments and results are float sequences, matrices flat in
+    row-major order; ``retries`` is a one-entry list that counts the
+    jittered Cholesky retries.
 
-    factor(c, retries) -> (c^-1, log|c|/2).
-    update(mean, p, value, grad, h, sig, hld, ldt, weight, t, retries)
-    -> (mean, cov, shift, log_n, script_n), where sig = curvature^-1,
-    hld its factor's log|curvature|/2 and ldt = (k/2) log weight.
-    loop(draws, mean, p, pot, t, drift, jacobian, evaluate, factor,
-    noise, dt, weight, ldt, retries, rows) runs all of _run's steps from
-    the predicted belief (mean, p) at step t and its evaluation ``pot``,
-    one step per m floats of the iterator ``draws`` (sampled) or per
-    entry (belief), and extends _run's six ``rows``. It returns None; a
-    step whose grad_l, H or curvature does not fit k raises
-    ValidationError through _check_fit.
+    update(mean, p, pot, weight, t, retries) -> (mean, cov, shift,
+    log_n, script_n): the belief (mean, p) at step t updated by pot.
+    loop(draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt,
+    weight, retries, rows) -> None runs all of _run's steps from the
+    predicted belief (mean, p) at step t and its evaluation pot, one
+    step per m floats of the iterator ``draws`` (sampled) or per entry
+    (belief), and extends _run's six ``rows``.
     """
-    namespace = {
-        "sqrt": math.sqrt,
-        "log": math.log,
-        "isfinite": math.isfinite,
-        "nan": math.nan,
-        "NonFinite": NonFinite,
-        "_cholesky": _cholesky,
-        "_check_fit": _check_fit,
-    }
+    namespace = dict(
+        sqrt=math.sqrt, log=math.log, isfinite=math.isfinite, nan=math.nan, NonFinite=NonFinite,
+        _cholesky=_cholesky, _check_fit=_check_fit,
+    )
     return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
 
 
@@ -487,18 +471,23 @@ def _potential_floats(fn: Callable) -> Callable:
     return form if form is not None else lambda x, t: _evaluation_floats(fn(np.array(x), t), len(x), t)
 
 
+def _width(pot: tuple, m: int, step: int) -> int:
+    # An evaluation's k, grad_l's entry count. No stage is written for
+    # k = 0, so _check_fit refuses it here.
+    k = len(pot[1])
+    if not k:
+        _check_fit(*pot[1:], k, m, step)
+    return k
+
+
 def _check_fit(grad, h, curv, k: int, m: int, step: int) -> None:
-    # The one fit test, against k >= 1 on dim m: update() runs it on
-    # every evaluation, the loop stage only at a step that misfits.
+    # The one fit test, against k >= 1 on dim m: the stages run it
+    # where an evaluation fails to unpack, _width on k = 0.
     if not k or len(grad) != k or len(h) != k * m or len(curv) != k * k:
         tail = "" if len(grad) == k else f"; grad_l has {len(grad)} entries"
         raise ValidationError(
             f"potential H ({len(h)} entries) and curvature ({len(curv)}) do not fit k = {k} on dim {m} at step {step}{tail}"
         )
-
-
-# The most float64 entries one array can hold.
-_MAX_ENTRIES = np.iinfo(np.intp).max // 8
 
 
 def _run(
@@ -563,12 +552,9 @@ def _run(
     retries = [0]
     try:
         pot = evaluate(mean, t)
-        k = evaluate.k if pot is None else len(pot[1])
-        if not k:  # no stage is written for k = 0; _check_fit refuses it
-            _check_fit(*pot[1:], k, m, t)
+        k = evaluate.k if pot is None else _width(pot, m, t)
         _compiled("loop", m, k, rng is not None)(
-            draws, mean, p, pot, t, drift, jacobian, evaluate, _compiled("factor", k), noise, dt, weight,
-            0.5 * k * math.log(weight), retries, rows,
+            draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt, weight, retries, rows
         )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
         # Returned from here: a local naming the exception would make a
@@ -631,14 +617,9 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     """
     dt = _dt(dt)
     m = belief.dim
-    value, grad, h, curvature = _evaluation_floats(pot, m, belief.step)
-    k = len(grad)
-    _check_fit(grad, h, curvature, k, m, belief.step)
-    retries = [0]
-    sig, hld = _compiled("factor", k)(curvature, retries)
-    mean, cov, _, log_n, script_n = _compiled("update", m, k)(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), value, grad, h, sig, hld,
-        0.5 * k * math.log(dt), dt, belief.step, retries,
+    pot = _evaluation_floats(pot, m, belief.step)
+    mean, cov, _, log_n, script_n = _compiled("update", m, _width(pot, m, belief.step))(
+        belief.mean.tolist(), belief.cov.ravel().tolist(), pot, dt, belief.step, [0]
     )
     return (
         GaussianBelief._trusted(np.array(mean), np.reshape(cov, (m, m)), belief.step, "updated"),
@@ -647,7 +628,8 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
 
 
 def sample_posterior(belief: GaussianBelief, rng: np.random.Generator) -> np.ndarray:
-    """Draw one state from the belief (the array form of the loop stage's sample)."""
+    """Draw one state from the belief (the array form of the loop stage's sample); rng is checked."""
+    rng = _generator(rng)
     low = spd_cholesky(belief.cov)
     return belief.mean + low @ rng.standard_normal(belief.dim)
 

@@ -8,17 +8,12 @@ kernel:
   exp(-V(x) dt) N(x; mean, cov) with Gauss-Hermite quadrature. For a
   quadratic V the update must reproduce these moments exactly.
 * fokker_planck_residual evolves a 1-D density one step through the
-  explicit transition kernel and measures how far the finite-time
-  increment is from the continuous-limit drift-diffusion-sink operator.
-  The residual must shrink linearly with dt. The kernel is never built
-  as an n x n matrix: it is evaluated in blocks of target rows, each
-  over the band of source columns whose entries do not underflow to
-  0.0, so memory grows as O(256 n) rather than O(n^2). fp_convergence
-  runs it over three 1-D cases at four dts, with 8 kernel passes: the
-  residual's two steps, the diffusion and the weighting, are separate,
-  and the two cases with the zero drift share their diffusions. It
-  shares no state with the other two oracles, so `sqc validate --level
-  full` runs it in a worker process while they run in the calling one.
+  explicit transition kernel, in bands and never as an n x n matrix,
+  and measures how far the finite-time increment is from the
+  continuous-limit drift-diffusion-sink operator. The residual must
+  shrink linearly with dt (fp_convergence). It shares no state with the
+  other two oracles, so `sqc validate --level full` runs it in a worker
+  process while they run in the calling one.
 * identity_suite brute-force checks the engine's update and its
   normalization against the precision form (kept here as the
   reference, with the inversion lemma and the block determinant
@@ -51,7 +46,7 @@ from numpy.polynomial.hermite import hermgauss
 from . import engine, linalg
 from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
 from .potential import PotentialEvaluation, _bound, eval_log_barrier, eval_quadratic_penalty
-from .process import ItoProcessModel, make_drift
+from .process import ItoProcessModel, _finite, _reals, _whole, make_drift
 
 __all__ = [
     "Grid1D",
@@ -130,7 +125,8 @@ def weighted_gaussian_moments(
 
     ``potential`` maps a point to a PotentialEvaluation (or directly to
     the scalar V). Returns (mean, cov, log_norm) where log_norm is the
-    log of the weight mass integral.
+    log of the weight mass integral. x_hat (m,), sigma (m, m) and dt
+    are read through process._reals; m must be 1 or 2.
 
     Quadrature runs twice: a first pass on the prior Gaussian locates
     the posterior, a second pass re-centered there integrates the
@@ -139,8 +135,9 @@ def weighted_gaussian_moments(
     dropped; if they carry more than 1e-6 of the prior mass the result
     would be meaningless and QuadratureDomain is raised.
     """
-    x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    x_hat, sigma, dt = _reals(x_hat, "x_hat", 1), _reals(sigma, "sigma", 2), _reals(dt, "dt", 0)
+    if sigma.shape != (x_hat.size,) * 2:
+        raise ValidationError(f"sigma has shape {sigma.shape}; x_hat has {x_hat.size} entries")
 
     xs, ws = _gh_nodes(x_hat, sigma)
     vals, outside = _potential_values(potential, xs)
@@ -170,15 +167,15 @@ def weighted_gaussian_moments(
 
 @dataclass
 class Grid1D:
-    """Uniform 1-D grid for the kernel-evolution check."""
+    """Uniform 1-D grid for the kernel-evolution check: finite bounds, n >= 64 points."""
 
     lower: float
     upper: float
     n: int
 
     def __post_init__(self):
-        if self.n < 64:
-            raise ValidationError("Grid1D needs at least 64 points")
+        self.lower, self.upper = _finite(self.lower, "Grid1D lower", 0), _finite(self.upper, "Grid1D upper", 0)
+        self.n = _whole(self.n, "Grid1D n", 64, "a whole number of at least 64 points")
         if not self.upper > self.lower:
             raise ValidationError("Grid1D needs upper > lower")
 
@@ -254,9 +251,9 @@ def fokker_planck_residual(
     """
     if model.dim != 1:
         raise ValidationError(f"kernel residual check needs a 1-D model, got dim {model.dim}")
+    dt, density = _reals(dt, "dt", 0), _reals(density, "density", 1)
     if not 0 < dt <= 1e-2:
         raise ValidationError(f"kernel residual check expects 0 < dt <= 1e-2; got {dt}")
-    density = np.asarray(density, dtype=float)
     if density.shape != (grid.n,):
         raise ValidationError("density must be sampled on the grid")
     if np.any(density < 0):
@@ -404,15 +401,23 @@ def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndar
     """(A + B D^-1 C)^-1 from A^-1, by the matrix inversion lemma.
 
     Returns A^-1 - A^-1 B (D + C A^-1 B)^-1 C A^-1. The inner solve is
-    done in the (usually smaller) dimension of D. Stacks of matrices
-    (..., n, n) give a stack of inverses, each symmetrized where it is
-    symmetric to within rounding. Raises Singular when an inner matrix
-    cannot be inverted.
+    done in the (usually smaller) dimension of D. A^-1 (..., n, n), B
+    (..., n, k), D (..., k, k) and C (..., k, n) are read through
+    process._reals, stacks of them as arrays whose leading axes
+    broadcast, or ValidationError is raised; a stack gives a stack of
+    inverses, each symmetrized where it is symmetric to within
+    rounding. Raises Singular when an inner matrix cannot be inverted.
     """
-    a_inv = np.asarray(a_inv, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    d = np.asarray(d, dtype=float)
+    args = ((a_inv, "A^-1"), (b, "B"), (d, "D"), (c, "C"))
+    a_inv, b, d, c = (_reals(v, label, max(v.ndim, 2) if isinstance(v, np.ndarray) else 2) for v, label in args)
+    n, k = a_inv.shape[-1], d.shape[-1]
+    try:
+        np.broadcast_shapes(*(v.shape[:-2] for v in (a_inv, b, d, c)))
+        fits = [v.shape[-2:] for v in (a_inv, b, d, c)] == [(n, n), (n, k), (k, k), (k, n)]
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValidationError(f"A^-1 {a_inv.shape}, B {b.shape}, D {d.shape} and C {c.shape} do not fit")
     inner = d + c @ a_inv @ b
     try:
         x = np.linalg.solve(inner, c @ a_inv)

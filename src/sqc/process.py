@@ -70,10 +70,14 @@ def _state(model: ItoProcessModel, x, label: str) -> np.ndarray:
 
 
 def step_sample(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
-    """One Euler step of the process from state x at step index t; x, t and the drift's result are checked."""
-    m, t = model.dim, _whole(t, "step t", *_STEP)
-    x = _state(model, x, "state x")
-    z = rng.standard_normal(m)
+    """One Euler step of the process from state x at step index t; rng, x, t and the drift's result are checked."""
+    rng, t = _generator(rng), _whole(t, "step t", *_STEP)
+    return _euler(model, _state(model, x, "state x"), t, rng)
+
+
+def _euler(model: ItoProcessModel, x: np.ndarray, t: int, rng: np.random.Generator) -> np.ndarray:
+    # step_sample's step from a checked state x, step t and generator.
+    m, z = model.dim, rng.standard_normal(model.dim)
     return x + _sized(model.drift(x, t), "drift", m).reshape(m) * model.dt + np.sqrt(model.dt) * (model.noise_factor @ z)
 
 
@@ -97,17 +101,19 @@ def transition_matrix(model: ItoProcessModel, x_hat: np.ndarray, t: int) -> np.n
 
 
 def simulate_open_loop(model: ItoProcessModel, x0: np.ndarray, steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Iterate step_sample for the given number of steps.
+    """Take step_sample's step the given number of times.
 
     Returns the (steps + 1, dim) array of states whose row i is step i,
     row 0 the initial state. Raises NonFinite as soon as a state leaves
-    the finite range, and ValidationError for a malformed x0 or steps.
+    the finite range, and ValidationError for a malformed rng, x0 or
+    steps, or for more steps than one array of states holds.
     """
-    steps = _whole(steps, "steps", 1, "a whole number >= 1")
+    rng, most = _generator(rng), _MAX_ENTRIES // model.dim - 1
+    steps = _whole(steps, "steps", 1, "a whole number >= 1 that one array of states holds", most)
     states = np.empty((steps + 1, model.dim))
     states[0] = _state(model, x0, "x0")
     for t in range(steps):
-        states[t + 1] = step_sample(model, states[t], t, rng)
+        states[t + 1] = _euler(model, states[t], t, rng)
         if not np.all(np.isfinite(states[t + 1])):
             raise NonFinite(f"state became non-finite at step {t + 1}")
     return states
@@ -176,9 +182,19 @@ def _whole(raw, label: str, minimum: int, wanted: str, maximum=math.inf) -> int:
     return int(raw)
 
 
+# The most float64 entries one array can hold.
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8
+
 # _whole's arguments for a step, which numpy's default integer, a C long, numbers.
 _LAST_STEP = int(np.iinfo(int).max)
 _STEP = (-_LAST_STEP - 1, "a whole number a C long holds", _LAST_STEP)
+
+
+def _generator(rng) -> np.random.Generator:
+    """rng, a numpy Generator or a wrapper with its standard_normal method; else ValidationError."""
+    if not callable(getattr(rng, "standard_normal", None)):
+        raise ValidationError(f"the random generator must be a numpy Generator; got {rng!r}")
+    return rng
 
 
 def _steps(raw, label: str) -> np.ndarray:

@@ -339,15 +339,15 @@ def write_scenario(scenario: Scenario, path) -> None:
 def load_bundled(name: str, overrides: Optional[dict] = None, seed: Optional[int] = None) -> Scenario:
     """Load one of the packaged scenario files, optionally patched.
 
-    ``overrides`` replaces top-level keys of the JSON document before
-    validation; ``seed`` is shorthand for overriding the seed.
+    ``overrides``, a dict or None, replaces top-level keys of the JSON
+    document before validation; ``seed`` overrides the seed.
     """
     if name not in BUNDLED_SCENARIOS:
         raise ValidationError(f"unknown bundled scenario {name!r}; expected one of {BUNDLED_SCENARIOS}")
-    text = resources.files("sqc").joinpath(f"scenarios/{name}.json").read_text()
-    raw = json.loads(text)
-    for key, value in (overrides or {}).items():
-        raw[key] = value
+    if not isinstance(overrides, (dict, type(None))):
+        raise ValidationError(f"overrides must be a dict of top-level scenario keys; got {overrides!r}")
+    raw = json.loads(resources.files("sqc").joinpath(f"scenarios/{name}.json").read_text())
+    raw.update(overrides or {})
     if seed is not None:
         raw["seed"] = seed
     return scenario_from_dict(raw, context=f"bundled scenario {name}")

@@ -41,6 +41,21 @@ def counting_kernels(monkeypatch, stage):
     return calls
 
 
+def counting_curvature(unpacks):
+    """A tuple type for a curvature's float form that appends to ``unpacks`` each time it is unpacked.
+
+    The kernel unpacks a curvature only to factor it; comparing two by
+    value does not iterate them.
+    """
+
+    class Curvature(tuple):
+        def __iter__(self):
+            unpacks.append(len(self))
+            return super().__iter__()
+
+    return Curvature
+
+
 def observation_potential(obs_model, y, x_hat, t):
     """Quadratic potential in the innovation l = y - h(x), through the public constructor."""
     x_hat = np.atleast_1d(np.asarray(x_hat, dtype=float))

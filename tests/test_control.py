@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import counting_kernels, random_spd, rel_err
+from conftest import counting_curvature, counting_kernels, random_spd, rel_err
 from sqc import engine, oracle, process
 from sqc.control import ControlConfig, run_closed_loop, run_scenario
 from sqc.errors import DomainViolation, NonFinite, NotPositiveDefinite, ValidationError
@@ -385,12 +385,18 @@ def test_closed_loop_adapter_path_matches_reference(monkeypatch, mode):
     )
     initial = engine.GaussianBelief(mean=[0.4, -0.3, 0.2], cov=0.5 * np.eye(3), step=0, tag="predicted")
     horizon = 200
-    factors = counting_kernels(monkeypatch, "factor")
+    # Each step's curvature comes from the adapter as a new tuple whose
+    # unpacking is counted.
+    unpacks = []
+    curvature, floats = counting_curvature(unpacks), engine._evaluation_floats
+    monkeypatch.setattr(
+        engine, "_evaluation_floats", lambda *args: (*floats(*args)[:3], curvature(floats(*args)[3]))
+    )
     result = run_closed_loop(model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode)
     assert result.completed and result.jitter_retries == 0
     assert calls == list(range(horizon))
     # The curvature w is constant, so the loop factors it once.
-    assert len(factors) == 1
+    assert unpacks == [4]
     rows, failed_step = reference_loop(
         model, potential_fn, initial, cfg, horizon, np.random.default_rng(8), mode
     )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import counting_kernels, observation_potential, random_spd, rel_err
+from conftest import counting_curvature, counting_kernels, observation_potential, random_spd, rel_err
 from sqc import ekf, engine, oracle, process
 from sqc.errors import NotPositiveDefinite, ValidationError
 from sqc.potential import eval_quadratic_penalty
@@ -226,8 +226,19 @@ def test_filter_loglik_matches_marginal_likelihood():
 def test_filter_factors_curvature_once_per_call(monkeypatch):
     # sigma_nu_inv is the curvature of every observation potential; it is
     # constant, so one filter call has the generated kernel factor it
-    # once however many observations it absorbs.
-    calls = counting_kernels(monkeypatch, "factor")
+    # once however many observations it absorbs. The filter's float form
+    # hands each step's curvature over as a new tuple whose unpacking,
+    # which the kernel does only to factor it, is counted.
+    calls = []
+    curvature, bound = counting_curvature(calls), ekf._bound
+
+    def counting_bound(*args):
+        fn = bound(*args)
+        form = fn.floats
+        fn.floats = lambda y, target: (*form(y, target)[:3], curvature(form(y, target)[3]))
+        return fn
+
+    monkeypatch.setattr(ekf, "_bound", counting_bound)
     a, g_inv, c, sigma_nu, ys = filter_fixture(T=80)
     obs = linear_obs_model(c, sigma_nu)
     steps = np.array([s for s in range(80) if s % 7 not in (3, 4)])

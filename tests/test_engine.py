@@ -184,17 +184,16 @@ def test_update_forms_agree():
 
 
 def kernel_update(belief, pot, dt):
-    """The generated kernel's factor and update stages on one belief.
+    """The generated kernel's update stage on one belief.
 
     Returns (posterior mean, posterior cov, shift, log_n, script_n) as
     arrays and floats.
     """
     m, k = belief.dim, len(pot.grad_l)
     retries = [0]
-    sig, hld = engine._compiled("factor", k)(pot.curvature.ravel().tolist(), retries)
+    floats = (pot.value, pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist())
     mean, cov, shift, log_n, script_n = engine._compiled("update", m, k)(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), pot.value, pot.grad_l.tolist(),
-        pot.H.ravel().tolist(), sig, hld, 0.5 * k * math.log(dt), dt, belief.step, retries,
+        belief.mean.tolist(), belief.cov.ravel().tolist(), floats, dt, belief.step, retries
     )
     assert retries == [0]
     return np.array(mean), np.reshape(cov, (m, m)), np.array(shift), log_n, script_n
@@ -237,6 +236,28 @@ def test_kernel_matches_precision_form_for_every_shape(h_zero):
             assert script_n == pytest.approx(ref_diag.script_n, rel=1e-9, abs=1e-10), (m, k)
 
 
+def test_loop_first_step_is_update_bit_for_bit():
+    # The loop stage's first step is not predicted: in belief mode it is
+    # update() on the belief as given, bit for bit, for every generated
+    # (m, k) up to 6; both stages write out the same absorption block.
+    rng = np.random.default_rng(16)
+    for m in range(1, 7):
+        for k in range(1, 7):
+            belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m), step=3)
+            pot = random_potential(rng, m, k)
+            dt = float(rng.choice([0.25, 1.0]))
+            post, diag = engine.update(belief, pot, dt)
+            rows = ([], [], [], [], [], [])
+            engine._compiled("loop", m, k, False)(
+                iter([None]), belief.mean.tolist(), belief.cov.ravel().tolist(),
+                engine._evaluation_floats(pot, m, 3), 3, None, None, None, [0.0] * (m * m), dt, dt, [0], rows,
+            )
+            xs, means, covs, values, log_ns, _ = rows
+            assert xs == means == post.mean.tolist(), (m, k)
+            assert covs == post.cov.ravel().tolist(), (m, k)
+            assert values == [pot.value] and log_ns == [diag.log_n], (m, k)
+
+
 def loop_step(mean, p, pot, z, retries):
     """One sampled step of the generated m = 2, k = 2 loop stage.
 
@@ -246,32 +267,36 @@ def loop_step(mean, p, pot, z, retries):
     """
     rows = ([], [], [], [], [], [])
     done = engine._compiled("loop", 2, 2, True)(
-        iter(z), mean, p, pot, 0, None, None, None, engine._compiled("factor", 2),
-        [0.0] * 4, 1.0, 1.0, 0.0, retries, rows,
+        iter(z), mean, p, pot, 0, None, None, None, [0.0] * 4, 1.0, 1.0, retries, rows
     )
     assert done is None
     return rows
 
 
 def test_kernel_cholesky_falls_back_to_jittered_factor():
-    # With H = 0 the kernel factors S = sigma_nu / dt itself. An S of all
-    # ones has second pivot 1 - 1 * 1 = 0, so the factor must be
-    # spd_cholesky's jittered one, seen through log_n = log|S|/2 + ...,
+    # With H = 0 the kernel factors S = sigma_nu / weight itself. The
+    # curvature diag(2^1000, 1) factors without trouble, but its sigma_nu
+    # entry 2^-1000 over the weight 2^100 underflows to 0, so S's first
+    # pivot is 0 and its factor must be spd_cholesky's jittered one, seen
+    # through log_n = log|S|/2 + log|curvature|/2 + log weight + V weight,
     # and the run's count must show the retry. The loop stage's sample
     # takes the same fallback for a covariance of all ones, which an
     # update with H = 0 and unit curvature leaves as it is.
     update = engine._compiled("update", 2, 2)
+    weight = 2.0**100
+    s = np.diag([0.0, 1.0 / weight])
+    low = linalg.spd_cholesky(s)
+    assert low[0, 0] > 0.0
+    retries = [0]
+    pot = (0.3 / weight, [1.0, 2.0], [0.0] * 4, [2.0**1000, 0.0, 0.0, 1.0])
+    mean, cov, shift, log_n, _ = update([0.5, -0.5], [1.0, 0.2, 0.2, 2.0], pot, weight, 0, retries)
+    assert retries == [1]
+    assert log_n == pytest.approx(float(np.log(np.diag(low)).sum()) + 600.0 * math.log(2.0) + 0.3, rel=1e-14)
+    assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
+
     ones = np.ones((2, 2))
     low = linalg.spd_cholesky(ones)
     assert low[1, 1] > 0.0
-    retries = [0]
-    mean, cov, shift, log_n, _ = update(
-        [0.5, -0.5], [1.0, 0.2, 0.2, 2.0], 0.3, [1.0, 2.0], [0.0] * 4, ones.ravel().tolist(),
-        0.0, 0.0, 1.0, 0, retries,
-    )
-    assert retries == [1]
-    assert log_n == pytest.approx(float(np.log(np.diag(low)).sum()) + 0.3, rel=1e-14)
-    assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
 
     z = [0.7, -1.1]
     unit = (0.3, (1.0, 2.0), (0.0,) * 4, (1.0, 0.0, 0.0, 1.0))
@@ -281,14 +306,18 @@ def test_kernel_cholesky_falls_back_to_jittered_factor():
 
 
 def test_kernel_indefinite_matrix_raises():
+    # An indefinite S (the covariance with H = I, sigma_nu = I / 2), an
+    # indefinite curvature and an indefinite covariance to sample from.
     indefinite = [1.0, 2.0, 2.0, 1.0]
     retries = [0]
     with pytest.raises(NotPositiveDefinite):
         engine._compiled("update", 2, 2)(
-            [0.0, 0.0], [1.0, 0.0, 0.0, 1.0], 0.0, [1.0, 1.0], [0.0] * 4, indefinite, 0.0, 0.0, 1.0, 0, retries
+            [0.0, 0.0], indefinite, (0.0, [1.0, 1.0], [1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0]), 1.0, 0, retries
         )
     with pytest.raises(NotPositiveDefinite):
-        engine._compiled("factor", 2)(indefinite, retries)
+        engine._compiled("update", 2, 2)(
+            [0.0, 0.0], [1.0, 0.0, 0.0, 1.0], (0.0, [1.0, 1.0], [0.0] * 4, indefinite), 1.0, 0, retries
+        )
     with pytest.raises(NotPositiveDefinite):
         loop_step([0.0, 0.0], indefinite, (0.0, (1.0, 1.0), (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)), [0.1, 0.2], retries)
     assert retries == [0]

@@ -329,6 +329,35 @@ def test_grid_validation():
     assert len(grid.points()) == 101
 
 
+def test_oracle_entries_read_their_arguments():
+    # Each of these used to raise a bare ValueError or TypeError, and
+    # a grid of 100.5 points was accepted and then refused every density.
+    prior = ([0.0], [[1.0]], lambda x: float(x @ x))
+    grid = oracle.Grid1D(-9.0, 9.0, 128)
+    density = standard_gaussian(grid)
+    model = free_diffusion_model()
+    for call, message in (
+        (lambda: oracle.weighted_gaussian_moments("x", *prior[1:]), "x_hat must be a number"),
+        (lambda: oracle.weighted_gaussian_moments([0.0, 0.0], [[1.0], [1.0, 2.0]], prior[2]), "sigma must be a number"),
+        (lambda: oracle.weighted_gaussian_moments([0.0, 0.0], np.eye(3), prior[2]), r"sigma has shape \(3, 3\); x_hat has 2"),
+        (lambda: oracle.weighted_gaussian_moments(*prior, "x"), "dt must be a number"),
+        (lambda: oracle.woodbury_inverse("x", 1, 1, 1), r"A\^-1 must be a number"),
+        (
+            lambda: oracle.woodbury_inverse(np.ones((1, 3)), np.ones((3, 1)), 1, 1),
+            r"A\^-1 \(1, 3\), B \(3, 1\), D \(1, 1\) and C \(1, 1\) do not fit",
+        ),
+        (lambda: oracle.fokker_planck_residual(model, None, grid, "x", 1e-2), "density must be a number"),
+        (lambda: oracle.fokker_planck_residual(model, None, grid, density, "x"), "dt must be a number"),
+        (lambda: oracle.Grid1D(-1.0, 1.0, "x"), "Grid1D n must be a whole number"),
+        (lambda: oracle.Grid1D(-9.0, 9.0, 100.5), "Grid1D n must be a whole number"),
+        (lambda: oracle.Grid1D(-np.inf, 9.0, 100), "Grid1D lower must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert oracle.Grid1D(-9, 9, 100.0).n == 100
+    assert np.allclose(oracle.woodbury_inverse(1, 1, 1, 1), [[0.5]])
+
+
 def test_kernel_residual_shrinks_linearly_with_dt():
     grid = oracle.Grid1D(-9.0, 9.0, 1024)
     density = standard_gaussian(grid)

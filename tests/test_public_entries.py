@@ -10,9 +10,10 @@ filter and predict over drifts, Jacobians and observation maps that
 return the wrong number of entries, hands the bundled eval_*
 functions arguments of mismatched shapes or that are not numbers, and
 hands the public dataclass constructors, step_sample,
-simulate_open_loop, ekf_step, marginal_likelihood and update's dt
+simulate_open_loop, sample_posterior, run_closed_loop, ekf_step,
+marginal_likelihood, update's dt and the oracle's public entries
 arguments that are not numbers, ragged, of the wrong shape or count, bools
-and None. Each test collects
+and None, and random generators that are none of these. Each test collects
 every exception that is not an SqcError, with the input that raised
 it, and fails listing them.
 """
@@ -26,7 +27,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sqc import control, ekf, engine, process
+from sqc import control, ekf, engine, oracle, process
 from sqc.errors import SqcError, ValidationError
 from sqc.potential import PotentialEvaluation, eval_double_well, eval_log_barrier, eval_quadratic_penalty
 from sqc.scenario import load_bundled, scenario_from_dict
@@ -377,6 +378,12 @@ def entry_calls(m: int, k: int) -> dict:
         return call
 
     now = engine.GaussianBelief(**belief)
+    penalty = lambda x, t: eval_quadratic_penalty(x, np.zeros(m), np.eye(m))
+    line = oracle.Grid1D(-6.0, 6.0, 64)
+    free = process.ItoProcessModel(
+        dim=1, drift=lambda x, t: 0.0 * x, drift_jacobian=lambda x, t: np.zeros((1, 1)), g_inv=np.eye(1)
+    )
+    wood = dict(a_inv=np.eye(m), b=np.ones((m, k)), d=np.eye(k), c=np.ones((k, m)))
     return {
         "GaussianBelief": (engine.GaussianBelief, belief),
         "ControlConfig": (control.ControlConfig, dict(B=np.eye(m), R=np.eye(m))),
@@ -385,12 +392,29 @@ def entry_calls(m: int, k: int) -> dict:
         "ObservationStream": (ekf.ObservationStream, dict(steps=[0, 2, 5], values=np.full((3, k), 0.1))),
         "PotentialEvaluation": (PotentialEvaluation, pot),
         "step_sample": (
-            with_models(lambda model, obs, x, t: process.step_sample(model, x, t, np.random.default_rng(0))),
-            {**callables, "x": np.full(m, 0.3), "t": 3},
+            with_models(lambda model, obs, x, t, rng: process.step_sample(model, x, t, rng)),
+            {**callables, "x": np.full(m, 0.3), "t": 3, "rng": np.random.default_rng(0)},
         ),
         "simulate_open_loop": (
-            with_models(lambda model, obs, x0, steps: process.simulate_open_loop(model, x0, steps, np.random.default_rng(0))),
-            {**callables, "x0": np.full(m, 0.3), "steps": 3},
+            with_models(lambda model, obs, x0, steps, rng: process.simulate_open_loop(model, x0, steps, rng)),
+            {**callables, "x0": np.full(m, 0.3), "steps": 3, "rng": np.random.default_rng(0)},
+        ),
+        "sample_posterior": (lambda rng: engine.sample_posterior(now, rng), dict(rng=np.random.default_rng(0))),
+        "run_closed_loop": (
+            with_models(lambda model, obs, rng, mode: control.run_closed_loop(
+                model, penalty, now, control.ControlConfig(B=np.eye(m), R=np.eye(m)), 3, rng, mode
+            )),
+            {**callables, "rng": np.random.default_rng(0), "mode": "sampled"},
+        ),
+        "weighted_gaussian_moments": (
+            lambda x_hat, sigma, dt: oracle.weighted_gaussian_moments(x_hat, sigma, lambda x: float(x @ x), dt),
+            dict(x_hat=np.full(m, 0.3), sigma=np.eye(m), dt=0.5),
+        ),
+        "woodbury_inverse": (oracle.woodbury_inverse, wood),
+        "Grid1D": (oracle.Grid1D, dict(lower=-6.0, upper=6.0, n=64)),
+        "fokker_planck_residual": (
+            lambda density, dt: oracle.fokker_planck_residual(free, None, line, density, dt),
+            dict(density=np.exp(-0.5 * line.points() ** 2), dt=1e-2),
         ),
         "ekf_step": (
             with_models(lambda model, obs, y, t: ekf.ekf_step(now, model, obs, y, t)), {**callables, "y": np.full(k, 0.1), "t": 2},
@@ -404,9 +428,10 @@ def entry_calls(m: int, k: int) -> dict:
 
 def test_constructors_and_textbook_functions_raise_only_sqc_errors():
     # One or two arguments of a public constructor, of step_sample,
-    # simulate_open_loop, ekf_step or marginal_likelihood, or update()'s
-    # dt, replaced by a value from junk(m). A callable argument is
-    # replaced by the value itself or by a callable that returns it.
+    # simulate_open_loop, sample_posterior, run_closed_loop, ekf_step,
+    # marginal_likelihood or an oracle entry, or update()'s dt, replaced
+    # by a value from junk(m). A callable argument is replaced by the
+    # value itself or by a callable that returns it.
     rnd = random.Random(12)
     found = {}
     for _ in range(1500):
@@ -424,6 +449,32 @@ def test_constructors_and_textbook_functions_raise_only_sqc_errors():
         if crash is not None:
             found.setdefault((name, crash), repr(kwargs)[:300])
     assert not found, found
+
+
+def test_random_generators_are_checked_before_any_work():
+    # Each is refused before the potential is evaluated or anything drawn.
+    # All but the sampled run without a generator used to raise a bare
+    # AttributeError, except the belief run with rng="x", which ran on.
+    model = linear_model(2)
+    belief = engine.GaussianBelief(mean=[0.3, -0.2], cov=np.eye(2))
+    calls = []
+
+    def penalty(x, t):
+        calls.append(t)
+        return eval_quadratic_penalty(x, np.zeros(2), np.eye(2))
+
+    cfg = control.ControlConfig(B=np.eye(2), R=np.eye(2))
+    for call in (
+        lambda: control.run_closed_loop(model, penalty, belief, cfg, 5, "x"),
+        lambda: control.run_closed_loop(model, penalty, belief, cfg, 5, "x", "belief"),
+        lambda: control.run_closed_loop(model, penalty, belief, cfg, 5, None),
+        lambda: process.step_sample(model, np.zeros(2), 0, None),
+        lambda: process.simulate_open_loop(model, np.zeros(2), 3, 5),
+        lambda: engine.sample_posterior(belief, "x"),
+    ):
+        with pytest.raises(ValidationError, match="the random generator must be a numpy Generator"):
+            call()
+    assert calls == []
 
 
 def test_steps_are_whole_numbers_at_every_public_entry():

@@ -128,6 +128,15 @@ def test_all_bundled_names_load():
         assert sc.horizon == 10
 
 
+def test_overrides_must_be_a_dict():
+    # A list of pairs used to raise a bare AttributeError on .items().
+    for overrides in ([("horizon", 10)], [], "horizon"):
+        with pytest.raises(ValidationError, match="overrides must be a dict"):
+            load_bundled("penalty", overrides=overrides)
+        with pytest.raises(ValidationError, match="overrides must be a dict"):
+            control.run_scenario("penalty", overrides=overrides)
+
+
 def test_write_parse_roundtrip(tmp_path):
     sc = load_bundled("doublewell", seed=7)
     path = tmp_path / "copy.json"
