@@ -23,19 +23,19 @@ and no numpy calls: the prediction, the absorption of an evaluation
 (where its curvature changed, the curvature's Cholesky factor, its
 inverse sigma_nu and log|curvature|/2; then S, its Cholesky factor,
 the gain by substitution, the shift, the posterior moments, script_n
-and log_n) and the sample (mean + chol(cov) z). Two stages write out
-the absorption: update, a function of its own for update(), and loop,
-the step loop per (m, k, sampled or belief) with the prediction, the
-absorption and the sample inline on local floats. The loop calls only
-the drift, its Jacobian, the potential, _cholesky when a pivot fails,
-math's sqrt, log and isfinite, and the rows' list methods. Each stage
-is compiled on first use for its dimensions and cached, as
-collections.namedtuple does; nothing is compiled at import or when a
-scenario is loaded. At m = 2 a whole closed-loop step (drift,
-potential, kernel and row) costs about 4-5 us of CPU on a 2-vCPU Xeon
-VM (5001-step runs of the bundled penalty and double well, medians of
-60 each, BENCH_23.json). The bundled potentials' float forms are
-generated the same way (see potential).
+and log_n) and the sample (mean + chol(cov) z). One stage writes them
+out: loop, the step loop per (m, k, sampled or belief) with the
+prediction, the absorption and the sample inline on local floats. Its
+first step is not predicted, so update() is one step of the belief
+loop. The loop calls only the drift, its Jacobian, the potential,
+_cholesky when a pivot fails, math's sqrt, log and isfinite, and the
+rows' list methods. It is compiled on first use for its dimensions and
+cached, as collections.namedtuple does; nothing is compiled at import
+or when a scenario is loaded. At m = 2 a whole closed-loop step
+(drift, potential, kernel and row) costs about 4-5 us of CPU on a
+2-vCPU Xeon VM (5001-step runs of the bundled penalty and double well,
+medians of 60 each, BENCH_23.json). The bundled potentials' float
+forms are generated the same way (see potential).
 
 A Cholesky pivot that is not > 0 hands the whole matrix to
 linalg.spd_cholesky, whose jittered retry keeps a run alive through
@@ -43,21 +43,22 @@ transient conditioning trouble (and still raises NotPositiveDefinite
 for an indefinite matrix); a run counts those retries. Logarithms are
 math.log on each entry.
 
-The kernel is the only update and _run the only step loop, for the
-closed loop and the filter alike; _run documents its checks, its one
-block of draws, its float rows and its breakdown policy. _check_fit,
-the one test of sizes against k, is reached where an evaluation fails
-to unpack. Drifts and potentials enter as float forms: the bundled
-ones carry theirs as the ``floats`` attribute of their callables, the
-filter builds its own, and any other callable is called with an array
-through _floats or _potential_floats, which read its result
-(_evaluation_floats is the one shape test of a PotentialEvaluation)
-and refuse any other. A curvature is factored only when it differs by
-value from the one factored last, so a constant one is factored once
-per run on every path. predict() and sample_posterior() stay in numpy
-as the independent references for the loop stage's prediction and
-sample, and oracle.precision_form, the update and normalization
-through the precision matrix, is the reference for its update.
+The loop stage is the only update, and _run the only step loop, for
+update(), the closed loop and the filter alike; _run documents its
+checks, its one block of draws, its float rows and its breakdown
+policy. _check_fit, the one test of sizes against k, is reached where
+an evaluation fails to unpack. Drifts and potentials enter as float
+forms: the bundled ones carry theirs as the ``floats`` attribute of
+their callables, the filter builds its own, and any other callable is
+called with an array through _floats or _potential_floats, which read
+its result (_evaluation_floats is the one shape test of a
+PotentialEvaluation) and refuse any other. A curvature is factored
+only when it differs by value from the one factored last, so a
+constant one is factored once per run on every path. predict() and
+sample_posterior() stay in numpy as the independent references for the
+loop stage's prediction and sample, and oracle.precision_form, the
+update and normalization through the precision matrix, is the
+reference for its update.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def _half_logdet(n: int, low: Callable) -> str:
 
 
 # The line generators below write the algebra of a step once. Each
-# reads and writes plain local names (x0, p0_1, ...): the update stage
-# and the loop stage put them in one function body.
+# reads and writes plain local names (x0, p0_1, ...): the loop stage
+# puts them in one function body.
 
 def _predict_lines(m: int) -> list:
     # State x{i}, covariance p{i}_{j}, drift f{i}, its Jacobian j{i}_{j},
@@ -327,23 +328,11 @@ def _absorb_lines(m: int, k: int) -> list:
     ]
 
 
-def _update_source(m: int, k: int) -> list:
-    lines = [
-        _unpack(_vector("m", m), "mean"),
-        _unpack(_matrix("p", m, m), "p"),
-        f"ldt = {0.5 * k!r} * log(weight)",
-        "factored = None",
-        *_absorb_lines(m, k),
-        f"return {_tuple(_vector('u', m))}, {_tuple(_symmetric('c', m))}, {_tuple(_vector('d', m))}, log_n, script",
-    ]
-    return ["def update(mean, p, pot, weight, t, retries):", *_indent(lines)]
-
-
 def _loop_source(m: int, k: int, sampled: bool) -> list:
     # The step loop: each pass but the first predicts and evaluates the
     # potential (the first takes both as given); every pass absorbs the
     # evaluation (or keeps the bare prediction where it is None), draws
-    # or takes the mean, and extends the rows.
+    # or takes the mean, and extends the rows. Returns the last script.
     mean, cov, x, shift = _vector("m", m), _matrix("p", m, m), _vector("x", m), _vector("d", m)
     z = _vector("z", m) if sampled else ["z"]
     step = [
@@ -359,7 +348,7 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
             f"pot = evaluate({_tuple(mean)}, t)",
         ]),
         "if pot is None:",
-        "    value = log_n = nan",
+        "    value = log_n = script = nan",
         f"    {' = '.join(shift)} = 0.0",
         "else:",
         *_indent([
@@ -387,6 +376,7 @@ def _loop_source(m: int, k: int, sampled: bool) -> list:
         "first = True",
         head,
         *_indent(step),
+        "return script",
     ]
     signature = "def loop(draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt, weight, retries, rows):"
     return [signature, *_indent(lines)]
@@ -405,34 +395,28 @@ def _cholesky(rows, retries) -> list:
     return [v for i, row in enumerate(low.tolist()) for v in row[: i + 1]]
 
 
-_STAGES = {"update": _update_source, "loop": _loop_source}
-
-
 @lru_cache(maxsize=None)
-def _compiled(stage: str, *dims) -> Callable:
-    """One stage of the step kernel, compiled on first use for its dimensions.
+def _compiled(m: int, k: int, sampled: bool) -> Callable:
+    """The step kernel's one stage, compiled on first use for (m, k, sampled).
 
-    update depends on (m, k) and loop on (m, k, sampled); both write
-    out the same absorption of an evaluation ``pot``, (V, grad_l, H,
-    curvature) as _evaluation_floats gives it, and either raises
-    ValidationError through _check_fit where pot does not fit k.
-    Arguments and results are float sequences, matrices flat in
-    row-major order; ``retries`` is a one-entry list that counts the
-    jittered Cholesky retries.
-
-    update(mean, p, pot, weight, t, retries) -> (mean, cov, shift,
-    log_n, script_n): the belief (mean, p) at step t updated by pot.
     loop(draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt,
-    weight, retries, rows) -> None runs all of _run's steps from the
-    predicted belief (mean, p) at step t and its evaluation pot, one
-    step per m floats of the iterator ``draws`` (sampled) or per entry
-    (belief), and extends _run's six ``rows``.
+    weight, retries, rows) -> script_n runs all of _run's steps from the
+    predicted belief (mean, p) at step t and its evaluation ``pot``,
+    (V, grad_l, H, curvature) as _evaluation_floats gives it: one step
+    per m floats of the iterator ``draws`` (sampled) or per entry
+    (belief). It extends _run's six ``rows`` and returns the script_n
+    of the last step, nan where that step kept the bare prediction.
+    The first step is not predicted, so update() is the belief loop
+    on one draw. Arguments are float sequences, matrices flat in
+    row-major order; ``retries`` is a one-entry list that counts the
+    jittered Cholesky retries. An evaluation that does not fit k raises
+    ValidationError through _check_fit.
     """
     namespace = dict(
         sqrt=math.sqrt, log=math.log, isfinite=math.isfinite, nan=math.nan, NonFinite=NonFinite,
         _cholesky=_cholesky, _check_fit=_check_fit,
     )
-    return _compile_source(_STAGES[stage](*dims), f"<sqc step kernel {stage}{dims}>", namespace, stage)
+    return _compile_source(_loop_source(m, k, sampled), f"<sqc step kernel {(m, k, sampled)}>", namespace, "loop")
 
 
 def _evaluation_floats(pot, m: int, step: int) -> tuple:
@@ -481,7 +465,7 @@ def _width(pot: tuple, m: int, step: int) -> int:
 
 
 def _check_fit(grad, h, curv, k: int, m: int, step: int) -> None:
-    # The one fit test, against k >= 1 on dim m: the stages run it
+    # The one fit test, against k >= 1 on dim m: the loop stage runs it
     # where an evaluation fails to unpack, _width on k = 0.
     if not k or len(grad) != k or len(h) != k * m or len(curv) != k * k:
         tail = "" if len(grad) == k else f"; grad_l has {len(grad)} entries"
@@ -553,7 +537,7 @@ def _run(
     try:
         pot = evaluate(mean, t)
         k = evaluate.k if pot is None else _width(pot, m, t)
-        _compiled("loop", m, k, rng is not None)(
+        _compiled(m, k, rng is not None)(
             draws, mean, p, pot, t, drift, jacobian, evaluate, noise, dt, weight, retries, rows
         )
     except (DomainViolation, NonFinite, NotPositiveDefinite) as exc:
@@ -564,11 +548,11 @@ def _run(
 
 
 def _columns(rows: tuple, m: int) -> tuple:
-    """_run's flat float rows as arrays: (x, mean, cov, V, log_n, shift).
+    """The loop stage's flat float rows as arrays: (x, mean, cov, V, log_n, shift).
 
     With n the completed steps, the length of the V column, x, mean and
-    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). _run
-    is its one caller.
+    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). It is
+    the one reader of the loop stage's rows, for _run and update().
     """
     xs, means, covs, values, log_ns, shifts = rows
     n = len(values)
@@ -612,18 +596,23 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
     For a quadratic potential, log_n equals minus the log mass of
     exp(-V dt) under the predicted Gaussian exactly; the quadrature
     oracle checks this. The kernel computes script_n from the shift,
-    which equals P^-1 H^T grad_l dt by the matrix inversion lemma. One
-    kernel call gives both results.
+    which equals P^-1 H^T grad_l dt by the matrix inversion lemma. Both
+    results come from one unpredicted step of the belief-mode loop
+    stage: one None draw, no drift, Jacobian or evaluate, zero noise
+    and time weight dt.
     """
     dt = _dt(dt)
-    m = belief.dim
-    pot = _evaluation_floats(pot, m, belief.step)
-    mean, cov, _, log_n, script_n = _compiled("update", m, _width(pot, m, belief.step))(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), pot, dt, belief.step, [0]
+    m, t = belief.dim, belief.step
+    pot = _evaluation_floats(pot, m, t)
+    rows = ([], [], [], [], [], [])
+    script_n = _compiled(m, _width(pot, m, t), False)(
+        iter([None]), belief.mean.tolist(), belief.cov.ravel().tolist(), pot, t,
+        None, None, None, [0.0] * (m * m), dt, dt, [0], rows,
     )
+    _, mean, cov, _, log_n, _ = _columns(rows, m)
     return (
-        GaussianBelief._trusted(np.array(mean), np.reshape(cov, (m, m)), belief.step, "updated"),
-        NormalizationDiagnostic(log_n=log_n, script_n=script_n),
+        GaussianBelief._trusted(mean[0], cov[0], t, "updated"),
+        NormalizationDiagnostic(log_n=float(log_n[0]), script_n=script_n),
     )
 
 

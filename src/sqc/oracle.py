@@ -46,7 +46,7 @@ from numpy.polynomial.hermite import hermgauss
 from . import engine, linalg
 from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
 from .potential import PotentialEvaluation, _bound, eval_log_barrier, eval_quadratic_penalty
-from .process import ItoProcessModel, _finite, _reals, _whole, make_drift
+from .process import ItoProcessModel, _MAX_ENTRIES, _finite, _reals, _whole, make_drift
 
 __all__ = [
     "Grid1D",
@@ -126,7 +126,7 @@ def weighted_gaussian_moments(
     ``potential`` maps a point to a PotentialEvaluation (or directly to
     the scalar V). Returns (mean, cov, log_norm) where log_norm is the
     log of the weight mass integral. x_hat (m,), sigma (m, m) and dt
-    are read through process._reals; m must be 1 or 2.
+    are read through process._finite; m must be 1 or 2.
 
     Quadrature runs twice: a first pass on the prior Gaussian locates
     the posterior, a second pass re-centered there integrates the
@@ -135,7 +135,7 @@ def weighted_gaussian_moments(
     dropped; if they carry more than 1e-6 of the prior mass the result
     would be meaningless and QuadratureDomain is raised.
     """
-    x_hat, sigma, dt = _reals(x_hat, "x_hat", 1), _reals(sigma, "sigma", 2), _reals(dt, "dt", 0)
+    x_hat, sigma, dt = _finite(x_hat, "x_hat", 1), _finite(sigma, "sigma", 2), _finite(dt, "dt", 0)
     if sigma.shape != (x_hat.size,) * 2:
         raise ValidationError(f"sigma has shape {sigma.shape}; x_hat has {x_hat.size} entries")
 
@@ -244,14 +244,15 @@ def fokker_planck_residual(
     computed, so every entry is bit-identical to np.exp's.
 
     ``potential`` maps a grid point to the scalar U (or a
-    PotentialEvaluation); pass None for U = 0. The model must be 1-D;
-    any other dim raises ValidationError. Raises MassLoss when the
+    PotentialEvaluation); pass None for U = 0. The model must be 1-D
+    and the density finite and nonnegative on the grid, or
+    ValidationError is raised. Raises MassLoss when the
     unweighted kernel quadrature loses more than 1e-4 of the mass,
     which signals a grid too small for the diffusion scale.
     """
     if model.dim != 1:
         raise ValidationError(f"kernel residual check needs a 1-D model, got dim {model.dim}")
-    dt, density = _reals(dt, "dt", 0), _reals(density, "density", 1)
+    dt, density = _reals(dt, "dt", 0), _finite(density, "density", 1)
     if not 0 < dt <= 1e-2:
         raise ValidationError(f"kernel residual check expects 0 < dt <= 1e-2; got {dt}")
     if density.shape != (grid.n,):
@@ -403,13 +404,13 @@ def woodbury_inverse(a_inv: np.ndarray, b: np.ndarray, d: np.ndarray, c: np.ndar
     Returns A^-1 - A^-1 B (D + C A^-1 B)^-1 C A^-1. The inner solve is
     done in the (usually smaller) dimension of D. A^-1 (..., n, n), B
     (..., n, k), D (..., k, k) and C (..., k, n) are read through
-    process._reals, stacks of them as arrays whose leading axes
+    process._finite, stacks of them as arrays whose leading axes
     broadcast, or ValidationError is raised; a stack gives a stack of
     inverses, each symmetrized where it is symmetric to within
     rounding. Raises Singular when an inner matrix cannot be inverted.
     """
     args = ((a_inv, "A^-1"), (b, "B"), (d, "D"), (c, "C"))
-    a_inv, b, d, c = (_reals(v, label, max(v.ndim, 2) if isinstance(v, np.ndarray) else 2) for v, label in args)
+    a_inv, b, d, c = (_finite(v, label, max(v.ndim, 2) if isinstance(v, np.ndarray) else 2) for v, label in args)
     n, k = a_inv.shape[-1], d.shape[-1]
     try:
         np.broadcast_shapes(*(v.shape[:-2] for v in (a_inv, b, d, c)))
@@ -478,7 +479,10 @@ def identity_suite(
       d. adding a constant to V leaves mean and covariance unchanged
          and shifts log_n by exactly that constant times dt.
 
-    Every trial's inputs are drawn first, in trial order. engine.update,
+    ``seed`` must be a non-negative whole number and ``trials`` a whole
+    number >= 0 (both read through process._whole), or ValidationError
+    is raised. Every trial's inputs are drawn first, in trial order, and
+    stacked per (m, k). engine.update,
     the code under test, runs once per trial and check; the reference
     side (the SPD inputs' QR, _precision_update, woodbury_inverse and
     the relative errors) runs on one stack per (m, k), which gives each
@@ -491,8 +495,11 @@ def identity_suite(
     failure names its trial, check, error and dims (m, k), in trial
     order, and passed means at least one trial and no failure.
     """
+    seed = _whole(seed, "seed", 0, "a non-negative whole number")
+    trials = _whole(trials, "trials", 0, "a whole number >= 0 that one array of errors holds", _MAX_ENTRIES // len(_CHECKS))
     rng = np.random.default_rng(seed)
-    # Each trial's draws as one flat array, in the order of ``shapes`` below.
+    # Each trial's draws as one tuple: cov's normals and eigenvalues, the
+    # curvature's, h, grad_l, mean, value and dt.
     drawn, dims = [], []
     for trial in range(trials):
         m = int(rng.integers(1, 7))
@@ -507,7 +514,7 @@ def identity_suite(
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         mean = rng.standard_normal(m)
         dims.append((m, k))
-        drawn.append(np.concatenate([np.ravel(part) for part in (*cov_draws, *curvature_draws, h, grad_l, mean, (value, dt))]))
+        drawn.append((*cov_draws, *curvature_draws, h, grad_l, mean, value, dt))
 
     by_dims: dict = {}
     for trial, mk in enumerate(dims):
@@ -515,13 +522,8 @@ def identity_suite(
     # trial x check: forms_mean, forms_cov, cov_two_forms, determinant, gauge
     errors = np.empty((trials, len(_CHECKS)))
     for (m, k), members in by_dims.items():
-        # cov's normals and eigenvalues, the curvature's, h, grad_l, mean, value and dt
-        shapes = [(m, m), (m,), (k, k), (k,), (k, m), (k,), (m,), (), ()]
-        widths = [math.prod(shape) for shape in shapes]
-        rows = np.array([drawn[trial] for trial in members])
         cov_normals, cov_eigs, curv_normals, curv_eigs, h, grad_l, mean, values, dts = (
-            np.ascontiguousarray(col).reshape(-1, *shape)
-            for col, shape in zip(np.split(rows, np.cumsum(widths)[:-1], axis=1), shapes)
+            np.array(column) for column in zip(*(drawn[trial] for trial in members))
         )
         cov, curvature = _spd_from(cov_normals, cov_eigs), _spd_from(curv_normals, curv_eigs)
 

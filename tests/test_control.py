@@ -422,7 +422,7 @@ def tanh_potential(c, w, d):
 def test_loop_stage_matches_reference_for_every_shape(monkeypatch, mode):
     # Every (m, k) up to 4 x 4: one run of the loop stage for its shape
     # against the reference loop, with the bounds of the adapter test.
-    loops = counting_kernels(monkeypatch, "loop")
+    loops = counting_kernels(monkeypatch)
     rng = np.random.default_rng(43)
     for m in range(1, 5):
         for k in range(1, 5):
@@ -446,7 +446,7 @@ def test_closed_loop_refuses_a_constraint_dimension_that_changes(monkeypatch, mo
     # k = 2 until step 3, then k = 1: a run's k is fixed by its first
     # step, so the one loop stage for k = 2 refuses step 3, naming it
     # and the sizes, and no other stage runs.
-    loops = counting_kernels(monkeypatch, "loop")
+    loops = counting_kernels(monkeypatch)
     rng = np.random.default_rng(47)
     drift, jacobian = process.make_drift("linear", {"A": 0.05 * rng.standard_normal((2, 2))}, 2)
     model = process.ItoProcessModel(dim=2, drift=drift, drift_jacobian=jacobian, g_inv=0.01 * np.eye(2))

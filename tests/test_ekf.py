@@ -156,7 +156,7 @@ def test_filter_loop_stage_matches_reference_for_every_shape(monkeypatch):
     # step 0: the filter runs in one loop stage, for the observation
     # width, and matches a reference loop of engine.predict and the
     # oracle's precision form in every row and log likelihood.
-    loops = counting_kernels(monkeypatch, "loop")
+    loops = counting_kernels(monkeypatch)
     rng = np.random.default_rng(31)
     steps = np.array([2, 3, 4, 7, 11, 12, 19])
     for m in range(1, 5):

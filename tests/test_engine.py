@@ -183,8 +183,23 @@ def test_update_forms_agree():
         assert rel_err(gain.cov, prec.cov) < 1e-10
 
 
+def loop_update(m, k, mean, p, pot, weight, t, retries):
+    """One unpredicted step of the generated belief-mode loop stage for (m, k).
+
+    The belief (mean, p) at step t is updated by the float evaluation
+    ``pot`` with time weight ``weight``, as in update(). Returns (mean,
+    cov, shift, log_n, script_n), the moments and shift as tuples.
+    """
+    rows = ([], [], [], [], [], [])
+    script_n = engine._compiled(m, k, False)(
+        iter([None]), mean, p, pot, t, None, None, None, [0.0] * (m * m), weight, weight, retries, rows
+    )
+    _, means, covs, _, log_ns, shifts = rows
+    return tuple(means), tuple(covs), tuple(shifts), log_ns[0], script_n
+
+
 def kernel_update(belief, pot, dt):
-    """The generated kernel's update stage on one belief.
+    """The generated kernel's update, one loop-stage step, on one belief.
 
     Returns (posterior mean, posterior cov, shift, log_n, script_n) as
     arrays and floats.
@@ -192,8 +207,8 @@ def kernel_update(belief, pot, dt):
     m, k = belief.dim, len(pot.grad_l)
     retries = [0]
     floats = (pot.value, pot.grad_l.tolist(), pot.H.ravel().tolist(), pot.curvature.ravel().tolist())
-    mean, cov, shift, log_n, script_n = engine._compiled("update", m, k)(
-        belief.mean.tolist(), belief.cov.ravel().tolist(), floats, dt, belief.step, retries
+    mean, cov, shift, log_n, script_n = loop_update(
+        m, k, belief.mean.tolist(), belief.cov.ravel().tolist(), floats, dt, belief.step, retries
     )
     assert retries == [0]
     return np.array(mean), np.reshape(cov, (m, m)), np.array(shift), log_n, script_n
@@ -236,28 +251,6 @@ def test_kernel_matches_precision_form_for_every_shape(h_zero):
             assert script_n == pytest.approx(ref_diag.script_n, rel=1e-9, abs=1e-10), (m, k)
 
 
-def test_loop_first_step_is_update_bit_for_bit():
-    # The loop stage's first step is not predicted: in belief mode it is
-    # update() on the belief as given, bit for bit, for every generated
-    # (m, k) up to 6; both stages write out the same absorption block.
-    rng = np.random.default_rng(16)
-    for m in range(1, 7):
-        for k in range(1, 7):
-            belief = engine.GaussianBelief(mean=rng.standard_normal(m), cov=random_spd(rng, m), step=3)
-            pot = random_potential(rng, m, k)
-            dt = float(rng.choice([0.25, 1.0]))
-            post, diag = engine.update(belief, pot, dt)
-            rows = ([], [], [], [], [], [])
-            engine._compiled("loop", m, k, False)(
-                iter([None]), belief.mean.tolist(), belief.cov.ravel().tolist(),
-                engine._evaluation_floats(pot, m, 3), 3, None, None, None, [0.0] * (m * m), dt, dt, [0], rows,
-            )
-            xs, means, covs, values, log_ns, _ = rows
-            assert xs == means == post.mean.tolist(), (m, k)
-            assert covs == post.cov.ravel().tolist(), (m, k)
-            assert values == [pot.value] and log_ns == [diag.log_n], (m, k)
-
-
 def loop_step(mean, p, pot, z, retries):
     """One sampled step of the generated m = 2, k = 2 loop stage.
 
@@ -266,10 +259,7 @@ def loop_step(mean, p, pot, z, retries):
     predicted. Returns the stage's six row columns.
     """
     rows = ([], [], [], [], [], [])
-    done = engine._compiled("loop", 2, 2, True)(
-        iter(z), mean, p, pot, 0, None, None, None, [0.0] * 4, 1.0, 1.0, retries, rows
-    )
-    assert done is None
+    engine._compiled(2, 2, True)(iter(z), mean, p, pot, 0, None, None, None, [0.0] * 4, 1.0, 1.0, retries, rows)
     return rows
 
 
@@ -279,17 +269,16 @@ def test_kernel_cholesky_falls_back_to_jittered_factor():
     # entry 2^-1000 over the weight 2^100 underflows to 0, so S's first
     # pivot is 0 and its factor must be spd_cholesky's jittered one, seen
     # through log_n = log|S|/2 + log|curvature|/2 + log weight + V weight,
-    # and the run's count must show the retry. The loop stage's sample
-    # takes the same fallback for a covariance of all ones, which an
-    # update with H = 0 and unit curvature leaves as it is.
-    update = engine._compiled("update", 2, 2)
+    # and the run's count must show the retry. The sampled loop stage's
+    # sample takes the same fallback for a covariance of all ones, which
+    # an update with H = 0 and unit curvature leaves as it is.
     weight = 2.0**100
     s = np.diag([0.0, 1.0 / weight])
     low = linalg.spd_cholesky(s)
     assert low[0, 0] > 0.0
     retries = [0]
     pot = (0.3 / weight, [1.0, 2.0], [0.0] * 4, [2.0**1000, 0.0, 0.0, 1.0])
-    mean, cov, shift, log_n, _ = update([0.5, -0.5], [1.0, 0.2, 0.2, 2.0], pot, weight, 0, retries)
+    mean, cov, shift, log_n, _ = loop_update(2, 2, [0.5, -0.5], [1.0, 0.2, 0.2, 2.0], pot, weight, 0, retries)
     assert retries == [1]
     assert log_n == pytest.approx(float(np.log(np.diag(low)).sum()) + 600.0 * math.log(2.0) + 0.3, rel=1e-14)
     assert mean == (0.5, -0.5) and shift == (0.0, 0.0) and cov == (1.0, 0.2, 0.2, 2.0)
@@ -311,16 +300,26 @@ def test_kernel_indefinite_matrix_raises():
     indefinite = [1.0, 2.0, 2.0, 1.0]
     retries = [0]
     with pytest.raises(NotPositiveDefinite):
-        engine._compiled("update", 2, 2)(
-            [0.0, 0.0], indefinite, (0.0, [1.0, 1.0], [1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0]), 1.0, 0, retries
-        )
+        loop_update(2, 2, [0.0, 0.0], indefinite, (0.0, [1.0, 1.0], [1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 2.0]), 1.0, 0, retries)
     with pytest.raises(NotPositiveDefinite):
-        engine._compiled("update", 2, 2)(
-            [0.0, 0.0], [1.0, 0.0, 0.0, 1.0], (0.0, [1.0, 1.0], [0.0] * 4, indefinite), 1.0, 0, retries
-        )
+        loop_update(2, 2, [0.0, 0.0], [1.0, 0.0, 0.0, 1.0], (0.0, [1.0, 1.0], [0.0] * 4, indefinite), 1.0, 0, retries)
     with pytest.raises(NotPositiveDefinite):
         loop_step([0.0, 0.0], indefinite, (0.0, (1.0, 1.0), (0.0,) * 4, (1.0, 0.0, 0.0, 1.0)), [0.1, 0.2], retries)
     assert retries == [0]
+
+
+def test_loop_stage_returns_the_last_script():
+    # The stage returns script_n of its last step: with H = 0 that is V
+    # exactly, and nan where the last step keeps the bare prediction.
+    pot = (0.7, [0.3], [0.0], [2.0])
+    for tail, check in ((pot, lambda script: script == 0.7), (None, math.isnan)):
+        rows = ([], [], [], [], [], [])
+        script = engine._compiled(1, 1, False)(
+            iter([None] * 3), [0.2], [0.5], (0.1, [0.3], [1.0], [2.0]), 0,
+            lambda x, t: [-x[0]], lambda x, t: [-1.0], lambda x, t: tail, [0.01], 0.1, 0.1, [0], rows,
+        )
+        assert len(rows[3]) == 3
+        assert check(script)
 
 
 def test_import_and_scenario_load_compile_no_kernel():
@@ -416,37 +415,36 @@ def test_sample_posterior_deterministic_and_calibrated():
 
 def test_update_paths_run_through_step_core(monkeypatch):
     # One update kernel: the public update (posterior and normalization
-    # together) calls the generated update stage once, and the closed
-    # loop and the observation filter each run all their steps in one
-    # call of the loop stage, whose source holds the update stage's
-    # lines verbatim, so no second implementation can take over a path.
-    updates = counting_kernels(monkeypatch, "update")
-    loops = counting_kernels(monkeypatch, "loop")
+    # together), the closed loop and the observation filter each run in
+    # one call of the loop stage, and on one (m, k) in belief mode all
+    # three share its one compiled entry, so no second implementation
+    # can take over a path.
+    engine._compiled.cache_clear()
+    loops = counting_kernels(monkeypatch)
     model = linear_model(np.array([[-0.1]]), 1, np.array([[0.2]]))
     pot_fn = lambda x, t: eval_quadratic_penalty(x, np.array([1.0]), np.array([[4.0]]))
     belief = engine.GaussianBelief(mean=[0.3], cov=[[0.8]], step=0, tag="predicted")
     pot = pot_fn(belief.mean, 0)
 
     engine.update(belief, pot, 1.0)
-    assert updates == [(1, 1)] and loops == []
+    assert loops == [(1, 1, False)]
 
     cfg = control.ControlConfig(B=np.eye(1), R=np.eye(1))
     control.run_closed_loop(model, pot_fn, belief, cfg, 6, None, mode="belief")
-    assert loops == [(1, 1, False)]
+    assert loops == [(1, 1, False)] * 2
 
     obs = ekf.ObservationModel(h=lambda x, t: x, h_jacobian=lambda x, t: np.eye(1), sigma_nu=[[0.5]])
     stream = ekf.ObservationStream(steps=[0, 2, 3], values=[[0.1], [0.2], [0.3]])
     ekf.filter_with_likelihood(model, obs, stream, belief)
-    assert loops == [(1, 1, False)] * 2 and updates == [(1, 1)]
+    assert loops == [(1, 1, False)] * 3
+    monkeypatch.undo()
+    assert engine._compiled.cache_info().currsize == 1
 
     # The update lines sit in the loop three levels deep (function, for,
-    # else) and in the update stage one level deep; the prediction and
-    # the sample are written only into the loop.
+    # else); the prediction and the sample are written into it once.
     for m, k, sampled in ((1, 1, False), (2, 2, True), (3, 2, True)):
-        loop = "\n".join(engine._STAGES["loop"](m, k, sampled))
-        update = "\n".join(engine._STAGES["update"](m, k))
+        loop = "\n".join(engine._loop_source(m, k, sampled))
         assert "\n".join(engine._indent(engine._update_lines(m, k), 3)) in loop
-        assert "\n".join(engine._indent(engine._update_lines(m, k), 1)) in update
         assert "\n".join(engine._indent(engine._predict_lines(m), 3)) in loop
         assert ("\n".join(engine._indent(engine._sample_lines(m), 2)) in loop) == sampled
 

@@ -335,6 +335,8 @@ def test_oracle_entries_read_their_arguments():
     prior = ([0.0], [[1.0]], lambda x: float(x @ x))
     grid = oracle.Grid1D(-9.0, 9.0, 128)
     density = standard_gaussian(grid)
+    spoilt = density.copy()
+    spoilt[5] = np.nan
     model = free_diffusion_model()
     for call, message in (
         (lambda: oracle.weighted_gaussian_moments("x", *prior[1:]), "x_hat must be a number"),
@@ -351,6 +353,15 @@ def test_oracle_entries_read_their_arguments():
         (lambda: oracle.Grid1D(-1.0, 1.0, "x"), "Grid1D n must be a whole number"),
         (lambda: oracle.Grid1D(-9.0, 9.0, 100.5), "Grid1D n must be a whole number"),
         (lambda: oracle.Grid1D(-np.inf, 9.0, 100), "Grid1D lower must be finite"),
+        # Non-finite arguments used to run on and return nan.
+        (lambda: oracle.weighted_gaussian_moments([np.nan], *prior[1:]), "x_hat must be finite"),
+        (lambda: oracle.weighted_gaussian_moments(prior[0], [[np.nan]], prior[2]), "sigma must be finite"),
+        (lambda: oracle.weighted_gaussian_moments(*prior, np.inf), "dt must be finite"),
+        (lambda: oracle.fokker_planck_residual(model, None, grid, spoilt, 1e-2), "density must be finite"),
+        (lambda: oracle.woodbury_inverse([[np.nan]], [[1.0]], [[1.0]], [[1.0]]), r"A\^-1 must be finite"),
+        (lambda: oracle.woodbury_inverse([[1.0]], [[np.inf]], [[1.0]], [[1.0]]), "B must be finite"),
+        (lambda: oracle.woodbury_inverse([[1.0]], [[1.0]], [[np.nan]], [[1.0]]), "D must be finite"),
+        (lambda: oracle.woodbury_inverse([[1.0]], [[1.0]], [[1.0]], [[-np.inf]]), "C must be finite"),
     ):
         with pytest.raises(ValidationError, match=message):
             call()

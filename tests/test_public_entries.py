@@ -423,6 +423,7 @@ def entry_calls(m: int, k: int) -> dict:
             with_models(lambda model, obs, y: ekf.marginal_likelihood(now, obs, y)), {**callables, "y": np.full(k, 0.1)},
         ),
         "update": (lambda dt: engine.update(now, PotentialEvaluation(**pot), dt), dict(dt=1.0)),
+        "identity_suite": (oracle.identity_suite, dict(seed=0, trials=2)),
     }
 
 
@@ -448,6 +449,11 @@ def test_constructors_and_textbook_functions_raise_only_sqc_errors():
         crash = bare_exception(lambda: call(**kwargs))
         if crash is not None:
             found.setdefault((name, crash), repr(kwargs)[:300])
+    # The identity suite's seed and trials each used to raise a bare TypeError or ValueError.
+    for kwargs in (dict(trials="x"), dict(trials=2.5), dict(trials=True), dict(seed="x"), dict(seed=-1)):
+        crash = bare_exception(lambda: oracle.identity_suite(**{"seed": 0, "trials": 2, **kwargs}))
+        if crash is not None:
+            found.setdefault(("identity_suite", crash), repr(kwargs))
     assert not found, found
 
 
