@@ -547,18 +547,18 @@ def _run(
     return (*_columns(rows, m), retries[0], None)
 
 
-def _columns(rows: tuple, m: int) -> tuple:
-    """The loop stage's flat float rows as arrays: (x, mean, cov, V, log_n, shift).
+def _columns(rows: tuple, m: int, which: tuple = (0, 1, 2, 3, 4, 5), stacked: bool = True) -> list:
+    """The loop stage's flat float rows (x, mean, cov, V, log_n, shift), or those at positions ``which``, as arrays.
 
     With n the completed steps, the length of the V column, x, mean and
-    shift are (n, m), cov is (n, m, m) and V and log_n are (n,). It is
-    the one reader of the loop stage's rows, for _run and update().
+    shift are (n, m), cov is (n, m, m) and V and log_n are (n,); not
+    ``stacked``, a one-step run's rows drop the n axis, so V and log_n
+    are 0-d. It is the one reader of the loop stage's rows, for _run
+    and update().
     """
-    xs, means, covs, values, log_ns, shifts = rows
-    n = len(values)
-    x, mean, shift = (np.fromiter(column, float, n * m).reshape(n, m) for column in (xs, means, shifts))
-    cov = np.fromiter(covs, float, n * m * m).reshape(n, m, m)
-    return x, mean, cov, np.array(values), np.array(log_ns), shift
+    lead = (len(rows[3]),) if stacked else ()
+    shapes = (lead + (m,), lead + (m,), lead + (m, m), lead, lead, lead + (m,))
+    return [np.fromiter(rows[i], float).reshape(shapes[i]) for i in which]
 
 
 def predict(belief: GaussianBelief, model: ItoProcessModel) -> GaussianBelief:
@@ -609,10 +609,10 @@ def update(belief: GaussianBelief, pot: PotentialEvaluation, dt: float) -> tuple
         iter([None]), belief.mean.tolist(), belief.cov.ravel().tolist(), pot, t,
         None, None, None, [0.0] * (m * m), dt, dt, [0], rows,
     )
-    _, mean, cov, _, log_n, _ = _columns(rows, m)
+    mean, cov, log_n = _columns(rows, m, (1, 2, 4), stacked=False)
     return (
-        GaussianBelief._trusted(mean[0], cov[0], t, "updated"),
-        NormalizationDiagnostic(log_n=float(log_n[0]), script_n=script_n),
+        GaussianBelief._trusted(mean, cov, t, "updated"),
+        NormalizationDiagnostic(log_n=float(log_n), script_n=script_n),
     )
 
 

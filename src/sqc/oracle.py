@@ -205,10 +205,13 @@ def _derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
     return out
 
 
-# Rows of the target grid per kernel block, and an exponent argument a
-# at which np.exp(-a) is already exactly 0.0 in double precision.
+# Rows of the target grid per kernel block and per slice of a block, an
+# exponent argument a at which np.exp(-a) is already exactly 0.0 in
+# double precision, and the one at which np.exp(-a) turns subnormal.
 _BLOCK_ROWS = 256
+_SLICE_ROWS = 64
 _UNDERFLOW_ARG = 746.0
+_NORMAL_ARG = 1022 * math.log(2)
 
 
 def fokker_planck_residual(
@@ -235,13 +238,17 @@ def fokker_planck_residual(
     A block keeps only the source columns whose centers x + f(x) dt lie
     within cut = sqrt(2 var _UNDERFLOW_ARG) of its rows, var = g_inv dt;
     every entry left out has exp of an argument below -_UNDERFLOW_ARG,
-    which is exactly 0.0, so the step equals the full n x n kernel's
-    mat-vec up to summation order. It holds O(_BLOCK_ROWS n) floats
-    at a time. Inside the band, an entry whose argument is at or below
-    -_UNDERFLOW_ARG is written as 0.0 without calling exp, whose slow
-    path for arguments below -708 would return that same 0.0; the
-    subnormal results between -_UNDERFLOW_ARG and -708 are still
-    computed, so every entry is bit-identical to np.exp's.
+    which is exactly 0.0. Inside the band, exp is called only where its
+    result is a normal double: an entry whose argument is at or below
+    -_NORMAL_ARG = -1022 ln 2 is 0.0, which skips np.exp's slow path
+    (over 100 times its normal cost) for subnormal results. Those are
+    below 2.3e-308 and leave fp_convergence's sums byte-identical, so
+    the step equals the full n x n kernel's mat-vec up to summation
+    order, except in a row far from every center whose entries are all
+    subnormal or zero: it reads 0.0 where the full kernel gives at most
+    a few 1e-308 (drift -200 x at dt = 5e-3 zeroes 14 entries of at
+    most 2.7e-309). A block's rows are computed in slices of
+    _SLICE_ROWS over its band, O(_SLICE_ROWS n) floats at a time.
 
     ``potential`` maps a grid point to the scalar U (or a
     PotentialEvaluation); pass None for U = 0. The model must be 1-D
@@ -292,8 +299,11 @@ def _diffuse(grid: Grid1D, density: np.ndarray, drift: np.ndarray, g_inv: float,
     """The density one banded kernel step later, before the potential's weight.
 
     fokker_planck_residual's first step: it depends on the drift and dt
-    only, so cases that differ in U alone can share it. Raises MassLoss
-    as fokker_planck_residual documents.
+    only, so cases that differ in U alone can share it. Each row slice
+    keeps its block's band, so a row's dot product is the one a gemv
+    over the whole block takes; a narrower band would change the
+    columns, and so the bits, of some rows' sums. Raises MassLoss as
+    fokker_planck_residual documents.
     """
     x = grid.points()
     quad_w = _trapezoid(grid)
@@ -302,16 +312,26 @@ def _diffuse(grid: Grid1D, density: np.ndarray, drift: np.ndarray, g_inv: float,
     weighted = quad_w * density
     # The band is a mask, not a search: a drift may fold the centers.
     # A nan center fails both comparisons and is kept, and its nan
-    # argument fails arg <= -_UNDERFLOW_ARG and is exponentiated, so a
-    # nan drift still reaches the result.
+    # argument fails arg <= -_NORMAL_ARG and is exponentiated, so a nan
+    # drift still reaches the result. arg is built in place:
+    # d^2 / (-2 var) is -(d^2) / (2 var) bit for bit.
     cut = np.sqrt(2 * var * _UNDERFLOW_ARG)
+    norm = np.sqrt(2 * np.pi * var)
     diffused = np.empty(grid.n)
     for start in range(0, grid.n, _BLOCK_ROWS):
-        rows = x[start:start + _BLOCK_ROWS]
-        cols = np.flatnonzero(~((centers < rows[0] - cut) | (centers > rows[-1] + cut)))
-        arg = -((rows[:, None] - centers[None, cols]) ** 2) / (2 * var)
-        kernel = np.exp(arg, out=np.zeros_like(arg), where=~(arg <= -_UNDERFLOW_ARG)) / np.sqrt(2 * np.pi * var)
-        diffused[start:start + len(rows)] = kernel @ weighted[cols]
+        stop = min(start + _BLOCK_ROWS, grid.n)
+        cols = np.flatnonzero(~((centers < x[start] - cut) | (centers > x[stop - 1] + cut)))
+        band, band_weights = centers[cols], weighted[cols]
+        for lo in range(start, stop, _SLICE_ROWS):
+            hi = min(lo + _SLICE_ROWS, stop)
+            kernel = np.subtract.outer(x[lo:hi], band)
+            np.square(kernel, out=kernel)
+            kernel /= -2 * var
+            tiny = kernel <= -_NORMAL_ARG
+            np.exp(kernel, out=kernel, where=~tiny)
+            kernel[tiny] = 0.0
+            kernel /= norm
+            diffused[lo:hi] = kernel @ band_weights
 
     mass_in = float(quad_w @ density)
     mass_out = float(quad_w @ diffused)

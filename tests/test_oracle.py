@@ -499,6 +499,9 @@ KERNEL_CASES = {
     "folded_centers": (lambda: model_with_drift(lambda x, t: -300.0 * np.sin(x)), None, (-9.0, 9.0)),
     # x - 2 x = -x: the centers run backwards over the whole grid.
     "reversed_centers": (lambda: model_with_drift(lambda x, t: -200.0 * x), None, (-9.0, 9.0)),
+    # x - x = 0 up to rounding: every center lies within 1e-15 of 0, so
+    # rows far from 0 hold only subnormal or zero entries.
+    "collapsed_centers": (lambda: model_with_drift(lambda x, t: -100.0 * x), None, (-9.0, 9.0)),
     # The cut sqrt(2 * 4 * 746) = 77 nearly spans the whole grid.
     "kernel_wider_than_grid": (lambda: model_with_drift(lambda x, t: np.zeros(1), 400.0), None, (-40.0, 40.0)),
 }
@@ -516,6 +519,22 @@ def test_banded_kernel_matches_dense_kernel(case):
     banded = oracle.fokker_planck_residual(model, potential, grid, density, 1e-2)
     dense = dense_kernel_residual(model, potential, grid, density, 1e-2)
     assert abs(banded - dense) <= 1e-13 * abs(dense)
+
+
+def test_kernel_row_slices_leave_the_bits_alone(monkeypatch):
+    # A row's dot product must not depend on how many rows share its
+    # gemv call: the study's 8 (drift, dt) passes and the folded centers
+    # diffuse to the same bytes with one slice per block.
+    grid = oracle.Grid1D(-9.0, 9.0, 2048)
+    density = standard_gaussian(grid)
+    x = grid.points()
+    drifts = [np.zeros(grid.n), oracle._drift_on_grid(linear_drift_model(), grid), -300.0 * np.sin(x)]
+    passes = [(drift, dt) for drift in drifts[:2] for dt in (1e-2, 5e-3, 2.5e-3, 1.25e-3)] + [(drifts[2], 1e-2)]
+    sliced = [oracle._diffuse(grid, density, drift, 1.0, dt) for drift, dt in passes]
+    assert oracle._SLICE_ROWS < oracle._BLOCK_ROWS
+    monkeypatch.setattr(oracle, "_SLICE_ROWS", oracle._BLOCK_ROWS)
+    for (drift, dt), ours in zip(passes, sliced):
+        assert oracle._diffuse(grid, density, drift, 1.0, dt).tobytes() == ours.tobytes(), dt
 
 
 def test_kernel_residual_memory_stays_banded():
