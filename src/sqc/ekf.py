@@ -37,7 +37,7 @@ from . import engine
 from .errors import ValidationError
 from .linalg import _cholesky_solve, _strict_cholesky, gaussian_log_density, spd_solve, symmetrize
 from .potential import _bound
-from .process import ItoProcessModel, _LAST_STEP, _STEP, _reals, _sized, _steps, _whole
+from .process import ItoProcessModel, _LAST_STEP, _STEP, _finite, _reals, _sized, _steps, _whole
 
 __all__ = [
     "ObservationModel",
@@ -77,14 +77,14 @@ class ObservationModel:
 
 @dataclass
 class ObservationStream:
-    """Ordered (step, y) pairs: whole steps, strictly increasing, and one row of numbers per step."""
+    """Ordered (step, y) pairs: whole steps, strictly increasing, and one row of finite numbers per step."""
 
     steps: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
         self.steps = _steps(self.steps, "observation steps")
-        self.values = _reals(self.values, "observation values", 2)
+        self.values = _finite(self.values, "observation values", 2)
         if len(self.steps) != len(self.values):
             raise ValidationError("steps and values must have equal length")
         if len(self.steps) > 1 and np.any(np.diff(self.steps) <= 0):
@@ -96,9 +96,9 @@ class ObservationStream:
 
 def _innovation(belief: engine.GaussianBelief, obs_model: ObservationModel, y, t: int) -> tuple:
     # y - h(x), H = dh/dx (k, m) and sigma_nu + H cov H^T at the belief's
-    # mean and step t; y must be k numbers and h and H have k and k * m entries.
+    # mean and step t; y must be k finite numbers and h and H have k and k * m entries.
     k, m = len(obs_model.sigma_nu), belief.dim
-    y = _reals(y, "observation y", 1)
+    y = _finite(y, "observation y", 1)
     if len(y) != k:
         raise ValidationError(f"observation y has {len(y)} entries; sigma_nu observes {k}")
     jac = _sized(obs_model.h_jacobian(belief.mean, t), "observation Jacobian", k * m).reshape(k, m)

@@ -87,7 +87,15 @@ def _gh_nodes(mean: np.ndarray, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _potential_values(potential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """V at each node plus a mask of nodes outside the potential domain."""
+    """V at each node plus a mask of nodes outside the potential domain.
+
+    A potential that is not callable, or a result that is neither a
+    PotentialEvaluation nor a number, raises ValidationError. A float
+    result is taken as it is and only other results go through
+    process._reals, so the float forms' nodes cost no check.
+    """
+    if not callable(potential):
+        raise ValidationError(f"the potential must be a callable x -> V; got {potential!r}")
     vals = np.empty(len(xs))
     outside = np.zeros(len(xs), dtype=bool)
     for i, x in enumerate(xs):
@@ -97,7 +105,18 @@ def _potential_values(potential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray
             outside[i] = True
             vals[i] = np.inf
             continue
-        vals[i] = res.value if isinstance(res, PotentialEvaluation) else float(res)
+        if isinstance(res, PotentialEvaluation):
+            res = res.value
+        vals[i] = res if isinstance(res, float) else _reals(res, "the potential's value", 0)
+    return vals, outside
+
+
+def _finite_values(potential, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _potential_values, with V finite at every node inside the domain.
+    vals, outside = _potential_values(potential, xs)
+    inside = vals[~outside]
+    if not np.isfinite(inside).all():
+        raise ValidationError(f"the potential's value must be finite; got {inside[~np.isfinite(inside)][0]}")
     return vals, outside
 
 
@@ -126,7 +145,9 @@ def weighted_gaussian_moments(
     ``potential`` maps a point to a PotentialEvaluation (or directly to
     the scalar V). Returns (mean, cov, log_norm) where log_norm is the
     log of the weight mass integral. x_hat (m,), sigma (m, m) and dt
-    are read through process._finite; m must be 1 or 2.
+    are read through process._finite; m must be 1 or 2. A potential
+    that is not callable or returns anything else, or a V that is not
+    finite at a node inside its domain, raises ValidationError.
 
     Quadrature runs twice: a first pass on the prior Gaussian locates
     the posterior, a second pass re-centered there integrates the
@@ -140,7 +161,7 @@ def weighted_gaussian_moments(
         raise ValidationError(f"sigma has shape {sigma.shape}; x_hat has {x_hat.size} entries")
 
     xs, ws = _gh_nodes(x_hat, sigma)
-    vals, outside = _potential_values(potential, xs)
+    vals, outside = _finite_values(potential, xs)
     lost = float(np.sum(ws[outside]))
     if lost > 1e-6:
         raise QuadratureDomain(
@@ -152,7 +173,7 @@ def weighted_gaussian_moments(
     # Second pass: importance quadrature centered on the first estimate.
     ref_cov = linalg.symmetrize(1.5 * cov1)
     ys, wy = _gh_nodes(mean1, ref_cov)
-    vals2, outside2 = _potential_values(potential, ys)
+    vals2, outside2 = _finite_values(potential, ys)
     keep2 = ~outside2
     log_int = (
         -vals2[keep2] * dt
@@ -251,7 +272,9 @@ def fokker_planck_residual(
     _SLICE_ROWS over its band, O(_SLICE_ROWS n) floats at a time.
 
     ``potential`` maps a grid point to the scalar U (or a
-    PotentialEvaluation); pass None for U = 0. The model must be 1-D
+    PotentialEvaluation); pass None for U = 0. A potential that is
+    neither, or returns anything else, raises ValidationError; a nan U
+    is carried to the result. The model must be 1-D
     and the density finite and nonnegative on the grid, or
     ValidationError is raised. Raises MassLoss when the
     unweighted kernel quadrature loses more than 1e-4 of the mass,
@@ -502,14 +525,18 @@ def identity_suite(
     ``seed`` must be a non-negative whole number and ``trials`` a whole
     number >= 0 (both read through process._whole), or ValidationError
     is raised. Every trial's inputs are drawn first, in trial order, and
-    stacked per (m, k). engine.update,
-    the code under test, runs once per trial and check; the reference
-    side (the SPD inputs' QR, _precision_update, woodbury_inverse and
-    the relative errors) runs on one stack per (m, k), which gives each
-    trial the bits it would get alone.
+    grouped by (m, k) as they are drawn. engine.update, the code under
+    test, runs once per trial and check, its two updates of a trial kept
+    side by side; the reference side (the SPD inputs' QR,
+    _precision_update, woodbury_inverse and the relative errors) runs on
+    one stack per (m, k), which gives each trial the bits it would get
+    alone. A group's five errors are computed as arrays, one column per
+    check, and written into the trial x check table at once.
 
     A check fails when its relative error is not <= 1e-8, so a nan
-    error fails too and is kept as that check's worst. Failures are
+    error fails too and is kept as that check's worst. The gauge error
+    is the largest of its mean, covariance and log_n parts, and nan when
+    any part is nan. Failures are
     reported, never raised: the result is validation.json's identity
     section, {"trials", "failures", "worst", "passed"}, where each
     failure names its trial, check, error and dims (m, k), in trial
@@ -518,9 +545,9 @@ def identity_suite(
     seed = _whole(seed, "seed", 0, "a non-negative whole number")
     trials = _whole(trials, "trials", 0, "a whole number >= 0 that one array of errors holds", _MAX_ENTRIES // len(_CHECKS))
     rng = np.random.default_rng(seed)
-    # Each trial's draws as one tuple: cov's normals and eigenvalues, the
-    # curvature's, h, grad_l, mean, value and dt.
-    drawn, dims = [], []
+    # Each trial's draws, grouped by (m, k) as they are drawn: the trial,
+    # cov's normals and eigenvalues, the curvature's, h, grad_l, value, dt and mean.
+    groups, dims = {}, []
     for trial in range(trials):
         m = int(rng.integers(1, 7))
         k = int(rng.integers(1, 7))
@@ -534,51 +561,34 @@ def identity_suite(
         dt = float(rng.choice([0.25, 0.5, 1.0]))
         mean = rng.standard_normal(m)
         dims.append((m, k))
-        drawn.append((*cov_draws, *curvature_draws, h, grad_l, mean, value, dt))
+        groups.setdefault((m, k), []).append((trial, *cov_draws, *curvature_draws, h, grad_l, value, dt, mean))
 
-    by_dims: dict = {}
-    for trial, mk in enumerate(dims):
-        by_dims.setdefault(mk, []).append(trial)
-    # trial x check: forms_mean, forms_cov, cov_two_forms, determinant, gauge
-    errors = np.empty((trials, len(_CHECKS)))
-    for (m, k), members in by_dims.items():
-        cov_normals, cov_eigs, curv_normals, curv_eigs, h, grad_l, mean, values, dts = (
-            np.array(column) for column in zip(*(drawn[trial] for trial in members))
-        )
+    errors = np.empty((trials, len(_CHECKS)))  # trial x check, in _CHECKS order
+    for (m, k), group in groups.items():
+        members, cov_normals, cov_eigs, curv_normals, curv_eigs, h, grad_l, values, dts, mean = map(np.array, zip(*group))
         cov, curvature = _spd_from(cov_normals, cov_eigs), _spd_from(curv_normals, curv_eigs)
-
-        gain, shifted = [], []
+        # Each trial's two updates side by side: as drawn, then with V shifted by 7.25.
+        updates = []
         for i, (value, dt) in enumerate(zip(values.tolist(), dts.tolist())):
-            belief = engine.GaussianBelief(mean=mean[i], cov=cov[i], step=0, tag="predicted")
+            belief = engine.GaussianBelief._trusted(mean[i], cov[i], 0, "predicted")
             pot = PotentialEvaluation._trusted(np.zeros(k), value, grad_l[i], h[i], curvature[i], np.zeros((m, m)))
-            gain.append(engine.update(belief, pot, dt))
             moved = PotentialEvaluation._trusted(pot.l, value + 7.25, grad_l[i], h[i], curvature[i], pot.counter_curvature)
-            shifted.append(engine.update(belief, moved, dt))
-        ga_mean, gb_mean = (np.array([b.mean for b, _ in out]) for out in (gain, shifted))
-        ga_cov, gb_cov = (np.array([b.cov for b, _ in out]) for out in (gain, shifted))
+            updates.append(engine.update(belief, pot, dt) + engine.update(belief, moved, dt))
+        gain, n0, shifted, n1 = zip(*updates)
+        ga_mean, gb_mean = (np.array([b.mean for b in out]) for out in (gain, shifted))
+        ga_cov, gb_cov = (np.array([b.cov for b in out]) for out in (gain, shifted))
+        log_n0, log_n1 = (np.array([d.log_n for d in out]) for out in (n0, n1))
 
         pr_mean, pr_cov, pr_log_n, _ = _precision_update(mean, cov, h, curvature, grad_l, values, dts)
         wood = woodbury_inverse(cov, h.swapaxes(-1, -2), linalg.spd_inverse(curvature) / dts[:, None, None], h)
-
-        columns = zip(
-            _rel(ga_mean, pr_mean).tolist(),
-            _rel(ga_cov, pr_cov).tolist(),
-            _rel(pr_cov, wood).tolist(),
-            pr_log_n.tolist(),
-            _rel(ga_mean, gb_mean).tolist(),
-            _rel(ga_cov, gb_cov).tolist(),
-            dts.tolist(),
-        )
-        for trial, (_, n0), (_, n1), (e_mean, e_cov, e_two, ref_log_n, g_mean, g_cov, dt) in zip(
-            members, gain, shifted, columns
-        ):
-            errors[trial] = (
-                e_mean,
-                e_cov,
-                e_two,
-                abs(n0.log_n - ref_log_n) / max(1.0, abs(ref_log_n)),
-                max(g_mean, g_cov, abs((n1.log_n - n0.log_n) - 7.25 * dt) / max(1.0, abs(n0.log_n))),
-            )
+        gauge_n = np.abs((log_n1 - log_n0) - 7.25 * dts) / np.maximum(1.0, np.abs(log_n0))
+        errors[members] = np.column_stack((
+            _rel(ga_mean, pr_mean),
+            _rel(ga_cov, pr_cov),
+            _rel(pr_cov, wood),
+            np.abs(log_n0 - pr_log_n) / np.maximum(1.0, np.abs(pr_log_n)),
+            np.maximum(np.maximum(_rel(ga_mean, gb_mean), _rel(ga_cov, gb_cov)), gauge_n),
+        ))
 
     failures = []
     worst = dict.fromkeys(_CHECKS, 0.0)

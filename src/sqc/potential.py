@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainViolation, NonFinite, ValidationError
 from .linalg import _compile_source, _dot_source
-from .process import _reals
+from .process import _MAX_ENTRIES, _finite, _reals, _whole
 
 __all__ = [
     "PotentialEvaluation",
@@ -267,8 +267,15 @@ def tanh_target(t: float, dim: int = 2, amplitude: float = 0.2, rate: float = 0.
 
     Every component is equal; the defaults ramp each component from 0
     to 2 * amplitude = 0.4 around step 2500. The "tanh_ramp" target of
-    the generated float forms computes the same level.
+    the generated float forms computes the same level. t and the three
+    parameters are read through process._finite, as the scenario reads
+    the ramp's parameters, and dim through process._whole; anything
+    else raises ValidationError.
     """
+    dim = _whole(dim, "dim", 1, "a whole number >= 1 that one array holds", _MAX_ENTRIES)
+    t, amplitude, rate, center = (
+        _finite(v, label, 0) for v, label in ((t, "t"), (amplitude, "amplitude"), (rate, "rate"), (center, "center"))
+    )
     return np.full(dim, amplitude * (1.0 + math.tanh(rate * (t - center))))
 
 
@@ -284,9 +291,20 @@ def verify_derivatives(potential, x_hat: np.ndarray) -> dict:
       hessian    d^2V/dx^2 versus H^T curvature H + counter_curvature
 
     Returns a dict of relative errors plus their maximum under "max".
+    A potential that is not callable or returns anything but a
+    PotentialEvaluation raises ValidationError.
     """
     x_hat = _reals(x_hat, "x_hat", 1)
-    here = potential(x_hat)
+    if not callable(potential):
+        raise ValidationError(f"the potential must be a callable x -> PotentialEvaluation; got {potential!r}")
+
+    def evaluate(x):
+        pot = potential(x)
+        if not isinstance(pot, PotentialEvaluation):
+            raise ValidationError(f"the potential returned {type(pot).__name__}, not a PotentialEvaluation")
+        return pot
+
+    here = evaluate(x_hat)
     m = len(x_hat)
     k = len(here.l)
 
@@ -299,7 +317,7 @@ def verify_derivatives(potential, x_hat: np.ndarray) -> dict:
         h = 1e-6 * max(1.0, abs(x_hat[i]))
         e = np.zeros(m)
         e[i] = h
-        plus, minus = potential(x_hat + e), potential(x_hat - e)
+        plus, minus = evaluate(x_hat + e), evaluate(x_hat - e)
         jac_fd[:, i] = (plus.l - minus.l) / (2 * h)
         grad_fd[i] = (plus.value - minus.value) / (2 * h)
 
@@ -318,13 +336,13 @@ def verify_derivatives(potential, x_hat: np.ndarray) -> dict:
             ej = np.zeros(m)
             ej[j] = hj
             if i == j:
-                val = (potential(x_hat + ei).value - 2 * here.value + potential(x_hat - ei).value) / hi**2
+                val = (evaluate(x_hat + ei).value - 2 * here.value + evaluate(x_hat - ei).value) / hi**2
             else:
                 val = (
-                    potential(x_hat + ei + ej).value
-                    - potential(x_hat + ei - ej).value
-                    - potential(x_hat - ei + ej).value
-                    + potential(x_hat - ei - ej).value
+                    evaluate(x_hat + ei + ej).value
+                    - evaluate(x_hat + ei - ej).value
+                    - evaluate(x_hat - ei + ej).value
+                    + evaluate(x_hat - ei - ej).value
                 ) / (4 * hi * hj)
             hess_fd[i, j] = hess_fd[j, i] = val
     hess_model = here.H.T @ here.curvature @ here.H + here.counter_curvature

@@ -339,6 +339,21 @@ def test_observation_stream_must_increase():
         ekf.ObservationStream(steps=np.array([0, 1]), values=np.zeros((3, 1)))
 
 
+def test_observations_must_be_finite_at_every_entry():
+    # A nan in a stream used to stop the filter with a NonFinite about the
+    # potential; a nan y gave marginal_likelihood (nan, nan), an inf y
+    # (-inf, nan), and ekf_step a NonFinite about the belief.
+    with pytest.raises(ValidationError, match=r"observation values must be finite; got \[\[0.1\], \[nan\]\]"):
+        ekf.ObservationStream(steps=[0, 1], values=[[0.1], [np.nan]])
+    model, obs = linear_model([[-0.5]], 1, [[0.1]]), linear_obs_model([[1.0]], [[0.2]])
+    belief = engine.GaussianBelief(mean=[0.3], cov=[[1.0]])
+    for y in ([np.nan], [np.inf], [-np.inf]):
+        with pytest.raises(ValidationError, match="observation y must be finite"):
+            ekf.marginal_likelihood(belief, obs, y)
+        with pytest.raises(ValidationError, match="observation y must be finite"):
+            ekf.ekf_step(belief, model, obs, y, 0)
+
+
 def test_read_observations_roundtrip(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("step,y1,y2\n0,1.5,-2.0\n3,0.25,0.125\n4.0,1e-3,-0\n")

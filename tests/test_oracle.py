@@ -369,6 +369,35 @@ def test_oracle_entries_read_their_arguments():
     assert np.allclose(oracle.woodbury_inverse(1, 1, 1, 1), [[0.5]])
 
 
+def test_oracle_potentials_must_be_callables_that_return_numbers():
+    # A potential that returned a string or None used to raise a bare
+    # ValueError or TypeError in both entries, and a nan or -inf V gave
+    # weighted_gaussian_moments nan moments without an error.
+    grid = oracle.Grid1D(-9.0, 9.0, 128)
+    model, density = free_diffusion_model(), standard_gaussian(grid)
+    for potential, message in (
+        (lambda x: "x", "the potential's value must be a number; got 'x'"),
+        (lambda x: None, "the potential's value must be a number; got None"),
+        (lambda x: np.ones(1), r"the potential's value must be a number; got \[1.0\]"),
+        ("x", "the potential must be a callable"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            oracle.weighted_gaussian_moments([0.0], [[1.0]], potential)
+        with pytest.raises(ValidationError, match=message):
+            oracle.fokker_planck_residual(model, potential, grid, density, 1e-2)
+    for potential, message in (
+        (lambda x: np.nan, "must be finite; got nan"),
+        (lambda x: -np.inf, "must be finite; got -inf"),
+        (lambda x: np.nan if x[0] > 2.0 else 0.5, "must be finite; got nan"),  # at the outer nodes only
+    ):
+        with pytest.raises(ValidationError, match="the potential's value " + message):
+            oracle.weighted_gaussian_moments([0.0], [[1.0]], potential)
+    # np.float64 and int values are numbers, read as floats.
+    assert oracle.weighted_gaussian_moments([0.0], [[1.0]], lambda x: np.float64(2.0)) == oracle.weighted_gaussian_moments(
+        [0.0], [[1.0]], lambda x: 2
+    )
+
+
 def test_kernel_residual_shrinks_linearly_with_dt():
     grid = oracle.Grid1D(-9.0, 9.0, 1024)
     density = standard_gaussian(grid)

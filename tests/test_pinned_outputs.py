@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sqc import cli
+from sqc import cli, oracle
 
 SIMULATE_DIGESTS = {
     ("penalty", "seed"): {
@@ -49,6 +49,13 @@ FILTER_DIGEST = "fa663f6652eaaa94c2fbb915998298b59e373f24acde00aee19d58b4feddebd
 VALIDATE_DIGESTS = {
     "full": "ebc3a5c4c67b7e54e955f293733378095b2ee233dfe3a5ef4f1a397e73a7e6a4",
     "fast": "a80fdcd611c3d5413f82e44a535aa5163ff292d51e2f603d26359a24ef4b81f4",
+}
+
+# sha256 of json.dumps(oracle.identity_suite(seed, trials)), by (seed, trials).
+IDENTITY_DIGESTS = {
+    (3, 137): "d2479d6e5d258a067dbf283a80123d7bd60a6652a1ed0c6cb7ede6ef0cc34b31",
+    (11, 60): "f1de37a2987bffb6ceba11beea4f95266f0e7c8065c471fd14c9dc060e004a8d",
+    (0, 0): "d1886db56bcc37f3604216ce63b0106e485a8e84d38b1a0905af127f59b09e74",
 }
 
 RUNS = {
@@ -114,3 +121,9 @@ def test_filter_beliefs_are_pinned(tmp_path):
 def test_validation_report_is_pinned(tmp_path, level):
     assert cli.main(["validate", "--level", level, "--out", str(tmp_path)]) == 0
     assert digest(tmp_path / "validation.json") == VALIDATE_DIGESTS[level]
+
+
+@pytest.mark.parametrize("seed,trials", sorted(IDENTITY_DIGESTS))
+def test_identity_suite_is_pinned(seed, trials):
+    report = json.dumps(oracle.identity_suite(seed, trials))
+    assert hashlib.sha256(report.encode()).hexdigest() == IDENTITY_DIGESTS[seed, trials]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_spd
 import sqc
 from sqc import linalg, potential
-from sqc.errors import DomainViolation, NonFinite
+from sqc.errors import DomainViolation, NonFinite, ValidationError
 from sqc.scenario import scenario_from_dict
 
 
@@ -87,6 +87,22 @@ def test_tanh_target_schedule():
     assert np.all(potential.tanh_target(0.0) < 1e-20)
     out = potential.tanh_target(10.0, dim=3, amplitude=1.0, rate=0.5, center=10.0)
     np.testing.assert_allclose(out, np.ones(3))
+
+
+def test_tanh_target_and_verify_derivatives_refuse_malformed_arguments():
+    # Each of these used to raise a bare ValueError, TypeError or AttributeError.
+    for call, message in (
+        (lambda: potential.tanh_target(0.0, dim=-1), "dim must be a whole number >= 1"),
+        (lambda: potential.tanh_target(0.0, dim=2.5), "dim must be a whole number >= 1"),
+        (lambda: potential.tanh_target("a"), "t must be a number; got 'a'"),
+        (lambda: potential.tanh_target(0.0, rate=[0.01]), r"rate must be a number; got \[0.01\]"),
+        (lambda: potential.tanh_target(0.0, center=math.inf), "center must be finite; got inf"),
+        (lambda: potential.verify_derivatives(lambda x: 1.0, [0.0]), "the potential returned float, not a PotentialEvaluation"),
+        (lambda: potential.verify_derivatives("x", [0.0]), "the potential must be a callable"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert potential.tanh_target(2500, dim=3.0).tolist() == [0.2, 0.2, 0.2]
 
 
 def test_evaluation_rejects_nonfinite():

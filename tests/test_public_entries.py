@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from sqc import control, ekf, engine, oracle, process
+from sqc import control, ekf, engine, oracle, potential, process
 from sqc.errors import SqcError, ValidationError
 from sqc.potential import PotentialEvaluation, eval_double_well, eval_log_barrier, eval_quadratic_penalty
 from sqc.scenario import load_bundled, scenario_from_dict
@@ -407,14 +407,18 @@ def entry_calls(m: int, k: int) -> dict:
             {**callables, "rng": np.random.default_rng(0), "mode": "sampled"},
         ),
         "weighted_gaussian_moments": (
-            lambda x_hat, sigma, dt: oracle.weighted_gaussian_moments(x_hat, sigma, lambda x: float(x @ x), dt),
-            dict(x_hat=np.full(m, 0.3), sigma=np.eye(m), dt=0.5),
+            oracle.weighted_gaussian_moments, dict(x_hat=np.full(m, 0.3), sigma=np.eye(m), potential=lambda x: float(x @ x), dt=0.5),
         ),
         "woodbury_inverse": (oracle.woodbury_inverse, wood),
         "Grid1D": (oracle.Grid1D, dict(lower=-6.0, upper=6.0, n=64)),
         "fokker_planck_residual": (
-            lambda density, dt: oracle.fokker_planck_residual(free, None, line, density, dt),
-            dict(density=np.exp(-0.5 * line.points() ** 2), dt=1e-2),
+            lambda potential, density, dt: oracle.fokker_planck_residual(free, potential, line, density, dt),
+            dict(potential=lambda x: 0.5, density=np.exp(-0.5 * line.points() ** 2), dt=1e-2),
+        ),
+        "tanh_target": (potential.tanh_target, dict(t=3.0, dim=m, amplitude=0.2, rate=0.01, center=2500.0)),
+        "verify_derivatives": (
+            potential.verify_derivatives,
+            dict(potential=lambda x: eval_quadratic_penalty(x, np.zeros(m), np.eye(m)), x_hat=np.full(m, 0.3)),
         ),
         "ekf_step": (
             with_models(lambda model, obs, y, t: ekf.ekf_step(now, model, obs, y, t)), {**callables, "y": np.full(k, 0.1), "t": 2},
@@ -430,9 +434,10 @@ def entry_calls(m: int, k: int) -> dict:
 def test_constructors_and_textbook_functions_raise_only_sqc_errors():
     # One or two arguments of a public constructor, of step_sample,
     # simulate_open_loop, sample_posterior, run_closed_loop, ekf_step,
-    # marginal_likelihood or an oracle entry, or update()'s dt, replaced
-    # by a value from junk(m). A callable argument is replaced by the
-    # value itself or by a callable that returns it.
+    # marginal_likelihood, tanh_target, verify_derivatives or an oracle
+    # entry, or update()'s dt, replaced by a value from junk(m). A
+    # callable argument is replaced by the value itself or by a callable
+    # that returns it, called as (x, t) or, as a potential, as (x).
     rnd = random.Random(12)
     found = {}
     for _ in range(1500):
@@ -444,7 +449,7 @@ def test_constructors_and_textbook_functions_raise_only_sqc_errors():
         for key in rnd.sample(sorted(kwargs), min(len(kwargs), rnd.choice((1, 2)))):
             value = rnd.choice(junk(m))
             if callable(kwargs[key]) and rnd.random() < 0.7:
-                value = lambda x, t, value=value: value
+                value = lambda x, t=None, value=value: value
             kwargs[key] = value
         crash = bare_exception(lambda: call(**kwargs))
         if crash is not None:
