@@ -29,27 +29,8 @@ EXIT_DOMAIN = 2
 _CHUNK_ROWS = 512
 _LANE = np.dtype("<u8")  # a value's text is 32 bytes, four little-endian lanes
 _EXACT_MIN, _EXACT_MAX = 1e-270, 1e290  # 10**k and its remainder stay normal doubles
+_E_LOW, _E_HIGH = -271, 291  # floor(log10 |v|) on that range, one step of margin at each end
 _SPLIT = 134217729.0  # 2**27 + 1: Dekker's split of a double into two 26-bit halves
-
-
-@lru_cache(maxsize=None)
-def _pow10(k: int) -> tuple:
-    """10**k as (hi, hi's Dekker halves, lo), from integers alone.
-
-    hi is the double nearest 10**k and lo the double nearest 10**k - hi:
-    Python rounds int-to-float and int / int correctly.
-    """
-    if k >= 0:
-        hi = float(10**k)
-        lo = float(10**k - int(hi))
-    else:
-        den = 10**-k
-        hi = 1 / den
-        num, two = hi.as_integer_ratio()
-        lo = (two - num * den) / (two * den)
-    c = hi * _SPLIT
-    high = c - (c - hi)
-    return hi, high, hi - high, lo
 
 
 def _lanes(texts: list, right: bool = False) -> np.ndarray:
@@ -69,8 +50,12 @@ def _bytes_lanes(masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _text_tables() -> tuple:
-    """The lookup tables of _format_rows, built on first use.
+    """The lookup tables of _significand and _format_rows, built at the first CSV write.
 
+    powers: four contiguous arrays indexed by e - _E_LOW, e = _E_LOW
+    to _E_HIGH, of 10**(16 - e) as hi, the double nearest it, hi's two
+    Dekker halves, and lo, the double nearest the power minus hi; both
+    from integers alone, since Python rounds int / int correctly.
     quads[q]: the four ASCII digits of q < 10**4 as the low half of a
     lane. sig[g, q]: for q, group g of a significand's last 16 digits,
     the count of its digits up to group g's last nonzero one (0 for q =
@@ -78,9 +63,18 @@ def _text_tables() -> tuple:
     code = 16 * separator + 2 * lead + sign, where lead 0 is none, 1-4
     "0." and lead - 1 zeros, 5 nan (never signed), 6 inf and 7 "0".
     suffix[code]: exponent e+XX (code 325 + X) or nothing (0), the
-    newline added for code + 634. keep[K]: the 7 prefix bytes and K
-    digits. below[p]: the bytes before byte p; dot[p]: "." at byte p.
+    newline added for code + 634. below[p]: the bytes before byte p;
+    dot[p]: "." at byte p.
     """
+    rows = []
+    for e in range(_E_LOW, _E_HIGH + 1):
+        num, den = (10 ** (16 - e), 1) if e <= 16 else (1, 10 ** (e - 16))
+        hi = num / den
+        top, bottom = hi.as_integer_ratio()
+        c = hi * _SPLIT
+        high = c - (c - hi)
+        rows.append((hi, high, hi - high, (num * bottom - top * den) / (den * bottom)))
+    powers = [np.array(column) for column in zip(*rows)]
     q = np.arange(10_000)
     digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
     quads = (digits + 48).astype(np.uint8).view("<u4").ravel().astype(_LANE)
@@ -95,10 +89,9 @@ def _text_tables() -> tuple:
     exponents = [b""] + [b"e%+03d" % x for x in range(-324, 309)]
     suffix = _lanes(exponents + [e + b"\n" for e in exponents])
     col = np.arange(32)
-    keep = _bytes_lanes((col < 7 + np.arange(18)[:, None]) * 255)
     below = _bytes_lanes((col < np.arange(33)[:, None]) * 255)
     dot = _bytes_lanes((col == np.arange(33)[:, None]) * 46)
-    return quads, sig, prefix, suffix, keep, below, dot
+    return powers, quads, sig, prefix, suffix, below, dot
 
 
 def _significand(v: np.ndarray) -> tuple:
@@ -106,22 +99,30 @@ def _significand(v: np.ndarray) -> tuple:
 
     D is in [10**16, 10**17). y = |v| * 10**(16 - e), e = floor(log10
     |v|), is computed as a double-double: the Dekker product of |v| with
-    hi, plus |v| * lo, and D is y rounded to the nearest integer. exact
-    is False, and D and X are of no use, where the value is zero, not
-    finite or outside [_EXACT_MIN, _EXACT_MAX], where y's fraction is
-    within 1e-6 of a tie, or where the rounded y is not in (10**16,
-    10**17]; 10**17 is the carry to the next power of ten.
+    hi, plus |v| * lo, hi + lo being _text_tables' power for e, and D is
+    y rounded to the nearest integer. hi + lo is within 2**-106 of the
+    power relatively, the split product is exact and the few roundings
+    left each err by at most a unit in the last place of a number below
+    32, so y is known to within 1e-13 while y < 10**17, and where its
+    fraction is more than 1e-6 from a tie, D holds the correctly rounded
+    digits that '%.17g' prints. log10 is good to an ulp, so next to a
+    power of ten e can be one off. One too high puts D at 10**16 or
+    less, which falls back (as D = 10**16 does for an exact power of
+    ten). One too low puts y at 10**17 or more: D = 10**17 then means,
+    as it does with e right, that |v| rounds to the next power of ten,
+    so the digits are 10**16 and X is e + 1; a larger D falls back.
+
+    exact is False, and D and X are of no use, where the value is zero,
+    not finite or outside [_EXACT_MIN, _EXACT_MAX], where y's fraction
+    is within 1e-6 of a tie, or where the rounded y is not in (10**16,
+    10**17].
     """
     a = np.abs(v)
     exact = (a >= _EXACT_MIN) & (a <= _EXACT_MAX)
     a = np.where(exact, a, 1.0)
     e = np.floor(np.log10(a)).astype(np.int64)
-    top = int(e.max())
-    row = top - e
-    tables = np.zeros((4, int(row.max()) + 1))
-    for i in np.flatnonzero(np.bincount(row)).tolist():
-        tables[:, i] = _pow10(16 - top + i)
-    hi, hi_high, hi_low, lo = (table[row] for table in tables)
+    at = e - _E_LOW
+    hi, hi_high, hi_low, lo = (column[at] for column in _text_tables()[0])
     c = a * _SPLIT
     a_high = c - (c - a)
     a_low = a - a_high
@@ -149,7 +150,7 @@ def _format_rows(table: np.ndarray) -> bytes:
     one byte to take the ".", and the exponent and the row's newline
     fill bytes 26-31. Dropping every zero byte leaves the text.
     """
-    quads, sig, prefix, suffix, keep, below, dot = _text_tables()
+    _, quads, sig, prefix, suffix, below, dot = _text_tables()
     rows, cols = table.shape
     v = table.ravel()
     d, x, exact = _significand(v)
@@ -177,7 +178,7 @@ def _format_rows(table: np.ndarray) -> bytes:
     text[:, 0] = prefix[code] | (first + 48).astype(_LANE) << np.uint64(56)
     text[:, 1] = quads[groups[0]] | quads[groups[1]] << np.uint64(32)
     text[:, 2] = quads[groups[2]] | quads[groups[3]] << np.uint64(32)
-    text &= np.take(keep, kept, axis=0)
+    text &= np.take(below, kept + 7, axis=0)
     # The point after the integer part, where a fraction is left.
     point = (kept > whole) & ~(fixed & (x < 0))
     at = np.where(point, 7 + whole, 32)
@@ -209,35 +210,13 @@ def _write_csv(path: Path, first_step: int, columns: dict) -> None:
     first_step + i, as a float (%.17g of a whole float below 2**53 is
     its %d), then every array's row i, each value with exactly the bytes
     of '%.17g' % v: nan, inf and -0 included; n = 0 writes the header
-    alone. Rows are formatted by numpy in chunks of _CHUNK_ROWS, each
-    value in 32 bytes with its exponent and the row's newline in the
-    fixed bytes 26-31 (_format_rows), and written as bytes.
-
-    The algorithm (_significand, then _format_rows). A finite value v
-    with 1e-270 <= |v| <= 1e290 has the 17 significant digits D =
-    round(|v| * 10**(16 - e)), e = floor(log10 |v|). The product is taken
-    in double-double arithmetic: a Dekker split of |v| times 10**k as
-    hi + lo, both built by _pow10 from integers the first time k occurs.
-    hi + lo is within 2**-106 of 10**k relatively, the split product is
-    exact and the few roundings left each err by at most a unit in the
-    last place of a number below 32, so y = |v| * 10**k is known to
-    within 1e-13 while y < 10**17. Where y's fraction is more than 1e-6
-    from a tie, rounding y to the nearest integer therefore gives the
-    correctly rounded digits that '%.17g' prints. log10 is good to an
-    ulp, so next to a power of ten e can be one off. One too high puts y
-    below 10**16 and D at 10**16 or less, which falls back (as D =
-    10**16 does for an exact power of ten). One too low puts y at 10**17
-    or more: D = 10**17 then means, as it does with e right, that |v|
-    rounds to the next power of ten, so the digits are 10**16 and the
-    exponent is e + 1; a larger D falls back. The text then follows
-    %g's rules: fixed notation for exponents -4 to 16, d.ddde+XX
-    otherwise, with the trailing zeros of the fraction and a bare point
-    dropped.
-
-    A value falls back to Python's '%.17g' only when it is outside that
-    range (subnormals among them), when y's fraction is within 1e-6 of a
-    tie, or when the rounded D is not in (10**16, 10**17]. nan, inf,
-    -inf, 0 and -0 are written by the numpy code itself.
+    alone. Rows are formatted by numpy in chunks of _CHUNK_ROWS:
+    _significand finds each value's 17 digits and exponent, and
+    _format_rows lays out the text by %g's rules (fixed notation for
+    exponents -4 to 16, d.ddde+XX otherwise, trailing zeros of the
+    fraction and a bare point dropped). A finite nonzero value that
+    _significand cannot place exactly falls back to Python's '%.17g';
+    nan, inf, -inf, 0 and -0 are written by the numpy code itself.
     """
     n = len(next(iter(columns.values())))
     names, blocks = ["step"], [first_step + np.arange(n, dtype=float)]
@@ -252,8 +231,9 @@ def _write_csv(path: Path, first_step: int, columns: dict) -> None:
 
 
 def _run_one_simulation(scenario, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    # The directory is made once the run is done: a refused run leaves none.
     result = control.run_scenario_config(scenario)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "trajectory.csv", result.first_step, {
         "x": result.x, "u": result.u, "mean": result.mean, "cov": result.cov, "V": result.value, "logN": result.log_n,
     })
@@ -282,8 +262,6 @@ def cmd_simulate(args) -> int:
     for seed in args.seeds or ():
         check_seed(seed, "--seeds")
     scenario = parse_scenario(args.scenario)
-    if scenario.potential_kind == "observation":
-        raise ValidationError("observation scenarios are driven by `sqc filter`")
     if args.steps is not None:
         if args.steps < 1:
             raise ValidationError("--steps must be >= 1")

@@ -29,10 +29,11 @@ calls the quadrature oracle; `sqc validate` audits fixed instances
 with it (quadrature_checks), one of them a barrier point.
 
 Like the step loop, the oracles read potentials and drifts through
-their float forms: quadrature_checks integrates V from the generated
-form that eval_* evaluate, and the kernel residual reads its drift
-through engine._floats. Neither is the update kernel, with which the
-oracles still share no code.
+their float forms: quadrature_checks builds each potential once with
+potential._bound and integrates V from that closure's ``.floats``, the
+generated form that eval_* evaluate, and the kernel residual reads its
+drift through engine._floats. Neither is the update kernel, with which
+the oracles still share no code.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from numpy.polynomial.hermite import hermgauss
 
 from . import engine, linalg
 from .errors import DomainViolation, MassLoss, QuadratureDomain, Singular, ValidationError
-from .potential import PotentialEvaluation, _bound, eval_log_barrier, eval_quadratic_penalty
+from .potential import PotentialEvaluation, _bound
 from .process import ItoProcessModel, _MAX_ENTRIES, _finite, _reals, _whole, make_drift
 
 __all__ = [
@@ -209,21 +210,15 @@ class Grid1D:
 
 
 def _derivative(values: np.ndarray, h: float, order: int) -> np.ndarray:
-    """Fourth-order central differences with zero extension at the edges.
+    """Fourth-order central differences, of order 1 or else 2, with zero extension at the edges.
 
     The densities handled here decay to ~1e-14 at the grid edges, so
     zero padding does not disturb the interior.
     """
     padded = np.pad(values, 2)
     if order == 1:
-        out = (-padded[4:] + 8 * padded[3:-1] - 8 * padded[1:-3] + padded[:-4]) / (12 * h)
-    elif order == 2:
-        out = (
-            -padded[4:] + 16 * padded[3:-1] - 30 * padded[2:-2] + 16 * padded[1:-3] - padded[:-4]
-        ) / (12 * h * h)
-    else:
-        raise ValueError("order must be 1 or 2")
-    return out
+        return (-padded[4:] + 8 * padded[3:-1] - 8 * padded[1:-3] + padded[:-4]) / (12 * h)
+    return (-padded[4:] + 16 * padded[3:-1] - 30 * padded[2:-2] + 16 * padded[1:-3] - padded[:-4]) / (12 * h * h)
 
 
 # Rows of the target grid per kernel block and per slice of a block, an
@@ -604,14 +599,13 @@ def identity_suite(
 # ---------------------------------------------------------------------------
 # Report sections of `sqc validate`.
 
-def _value_form(kind: str, weights, t):
-    """x -> V from the float form that eval_* evaluates, without building its arrays."""
-    evaluate = _bound(kind, weights).floats
-    return lambda x: evaluate(x.tolist(), t)[0]
-
-
 def quadrature_checks() -> dict:
-    """Engine moments against the quadrature oracle on fixed instances."""
+    """Engine moments against the quadrature oracle on fixed instances.
+
+    Each instance's potential is built once by potential._bound: the
+    engine updates with the closure's evaluation at the prior mean, and
+    the oracle integrates V from the closure's float form.
+    """
     checks = {}
 
     # name: (prior mean, prior cov, target d, weights sigma_nu_inv, dt)
@@ -620,11 +614,10 @@ def quadrature_checks() -> dict:
         "quadratic_2d": ([0.3, -0.2], [[1.0, 0.3], [0.3, 0.7]], [1.0, 0.0], [[2.0, 0.0], [0.0, 0.5]], 0.5),
     }
     for name, (mean0, cov0, d, s_inv, dt) in quadratic.items():
-        d, s_inv = np.array(d), np.array(s_inv)
         belief = engine.GaussianBelief(mean=mean0, cov=cov0, step=0, tag="predicted")
-        pot = eval_quadratic_penalty(belief.mean, d, s_inv)
-        upd, diag = engine.update(belief, pot, dt)
-        integrand = _value_form("quadratic_penalty", s_inv, d.tolist())
+        penalty = _bound("quadratic_penalty", s_inv)
+        upd, diag = engine.update(belief, penalty(belief.mean, d), dt)
+        integrand = lambda x: penalty.floats(x.tolist(), d)[0]  # V alone, without building its arrays
         mean, cov, log_norm = weighted_gaussian_moments(belief.mean, belief.cov, integrand, dt)
         checks[name] = {
             "mean_err": float(np.max(np.abs(upd.mean - mean))),
@@ -633,12 +626,12 @@ def quadrature_checks() -> dict:
             "tol": 1e-8,
         }
 
-    a = np.array([10.0, 10.0])
+    barrier = _bound("log_barrier", [10.0, 10.0])
     mean_b = np.array([1.0, 1.0])
     cov_b = 0.01 * np.eye(2)
     belief_b = engine.GaussianBelief(mean=mean_b, cov=cov_b, step=0, tag="predicted")
-    upd_b, _ = engine.update(belief_b, eval_log_barrier(mean_b, a), 1.0)
-    mean_q, _, _ = weighted_gaussian_moments(mean_b, cov_b, _value_form("log_barrier", a, 0), 1.0)
+    upd_b, _ = engine.update(belief_b, barrier(mean_b, 0), 1.0)
+    mean_q, _, _ = weighted_gaussian_moments(mean_b, cov_b, lambda x: barrier.floats(x.tolist(), 0)[0], 1.0)
     checks["barrier_expansion"] = {
         "mean_rel_err": float(np.max(np.abs(upd_b.mean - mean_q) / np.abs(mean_q))),
         "tol": 0.05,

@@ -25,7 +25,7 @@ from .control import MODES, ControlConfig
 from .errors import NotPositiveDefinite, ParseError, ValidationError
 from .linalg import _strict_cholesky, spd_inverse
 from .potential import _bound
-from .process import ItoProcessModel, _LAST_STEP, _finite, _linear_map, _whole, make_drift
+from .process import ItoProcessModel, _finite, _linear_map, _whole, make_drift
 
 __all__ = [
     "Scenario",
@@ -289,8 +289,6 @@ def scenario_from_dict(raw: dict, context: str = "scenario") -> Scenario:
         raise ValidationError(str(exc)) from None
 
     horizon = _whole(top["horizon"], "horizon", 1, "a whole number >= 1")
-    if horizon > _LAST_STEP:
-        raise ValidationError(f"horizon {horizon} is beyond the last step a C long can number, {_LAST_STEP}")
     mode = top["mode"]
     if mode not in MODES:
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")

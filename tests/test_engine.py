@@ -75,6 +75,16 @@ def test_predict_refuses_a_belief_of_another_dim():
             engine.predict(belief, model)
 
 
+def test_predict_refuses_a_prediction_that_overflows():
+    # A linear drift of 1e200 at a mean of 1e200 takes the predicted mean
+    # and covariance past the largest double; the array form refuses it
+    # with the loop stage's message.
+    model = linear_model(np.array([[1e200]]), 1, np.array([[1.0]]))
+    belief = engine.GaussianBelief(mean=[1e200], cov=[[1.0]])
+    with np.errstate(over="ignore"), pytest.raises(NonFinite, match="prediction to step 1 has non-finite entries"):
+        engine.predict(belief, model)
+
+
 def test_update_refuses_a_potential_of_the_right_size_and_wrong_shape():
     # H (1, 6) has the 6 entries of a (3, 2) H; read row-major it would
     # pass as one silently.
@@ -325,15 +335,17 @@ def test_loop_stage_returns_the_last_script():
 def test_import_and_scenario_load_compile_no_kernel():
     # Kernels and float forms compile on first use, so importing the
     # package and loading the scenarios (what the benchmark's set-up time
-    # measures) compiles none. Building a potential compiles its float
-    # form but no kernel. numpy is the only runtime dependency, so none
-    # of this imports scipy.
+    # measures) compiles none, and the CSV writer's tables wait for its
+    # first write. Building a potential compiles its float form but no
+    # kernel. numpy is the only runtime dependency, so none of this
+    # imports scipy.
     code = (
         "import sys\n"
         "import sqc, sqc.cli\n"
         "scenarios = [sqc.load_bundled(name) for name in sqc.scenario.BUNDLED_SCENARIOS]\n"
         "print(sqc.potential._form_factory.cache_info().currsize)\n"
         "print(sqc.process._matvec_factory.cache_info().currsize)\n"
+        "print(sqc.cli._text_tables.cache_info().currsize)\n"
         "for sc in scenarios:\n"
         "    sc.build_model(); sc.build_potential()\n"
         "print(sqc.engine._compiled.cache_info().currsize)\n"
@@ -344,7 +356,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "0", "0", "False"]
+    assert done.stdout.split() == ["0", "0", "0", "0", "False"]
 
 
 def test_public_names_resolve():

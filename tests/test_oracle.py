@@ -122,7 +122,7 @@ def test_quadrature_checks_build_no_evaluation_per_node(monkeypatch):
     monkeypatch.setattr(PotentialEvaluation, "_trusted", counted)
     checks = oracle.quadrature_checks()
     assert all(entry["passed"] for entry in checks.values())
-    # One eval_* per case, for the engine update.
+    # One evaluation per case, for the engine update.
     assert len(calls) == 3
 
 
@@ -337,6 +337,8 @@ def test_oracle_entries_read_their_arguments():
     density = standard_gaussian(grid)
     spoilt = density.copy()
     spoilt[5] = np.nan
+    negative = density.copy()
+    negative[5] = -1e-3
     model = free_diffusion_model()
     for call, message in (
         (lambda: oracle.weighted_gaussian_moments("x", *prior[1:]), "x_hat must be a number"),
@@ -348,6 +350,10 @@ def test_oracle_entries_read_their_arguments():
             lambda: oracle.woodbury_inverse(np.ones((1, 3)), np.ones((3, 1)), 1, 1),
             r"A\^-1 \(1, 3\), B \(3, 1\), D \(1, 1\) and C \(1, 1\) do not fit",
         ),
+        (  # leading axes 2 and 3 do not broadcast
+            lambda: oracle.woodbury_inverse(np.ones((2, 1, 1)), np.ones((3, 1, 1)), [[1.0]], [[1.0]]),
+            r"A\^-1 \(2, 1, 1\), B \(3, 1, 1\), D \(1, 1\) and C \(1, 1\) do not fit",
+        ),
         (lambda: oracle.fokker_planck_residual(model, None, grid, "x", 1e-2), "density must be a number"),
         (lambda: oracle.fokker_planck_residual(model, None, grid, density, "x"), "dt must be a number"),
         (lambda: oracle.Grid1D(-1.0, 1.0, "x"), "Grid1D n must be a whole number"),
@@ -358,6 +364,12 @@ def test_oracle_entries_read_their_arguments():
         (lambda: oracle.weighted_gaussian_moments(prior[0], [[np.nan]], prior[2]), "sigma must be finite"),
         (lambda: oracle.weighted_gaussian_moments(*prior, np.inf), "dt must be finite"),
         (lambda: oracle.fokker_planck_residual(model, None, grid, spoilt, 1e-2), "density must be finite"),
+        (lambda: oracle.fokker_planck_residual(model, None, grid, negative, 1e-2), "density must be nonnegative"),
+        # The barrier is undefined on the grid's half at and below 0.
+        (
+            lambda: oracle.fokker_planck_residual(model, lambda x: eval_log_barrier(x, [1.0]), grid, density, 1e-2),
+            "potential undefined on part of the grid",
+        ),
         (lambda: oracle.woodbury_inverse([[np.nan]], [[1.0]], [[1.0]], [[1.0]]), r"A\^-1 must be finite"),
         (lambda: oracle.woodbury_inverse([[1.0]], [[np.inf]], [[1.0]], [[1.0]]), "B must be finite"),
         (lambda: oracle.woodbury_inverse([[1.0]], [[1.0]], [[np.nan]], [[1.0]]), "D must be finite"),

@@ -334,6 +334,32 @@ def test_simulate_rejects_observation_scenario(tmp_path, capsys):
     assert "filter" in capsys.readouterr().err
 
 
+def bundled_doc(name, **overrides):
+    return load_bundled(name, overrides=overrides).to_dict()
+
+
+@pytest.mark.parametrize(
+    "make_doc, flags, message",
+    [
+        (lambda: bundled_doc("penalty", horizon=10**18), [], "1000000000000000001 steps are too many"),
+        (lambda: bundled_doc("penalty"), ["--steps", "9223372036854775808"], "9223372036854775809 steps are too many"),
+        (lambda: bundled_doc("penalty", horizon=10**18), ["--seeds", "0..1"], "1000000000000000001 steps are too many"),
+        (observation_doc, [], "filter"),
+        (observation_doc, ["--seeds", "0..1"], "filter"),
+    ],
+    ids=["horizon_1e18", "steps_2_63", "sweep_horizon_1e18", "observation", "sweep_observation"],
+)
+def test_simulate_refuses_a_run_before_making_its_directory(tmp_path, capsys, make_doc, flags, message):
+    # A run too long for its covariance column, or of an observation
+    # scenario, is refused by the run itself, alone or in a sweep, and
+    # leaves no output directory.
+    out = tmp_path / "x"
+    assert cli.main(["simulate", "--scenario", write_doc(tmp_path, make_doc()), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
 def test_simulate_domain_violation_exit_code(tmp_path):
     scenario = write_doc(tmp_path, dying_barrier_doc())
     out = tmp_path / "crash"
