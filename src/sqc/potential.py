@@ -30,7 +30,9 @@ potential's float form is its callable's ``floats`` attribute: (x, t)
 -> (value, grad_l, H, curvature), H (k x m) and the curvature (k x k)
 flat and row-major. The step loop refactors the curvature only when it
 changes by value, so a float form returns an immutable tuple or a
-fresh list, never a list it later rewrites.
+fresh list, never a list it later rewrites. The same templates also
+write a column form, ``columns``, which evaluates V alone at many nodes
+in one call with the float form's bits, for the quadrature oracle.
 """
 
 from __future__ import annotations
@@ -124,6 +126,15 @@ class _NonPositivePoint(DomainViolation):
 # The generated float forms.
 
 def _form_source(kind: str, m: int, target) -> list:
+    """Source lines of _form_factory's make for (kind, m, target).
+
+    It writes three functions of (x, t) from one set of line templates:
+    inner, evaluate (the float form) and columns, which runs evaluate's
+    lines for V on x given as m float64 columns of nodes, where numpy's
+    elementwise + - * round as Python's float operations do. The
+    barrier's column form turns the domain test into the mask outside
+    and calls math.log entry by entry, so each node gets evaluate's bits.
+    """
     rm = range(m)
     xs = [f"x{i}" for i in rm]
 
@@ -134,7 +145,11 @@ def _form_source(kind: str, m: int, target) -> list:
     h = "h"
     if kind == "log_barrier":
         constants, ls, inner = [f"a{i}" for i in rm], xs, []
-        body = [f"    if {' or '.join(f'{x} <= 0.0' for x in xs)}:", "        raise _NonPositivePoint(x)"]
+        tests = [f"({x} <= 0.0)" for x in xs]
+        body = [f"    if {' or '.join(tests)}:", "        raise _NonPositivePoint(x)"]
+        # The column form takes the logs of the nodes outside at 1.0, where
+        # math.log is defined, and rebinds log to math.log entry by entry.
+        column_body = [f"    outside = {' | '.join(tests)}", f"    {', '.join(xs)}, = where(outside, 1.0, x)", "    log = logs"]
         value = f"-({_dot_source(constants, [f'log({x})' for x in xs])})"
         grad = [f"-a{i} / x{i}" for i in rm]
         # a / x / x, not a / (x * x): x * x underflows to 0 for x below
@@ -157,6 +172,7 @@ def _form_source(kind: str, m: int, target) -> list:
             inner = [f"    l{i} = x{i} * x{i} - {ds[i]} * {ds[i]}" for i in rm]
             h = diagonal([f"-2.0 * x{i}" for i in rm])
         body = [f"    g{i} = {_dot_source(w[i], ls)}" for i in rm]
+        column_body = body + ["    outside = zeros(len(x0), bool)"]
         value = f"0.5 * ({_dot_source(ls, grad)})"
         curvature = "curvature"
     lines = [f"def make({', '.join(constants)}):"]
@@ -167,10 +183,11 @@ def _form_source(kind: str, m: int, target) -> list:
     for name, tail in (
         ("inner", [f"    return ({', '.join(ls)},)"]),
         ("evaluate", body + [f"    return {value}, ({', '.join(grad)},), {h}, {curvature}"]),
+        ("columns", column_body + [f"    return {value}, outside"]),
     ):
         lines.append(f"    def {name}(x, t):")
         lines += ["    " + line for line in head + inner + tail]
-    lines.append("    return evaluate, inner")
+    lines.append("    return evaluate, inner, columns")
     return lines
 
 
@@ -181,13 +198,19 @@ def _form_factory(kind: str, m: int, target) -> Callable:
     kind is "quadratic_penalty", "double_well" or "log_barrier"; target
     is "constant", "tanh_ramp" or "given" for the first two and None for
     the barrier. The result is a factory make(*constants) -> (evaluate,
-    inner), with the constants in the order _bound documents.
+    inner, columns), with the constants in the order _bound documents.
     evaluate(x, t) -> (value, grad_l, H, curvature) is the float form, H
-    and the curvature flat row-major tuples; inner(x, t) -> l. Every dot
+    and the curvature flat row-major tuples; inner(x, t) -> l; columns(x,
+    t) -> (V, outside) takes x as m node columns and returns the mask of
+    nodes outside the domain and V at each node inside it. Every dot
     product sums left to right from 0.0 (linalg._dot_source). _bound is
     its one caller.
     """
-    namespace = {"tanh": math.tanh, "log": math.log, "_NonPositivePoint": _NonPositivePoint}
+    namespace = {
+        "tanh": math.tanh, "log": math.log, "_NonPositivePoint": _NonPositivePoint, "where": np.where, "zeros": np.zeros,
+        # math.log entry by entry for the column forms: np.log can differ from it in the last bit.
+        "logs": lambda col: np.fromiter(map(math.log, col.tolist()), float, len(col)),
+    }
     label = f"<sqc potential {kind}, m={m}, target {target}>"
     return _compile_source(_form_source(kind, m, target), label, namespace, "make")
 
@@ -208,13 +231,13 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
     compares with the model's before any step; the closure itself
     refuses a state of another length with ValidationError, so a
     callable that wraps it fails the same way. The float form does not
-    check.
+    check. The column form is the closure's ``columns`` attribute.
     """
     m = len(weights)
     if not m:  # no form is written for m = 0
         raise ValidationError("a potential needs a state with entries")
     constants = np.concatenate([np.ravel(weights), np.ravel(target[1:])]).astype(float).tolist()
-    evaluate, inner = _form_factory(kind, m, None if kind == "log_barrier" else target[0])(*constants)
+    evaluate, inner, columns = _form_factory(kind, m, None if kind == "log_barrier" else target[0])(*constants)
     evaluate.dim = m
 
     def fn(x, t):
@@ -228,7 +251,7 @@ def _bound(kind: str, weights, target: tuple = ("given",)) -> Callable:
             np.array(inner(x, t)), value, grad, np.array(h).reshape(m, m), np.array(curvature).reshape(m, m), counter
         )
 
-    fn.floats = evaluate
+    fn.floats, fn.columns = evaluate, columns
     return fn
 
 

@@ -335,8 +335,9 @@ def test_loop_stage_returns_the_last_script():
 def test_import_and_scenario_load_compile_no_kernel():
     # Kernels and float forms compile on first use, so importing the
     # package and loading the scenarios (what the benchmark's set-up time
-    # measures) compiles none, and the CSV writer's tables wait for its
-    # first write. Building a potential compiles its float form but no
+    # measures) compiles none, the CSV writer's tables wait for its
+    # first write and the oracle's Gauss-Hermite rule for its first
+    # quadrature. Building a potential compiles its float form but no
     # kernel. numpy is the only runtime dependency, so none of this
     # imports scipy.
     code = (
@@ -346,6 +347,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         "print(sqc.potential._form_factory.cache_info().currsize)\n"
         "print(sqc.process._matvec_factory.cache_info().currsize)\n"
         "print(sqc.cli._text_tables.cache_info().currsize)\n"
+        "print(sqc.oracle._gh_rule.cache_info().currsize)\n"
         "for sc in scenarios:\n"
         "    sc.build_model(); sc.build_potential()\n"
         "print(sqc.engine._compiled.cache_info().currsize)\n"
@@ -356,7 +358,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "0", "0", "0", "False"]
+    assert done.stdout.split() == ["0", "0", "0", "0", "0", "False"]
 
 
 def test_public_names_resolve():

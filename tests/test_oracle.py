@@ -126,6 +126,39 @@ def test_quadrature_checks_build_no_evaluation_per_node(monkeypatch):
     assert len(calls) == 3
 
 
+def test_column_path_gives_the_per_node_bits(monkeypatch):
+    # _potential_values on each quadrature_checks integrand, at the nodes
+    # of both its passes, with its column form and node by node.
+    passes = []
+    moments = oracle.weighted_gaussian_moments
+
+    def spy(x_hat, sigma, integrand, dt=1.0):
+        assert callable(integrand.columns)
+        xs, ws = oracle._gh_nodes(np.asarray(x_hat, dtype=float), np.asarray(sigma, dtype=float))
+        vals, outside = oracle._potential_values(lambda x: integrand(x), xs)
+        mean1, cov1, _ = oracle._weighted_moments(xs[~outside], ws[~outside], -vals[~outside] * dt)
+        ys, _ = oracle._gh_nodes(mean1, linalg.symmetrize(1.5 * cov1))
+        for nodes in (xs, ys):
+            got, want = oracle._potential_values(integrand, nodes), oracle._potential_values(lambda x: integrand(x), nodes)
+            assert got[0].tobytes() == want[0].tobytes() and got[1].tolist() == want[1].tolist()
+            passes.append(int(want[1].sum()))
+        return moments(x_hat, sigma, integrand, dt)
+
+    monkeypatch.setattr(oracle, "weighted_gaussian_moments", spy)
+    oracle.quadrature_checks()
+    # Three instances, two passes each; the barrier's first pass drops nodes.
+    assert len(passes) == 6 and passes[4] > 0
+
+
+def test_quadrature_refuses_a_step_size_that_is_not_positive():
+    # exp(-V dt) with dt < 0 grows with V and cannot be integrated; with
+    # V = x^2 / 2 on N(0, 1) and dt = -1 the oracle used to return a
+    # variance of 9426.5 and a log mass of +4.90.
+    for dt in (-1.0, 0.0, -0.0):
+        with pytest.raises(ValidationError, match="dt must be positive, finite and a number"):
+            oracle.weighted_gaussian_moments([0.0], [[1.0]], lambda x: 0.5 * float(x @ x), dt)
+
+
 def test_identity_suite_clean_run():
     report = oracle.identity_suite(seed=0, trials=120)
     assert report["passed"]
@@ -344,7 +377,7 @@ def test_oracle_entries_read_their_arguments():
         (lambda: oracle.weighted_gaussian_moments("x", *prior[1:]), "x_hat must be a number"),
         (lambda: oracle.weighted_gaussian_moments([0.0, 0.0], [[1.0], [1.0, 2.0]], prior[2]), "sigma must be a number"),
         (lambda: oracle.weighted_gaussian_moments([0.0, 0.0], np.eye(3), prior[2]), r"sigma has shape \(3, 3\); x_hat has 2"),
-        (lambda: oracle.weighted_gaussian_moments(*prior, "x"), "dt must be a number"),
+        (lambda: oracle.weighted_gaussian_moments(*prior, "x"), "dt must be positive, finite and a number; got 'x'"),
         (lambda: oracle.woodbury_inverse("x", 1, 1, 1), r"A\^-1 must be a number"),
         (
             lambda: oracle.woodbury_inverse(np.ones((1, 3)), np.ones((3, 1)), 1, 1),
@@ -362,7 +395,7 @@ def test_oracle_entries_read_their_arguments():
         # Non-finite arguments used to run on and return nan.
         (lambda: oracle.weighted_gaussian_moments([np.nan], *prior[1:]), "x_hat must be finite"),
         (lambda: oracle.weighted_gaussian_moments(prior[0], [[np.nan]], prior[2]), "sigma must be finite"),
-        (lambda: oracle.weighted_gaussian_moments(*prior, np.inf), "dt must be finite"),
+        (lambda: oracle.weighted_gaussian_moments(*prior, np.inf), "dt must be positive, finite and a number; got inf"),
         (lambda: oracle.fokker_planck_residual(model, None, grid, spoilt, 1e-2), "density must be finite"),
         (lambda: oracle.fokker_planck_residual(model, None, grid, negative, 1e-2), "density must be nonnegative"),
         # The barrier is undefined on the grid's half at and below 0.

@@ -259,6 +259,9 @@ def check_quadratic_forms(kind, target, sigma_nu, params, d, t, x):
     want = ref_quadratic(kind, x, d, w)
     assert_same_evaluation(fn.floats(x, t), want)
     assert_same_evaluation(fn(np.array(x), t), want)
+    value, outside = fn.columns(np.array(x)[:, None], t)  # x as a single node's columns
+    assert_same_bits(value, [want[1]])
+    assert not outside.any()
     array_form = potential.eval_quadratic_penalty if kind == "quadratic_penalty" else potential.eval_double_well
     assert_same_evaluation(array_form(np.array(x), np.array(d), np.array(w)), want)
 
@@ -290,6 +293,7 @@ def test_generated_barrier_form_matches_the_formula_bit_for_bit(data, m):
     x = data.draw(st.lists(st.one_of(st.floats(-1.0, 3.0), special, st.just(1e-170)), min_size=m, max_size=m))
     fn = scenario_from_dict(scenario_doc(m, {"kind": "log_barrier", "params": {"a": a}})).build_potential()
     calls = [lambda: fn.floats(x, 0), lambda: fn(np.array(x), 0), lambda: potential.eval_log_barrier(np.array(x), np.array(a))]
+    value, outside = fn.columns(np.array(x)[:, None], 0)  # x as a single node's columns
     try:
         want = ref_barrier(x, a)
     except DomainViolation as exc:
@@ -297,9 +301,24 @@ def test_generated_barrier_form_matches_the_formula_bit_for_bit(data, m):
             with pytest.raises(DomainViolation) as got:
                 call()
             assert str(got.value) == str(exc)
+        assert outside.tolist() == [True]
         return
     for call in calls:
         assert_same_evaluation(call(), want)
+    assert outside.tolist() == [False]
+    assert_same_bits(value, [want[1]])
+
+
+def test_barrier_column_form_takes_math_logs_bits():
+    # np.log differs from math.log in the last bit at some points (8 of
+    # these 8192 with numpy 2.4 on an AVX-512 Xeon); the column form must
+    # give the float form's value at each of them.
+    x = np.random.default_rng(0).uniform(1e-3, 10.0, (2, 4096))
+    assert (np.log(x) != np.array([list(map(math.log, row)) for row in x.tolist()])).any()
+    fn = scenario_from_dict(scenario_doc(2, {"kind": "log_barrier", "params": {"a": [1.0, 3.0]}})).build_potential()
+    value, outside = fn.columns(x, 0)
+    assert not outside.any()
+    assert value.tobytes() == np.array([fn.floats(node, 0)[0] for node in x.T.tolist()]).tobytes()
 
 
 def test_barrier_passes_nan_on_to_the_finite_check():
