@@ -7,14 +7,14 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, control, ekf, engine, oracle
+from . import __version__, control, ekf, engine
 from .errors import ParseError, SqcError, ValidationError
 from .scenario import check_seed, parse_scenario
 
@@ -255,6 +255,12 @@ def _run_one_simulation(scenario, out_dir: Path) -> int:
 
 
 def cmd_simulate(args) -> int:
+    """Run a scenario and write trajectory.csv and run.json.
+
+    --seeds a..b runs one seed per task in a process pool of
+    min(seeds, CPUs) workers, each writing under seed_<n>; the pool is
+    imported only here, so a single run never loads multiprocessing.
+    """
     if args.seed is not None:
         if args.seeds is not None:
             raise ValidationError("--seed and --seeds cannot be combined")
@@ -273,7 +279,10 @@ def cmd_simulate(args) -> int:
     if args.seeds is not None:
         first, last = args.seeds
         seeds = range(first, last + 1)
-        with ProcessPoolExecutor() as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        # A fork pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(len(seeds), os.cpu_count() or 1)) as pool:
             codes = list(pool.map(
                 _run_one_simulation,
                 [dataclasses.replace(scenario, seed=seed) for seed in seeds],
@@ -319,8 +328,14 @@ def cmd_validate(args) -> int:
     so it is submitted to a one-worker process pool before they run
     here; its report, plain floats and lists, pickles back exactly.
     Leaving the pool's block joins the worker, also when a section
-    raises. --level fast builds no pool.
+    raises. --level fast builds no pool. The oracle and the pool are
+    imported here, not with the module, so simulate and filter start
+    without them.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
+    from . import oracle
+
     report: dict = {"level": args.level}
     with contextlib.ExitStack() as stack:
         if args.level == "full":

@@ -339,14 +339,17 @@ def test_import_and_scenario_load_compile_no_kernel():
     # first write and the oracle's Gauss-Hermite rule for its first
     # quadrature. Building a potential compiles its float form but no
     # kernel. numpy is the only runtime dependency, so none of this
-    # imports scipy.
+    # imports scipy, and neither the oracle nor the process pool is
+    # imported before a command that runs them.
     code = (
         "import sys\n"
         "import sqc, sqc.cli\n"
         "scenarios = [sqc.load_bundled(name) for name in sqc.scenario.BUNDLED_SCENARIOS]\n"
+        "print([m for m in ('sqc.oracle', 'concurrent.futures.process', 'multiprocessing') if m in sys.modules])\n"
         "print(sqc.potential._form_factory.cache_info().currsize)\n"
         "print(sqc.process._matvec_factory.cache_info().currsize)\n"
         "print(sqc.cli._text_tables.cache_info().currsize)\n"
+        "import sqc.oracle\n"
         "print(sqc.oracle._gh_rule.cache_info().currsize)\n"
         "for sc in scenarios:\n"
         "    sc.build_model(); sc.build_potential()\n"
@@ -358,7 +361,7 @@ def test_import_and_scenario_load_compile_no_kernel():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.split() == ["0", "0", "0", "0", "0", "False"]
+    assert done.stdout.split() == ["[]", "0", "0", "0", "0", "0", "False"]
 
 
 def test_public_names_resolve():

@@ -1,5 +1,10 @@
+import concurrent.futures
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -965,18 +970,81 @@ def test_validate_full_writes_the_serial_report(tmp_path, capsys):
 
 
 def test_validate_builds_a_pool_only_at_the_full_level(tmp_path, monkeypatch):
+    # The commands import the pool class when they run, so patching
+    # concurrent.futures reaches them.
     pools = []
 
-    class CountingPool(cli.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(kwargs)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     assert cli.main(["validate", "--level", "fast", "--out", str(tmp_path / "fast")]) == 0
     assert pools == []
     assert cli.main(["validate", "--level", "full", "--out", str(tmp_path / "full")]) == 0
     assert pools == [{"max_workers": 1}]
+
+
+def test_sweep_pool_has_no_more_workers_than_seeds(tmp_path, monkeypatch):
+    # A fork pool starts all its workers at the first submit, so a
+    # one-seed sweep on four CPUs asks for one. The double runs the
+    # tasks here and starts no process; cli's own binding of the name,
+    # where there is one, is replaced too.
+    pools = []
+
+    class InlinePool:
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool, raising=False)
+    scenario = write_doc(tmp_path, penalty_doc(horizon=5))
+    out = tmp_path / "sweep"
+    assert cli.main(["simulate", "--scenario", scenario, "--out", str(out), "--seeds", "5..5"]) == 0
+    assert pools == [{"max_workers": 1}]
+    assert (out / "seed_5" / "trajectory.csv").is_file()
+
+
+LAZY_MODULES = ("sqc.oracle", "concurrent.futures.process", "multiprocessing")
+
+
+def test_commands_import_the_oracle_and_the_pool_only_when_they_run_them(tmp_path):
+    # Each command runs in a fresh interpreter, which then reports which
+    # of the lazily imported modules it loaded.
+    scenario = write_doc(tmp_path, penalty_doc(horizon=5), "penalty.json")
+    observed = write_doc(tmp_path, observation_doc(), "observed.json")
+    obs = obs_csv(tmp_path, [0, 2], [0.1, -0.2])
+    out = str(tmp_path / "out")
+    cases = [
+        (["simulate", "--scenario", scenario, "--out", out, "--seed", "3"], []),
+        (["filter", "--scenario", observed, "--obs", obs, "--out", out], []),
+        (["simulate", "--scenario", scenario, "--out", out, "--seeds", "0..1"], list(LAZY_MODULES[1:])),
+        (["validate", "--level", "full", "--out", out], list(LAZY_MODULES)),
+    ]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    for argv, imported in cases:
+        code = (
+            "import sys\n"
+            "from sqc import cli\n"
+            f"assert cli.main({argv!r}) == 0\n"
+            f"print([m for m in {LAZY_MODULES!r} if m in sys.modules])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.stdout.splitlines()[-1] == repr(imported), argv[0]
 
 
 def test_validate_joins_its_worker_when_a_section_raises(tmp_path, monkeypatch):
